@@ -17,9 +17,11 @@ from .exterior import (
     ComplexForm,
     MultiIndex,
     apply_antiderivation,
+    combine,
     conjugate,
     generator,
     monomial,
+    one_form,
     substitute,
     wedge,
 )
@@ -133,11 +135,7 @@ def _eigen_coframe(g: LieAlgebraSpec, J: Matrix) -> Matrix:
 
 def _real_d_on_coframe_row(g: LieAlgebraSpec, row: Vector) -> ComplexForm:
     """d of the complex 1-form sum_m row[m] e^m, as a real-coframe 2-form."""
-    form = ComplexForm.zero(g.dim)
-    for m, c in enumerate(row, start=1):
-        if not c.is_zero():
-            form = form + monomial(g.dim, (m,), coeff=c)
-    return ce_differential(g, form)
+    return ce_differential(g, one_form(g.dim, row))
 
 
 def _real_to_complex_images(coframe: Matrix, dim: int, n: int) -> list[ComplexForm]:
@@ -148,15 +146,15 @@ def _real_to_complex_images(coframe: Matrix, dim: int, n: int) -> list[ComplexFo
     binv = inverse(big)
     images = []
     for m in range(dim):
-        f = ComplexForm.zero(n)
+        terms = {}
         for j in range(n):
             c1 = binv[m][j]
             c2 = binv[m][n + j]
-            if not c1.is_zero():
-                f = f + monomial(n, (j + 1,), coeff=c1)
-            if not c2.is_zero():
-                f = f + monomial(n, anti=(j + 1,), coeff=c2)
-        images.append(f)
+            if c1:
+                terms[MultiIndex((j + 1,), ())] = c1
+            if c2:
+                terms[MultiIndex((), (j + 1,))] = c2
+        images.append(ComplexForm(n, terms))
     return images
 
 
@@ -422,10 +420,6 @@ def ascending_series(struct: ComplexStructureSpec) -> AscendingSeries:
     return AscendingSeries(chain, dims, stab, classification)
 
 
-def is_quasi_nilpotent(series: AscendingSeries) -> bool:
-    return series.classification in (JClass.NILPOTENT, JClass.WEAKLY_NON_NILPOTENT)
-
-
 # -- triangular coframe (closed forms first) --------------------------------------
 
 
@@ -455,10 +449,7 @@ def ideal_two_form_span(struct_n: int, rows: Matrix, keys: list[MultiIndex]) -> 
     """Span of {s ^ gamma : s in the row span, gamma any coframe 1-form}."""
     gens = []
     for row in rows:
-        s = ComplexForm.zero(struct_n)
-        for j, c in enumerate(row, start=1):
-            if not c.is_zero():
-                s = s + monomial(struct_n, (j,), coeff=c)
+        s = one_form(struct_n, row)
         for j in range(1, struct_n + 1):
             for anti in (False, True):
                 w = wedge(s, generator(struct_n, j, anti))
@@ -500,23 +491,8 @@ def triangular_coframe(struct: ComplexStructureSpec) -> TriangularCoframe:
             if not is_zero_vec(reduce_against(span_now, cand)):
                 new_rows.append(cand)
         chosen = new_rows
-    transform = chosen
-    tinv = inverse([row[:] for row in transform])
-    old_in_new = [
-        sum(
-            (monomial(n, (l + 1,), coeff=tinv[k][l]) for l in range(n) if not tinv[k][l].is_zero()),
-            ComplexForm.zero(n),
-        )
-        for k in range(n)
-    ]
-    equations = []
-    for row in transform:
-        d_old = ComplexForm.zero(n)
-        for k, c in enumerate(row):
-            if not c.is_zero():
-                d_old = d_old + struct.equations[k] * c
-        equations.append(substitute(d_old, old_in_new, n_target=n))
-    return TriangularCoframe(transform, equations, closed_count)
+    equations, _ = _transform_struct_forms(struct, chosen)
+    return TriangularCoframe(chosen, equations, closed_count)
 
 
 def in_coframe_ideal(form: ComplexForm, first: int) -> bool:
@@ -555,19 +531,10 @@ def _transform_struct_forms(struct: ComplexStructureSpec, transform: Matrix):
     """Structure equations in the coframe a'^j = sum transform[j][k] a^k."""
     n = struct.n
     tinv = inverse([row[:] for row in transform])
-    old_in_new = [
-        sum(
-            (monomial(n, (l + 1,), coeff=tinv[k][l]) for l in range(n) if not tinv[k][l].is_zero()),
-            ComplexForm.zero(n),
-        )
-        for k in range(n)
-    ]
+    old_in_new = [one_form(n, row) for row in tinv]
     equations = []
     for row in transform:
-        d_old = ComplexForm.zero(n)
-        for k, c in enumerate(row):
-            if not c.is_zero():
-                d_old = d_old + struct.equations[k] * c
+        d_old = combine(n, ((c, eq) for c, eq in zip(row, struct.equations) if c))
         equations.append(substitute(d_old, old_in_new, n_target=n))
 
     def to_new(f: ComplexForm) -> ComplexForm:

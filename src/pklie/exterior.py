@@ -230,6 +230,35 @@ def wedge_all(forms: Iterable[ComplexForm], n: int | None = None) -> ComplexForm
     return out
 
 
+def combine(n: int, pairs: Iterable[tuple[object, ComplexForm]]) -> ComplexForm:
+    """sum c * f over the (c, f) pairs, accumulated in one dict.
+
+    Keys that cancel are dropped as they cancel, so the terms come out in the
+    same order as from repeated `+`.
+    """
+    acc: dict[MultiIndex, GaussianRational] = {}
+    for c, f in pairs:
+        if f.n != n:
+            raise ValueError("coframe dimension mismatch")
+        c = GaussianRational.coerce(c)
+        for key, value in f.terms.items():
+            total = acc.get(key, ZERO) + value * c
+            if total:
+                acc[key] = total
+            else:
+                acc.pop(key, None)
+    return ComplexForm(n, acc)
+
+
+def one_form(n: int, coeffs: Sequence, anti: bool = False) -> ComplexForm:
+    """sum_j coeffs[j-1] a^j (or conj(a^j) when anti) over a^1..a^n."""
+    terms = {}
+    for j, c in enumerate(coeffs, start=1):
+        if c:
+            terms[MultiIndex((), (j,)) if anti else MultiIndex((j,), ())] = c
+    return ComplexForm(n, terms)
+
+
 def conjugate(f: ComplexForm) -> ComplexForm:
     """Complex conjugation: swaps index roles and applies the reordering sign."""
     out: dict[MultiIndex, GaussianRational] = {}
@@ -267,11 +296,11 @@ def substitute(
         raise ValueError("need one image per antiholomorphic generator")
     if n_target is None:
         n_target = holo_images[0].n if holo_images else f.n
-    out = ComplexForm.zero(n_target)
+    pairs = []
     for (holo, anti), c in f.terms.items():
         factors = [holo_images[j - 1] for j in holo] + [anti_images[j - 1] for j in anti]
-        out = out + wedge_all(factors, n_target) * c
-    return out
+        pairs.append((c, wedge_all(factors, n_target)))
+    return combine(n_target, pairs)
 
 
 def apply_antiderivation(
@@ -289,7 +318,7 @@ def apply_antiderivation(
         raise ValueError("need one differential per generator")
     if d_anti is None:
         d_anti = [conjugate(g) for g in d_holo]
-    out = ComplexForm.zero(f.n)
+    pairs = []
     for (holo, anti), c in f.terms.items():
         word = [(j, False) for j in holo] + [(j, True) for j in anti]
         for pos, (j, is_anti) in enumerate(word):
@@ -303,8 +332,8 @@ def apply_antiderivation(
                 else anti,
             )
             sign = -1 if pos % 2 else 1
-            out = out + wedge(dgen, ComplexForm(f.n, {rest: ONE})) * (c * sign)
-    return out
+            pairs.append((c * sign, wedge(dgen, ComplexForm(f.n, {rest: ONE}))))
+    return combine(f.n, pairs)
 
 
 def reference_volume_coefficient(n: int) -> GaussianRational:

@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over GaussianRational vectors and matrices.
+"""Exact dense linear algebra over the rationals or the Gaussian rationals.
 
-Matrices are lists of row lists.  Everything is fraction-exact; pivoting is
-deterministic (first nonzero entry scanning left to right), so reduced
-echelon forms and kernel bases are reproducible.
+Matrices are lists of row lists.  `rref`, `kernel`, `solve`, `inverse` and
+`row_space_rref` work in the field of the entries they are given: `Fraction`
+for data that are real by construction, `GaussianRational` otherwise (int
+entries count as `Fraction`).  Everything is exact; pivoting is deterministic
+(first nonzero entry scanning left to right), so reduced echelon forms and
+kernel bases are reproducible and the same in either field.
 """
 
 from __future__ import annotations
@@ -20,15 +23,18 @@ def gr(value) -> GaussianRational:
     return GaussianRational.coerce(value)
 
 
+def _one_like(x):
+    """The unit of the field x lives in."""
+    return ONE if isinstance(x, GaussianRational) else Fraction(1)
+
+
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for k in range(n):
-        out[k][k] = ONE
-    return out
+def identity(n: int, one=ONE) -> Matrix:
+    zero = one - one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_from_rows(rows: Sequence[Sequence]) -> Matrix:
@@ -68,31 +74,12 @@ def transpose(m: Matrix) -> Matrix:
     return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
 
 
-def conj_transpose(m: Matrix) -> Matrix:
-    if not m:
-        return []
-    return [[m[i][j].conjugate() for i in range(len(m))] for j in range(len(m[0]))]
-
-
-def scale_vec(v: Sequence, s) -> Vector:
-    s = gr(s)
-    return [gr(x) * s for x in v]
-
-
-def add_vec(u: Sequence, v: Sequence) -> Vector:
-    return [gr(a) + gr(b) for a, b in zip(u, v)]
-
-
-def sub_vec(u: Sequence, v: Sequence) -> Vector:
-    return [gr(a) - gr(b) for a, b in zip(u, v)]
-
-
 def is_zero_vec(v: Sequence) -> bool:
-    return all(gr(x).is_zero() for x in v)
+    return not any(v)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column list."""
+    """Reduced row echelon form and pivot column list, in the field of m."""
     a = copy_matrix(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -101,18 +88,26 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     for c in range(cols):
         pivot_row = None
         for i in range(r, rows):
-            if not a[i][c].is_zero():
+            if a[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        row = a[r]
+        inv = _one_like(row[c]) / row[c]
+        # columns left of c are zero in every row from r down
+        support = [j for j in range(c, cols) if row[j]]
+        for j in support:
+            row[j] = row[j] * inv
         for i in range(rows):
-            if i != r and not a[i][c].is_zero():
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+            if i == r:
+                continue
+            other = a[i]
+            factor = other[c]
+            if factor:
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -125,19 +120,21 @@ def rank(m: Matrix) -> int:
 
 
 def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
-    """Deterministic basis of the right kernel {x : m x = 0}."""
+    """Deterministic basis of the right kernel {x : m x = 0}, in the field of m."""
     if cols is None:
         if not m:
             raise ValueError("kernel of empty matrix needs explicit column count")
         cols = len(m[0])
     if not m:
-        return [e for e in identity(cols)]
+        return identity(cols)
+    one = _one_like(m[0][0]) if cols else ONE
+    zero = one - one
     red, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [ZERO] * cols
-        vec[fc] = ONE
+        vec = [zero] * cols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
         basis.append(vec)
@@ -149,11 +146,12 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
     if not m:
         return []
     cols = len(m[0])
-    aug = [row[:] + [gr(bv)] for row, bv in zip(m, b)]
+    one = _one_like(m[0][0]) if cols else ONE
+    aug = [row[:] + [bv * one] for row, bv in zip(m, b)]
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [ZERO] * cols
+    x = [one - one] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
@@ -161,7 +159,8 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
+    unit = identity(n, _one_like(m[0][0]) if n else ONE)
+    aug = [m[i][:] + unit[i] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -196,12 +195,8 @@ def row_space_rref(rows: Sequence[Sequence]) -> Matrix:
     """Canonical (RREF, zero rows dropped) basis of the span of the rows."""
     if not rows:
         return []
-    red, pivots = rref(mat_from_rows(rows))
-    return [red[i] for i in range(len(pivots))]
-
-
-def in_row_space(rows_rref: Matrix, v: Sequence) -> bool:
-    return is_zero_vec(reduce_against(rows_rref, v))
+    red, pivots = rref([list(row) for row in rows])
+    return red[: len(pivots)]
 
 
 def reduce_against(rows_rref: Matrix, v: Sequence) -> Vector:

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .cxstruct import ComplexStructureSpec, ascending_series, JClass
 from .exterior import (
     ComplexForm,
     MultiIndex,
     bidegree_component,
+    combine,
     conjugate,
     form_from_json,
     form_to_json,
@@ -30,7 +29,7 @@ from .exterior import (
     wedge,
 )
 from .liealg import InvalidAlgebraError, is_nilpotent, is_unimodular
-from .linalg import gr, kernel, same_row_space
+from .linalg import gr, identity, kernel, same_row_space
 from .positivity import (
     GramCertificate,
     SearchBudget,
@@ -111,27 +110,16 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     keys = sorted({key for img in images for key in img.terms})
     rows = []
     for key in keys:
-        rows.append([gr(img.terms.get(key, ZERO).re) for img in images])
-        rows.append([gr(img.terms.get(key, ZERO).im) for img in images])
-    if rows:
-        coords_gr = kernel(rows, len(basis))
-    else:
-        coords_gr = [
-            [ONE if i == j else gr(0) for j in range(len(basis))]
-            for i in range(len(basis))
-        ]
-    coords = [[c.re for c in vec] for vec in coords_gr]
+        rows.append([img.terms.get(key, ZERO).re for img in images])
+        rows.append([img.terms.get(key, ZERO).im for img in images])
+    coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
     forms = [_combine(basis, vec) for vec in coords]
     return ClosedPP(p, basis, coords, forms)
 
 
 def _combine(basis: list[ComplexForm], coords) -> ComplexForm:
-    out = ComplexForm.zero(basis[0].n if basis else 0)
-    for c, f in zip(coords, basis):
-        c = Fraction(c)
-        if c:
-            out = out + f * gr(c)
-    return out
+    n = basis[0].n if basis else 0
+    return combine(n, ((GaussianRational(c), f) for c, f in zip(coords, basis) if c))
 
 
 # -- certificates ------------------------------------------------------------------
@@ -379,17 +367,25 @@ def find_pkahler(
     mono_basis = gram_basis(n, n - p)
     grams = [gram_matrix(f)[1] for f in closed.forms]
     gram_size = len(mono_basis)
+    # each closed form's Gram matrix as its nonzero entries (a, b, re, im)
+    sparse_grams = [
+        [(a, b, v.re, v.im) for a, row in enumerate(h) for b, v in enumerate(row) if v]
+        for h in grams
+    ]
 
     def exact_pd(coords: list[Fraction]):
+        re = [[Fraction(0)] * gram_size for _ in range(gram_size)]
+        im = [[Fraction(0)] * gram_size for _ in range(gram_size)]
+        for c, entries in zip(coords, sparse_grams):
+            if c:
+                for a, b, vre, vim in entries:
+                    re[a][b] += c * vre
+                    im[a][b] += c * vim
         h = [
-            [
-                sum((gr(c) * grams[r][a][b] for r, c in enumerate(coords) if c), ZERO)
-                for b in range(gram_size)
-            ]
-            for a in range(gram_size)
+            [GaussianRational(x, y) for x, y in zip(re_row, im_row)]
+            for re_row, im_row in zip(re, im)
         ]
-        ok, cert = gram_positive_definite(h)
-        return (ok, cert)
+        return gram_positive_definite(h)
 
     def finish_found(coords: list[Fraction], cert: GramCertificate) -> PKahlerReport:
         omega = _combine(closed.forms, coords)
@@ -503,26 +499,27 @@ def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
     """Exact orthogonal projection coefficients of x0 onto span(basis_vecs)."""
     if not basis_vecs:
         return None
-    k = len(basis_vecs)
-    gram = [
-        [
-            sum(Fraction(a) * Fraction(b) for a, b in zip(basis_vecs[i], basis_vecs[j]))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    rhs = [sum(Fraction(a) * Fraction(b) for a, b in zip(basis_vecs[i], x0)) for i in range(k)]
-    from .linalg import mat_from_rows, solve
+    from .linalg import solve
 
-    sol = solve(mat_from_rows(gram), [gr(v) for v in rhs])
-    if sol is None:
-        return None
-    return [c.re for c in sol]
+    k = len(basis_vecs)
+    support = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis_vecs]
+
+    def dot(i: int, y) -> Fraction:
+        return sum((v * y[j] for j, v in support[i]), Fraction(0))
+
+    gram = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = dot(i, basis_vecs[j])
+    rhs = [dot(i, x0) for i in range(k)]
+    return solve(gram, rhs)
 
 
 def _pd_hill_climb(grams, starts, budget: SearchBudget) -> list[list[Fraction]]:
     """Maximize the minimal Gram eigenvalue over the closed space (float),
     returning rationalized candidates worth exact checking."""
+    import numpy as np
+
     k = len(grams)
     if k == 0:
         return []
@@ -590,9 +587,7 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
     closed = closed_pp_space(struct, p)
     stored_basis = [form_from_json(item, n) for item in data.get("closed_basis", [])]
     stored_coords = [pp_coordinates(f, p) for f in stored_basis]
-    ours = [[gr(c) for c in vec] for vec in closed.coords]
-    theirs = [[gr(c) for c in vec] for vec in stored_coords]
-    if stored_basis and not same_row_space(ours, theirs):
+    if stored_basis and not same_row_space(closed.coords, stored_coords):
         failures.append("closed space mismatch")
     if not stored_basis and closed.coords:
         failures.append("closed space mismatch")
@@ -623,10 +618,12 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
             for psi in witnesses:
                 if psi.is_zero():
                     failures.append("zero witness form")
-                    continue
-                rows.append(
-                    [volume_coefficient(f, psi).re for f in closed.forms]
-                )
+                elif psi.bidegrees() != {(n - p, 0)}:
+                    failures.append(f"witness is not of bidegree ({n - p},0)")
+                elif not is_simple(psi):
+                    failures.append("witness is not simple")
+                else:
+                    rows.append([volume_coefficient(f, psi).re for f in closed.forms])
             if len(farkas) != len(rows):
                 failures.append("farkas length mismatch")
             elif not verify_farkas(rows, [Fraction(1)] * len(rows), farkas):

@@ -25,26 +25,9 @@ def degree(p: Poly) -> int:
     return len(trim(p)) - 1
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    m = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(m)])
-
-
 def scale(p: Poly, c) -> Poly:
     c = Fraction(c)
     return trim([x * c for x in p])
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -116,7 +99,7 @@ def char_poly(m: Sequence[Sequence[Fraction]]) -> Poly:
 
 def minimal_poly(m: Sequence[Sequence[Fraction]]) -> Poly:
     """Minimal polynomial via the first linear dependence among powers of M."""
-    from .linalg import gr, kernel
+    from .linalg import kernel
 
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
@@ -130,13 +113,10 @@ def minimal_poly(m: Sequence[Sequence[Fraction]]) -> Poly:
         rows = []
         for i in range(n):
             for j in range(n):
-                rows.append([gr(powers[k][i][j]) for k in range(d + 1)])
-        sols = kernel(rows, d + 1)
-        for vec in sols:
-            if not vec[d].is_zero():
-                coeffs = [c.re for c in vec]
-                lead = coeffs[d]
-                return trim([c / lead for c in coeffs])
+                rows.append([powers[k][i][j] for k in range(d + 1)])
+        for vec in kernel(rows, d + 1):
+            if vec[d]:
+                return trim([c / vec[d] for c in vec])
     raise AssertionError("no annihilating polynomial up to dimension; impossible")
 
 

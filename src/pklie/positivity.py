@@ -9,19 +9,19 @@ re-verified in exact arithmetic before it can appear in a certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .exterior import (
     ComplexForm,
     MultiIndex,
     conjugate,
     monomial,
+    one_form,
     reference_volume_coefficient,
     substitute,
     wedge,
@@ -36,6 +36,9 @@ from .linalg import (
     leading_minors,
 )
 from .scalars import GaussianRational, I, ONE, ZERO, i_power
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TransStatus(str, Enum):
@@ -82,14 +85,7 @@ class SimpleFormWitness:
     value: GaussianRational
 
     def to_form(self, n: int) -> ComplexForm:
-        factors = []
-        for col in self.columns:
-            f = ComplexForm.zero(n)
-            for j, c in enumerate(col, start=1):
-                if not gr(c).is_zero():
-                    f = f + monomial(n, (j,), coeff=c)
-            factors.append(f)
-        return wedge_all(factors, n)
+        return _columns_form(self.columns, n)
 
     def to_json(self) -> dict:
         return {
@@ -154,6 +150,27 @@ def gram_basis(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_units(n: int, k: int) -> list[list[tuple[MultiIndex, GaussianRational]]]:
+    """Per Gram entry (a, b): the one key of omega it reads, and its factor.
+
+    Only omega's term at (complement of I_a, complement of I_b) survives the
+    wedge with a^{I_a} and conj(a^{I_b}); the factor is the pairing of that
+    unit monomial, so entry (a, b) is omega's coefficient there times it.
+    """
+    basis = gram_basis(n, k)
+    mono = [monomial(n, idx) for idx in basis]
+    comp = [tuple(j for j in range(1, n + 1) if j not in idx) for idx in basis]
+    table = []
+    for a in range(len(basis)):
+        row = []
+        for b in range(len(basis)):
+            key = MultiIndex(comp[a], comp[b])
+            row.append((key, pairing_coefficient(ComplexForm(n, {key: ONE}), mono[a], mono[b])))
+        table.append(row)
+    return table
+
+
 def gram_matrix(omega: ComplexForm) -> tuple[list[tuple[int, ...]], Matrix]:
     """Hermitian matrix of the volume pairing on Lambda^{n-p,0} monomials."""
     n = omega.n
@@ -162,10 +179,10 @@ def gram_matrix(omega: ComplexForm) -> tuple[list[tuple[int, ...]], Matrix]:
         raise ValueError("omega must be a homogeneous (p,p)-form")
     k = n - bid[0]
     basis = gram_basis(n, k)
-    mono = [monomial(n, idx) for idx in basis]
+    terms = omega.terms
     h = [
-        [pairing_coefficient(omega, mono[a], mono[b]) for b in range(len(basis))]
-        for a in range(len(basis))
+        [terms[key] * unit if key in terms else ZERO for key, unit in row]
+        for row in _gram_units(n, k)
     ]
     for a in range(len(basis)):
         for b in range(len(basis)):
@@ -212,7 +229,7 @@ def is_simple(psi: ComplexForm) -> bool:
     if bid is None or bid[1] != 0:
         return False
     k = bid[0]
-    if k in (0, 1, psi.n - 1, psi.n):
+    if len(psi.terms) == 1 or k in (0, 1, psi.n - 1, psi.n):
         return True
     return len(divisor_space(psi)) == k
 
@@ -246,14 +263,7 @@ def simple_factors(psi: ComplexForm) -> list[Vector] | None:
 
 
 def _columns_form(cols: Sequence[Vector], n: int) -> ComplexForm:
-    factors = []
-    for col in cols:
-        f = ComplexForm.zero(n)
-        for j, c in enumerate(col, start=1):
-            if not c.is_zero():
-                f = f + monomial(n, (j,), coeff=c)
-        factors.append(f)
-    return wedge_all(factors, n)
+    return wedge_all([one_form(n, col) for col in cols], n)
 
 
 # -- transversality decision --------------------------------------------------------
@@ -311,17 +321,15 @@ def _unit_column(n: int, j: int) -> Vector:
 
 
 def _vector_form(vec: Sequence, basis, n: int) -> ComplexForm:
-    out = ComplexForm.zero(n)
-    for coeff, idx in zip(vec, basis):
-        if not gr(coeff).is_zero():
-            out = out + monomial(n, idx, coeff=coeff)
-    return out
+    return ComplexForm(n, {MultiIndex(idx, ()): c for c, idx in zip(vec, basis) if c})
 
 
 # -- numeric search over decomposable directions -------------------------------------
 
 
 def _plucker(mat: np.ndarray, basis) -> np.ndarray:
+    import numpy as np
+
     k = mat.shape[1]
     out = np.empty(len(basis), dtype=complex)
     for a, idx in enumerate(basis):
@@ -331,6 +339,8 @@ def _plucker(mat: np.ndarray, basis) -> np.ndarray:
 
 
 def _plucker_jacobian(mat: np.ndarray, basis) -> np.ndarray:
+    import numpy as np
+
     n, k = mat.shape
     jac = np.zeros((len(basis), n * k), dtype=complex)
     for a, idx in enumerate(basis):
@@ -350,6 +360,8 @@ def _plucker_jacobian(mat: np.ndarray, basis) -> np.ndarray:
 def _numeric_negative_search(omega, basis, h_exact, budget: SearchBudget):
     """Minimize the volume pairing over decomposable directions (float), then
     rationalize promising minima and re-verify exactly."""
+    import numpy as np
+
     n = omega.n
     k = len(basis[0]) if basis else 0
     hf = np.array([[v.to_complex() for v in row] for row in h_exact])
@@ -397,6 +409,8 @@ def _numeric_negative_search(omega, basis, h_exact, budget: SearchBudget):
 
 def _rationalize_witness(omega: ComplexForm, mat: np.ndarray) -> SimpleFormWitness | None:
     """Continued-fraction rounding of float columns, then exact re-evaluation."""
+    import numpy as np
+
     n, k = mat.shape
     scale = np.max(np.abs(mat))
     if scale > 0:
@@ -548,13 +562,7 @@ def metric_power_root(phi: ComplexForm) -> MetricRoot:
         omega_b = ComplexForm.zero(m)
         for j, c in enumerate(cs, start=1):
             omega_b = omega_b + monomial(m, (j,), (j,), c * I)
-        images = []
-        for row in s_rows:
-            f = ComplexForm.zero(m)
-            for j, c in enumerate(row, start=1):
-                if not c.is_zero():
-                    f = f + monomial(m, (j,), coeff=c)
-            images.append(f)
+        images = [one_form(m, row) for row in s_rows]
         return substitute(omega_b, images, n_target=m)
 
     def power_over_factorial(w: ComplexForm) -> ComplexForm:

@@ -43,38 +43,49 @@ class GaussianRational:
         return not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     # -- arithmetic ------------------------------------------------------------
+    #
+    # Operands with a zero imaginary part skip the products and sums that are
+    # known to vanish; the results are the same numbers.
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _gr(self.re + other.re, self.im + other.im if other.im else self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _gr(self.re - other.re, self.im - other.im if other.im else self.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return _gr(a * c, a * d if d else _FZERO)
+        if not d:
+            return _gr(a * c, b * c)
+        return _gr(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _gr(self.re / other.re, self.im / other.re if self.im else _FZERO)
         d = other.re * other.re + other.im * other.im
-        if not d:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _gr(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -83,7 +94,7 @@ class GaussianRational:
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -98,7 +109,7 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -131,6 +142,17 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational('{self}')"
+
+
+_FZERO = Fraction(0)
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """GaussianRational from two Fractions, skipping the type checks."""
+    z = object.__new__(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 def _imag_str(b: Fraction) -> str:

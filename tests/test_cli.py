@@ -184,6 +184,13 @@ def test_console_entry_point():
     assert "iwasawa" in proc.stdout
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported only inside the numeric searches
+    code = "import sys, pklie.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_restrict_and_quotient(tmp_path, capsys):
     code, out = run_cli(
         [

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from pklie.catalog import build_snn8, named_example
 from pklie.cxstruct import ComplexStructureSpec
-from pklie.exterior import ComplexForm, form_to_literal, monomial, parse_form, wedge
+from pklie.exterior import ComplexForm, form_to_json, form_to_literal, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError
 from pklie.pkahler import (
     ObstructionRejected,
@@ -318,3 +319,30 @@ def test_refutation_survives_random_change_of_basis():
     assert ascending_series(s2).classification == JClass.SNN
     rep = find_pkahler(s2, 2, SearchBudget(restarts=10, steps=80, witness_cap=6))
     assert rep.verdict == PKVerdict.REFUTED
+
+
+def _witness_family_report(name):
+    struct = named_example(name)
+    data = json.loads(json.dumps(find_pkahler(struct, 2, BUDGET).to_json()))
+    assert data["refutation"]["kind"] == "witness_family"
+    assert verify_report(struct, data) == []
+    return struct, data
+
+
+def _with_extra_witness(data, literal):
+    data["refutation"]["witnesses"].append(form_to_json(parse_form(literal, 4)))
+    data["refutation"]["farkas"].append("0")
+    return data
+
+
+def test_verify_rejects_non_simple_witness():
+    # a^{12} + a^{34} is not decomposable; a zero multiplier keeps Farkas valid
+    struct, data = _witness_family_report("snn8f1:0,0,0,1")
+    assert "witness is not simple" in verify_report(struct, _with_extra_witness(data, "a12 + a34"))
+
+
+def test_verify_rejects_witness_of_wrong_bidegree():
+    struct, data = _witness_family_report("snn8f1:0,0,0,1")
+    assert "witness is not of bidegree (2,0)" in verify_report(struct, _with_extra_witness(data, "a1"))
+    struct, data = _witness_family_report("snn8f1:0,0,0,1")
+    assert "witness is not of bidegree (2,0)" in verify_report(struct, _with_extra_witness(data, "a1_b2"))
