@@ -8,6 +8,7 @@ equations d a^j expanded over that coframe).  Either side can be the input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -293,7 +294,11 @@ class ComplexStructureSpec:
         """Chevalley-Eilenberg differential over the complex coframe."""
         if f.n != self.n:
             raise ValueError("form lives over a different coframe")
-        return apply_antiderivation(f, self.equations)
+        return apply_antiderivation(f, self.equations, self._conj_equations)
+
+    @functools.cached_property
+    def _conj_equations(self) -> list[ComplexForm]:
+        return [conjugate(eq) for eq in self.equations]
 
     def closed_10_forms(self) -> list[Vector]:
         """Coefficient vectors x with d(sum x_j a^j) = 0, RREF-canonical."""

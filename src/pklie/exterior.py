@@ -88,6 +88,15 @@ class ComplexForm:
 
     # -- constructors ---------------------------------------------------------
 
+    @classmethod
+    def _wrap(cls, n: int, terms: dict[MultiIndex, GaussianRational]) -> "ComplexForm":
+        """Adopt terms that are canonical already: MultiIndex keys valid for n,
+        nonzero GaussianRational values.  For results of operations on forms."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
     @staticmethod
     def zero(n: int) -> "ComplexForm":
         return ComplexForm(n)
@@ -140,19 +149,19 @@ class ComplexForm:
                 out.pop(key, None)
             else:
                 out[key] = acc
-        return ComplexForm(self.n, out)
+        return ComplexForm._wrap(self.n, out)
 
     def __sub__(self, other: "ComplexForm") -> "ComplexForm":
         return self + (-other)
 
     def __neg__(self) -> "ComplexForm":
-        return ComplexForm(self.n, {k: -v for k, v in self.terms.items()})
+        return ComplexForm._wrap(self.n, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, scalar) -> "ComplexForm":
         scalar = GaussianRational.coerce(scalar)
         if scalar.is_zero():
             return ComplexForm.zero(self.n)
-        return ComplexForm(self.n, {k: v * scalar for k, v in self.terms.items()})
+        return ComplexForm._wrap(self.n, {k: v * scalar for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -215,7 +224,7 @@ def wedge(f: ComplexForm, g: ComplexForm) -> ComplexForm:
                 acc.pop(key, None)
             else:
                 acc[key] = value
-    return ComplexForm(f.n, acc)
+    return ComplexForm._wrap(f.n, acc)
 
 
 def wedge_all(forms: Iterable[ComplexForm], n: int | None = None) -> ComplexForm:
@@ -247,7 +256,7 @@ def combine(n: int, pairs: Iterable[tuple[object, ComplexForm]]) -> ComplexForm:
                 acc[key] = total
             else:
                 acc.pop(key, None)
-    return ComplexForm(n, acc)
+    return ComplexForm._wrap(n, acc)
 
 
 def one_form(n: int, coeffs: Sequence, anti: bool = False) -> ComplexForm:
@@ -265,15 +274,13 @@ def conjugate(f: ComplexForm) -> ComplexForm:
     for (holo, anti), c in f.terms.items():
         sign = -1 if (len(holo) * len(anti)) % 2 else 1
         out[MultiIndex(anti, holo)] = c.conjugate() * sign
-    return ComplexForm(f.n, out)
+    return ComplexForm._wrap(f.n, out)
 
 
 def bidegree_component(f: ComplexForm, p: int, q: int) -> ComplexForm:
     if not (0 <= p <= f.n and 0 <= q <= f.n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={f.n}")
-    return ComplexForm(
-        f.n, {k: v for k, v in f.terms.items() if k.bidegree == (p, q)}
-    )
+    return ComplexForm._wrap(f.n, {k: v for k, v in f.terms.items() if k.bidegree == (p, q)})
 
 
 def substitute(

@@ -23,9 +23,9 @@ def gr(value) -> GaussianRational:
     return GaussianRational.coerce(value)
 
 
-def _one_like(x):
-    """The unit of the field x lives in."""
-    return ONE if isinstance(x, GaussianRational) else Fraction(1)
+def _one_like(m: Matrix):
+    """1 in the field of m's entries: GaussianRational if they are, else Fraction."""
+    return ONE if m and m[0] and isinstance(m[0][0], GaussianRational) else Fraction(1)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -42,7 +42,7 @@ def mat_from_rows(rows: Sequence[Sequence]) -> Matrix:
 
 
 def copy_matrix(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
+    return [list(row) for row in m]
 
 
 def matvec(m: Matrix, v: Sequence) -> Vector:
@@ -83,6 +83,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     a = copy_matrix(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    one = _one_like(a)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -95,7 +96,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
         row = a[r]
-        inv = _one_like(row[c]) / row[c]
+        inv = one / row[c]
         # columns left of c are zero in every row from r down
         support = [j for j in range(c, cols) if row[j]]
         for j in support:
@@ -127,7 +128,7 @@ def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
         cols = len(m[0])
     if not m:
         return identity(cols)
-    one = _one_like(m[0][0]) if cols else ONE
+    one = _one_like(m)
     zero = one - one
     red, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
@@ -146,8 +147,8 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
     if not m:
         return []
     cols = len(m[0])
-    one = _one_like(m[0][0]) if cols else ONE
-    aug = [row[:] + [bv * one] for row, bv in zip(m, b)]
+    one = _one_like(m)
+    aug = [list(row) + [bv * one] for row, bv in zip(m, b)]
     red, pivots = rref(aug)
     if cols in pivots:
         return None
@@ -159,8 +160,8 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    unit = identity(n, _one_like(m[0][0]) if n else ONE)
-    aug = [m[i][:] + unit[i] for i in range(n)]
+    unit = identity(n, _one_like(m))
+    aug = [list(m[i]) + unit[i] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -195,7 +196,7 @@ def row_space_rref(rows: Sequence[Sequence]) -> Matrix:
     """Canonical (RREF, zero rows dropped) basis of the span of the rows."""
     if not rows:
         return []
-    red, pivots = rref([list(row) for row in rows])
+    red, pivots = rref(rows)
     return red[: len(pivots)]
 
 

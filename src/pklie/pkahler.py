@@ -29,7 +29,7 @@ from .exterior import (
     wedge,
 )
 from .liealg import InvalidAlgebraError, is_nilpotent, is_unimodular
-from .linalg import gr, identity, kernel, same_row_space
+from .linalg import gr, identity, kernel, same_row_space, solve
 from .positivity import (
     GramCertificate,
     SearchBudget,
@@ -379,8 +379,10 @@ def find_pkahler(
         for c, entries in zip(coords, sparse_grams):
             if c:
                 for a, b, vre, vim in entries:
-                    re[a][b] += c * vre
-                    im[a][b] += c * vim
+                    if vre:
+                        re[a][b] += c * vre
+                    if vim:
+                        im[a][b] += c * vim
         h = [
             [GaussianRational(x, y) for x, y in zip(re_row, im_row)]
             for re_row, im_row in zip(re, im)
@@ -499,8 +501,6 @@ def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
     """Exact orthogonal projection coefficients of x0 onto span(basis_vecs)."""
     if not basis_vecs:
         return None
-    from .linalg import solve
-
     k = len(basis_vecs)
     support = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis_vecs]
 

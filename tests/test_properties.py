@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklie.exterior import monomial
+from pklie.exterior import ComplexForm, MultiIndex, combine, monomial
 from pklie.linalg import kernel, rref
 from pklie.pkahler import real_pp_basis, _combine
 from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient
@@ -62,3 +62,20 @@ def test_table_gram_matches_wedge_pairing(omega):
     mono = [monomial(n, idx) for idx in basis]
     for a, b in itertools.product(range(len(basis)), repeat=2):
         assert h[a][b] == pairing_coefficient(omega, mono[a], mono[b])
+
+
+gaussians = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+# few keys, so that sums cancel often
+small_keys = st.sampled_from([MultiIndex((1,), ()), MultiIndex((2,), (1,)), MultiIndex((), (1, 2))])
+small_forms = st.dictionaries(small_keys, gaussians, max_size=3).map(lambda t: ComplexForm(2, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(gaussians, small_forms), max_size=5))
+def test_combine_matches_repeated_addition(pairs):
+    out = ComplexForm.zero(2)
+    for c, f in pairs:
+        out = out + f * c
+    combined = combine(2, pairs)
+    assert combined == out
+    assert list(combined.terms) == list(out.terms)
