@@ -259,13 +259,9 @@ def combine(n: int, pairs: Iterable[tuple[object, ComplexForm]]) -> ComplexForm:
     return ComplexForm._wrap(n, acc)
 
 
-def one_form(n: int, coeffs: Sequence, anti: bool = False) -> ComplexForm:
-    """sum_j coeffs[j-1] a^j (or conj(a^j) when anti) over a^1..a^n."""
-    terms = {}
-    for j, c in enumerate(coeffs, start=1):
-        if c:
-            terms[MultiIndex((), (j,)) if anti else MultiIndex((j,), ())] = c
-    return ComplexForm(n, terms)
+def one_form(n: int, coeffs: Sequence) -> ComplexForm:
+    """The 1-form sum_j coeffs[j-1] a^j over a^1..a^n."""
+    return ComplexForm(n, {MultiIndex((j,), ()): c for j, c in enumerate(coeffs, start=1) if c})
 
 
 def conjugate(f: ComplexForm) -> ComplexForm:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exterior import ComplexForm, apply_antiderivation, monomial
+from .exterior import ComplexForm, MultiIndex, apply_antiderivation, monomial
 from .linalg import (
     Matrix,
     Vector,
@@ -152,15 +152,13 @@ def ensure_valid(g: LieAlgebraSpec) -> None:
 
 def coframe_differentials(g: LieAlgebraSpec) -> list[ComplexForm]:
     """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j for each coframe element."""
-    out = []
-    for k in range(1, g.dim + 1):
-        f = ComplexForm.zero(g.dim)
-        for (i, j), comp in g.brackets.items():
-            c = comp.get(k)
-            if c:
-                f = f + monomial(g.dim, (i, j), coeff=-c)
-        out.append(f)
-    return out
+    return [
+        ComplexForm(
+            g.dim,
+            {MultiIndex(ij, ()): -comp[k] for ij, comp in g.brackets.items() if comp.get(k)},
+        )
+        for k in range(1, g.dim + 1)
+    ]
 
 
 def ce_differential(g: LieAlgebraSpec, f: ComplexForm) -> ComplexForm:

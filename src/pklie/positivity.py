@@ -151,7 +151,7 @@ def gram_basis(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_units(n: int, k: int) -> list[list[tuple[MultiIndex, GaussianRational]]]:
+def _gram_units(n: int, k: int) -> tuple[tuple[tuple[MultiIndex, GaussianRational], ...], ...]:
     """Per Gram entry (a, b): the one key of omega it reads, and its factor.
 
     Only omega's term at (complement of I_a, complement of I_b) survives the
@@ -161,14 +161,14 @@ def _gram_units(n: int, k: int) -> list[list[tuple[MultiIndex, GaussianRational]
     basis = gram_basis(n, k)
     mono = [monomial(n, idx) for idx in basis]
     comp = [tuple(j for j in range(1, n + 1) if j not in idx) for idx in basis]
-    table = []
-    for a in range(len(basis)):
-        row = []
-        for b in range(len(basis)):
-            key = MultiIndex(comp[a], comp[b])
-            row.append((key, pairing_coefficient(ComplexForm(n, {key: ONE}), mono[a], mono[b])))
-        table.append(row)
-    return table
+    keys = [[MultiIndex(ca, cb) for cb in comp] for ca in comp]
+    return tuple(
+        tuple(
+            (key, pairing_coefficient(ComplexForm(n, {key: ONE}), mono[a], mono[b]))
+            for b, key in enumerate(keys[a])
+        )
+        for a in range(len(basis))
+    )
 
 
 def gram_matrix(omega: ComplexForm) -> tuple[list[tuple[int, ...]], Matrix]:
