@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from .catalog import (
     AlmostAbelianData,
@@ -79,12 +80,19 @@ def load_structure(args) -> ComplexStructureSpec:
                 name: parse_fraction(value)
                 for name, value in data.get("params", {}).items()
             }
-            keys = sorted(int(k.lstrip("a")) for k in data["dalpha"])
-            n = int(data.get("n", max(keys) if keys else 0))
-            equations = [
-                parse_form(data["dalpha"].get(f"a{j}", "0"), n, params)
-                for j in range(1, n + 1)
-            ]
+            literals = {}
+            for key, text in data["dalpha"].items():
+                match = re.fullmatch(r"a([1-9][0-9]*)", key)
+                if match is None:
+                    raise InputError(f"bad dalpha key {key!r}; expected a1, a2, ...")
+                if not isinstance(text, str):
+                    raise InputError(f"dalpha {key} must be a form literal string")
+                literals[int(match.group(1))] = text
+            n = int(data.get("n", max(literals, default=0)))
+            beyond = sorted(j for j in literals if j > n)
+            if beyond:
+                raise InputError(f"dalpha key a{beyond[0]} is out of range 1..{n}")
+            equations = [parse_form(literals.get(j, "0"), n, params) for j in range(1, n + 1)]
             return ComplexStructureSpec.from_equations(equations)
         if "algebra" in data:
             return struct_from_json(data)

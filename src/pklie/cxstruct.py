@@ -9,6 +9,7 @@ equations d a^j expanded over that coframe).  Either side can be the input.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,6 +18,7 @@ from typing import Sequence
 from .exterior import (
     ComplexForm,
     MultiIndex,
+    _merge,
     apply_antiderivation,
     combine,
     conjugate,
@@ -29,7 +31,7 @@ from .exterior import (
 from .liealg import (
     InvalidAlgebraError,
     LieAlgebraSpec,
-    ce_differential,
+    coframe_differentials,
     ensure_valid,
     from_bracket_list,
     is_nilpotent,
@@ -134,11 +136,6 @@ def _eigen_coframe(g: LieAlgebraSpec, J: Matrix) -> Matrix:
     return row_space_rref(vecs)
 
 
-def _real_d_on_coframe_row(g: LieAlgebraSpec, row: Vector) -> ComplexForm:
-    """d of the complex 1-form sum_m row[m] e^m, as a real-coframe 2-form."""
-    return ce_differential(g, one_form(g.dim, row))
-
-
 def _real_to_complex_images(coframe: Matrix, dim: int, n: int) -> list[ComplexForm]:
     """Images e^m -> expansion in a^j, conj(a^j) for the given coframe rows."""
     big = [list(row) for row in coframe] + [
@@ -165,9 +162,11 @@ def structure_equations(g: LieAlgebraSpec, coframe: Matrix) -> list[ComplexForm]
     n = len(coframe)
     images = _real_to_complex_images(coframe, dim, n)
     zero_anti = [ComplexForm.zero(n)] * dim
+    diffs = coframe_differentials(g)
     out = []
     for row in coframe:
-        real_two_form = _real_d_on_coframe_row(g, row)
+        # d(sum_m row[m] e^m) = sum_m row[m] d e^m, over the real coframe
+        real_two_form = combine(dim, ((c, df) for c, df in zip(row, diffs) if c))
         out.append(substitute(real_two_form, images, zero_anti, n_target=n))
     return out
 
@@ -299,6 +298,67 @@ class ComplexStructureSpec:
     @functools.cached_property
     def _conj_equations(self) -> list[ComplexForm]:
         return [conjugate(eq) for eq in self.equations]
+
+    @functools.cached_property
+    def _d_pp_blocks(self) -> dict[int, dict[MultiIndex, ComplexForm]]:
+        return {}
+
+    def d_pp_block(self, p: int) -> dict[MultiIndex, ComplexForm]:
+        """The (p+1,p) part of d(a^A ^ conj a^B) for every |A| = |B| = p.
+
+        Keyed by MultiIndex(A, B) and built once per p straight from the
+        structure equations:
+        (d a^A ^ conj a^B)^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ del conj a^B,
+        where del takes the (2,0) part of each d a^j and the (1,1) part of
+        each d conj a^j.  Integrability leaves no other bidegree that ends
+        in (p+1,p).
+        """
+        block = self._d_pp_blocks.get(p)
+        if block is not None:
+            return block
+        holo_parts = [
+            [(key.holo, c) for key, c in eq.terms.items() if key.bidegree == (2, 0)]
+            for eq in self.equations
+        ]
+        anti_parts = [
+            [(key.holo, key.anti, c) for key, c in eq.terms.items() if key.bidegree == (1, 1)]
+            for eq in self._conj_equations
+        ]
+
+        def terms(holo, anti):
+            # d(x_1 ^ ... ^ x_k) = sum_t (-1)^t d(x_t) ^ (the x without x_t)
+            for t, j in enumerate(holo):
+                rest = holo[:t] + holo[t + 1 :]
+                for pair, c in holo_parts[j - 1]:
+                    merged, sign = _merge(pair, rest)
+                    if merged is not None:
+                        yield MultiIndex(merged, anti), c if sign == (-1) ** t else -c
+            for t, j in enumerate(anti):
+                rest = anti[:t] + anti[t + 1 :]
+                for h, a, c in anti_parts[j - 1]:
+                    merged_holo, sign_h = _merge(holo, h)
+                    if merged_holo is None:
+                        continue
+                    merged_anti, sign_a = _merge(a, rest)
+                    if merged_anti is not None:
+                        sign = sign_h * sign_a
+                        key = MultiIndex(merged_holo, merged_anti)
+                        yield key, c if sign == (-1) ** (p + t) else -c
+
+        combos = list(itertools.combinations(range(1, self.n + 1), p))
+        block = {}
+        for holo in combos:
+            for anti in combos:
+                acc: dict[MultiIndex, GaussianRational] = {}
+                for key, value in terms(holo, anti):
+                    total = acc.get(key, ZERO) + value
+                    if total:
+                        acc[key] = total
+                    else:
+                        acc.pop(key, None)
+                block[MultiIndex(holo, anti)] = ComplexForm._wrap(self.n, acc)
+        self._d_pp_blocks[p] = block
+        return block
 
     def closed_10_forms(self) -> list[Vector]:
         """Coefficient vectors x with d(sum x_j a^j) = 0, RREF-canonical."""
@@ -437,8 +497,6 @@ class TriangularCoframe:
 
 def _two_form_keys(n: int) -> list[MultiIndex]:
     keys = []
-    import itertools
-
     for p, q in ((2, 0), (1, 1), (0, 2)):
         for holo in itertools.combinations(range(1, n + 1), p):
             for anti in itertools.combinations(range(1, n + 1), q):

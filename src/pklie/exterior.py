@@ -439,8 +439,9 @@ def parse_form(text: str, n: int, params=None) -> ComplexForm:
                 sign = -sign
         else:
             current += ch
-    if current.strip():
-        terms.append((sign, current))
+    if not current.strip():
+        raise FormParseError(f"operator without a term at the end of {text!r}")
+    terms.append((sign, current))
     out = ComplexForm.zero(n)
     mono_re = re.compile(r"(?:a\d+(?:_b\d+)?|b\d+|1)\s*$")
     for sgn, chunk in terms:

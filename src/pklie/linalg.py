@@ -2,15 +2,19 @@
 
 Matrices are lists of row lists.  `rref`, `kernel`, `solve`, `inverse` and
 `row_space_rref` work in the field of the entries they are given: `Fraction`
-for data that are real by construction, `GaussianRational` otherwise (int
-entries count as `Fraction`).  Everything is exact; pivoting is deterministic
-(first nonzero entry scanning left to right), so reduced echelon forms and
-kernel bases are reproducible and the same in either field.
+for data that are real by construction, `GaussianRational` otherwise.  A
+matrix of plain `int` entries is reduced fraction-free (integer Gauss-Jordan,
+each updated row divided by its content, one division by the pivot per entry
+at the end) and yields `Fraction` results.  Everything is exact; pivot columns
+are found scanning left to right, so reduced echelon forms and kernel bases
+are reproducible, and since the RREF of a row space is unique they are the
+same in every field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .scalars import GaussianRational, ZERO, ONE
@@ -80,6 +84,8 @@ def is_zero_vec(v: Sequence) -> bool:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list, in the field of m."""
+    if m and all(type(x) is int for row in m for x in row):
+        return _rref_integer(m)
     a = copy_matrix(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -114,6 +120,59 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return a, pivots
+
+
+def _rref_integer(m: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """`rref` of an int matrix by fraction-free Gauss-Jordan elimination.
+
+    Rows stay integral: eliminating with pivot row r turns row i into
+    (pivot / g) * row_i - (row_i[c] / g) * row_r with g their gcd, then divides
+    it by its content.  Pivot rows are scaled to a leading 1 at the end.
+    """
+    a = copy_matrix(m)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        row = a[r]
+        pv = row[c]
+        support = [j for j in range(c, cols) if row[j]]
+        for i in range(rows):
+            if i == r or not a[i][c]:
+                continue
+            other = a[i]
+            factor = other[c]
+            g = gcd(pv, factor)
+            s, t = pv // g, factor // g
+            if s != 1:
+                other = [s * x for x in other]
+            for j in support:
+                other[j] -= t * row[j]
+            content = gcd(*other)
+            if content > 1:
+                other = [x // content for x in other]
+            a[i] = other
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for row, c in zip(a, pivots):
+        pv = row[c]
+        out.append([Fraction(x, pv) if x else zero for x in row])
+        out[-1][c] = one
+    out.extend([zero] * cols for _ in range(rows - len(pivots)))
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .cxstruct import ComplexStructureSpec, ascending_series, JClass
 from .exterior import (
@@ -101,20 +102,39 @@ class ClosedPP:
 
 
 def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
-    """Exact kernel of d on real (p,p)-forms, deterministic RREF basis."""
+    """Exact kernel of d on real (p,p)-forms, deterministic RREF basis.
+
+    Only the (p+1,p) part of d is used: for real omega the (p,p+1) part is
+    its conjugate, so its rows add nothing to the row space.  Each row is
+    cleared of denominators and the kernel is taken over the integers.
+    """
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
     basis = real_pp_basis(n, p)
-    images = [struct.d(f) for f in basis]
-    keys = sorted({key for img in images for key in img.terms})
-    rows = []
-    for key in keys:
-        rows.append([img.terms.get(key, ZERO).re for img in images])
-        rows.append([img.terms.get(key, ZERO).im for img in images])
+    block = struct.d_pp_block(p)
+    images = [combine(n, ((c, block[key]) for key, c in f.terms.items())) for f in basis]
+    # one row per (key, real or imaginary part) of the image, as {column: value}
+    sparse_rows: dict[tuple[MultiIndex, int], dict[int, Fraction]] = {}
+    for col, img in enumerate(images):
+        for key, c in img.terms.items():
+            if c.re:
+                sparse_rows.setdefault((key, 0), {})[col] = c.re
+            if c.im:
+                sparse_rows.setdefault((key, 1), {})[col] = c.im
+    rows = [_integer_row(entries, len(basis)) for _, entries in sorted(sparse_rows.items())]
     coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
     forms = [_combine(basis, vec) for vec in coords]
     return ClosedPP(p, basis, coords, forms)
+
+
+def _integer_row(entries: dict[int, Fraction], cols: int) -> list[int]:
+    """Dense int row of the sparse entries times the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in entries.values()))
+    row = [0] * cols
+    for col, x in entries.items():
+        row[col] = x.numerator * (den // x.denominator)
+    return row
 
 
 def _combine(basis: list[ComplexForm], coords) -> ComplexForm:
@@ -596,15 +616,21 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
         omega = form_from_json(data["found_form"], n)
         if not struct.d(omega).is_zero():
             failures.append("found form is not closed")
-        if not omega.is_real():
+        pp = omega.bidegrees() == {(p, p)}
+        if not pp:
+            failures.append(f"found form is not of bidegree ({p},{p})")
+        real = omega.is_real()
+        if not real:
             failures.append("found form is not real")
-        _, h = gram_matrix(omega)
-        ok, _ = gram_positive_definite(h)
-        if not ok:
-            failures.append("found form fails the exact Gram test")
-        from .positivity import verify_verdict
+        # the Gram test is defined for real (p,p)-forms only
+        if pp and real:
+            _, h = gram_matrix(omega)
+            ok, _ = gram_positive_definite(h)
+            if not ok:
+                failures.append("found form fails the exact Gram test")
+            from .positivity import verify_verdict
 
-        failures.extend(verify_verdict(omega, data.get("found_certificate", {})))
+            failures.extend(verify_verdict(omega, data.get("found_certificate", {})))
     elif verdict == PKVerdict.REFUTED.value:
         ref = data.get("refutation", {})
         kind = ref.get("kind")

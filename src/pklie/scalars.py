@@ -296,10 +296,13 @@ def parse_scalar(text: str, params=None) -> GaussianRational:
     Parameter names are substituted from `params` at parse time; there is no
     symbolic arithmetic.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ScalarParseError("empty scalar expression")
-    return _ScalarParser(tokens, params).parse()
+    try:
+        tokens = _tokenize(text)
+        if not tokens:
+            raise ScalarParseError("empty scalar expression")
+        return _ScalarParser(tokens, params).parse()
+    except ZeroDivisionError as exc:
+        raise ScalarParseError(f"division by zero in {text!r}") from exc
 
 
 def parse_fraction(text) -> Fraction:

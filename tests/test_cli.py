@@ -307,3 +307,37 @@ def test_invalid_algebra_input_rejected(tmp_path, capsys):
     code = main(["find", "--in", str(path), "--p", "1"])
     capsys.readouterr()
     assert code == 1
+
+
+def _assert_input_error(argv, capsys):
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def _dalpha_file(tmp_path, dalpha):
+    path = tmp_path / "eqs.json"
+    path.write_text(json.dumps({"n": 2, "dalpha": dalpha}))
+    return str(path)
+
+
+def test_out_of_range_dalpha_key_rejected(tmp_path, capsys):
+    # used to be dropped silently, leaving the torus
+    path = _dalpha_file(tmp_path, {"a9": "a1_b1"})
+    _assert_input_error(["validate", "--in", path], capsys)
+
+
+@pytest.mark.parametrize("key", ["aa2", "2"])
+def test_malformed_dalpha_key_rejected(tmp_path, capsys, key):
+    path = _dalpha_file(tmp_path, {key: "a1_b1"})
+    _assert_input_error(["validate", "--in", path], capsys)
+
+
+def test_zero_denominator_in_literal_rejected(capsys):
+    argv = ["obstruct", "--catalog", "torus4", "--p", "2", "--beta", "1/0 a1"]
+    _assert_input_error(argv, capsys)
+
+
+def test_dangling_operator_in_literal_rejected(tmp_path, capsys):
+    path = _dalpha_file(tmp_path, {"a2": "a1_b1 +"})
+    _assert_input_error(["validate", "--in", path], capsys)

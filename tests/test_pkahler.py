@@ -346,3 +346,25 @@ def test_verify_rejects_witness_of_wrong_bidegree():
         struct, data = _witness_family_report("snn8f1:0,0,0,1")
         failures = verify_report(struct, _with_extra_witness(data, literal))
         assert "witness is not of bidegree (2,0)" in failures
+
+
+def _found_report(name, p):
+    struct = named_example(name)
+    data = json.loads(json.dumps(find_pkahler(struct, p, BUDGET).to_json()))
+    assert data["verdict"] == "FOUND"
+    assert verify_report(struct, data) == []
+    return struct, data
+
+
+def test_verify_rejects_found_form_of_wrong_bidegree():
+    struct, data = _found_report("torus3", 2)
+    data["found_form"] += form_to_json(parse_form("a1", 3))
+    failures = verify_report(struct, data)
+    assert "found form is not of bidegree (2,2)" in failures
+    assert "found form is not real" in failures
+
+
+def test_verify_rejects_found_form_that_is_not_real():
+    struct, data = _found_report("torus3", 2)
+    data["found_form"] += form_to_json(parse_form("i a12_b13", 3))
+    assert verify_report(struct, data) == ["found form is not real"]

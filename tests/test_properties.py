@@ -1,16 +1,20 @@
 """Property tests: the exact core agrees with itself across fields and routes."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklie.exterior import ComplexForm, MultiIndex, combine, monomial
-from pklie.linalg import kernel, rref
-from pklie.pkahler import real_pp_basis, _combine
+from pklie.catalog import build_almost_abelian
+from pklie.exterior import ComplexForm, MultiIndex, bidegree_component, combine, monomial
+from pklie.linalg import identity, kernel, rref
+from pklie.pkahler import closed_pp_space, real_pp_basis, _combine
 from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient
-from pklie.scalars import GaussianRational
+from pklie.scalars import GaussianRational, ZERO
+from test_acceptance import _random_integrable_data
+from test_fuzz_pipeline import random_tower
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 # sparse entries, so that kernels of every dimension come up
@@ -39,6 +43,81 @@ def test_fraction_linear_algebra_matches_gaussian(m):
     assert basis_f == [[x.re for x in v] for v in basis_g]
     for v in basis_f:
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse int matrices, some with zero rows or rows that are combinations."""
+    cols = draw(st.integers(1, 7))
+    row = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 12]), min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m.insert(draw(st.integers(0, len(m))), [a * x + b * y for x, y in zip(m[i], m[j])])
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_integer_rref_matches_fraction_rref(m):
+    as_fraction = [[Fraction(x) for x in row] for row in m]
+    red_i, piv_i = rref(m)
+    red_f, piv_f = rref(as_fraction)
+    assert piv_i == piv_f
+    assert red_i == red_f
+    assert all(type(x) is Fraction for row in red_i for x in row)
+    assert kernel(m) == kernel(as_fraction)
+
+
+@st.composite
+def structures(draw):
+    """Random nilpotent towers and almost-abelian structures, n <= 4, with 1 <= p < n."""
+    n = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        struct = random_tower(n, rng)
+    else:
+        struct = build_almost_abelian(_random_integrable_data(n, rng, rng.random() < 0.5))
+    return struct, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures())
+def test_cached_d_block_is_the_top_part_of_d(case):
+    struct, p = case
+    n = struct.n
+    block = struct.d_pp_block(p)
+    combos = list(itertools.combinations(range(1, n + 1), p))
+    assert list(block) == [MultiIndex(a, b) for a in combos for b in combos]
+    for (a, b), image in block.items():
+        assert image == bidegree_component(struct.d(monomial(n, a, b)), p + 1, p)
+    assert struct.d_pp_block(p) is block
+
+
+def _closed_space_reference(struct, p):
+    """The kernel of d on real (p,p)-forms computed from full images of d."""
+    basis = real_pp_basis(struct.n, p)
+    images = [struct.d(f) for f in basis]
+    keys = sorted({key for img in images for key in img.terms})
+    rows = []
+    for key in keys:
+        rows.append([img.terms.get(key, ZERO).re for img in images])
+        rows.append([img.terms.get(key, ZERO).im for img in images])
+    coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
+    return coords, [_combine(basis, vec) for vec in coords]
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures())
+def test_closed_pp_space_matches_full_image_reference(case):
+    struct, p = case
+    closed = closed_pp_space(struct, p)
+    coords, forms = _closed_space_reference(struct, p)
+    assert closed.coords == coords
+    assert all(type(x) is Fraction for vec in closed.coords for x in vec)
+    assert closed.forms == forms
+    assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
 
 
 @st.composite
