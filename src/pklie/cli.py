@@ -60,9 +60,12 @@ class InputError(ValueError):
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return data
 
 
 def load_structure(args) -> ComplexStructureSpec:
@@ -76,10 +79,10 @@ def load_structure(args) -> ComplexStructureSpec:
     data = _load_json(args.infile)
     try:
         if "dalpha" in data and isinstance(data["dalpha"], dict):
-            params = {
-                name: parse_fraction(value)
-                for name, value in data.get("params", {}).items()
-            }
+            raw_params = data.get("params", {})
+            if not isinstance(raw_params, dict):
+                raise InputError("params must be an object of name: value pairs")
+            params = {name: parse_fraction(value) for name, value in raw_params.items()}
             literals = {}
             for key, text in data["dalpha"].items():
                 match = re.fullmatch(r"a([1-9][0-9]*)", key)
@@ -88,7 +91,9 @@ def load_structure(args) -> ComplexStructureSpec:
                 if not isinstance(text, str):
                     raise InputError(f"dalpha {key} must be a form literal string")
                 literals[int(match.group(1))] = text
-            n = int(data.get("n", max(literals, default=0)))
+            n = data.get("n", max(literals, default=0))
+            if type(n) is not int or n < 1:
+                raise InputError(f"n must be a positive integer, got {n!r}")
             beyond = sorted(j for j in literals if j > n)
             if beyond:
                 raise InputError(f"dalpha key a{beyond[0]} is out of range 1..{n}")

@@ -315,29 +315,37 @@ def _assert_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
-def _dalpha_file(tmp_path, dalpha):
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 2, "dalpha": {"a9": "a1_b1"}},  # used to be dropped, leaving the torus
+        {"n": 2, "dalpha": {"aa2": "a1_b1"}},
+        {"n": 2, "dalpha": {"2": "a1_b1"}},
+        {"n": 2, "dalpha": {"a2": "a1_b1 +"}},  # used to parse as a1_b1
+        {"n": 2, "dalpha": {"a2": 1}},
+        {"n": -1, "dalpha": {}},
+        {"n": 2.5, "dalpha": {"a2": "a1_b1"}},
+        {"n": 2, "dalpha": {"a2": "eps a1_b1"}, "params": ["eps"]},
+        5,
+    ],
+    ids=[
+        "key_out_of_range",
+        "key_aa2",
+        "key_without_a",
+        "dangling_operator",
+        "literal_not_a_string",
+        "negative_n",
+        "fractional_n",
+        "params_not_an_object",
+        "input_not_an_object",
+    ],
+)
+def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
     path = tmp_path / "eqs.json"
-    path.write_text(json.dumps({"n": 2, "dalpha": dalpha}))
-    return str(path)
-
-
-def test_out_of_range_dalpha_key_rejected(tmp_path, capsys):
-    # used to be dropped silently, leaving the torus
-    path = _dalpha_file(tmp_path, {"a9": "a1_b1"})
-    _assert_input_error(["validate", "--in", path], capsys)
-
-
-@pytest.mark.parametrize("key", ["aa2", "2"])
-def test_malformed_dalpha_key_rejected(tmp_path, capsys, key):
-    path = _dalpha_file(tmp_path, {key: "a1_b1"})
-    _assert_input_error(["validate", "--in", path], capsys)
+    path.write_text(json.dumps(payload))
+    _assert_input_error(["validate", "--in", str(path)], capsys)
 
 
 def test_zero_denominator_in_literal_rejected(capsys):
     argv = ["obstruct", "--catalog", "torus4", "--p", "2", "--beta", "1/0 a1"]
     _assert_input_error(argv, capsys)
-
-
-def test_dangling_operator_in_literal_rejected(tmp_path, capsys):
-    path = _dalpha_file(tmp_path, {"a2": "a1_b1 +"})
-    _assert_input_error(["validate", "--in", path], capsys)
