@@ -23,24 +23,28 @@ from .catalog import (
 )
 from .cxstruct import (
     ComplexStructureSpec,
-    NonIntegrableError,
     ascending_series,
     b_extension_quotient,
     restrict_to_jinvariant_ideal,
     struct_from_json,
     struct_to_json,
 )
-from .exterior import ComplexForm, form_to_json, form_to_literal, monomial, parse_form
-from .liealg import (
-    InvalidAlgebraError,
-    algebra_from_json,
-    algebra_invariants,
+from .exterior import (
+    ComplexForm,
+    form_from_json,
+    form_to_json,
+    form_to_literal,
+    monomial,
+    parse_form,
 )
+from .liealg import algebra_from_json, algebra_invariants
+from .linalg import mat_from_json
 from .pkahler import (
     ObstructionRejected,
     PKVerdict,
     find_pkahler,
     obstruction_check,
+    obstruction_from_json,
     obstruction_search,
     closed_coframe_obstruction,
     verify_report,
@@ -103,16 +107,10 @@ def load_structure(args) -> ComplexStructureSpec:
             return struct_from_json(data)
         if "J" in data:
             g = algebra_from_json(data)
-            return ComplexStructureSpec.from_matrix(g, _parse_matrix(data["J"]))
+            return ComplexStructureSpec.from_matrix(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     raise InputError("unrecognized input format")
-
-
-def _parse_matrix(rows):
-    from .scalars import parse_scalar
-
-    return [[parse_scalar(str(x)) for x in row] for row in rows]
 
 
 def load_almost_abelian(args) -> AlmostAbelianData:
@@ -387,6 +385,13 @@ def cmd_verify(args) -> int:
     if not args.report:
         raise InputError("verify needs a report path")
     data = _load_json(args.report)
+    try:
+        return _verify(data)
+    except KeyError as exc:
+        raise InputError(f"report lacks the key {exc}") from exc
+
+
+def _verify(data: dict) -> int:
     command = data.get("command")
     if command == "aab-kahler":
         body = data["almost_abelian"]
@@ -411,22 +416,12 @@ def cmd_verify(args) -> int:
     if command == "find":
         failures = verify_report(struct, data["report"])
     elif command == "obstruct" and data.get("obstructed"):
-        from .exterior import form_from_json
-        from .scalars import GaussianRational
-
-        cert = data["certificate"]
-        beta = form_from_json(cert["beta"], struct.n)
-        terms = [
-            (GaussianRational.parse(item["c"]), form_from_json(item["psi"], struct.n))
-            for item in cert["terms"]
-        ]
+        beta, terms = obstruction_from_json(data["certificate"], struct.n)
         try:
             obstruction_check(struct, int(data["p"]), beta, terms)
         except ObstructionRejected as exc:
             failures = [str(exc)]
     elif command == "restrict":
-        from .exterior import form_from_json
-
         omega = form_from_json(data["omega"], struct.n)
         alpha = form_from_json(data["alpha"], struct.n)
         res = restrict_to_jinvariant_ideal(struct, omega, alpha)
@@ -435,8 +430,6 @@ def cmd_verify(args) -> int:
         if res.sub.d(res.omega_h).is_zero() != data.get("omega_h_closed"):
             failures.append("closedness flag does not match")
     elif command == "quotient":
-        from .exterior import form_from_json
-
         omega = form_from_json(data["omega"], struct.n)
         res = b_extension_quotient(struct, omega, int(data.get("p", 0)) or _infer_p(omega))
         if form_to_json(res.omega) != data["descended_form"]:
@@ -521,10 +514,7 @@ def main(argv=None) -> int:
     handler = _DISPATCH[args.command]
     try:
         return handler(args)
-    except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except (InvalidAlgebraError, NonIntegrableError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 

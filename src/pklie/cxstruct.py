@@ -18,7 +18,6 @@ from typing import Sequence
 from .exterior import (
     ComplexForm,
     MultiIndex,
-    _merge,
     apply_antiderivation,
     combine,
     conjugate,
@@ -44,6 +43,7 @@ from .linalg import (
     inverse,
     is_zero_vec,
     kernel,
+    mat_from_json,
     mat_from_rows,
     matmul,
     matvec,
@@ -191,8 +191,6 @@ class ComplexStructureSpec:
         J = mat_from_rows(J)
         if g.dim % 2:
             raise ValueError("complex structures need even real dimension")
-        _check_j_square(J, g.dim)
-        ensure_valid(g)
         integ = check_integrability(g, J)
         if not integ.ok:
             raise NonIntegrableError(
@@ -208,8 +206,6 @@ class ComplexStructureSpec:
         """Use a caller-supplied adapted coframe instead of the canonical one."""
         J = mat_from_rows(J)
         coframe = mat_from_rows(coframe)
-        _check_j_square(J, g.dim)
-        ensure_valid(g)
         integ = check_integrability(g, J)
         if not integ.ok:
             raise NonIntegrableError(
@@ -221,8 +217,6 @@ class ComplexStructureSpec:
             lhs = matvec(jt, row)
             if any(l != I * c for l, c in zip(lhs, row)):
                 raise ValueError("coframe row is not a (1,0)-form for J")
-        big = [list(r) for r in coframe] + [[c.conjugate() for c in r] for r in coframe]
-        inverse(big)  # raises if the coframe is degenerate
         equations = structure_equations(g, coframe)
         return ComplexStructureSpec(g, J, coframe, equations)
 
@@ -306,8 +300,8 @@ class ComplexStructureSpec:
     def d_pp_block(self, p: int) -> dict[MultiIndex, ComplexForm]:
         """The (p+1,p) part of d(a^A ^ conj a^B) for every |A| = |B| = p.
 
-        Keyed by MultiIndex(A, B) and built once per p straight from the
-        structure equations:
+        Keyed by MultiIndex(A, B) and built once per p by `apply_antiderivation`
+        from the parts of the structure equations that land in (p+1,p):
         (d a^A ^ conj a^B)^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ del conj a^B,
         where del takes the (2,0) part of each d a^j and the (1,1) part of
         each d conj a^j.  Integrability leaves no other bidegree that ends
@@ -317,46 +311,20 @@ class ComplexStructureSpec:
         if block is not None:
             return block
         holo_parts = [
-            [(key.holo, c) for key, c in eq.terms.items() if key.bidegree == (2, 0)]
+            ComplexForm._wrap(self.n, {k: c for k, c in eq.terms.items() if k.bidegree == (2, 0)})
             for eq in self.equations
         ]
         anti_parts = [
-            [(key.holo, key.anti, c) for key, c in eq.terms.items() if key.bidegree == (1, 1)]
+            ComplexForm._wrap(self.n, {k: c for k, c in eq.terms.items() if k.bidegree == (1, 1)})
             for eq in self._conj_equations
         ]
-
-        def terms(holo, anti):
-            # d(x_1 ^ ... ^ x_k) = sum_t (-1)^t d(x_t) ^ (the x without x_t)
-            for t, j in enumerate(holo):
-                rest = holo[:t] + holo[t + 1 :]
-                for pair, c in holo_parts[j - 1]:
-                    merged, sign = _merge(pair, rest)
-                    if merged is not None:
-                        yield MultiIndex(merged, anti), c if sign == (-1) ** t else -c
-            for t, j in enumerate(anti):
-                rest = anti[:t] + anti[t + 1 :]
-                for h, a, c in anti_parts[j - 1]:
-                    merged_holo, sign_h = _merge(holo, h)
-                    if merged_holo is None:
-                        continue
-                    merged_anti, sign_a = _merge(a, rest)
-                    if merged_anti is not None:
-                        sign = sign_h * sign_a
-                        key = MultiIndex(merged_holo, merged_anti)
-                        yield key, c if sign == (-1) ** (p + t) else -c
-
         combos = list(itertools.combinations(range(1, self.n + 1), p))
         block = {}
         for holo in combos:
             for anti in combos:
-                acc: dict[MultiIndex, GaussianRational] = {}
-                for key, value in terms(holo, anti):
-                    total = acc.get(key, ZERO) + value
-                    if total:
-                        acc[key] = total
-                    else:
-                        acc.pop(key, None)
-                block[MultiIndex(holo, anti)] = ComplexForm._wrap(self.n, acc)
+                key = MultiIndex(holo, anti)
+                mono = ComplexForm._wrap(self.n, {key: ONE})
+                block[key] = apply_antiderivation(mono, holo_parts, anti_parts)
         self._d_pp_blocks[p] = block
         return block
 
@@ -365,7 +333,7 @@ class ComplexStructureSpec:
         keys = sorted({key for eq in self.equations for key in eq.terms})
         rows = [[eq.terms.get(key, ZERO) for eq in self.equations] for key in keys]
         if not rows:
-            return [list(v) for v in identity(self.n)]
+            return identity(self.n)
         return kernel(rows, self.n)
 
     def j_apply(self, v: Sequence[Fraction]) -> list[Fraction]:
@@ -390,13 +358,17 @@ def struct_from_json(data) -> ComplexStructureSpec:
     """Rebuild and revalidate a serialized structure; equations must agree."""
     from .exterior import form_from_json
     from .liealg import algebra_from_json
-    from .scalars import parse_scalar
 
+    if not isinstance(data, dict):
+        raise ValueError("a structure must be a JSON object")
     g = algebra_from_json(data["algebra"])
-    J = [[parse_scalar(x) for x in row] for row in data["J"]]
-    coframe = [[parse_scalar(x) for x in row] for row in data["coframe"]]
+    J = mat_from_json(data["J"], g.dim, g.dim, "J")
+    coframe = mat_from_json(data["coframe"], g.dim // 2, g.dim, "coframe")
     struct = ComplexStructureSpec.from_coframe(g, J, coframe)
-    stored = [form_from_json(item, struct.n) for item in data["dalpha"]]
+    dalpha = data["dalpha"]
+    if not isinstance(dalpha, list) or len(dalpha) != struct.n:
+        raise ValueError(f"dalpha must be a list of {struct.n} forms")
+    stored = [form_from_json(item, struct.n) for item in dalpha]
     if stored != struct.equations:
         raise ValueError("stored structure equations do not match the algebra")
     return struct
@@ -463,14 +435,14 @@ def ascending_series(struct: ComplexStructureSpec) -> AscendingSeries:
     chain: list[Matrix] = [[]]
     while True:
         prev = chain[-1]
-        ann = kernel(prev, dim) if prev else [list(v) for v in identity(dim)]
+        ann = kernel(prev, dim) if prev else identity(dim)
         rows = []
         for b in ad_mats:
             bj = matmul(b, jmat)
             for phi in ann:
                 rows.append([sum((phi[k] * b[k][m] for k in range(dim)), ZERO) for m in range(dim)])
                 rows.append([sum((phi[k] * bj[k][m] for k in range(dim)), ZERO) for m in range(dim)])
-        nxt = row_space_rref(kernel(rows, dim)) if rows else [list(v) for v in identity(dim)]
+        nxt = row_space_rref(kernel(rows, dim)) if rows else identity(dim)
         if len(nxt) == len(prev):
             break
         chain.append(nxt)

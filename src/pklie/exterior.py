@@ -315,28 +315,47 @@ def apply_antiderivation(
 
     d_holo[j-1] is d(a^j); d_anti defaults to the conjugates.  Since each
     generator differential is a 2-form it commutes with everything, so
-    d(x_1^...^x_k) = sum_t (-1)^t d(x_t) ^ (x_1^...without t...^x_k).
+    d(x_1^...^x_k) = sum_t (-1)^t d(x_t) ^ (x_1^...without t...^x_k),
+    accumulated term by term with the signs of `wedge`.
     """
     if len(d_holo) != f.n:
         raise ValueError("need one differential per generator")
     if d_anti is None:
         d_anti = [conjugate(g) for g in d_holo]
-    pairs = []
+    if any(g.n != f.n for g in d_holo) or any(g.n != f.n for g in d_anti):
+        raise ValueError("coframe dimension mismatch")
+    acc: dict[MultiIndex, GaussianRational] = {}
     for (holo, anti), c in f.terms.items():
-        word = [(j, False) for j in holo] + [(j, True) for j in anti]
-        for pos, (j, is_anti) in enumerate(word):
-            dgen = d_anti[j - 1] if is_anti else d_holo[j - 1]
-            if dgen.is_zero():
-                continue
-            rest = MultiIndex(
-                tuple(holo[:pos] + holo[pos + 1 :]) if not is_anti else holo,
-                tuple(anti[: pos - len(holo)] + anti[pos - len(holo) + 1 :])
-                if is_anti
-                else anti,
-            )
-            sign = -1 if pos % 2 else 1
-            pairs.append((c * sign, wedge(dgen, ComplexForm(f.n, {rest: ONE}))))
-    return combine(f.n, pairs)
+        unit = c.re == 1 and not c.im
+        # (position t, d x_t, the holo and anti slots without x_t)
+        slots = [(t, d_holo[j - 1], holo[:t] + holo[t + 1 :], anti) for t, j in enumerate(holo)]
+        slots += [
+            (len(holo) + t, d_anti[j - 1], holo, anti[:t] + anti[t + 1 :])
+            for t, j in enumerate(anti)
+        ]
+        for t, dgen, rest_h, rest_a in slots:
+            for (h2, a2), c2 in dgen.terms.items():
+                merged_h, sh = _merge(h2, rest_h)
+                if merged_h is None:
+                    continue
+                merged_a, sa = _merge(a2, rest_a)
+                if merged_a is None:
+                    continue
+                value = c2 if unit else c * c2
+                # d x_t's anti block crosses the holo block of the rest
+                if sh * sa * (-1 if (t + len(a2) * len(rest_h)) % 2 else 1) < 0:
+                    value = -value
+                key = MultiIndex(merged_h, merged_a)
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = value
+                else:
+                    total = prev + value
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+    return ComplexForm._wrap(f.n, acc)
 
 
 def reference_volume_coefficient(n: int) -> GaussianRational:
@@ -413,6 +432,36 @@ def _parse_monomial_token(token: str) -> MultiIndex:
     return MultiIndex(tuple(holo), tuple(anti))
 
 
+def split_terms(text: str) -> list[tuple[int, str]]:
+    """Split a sum into (sign, term) pairs at the + and - outside parentheses.
+
+    Leading signs fold into the next term's sign; an operator with no term
+    after it is an error.
+    """
+    terms = []
+    sign = 1
+    current = ""
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0:
+            if current.strip():
+                terms.append((sign, current))
+                current = ""
+                sign = 1 if ch == "+" else -1
+            elif ch == "-":
+                sign = -sign
+        else:
+            current += ch
+    if not current.strip():
+        raise FormParseError(f"operator without a term at the end of {text!r}")
+    terms.append((sign, current))
+    return terms
+
+
 def parse_form(text: str, n: int, params=None) -> ComplexForm:
     """Parse the compact literal syntax into a ComplexForm over a^1..a^n."""
     import re
@@ -420,31 +469,9 @@ def parse_form(text: str, n: int, params=None) -> ComplexForm:
     text = text.strip()
     if text in ("0", ""):
         return ComplexForm.zero(n)
-    # split into signed terms at top level (outside parentheses)
-    terms = []
-    depth = 0
-    current = ""
-    sign = 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and current.strip():
-            terms.append((sign, current))
-            sign = 1 if ch == "+" else -1
-            current = ""
-        elif ch in "+-" and depth == 0 and not current.strip():
-            if ch == "-":
-                sign = -sign
-        else:
-            current += ch
-    if not current.strip():
-        raise FormParseError(f"operator without a term at the end of {text!r}")
-    terms.append((sign, current))
     out = ComplexForm.zero(n)
     mono_re = re.compile(r"(?:a\d+(?:_b\d+)?|b\d+|1)\s*$")
-    for sgn, chunk in terms:
+    for sgn, chunk in split_terms(text):
         chunk = chunk.strip()
         match = mono_re.search(chunk)
         if not match:
@@ -472,7 +499,9 @@ def form_to_json(f: ComplexForm) -> list[dict]:
     ]
 
 
-def form_from_json(data: Iterable[Mapping], n: int) -> ComplexForm:
+def form_from_json(data: list[Mapping], n: int) -> ComplexForm:
+    if not isinstance(data, list) or not all(isinstance(item, Mapping) for item in data):
+        raise ValueError("a form must be a JSON list of term objects")
     out = ComplexForm.zero(n)
     for item in data:
         coeff = GaussianRational(item.get("re", 0), item.get("im", 0))

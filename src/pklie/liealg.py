@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exterior import ComplexForm, MultiIndex, apply_antiderivation, monomial
+from .exterior import ComplexForm, MultiIndex, apply_antiderivation, monomial, split_terms
 from .linalg import (
     Matrix,
     Vector,
@@ -123,8 +123,6 @@ class JacobiResult:
 def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
     """Exhaustive Jacobi check; returns the first violating basis triple."""
     n = g.dim
-    basis = identity(n)
-    unit = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
@@ -202,7 +200,7 @@ def center(g: LieAlgebraSpec) -> list[Vector]:
         for k in range(g.dim):
             rows.append([gr(-ad[k][m]) for m in range(g.dim)])
     if not rows:
-        return [list(v) for v in identity(g.dim)]
+        return identity(g.dim)
     return kernel(rows, g.dim)
 
 
@@ -218,7 +216,7 @@ def _span_products(g: LieAlgebraSpec, rows_a: Matrix, rows_b: Matrix) -> Matrix:
 
 def lower_central_series(g: LieAlgebraSpec) -> list[Matrix]:
     """g = g_1 >= g_2 = [g, g_1] >= ... until stabilization."""
-    full = [list(v) for v in identity(g.dim)]
+    full = identity(g.dim)
     series = [full]
     while True:
         nxt = _span_products(g, full, series[-1])
@@ -240,7 +238,7 @@ def is_unimodular(g: LieAlgebraSpec) -> bool:
 
 
 def derived_subalgebra(g: LieAlgebraSpec) -> Matrix:
-    full = [list(v) for v in identity(g.dim)]
+    full = identity(g.dim)
     return _span_products(g, full, full)
 
 
@@ -290,9 +288,9 @@ def abelian_codim1_ideal(g: LieAlgebraSpec) -> list[Vector] | None:
             rows.append(row_block)
         cols = len(rows[0])
         mat = [[gr(rows[i][j]) for i in range(q)] for j in range(cols)]
-        u0_coords = kernel(mat, q) if cols else [list(v) for v in identity(q)]
+        u0_coords = kernel(mat, q) if cols else identity(q)
     else:
-        u0_coords = [list(v) for v in identity(q)]
+        u0_coords = identity(q)
 
     def lift(coords: Vector) -> Vector:
         out = [ZERO] * dim
@@ -326,7 +324,7 @@ def abelian_codim1_ideal(g: LieAlgebraSpec) -> list[Vector] | None:
             w = g.bracket(comp[a], comp[b])
             gamma[(a, b)] = w
     if all(not any(w) for w in gamma.values()):
-        candidate = list(derived) + [lift(v) for v in [list(e) for e in identity(q)][:-1]]
+        candidate = list(derived) + [lift(v) for v in identity(q)[:-1]]
         return row_space_rref(candidate)
     if q == 2:
         # any line of V works only if gamma vanishes on it; a single generator
@@ -410,12 +408,17 @@ def algebra_to_json(g: LieAlgebraSpec) -> dict:
 
 
 def algebra_from_json(data: Mapping) -> LieAlgebraSpec:
+    if not isinstance(data, Mapping):
+        raise ValueError("an algebra must be a JSON object")
     if "d" in data:
         return algebra_from_coframe_json(data)
     dim = int(data["dim"])
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list) or not all(isinstance(item, Mapping) for item in brackets):
+        raise ValueError("brackets must be a list of {i, j, k, c} objects")
     entries = [
         (int(item["i"]), int(item["j"]), int(item["k"]), parse_fraction(item["c"]))
-        for item in data.get("brackets", [])
+        for item in brackets
     ]
     return from_bracket_list(dim, entries)
 
@@ -461,7 +464,7 @@ def _parse_real_two_form(text: str, dim: int) -> ComplexForm:
         return out
     import re
 
-    for sign_text, chunk in _split_terms(text):
+    for sign_text, chunk in split_terms(text):
         match = re.fullmatch(r"(.*?)\s*e(\d+)\s*\^\s*e(\d+)", chunk.strip())
         if not match:
             raise ValueError(f"bad real 2-form term {chunk!r}")
@@ -473,27 +476,3 @@ def _parse_real_two_form(text: str, dim: int) -> ComplexForm:
         out = out + monomial(dim, (i, j), coeff=Fraction(sign_text * flip) * coeff)
     return out
 
-
-def _split_terms(text: str):
-    terms = []
-    sign = 1
-    current = ""
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if current.strip():
-                terms.append((sign, current))
-                current = ""
-                sign = 1 if ch == "+" else -1
-            else:
-                if ch == "-":
-                    sign = -sign
-        else:
-            current += ch
-    if current.strip():
-        terms.append((sign, current))
-    return terms

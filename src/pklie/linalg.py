@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, ZERO, ONE, parse_scalar
 
 Vector = list[GaussianRational]
 Matrix = list[Vector]
@@ -43,6 +43,17 @@ def identity(n: int, one=ONE) -> Matrix:
 
 def mat_from_rows(rows: Sequence[Sequence]) -> Matrix:
     return [[gr(x) for x in row] for row in rows]
+
+
+def mat_from_json(data, rows: int, cols: int, what: str) -> Matrix:
+    """Parse a JSON list of `rows` lists of `cols` scalar literals."""
+    if not (
+        isinstance(data, list)
+        and len(data) == rows
+        and all(isinstance(row, list) and len(row) == cols for row in data)
+    ):
+        raise ValueError(f"{what} must be a list of {rows} rows of {cols} entries")
+    return [[parse_scalar(str(x)) for x in row] for row in data]
 
 
 def copy_matrix(m: Matrix) -> Matrix:

@@ -183,6 +183,16 @@ class ObstructionCertificate:
         }
 
 
+def obstruction_from_json(data: dict, n: int):
+    """(beta, terms) of a serialized ObstructionCertificate, for re-checking."""
+    beta = form_from_json(data["beta"], n)
+    terms = [
+        (GaussianRational.parse(item["c"]), form_from_json(item["psi"], n))
+        for item in data["terms"]
+    ]
+    return beta, terms
+
+
 @dataclass
 class PKahlerReport:
     p: int
@@ -655,11 +665,7 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
             elif not verify_farkas(rows, [Fraction(1)] * len(rows), farkas):
                 failures.append("farkas certificate invalid")
         elif kind == "obstruction":
-            beta = form_from_json(ref["beta"], n)
-            terms = [
-                (GaussianRational.parse(item["c"]), form_from_json(item["psi"], n))
-                for item in ref["terms"]
-            ]
+            beta, terms = obstruction_from_json(ref, n)
             try:
                 cert = obstruction_check(struct, p, beta, terms)
             except ObstructionRejected as exc:

@@ -32,6 +32,7 @@ from .linalg import (
     Vector,
     gr,
     hermitian_pivots,
+    identity,
     kernel,
     leading_minors,
 )
@@ -208,18 +209,9 @@ def divisor_space(psi: ComplexForm) -> list[Vector]:
     products = [wedge(monomial(n, (j,)), psi) for j in range(1, n + 1)]
     keys = sorted({key for w in products for key in w.terms})
     if not keys:
-        return _std_basis(n)
+        return identity(n)
     rows = [[w.terms.get(key, ZERO) for w in products] for key in keys]
     return kernel(rows, n)
-
-
-def _std_basis(n: int) -> list[Vector]:
-    out = []
-    for j in range(n):
-        v = [ZERO] * n
-        v[j] = ONE
-        out.append(v)
-    return out
 
 
 def is_simple(psi: ComplexForm) -> bool:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from pklie.catalog import named_example
 from pklie.cli import main
+from pklie.cxstruct import struct_to_json
 
 PKL = [sys.executable, "-m", "pklie.cli"]
 
@@ -309,6 +311,16 @@ def test_invalid_algebra_input_rejected(tmp_path, capsys):
     assert code == 1
 
 
+_J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+
+
+def _kt_input(edit):
+    """The serialized kt structure after `edit` has changed it in place."""
+    data = struct_to_json(named_example("kt"))
+    edit(data)
+    return data
+
+
 def _assert_input_error(argv, capsys):
     code = main(argv)
     assert code == 1
@@ -327,6 +339,15 @@ def _assert_input_error(argv, capsys):
         {"n": 2.5, "dalpha": {"a2": "a1_b1"}},
         {"n": 2, "dalpha": {"a2": "eps a1_b1"}, "params": ["eps"]},
         5,
+        {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}], "J": _J4[:2]},
+        {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}], "J": 5},
+        {"dim": 4, "d": {"e3": "e1^e2 +"}, "J": _J4},  # used to parse as e1^e2
+        {"dim": 4, "brackets": "x", "J": _J4},
+        _kt_input(lambda d: d["coframe"][0].pop()),
+        _kt_input(lambda d: d["coframe"][0].append("0")),
+        _kt_input(lambda d: d["coframe"].pop()),
+        _kt_input(lambda d: d.update(coframe=5)),
+        _kt_input(lambda d: d.update(dalpha=5)),
     ],
     ids=[
         "key_out_of_range",
@@ -338,6 +359,15 @@ def _assert_input_error(argv, capsys):
         "fractional_n",
         "params_not_an_object",
         "input_not_an_object",
+        "J_two_rows",
+        "J_not_a_list",
+        "real_dangling_operator",
+        "brackets_not_a_list",
+        "coframe_short_row",
+        "coframe_long_row",
+        "coframe_missing_row",
+        "coframe_not_a_list",
+        "dalpha_not_a_list",
     ],
 )
 def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
@@ -349,3 +379,22 @@ def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
 def test_zero_denominator_in_literal_rejected(capsys):
     argv = ["obstruct", "--catalog", "torus4", "--p", "2", "--beta", "1/0 a1"]
     _assert_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["find", "--catalog", "kt", "--p", "1"], "report"),
+        (["obstruct", "--catalog", "snn8f2:1,1,0,0,0", "--p", "2"], "certificate"),
+        (["restrict", "--catalog", "torus3", "--omega", "a12_b12 + a13_b13 + a23_b23"], "omega"),
+    ],
+    ids=["report", "certificate", "omega"],
+)
+def test_verify_report_missing_key_rejected(tmp_path, capsys, argv, key):
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    del data[key]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    _assert_input_error(["verify", str(path)], capsys)

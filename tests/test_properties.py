@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pklie.catalog import build_almost_abelian
-from pklie.exterior import ComplexForm, MultiIndex, bidegree_component, combine, monomial
+from pklie.exterior import (
+    ComplexForm,
+    MultiIndex,
+    apply_antiderivation,
+    bidegree_component,
+    combine,
+    conjugate,
+    monomial,
+    wedge,
+)
 from pklie.linalg import identity, kernel, rref
 from pklie.pkahler import closed_pp_space, real_pp_basis, _combine
 from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient
-from pklie.scalars import GaussianRational, ZERO
+from pklie.scalars import GaussianRational, ONE, ZERO
 from test_acceptance import _random_integrable_data
 from test_fuzz_pipeline import random_tower
 
@@ -158,3 +167,78 @@ def test_combine_matches_repeated_addition(pairs):
     combined = combine(2, pairs)
     assert combined == out
     assert list(combined.terms) == list(out.terms)
+
+
+def _keys(n, degree=None):
+    """Every monomial over a^1..a^n, or those of one total degree."""
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+    return [
+        MultiIndex(h, a)
+        for h in subsets
+        for a in subsets
+        if degree is None or len(h) + len(a) == degree
+    ]
+
+
+def forms_over(n, degree=None):
+    keys = st.sampled_from(_keys(n, degree))
+    return st.dictionaries(keys, gaussians, max_size=4).map(lambda t: ComplexForm(n, t))
+
+
+def _antiderivation_reference(f, d_holo, d_anti=None):
+    """apply_antiderivation as first written: one wedge per term and slot, then combine."""
+    if d_anti is None:
+        d_anti = [conjugate(g) for g in d_holo]
+    pairs = []
+    for (holo, anti), c in f.terms.items():
+        word = [(j, False) for j in holo] + [(j, True) for j in anti]
+        for pos, (j, is_anti) in enumerate(word):
+            dgen = d_anti[j - 1] if is_anti else d_holo[j - 1]
+            if dgen.is_zero():
+                continue
+            rest = MultiIndex(
+                tuple(holo[:pos] + holo[pos + 1 :]) if not is_anti else holo,
+                tuple(anti[: pos - len(holo)] + anti[pos - len(holo) + 1 :])
+                if is_anti
+                else anti,
+            )
+            sign = -1 if pos % 2 else 1
+            pairs.append((c * sign, wedge(dgen, ComplexForm(f.n, {rest: ONE}))))
+    return combine(f.n, pairs)
+
+
+@st.composite
+def antiderivation_cases(draw):
+    """A form of mixed bidegree, arbitrary 2-form generator differentials, and
+    either explicit conjugate-slot differentials or None for the default."""
+    n = draw(st.integers(1, 4))
+    two_forms = forms_over(n, 2)
+    f = draw(forms_over(n))
+    d_holo = draw(st.lists(two_forms, min_size=n, max_size=n))
+    d_anti = draw(st.none() | st.lists(two_forms, min_size=n, max_size=n))
+    return f, d_holo, d_anti
+
+
+@settings(max_examples=300, deadline=None)
+@given(antiderivation_cases())
+def test_antiderivation_matches_wedge_reference(case):
+    f, d_holo, d_anti = case
+    out = apply_antiderivation(f, d_holo, d_anti)
+    ref = _antiderivation_reference(f, d_holo, d_anti)
+    assert out == ref
+    assert list(out.terms) == list(ref.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures(), st.data())
+def test_struct_d_is_a_graded_derivation_with_square_zero(case, data):
+    struct, _ = case
+    n = struct.n
+    k = data.draw(st.integers(0, 3))
+    f = data.draw(forms_over(n, k))
+    g = data.draw(forms_over(n))
+    d = struct.d
+    sign = -1 if k % 2 else 1
+    assert d(wedge(f, g)) == wedge(d(f), g) + wedge(f, d(g)) * sign
+    assert d(d(g)).is_zero()
+    assert d(d(f)).is_zero()
