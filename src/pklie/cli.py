@@ -107,7 +107,8 @@ def load_structure(args) -> ComplexStructureSpec:
             return struct_from_json(data)
         if "J" in data:
             g = algebra_from_json(data)
-            return ComplexStructureSpec.from_matrix(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
+            J = mat_from_json(data["J"], g.dim, g.dim, "J")
+            return ComplexStructureSpec.from_matrix(g, J)
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     raise InputError("unrecognized input format")
