@@ -118,15 +118,28 @@ def load_almost_abelian(args) -> AlmostAbelianData:
     if not getattr(args, "infile", None):
         raise InputError("aab-kahler needs --in FILE with almost_abelian data")
     data = _load_json(args.infile)
-    body = data.get("almost_abelian", data)
+    return almost_abelian_from_json(data.get("almost_abelian", data))
+
+
+def almost_abelian_from_json(body) -> AlmostAbelianData:
+    """The {n, lambda, v, A} object that aab-kahler reads and writes."""
+    if not isinstance(body, dict):
+        raise InputError("almost_abelian data must be an object with n, lambda, v and A")
+    n, v, a = body.get("n"), body.get("v"), body.get("A")
+    if type(n) is not int or n < 1:
+        raise InputError(f"almost_abelian n must be a positive integer, got {n!r}")
+    if not isinstance(v, list):
+        raise InputError("almost_abelian v must be a list of rationals")
+    if not isinstance(a, list) or not all(isinstance(row, list) for row in a):
+        raise InputError("almost_abelian A must be a list of rows of rationals")
     try:
         return AlmostAbelianData(
-            int(body["n"]),
-            parse_fraction(str(body.get("lambda", body.get("lam", 0)))),
-            [parse_fraction(str(x)) for x in body["v"]],
-            [[parse_fraction(str(x)) for x in row] for row in body["A"]],
+            n,
+            parse_fraction(body.get("lambda", body.get("lam", 0))),
+            [parse_fraction(x) for x in v],
+            [[parse_fraction(x) for x in row] for row in a],
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad almost_abelian payload: {exc}") from exc
 
 
@@ -395,14 +408,8 @@ def cmd_verify(args) -> int:
 def _verify(data: dict) -> int:
     command = data.get("command")
     if command == "aab-kahler":
-        body = data["almost_abelian"]
         recomputed = kahler_decision_almost_abelian(
-            AlmostAbelianData(
-                int(body["n"]),
-                parse_fraction(body["lambda"]),
-                [parse_fraction(x) for x in body["v"]],
-                [[parse_fraction(x) for x in row] for row in body["A"]],
-            )
+            almost_abelian_from_json(data["almost_abelian"])
         )
         if recomputed.value != data.get("kahler"):
             sys.stdout.write("FAIL: stored verdict does not match the recomputation\n")

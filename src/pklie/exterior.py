@@ -7,6 +7,7 @@ normalized to that order at insertion time, so term keys are unique.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, i_power, parse_scalar
@@ -499,12 +500,40 @@ def form_to_json(f: ComplexForm) -> list[dict]:
     ]
 
 
+def _json_indices(item: Mapping, name: str) -> tuple[int, ...]:
+    value = item.get(name)
+    if not isinstance(value, list) or not all(type(j) is int for j in value):
+        raise ValueError(f"term {name!r} must be a list of ints, got {value!r}")
+    return tuple(value)
+
+
+def _json_part(item: Mapping, name: str) -> Fraction:
+    value = item.get(name)
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"term {name!r} is not a rational: {value!r}") from exc
+    raise ValueError(f"term {name!r} must be a string or an int, got {value!r}")
+
+
 def form_from_json(data: list[Mapping], n: int) -> ComplexForm:
+    """Inverse of form_to_json; every term needs holo, anti, re and im."""
     if not isinstance(data, list) or not all(isinstance(item, Mapping) for item in data):
         raise ValueError("a form must be a JSON list of term objects")
-    out = ComplexForm.zero(n)
+    # summed in one dict, with the term order of adding the terms one by one
+    acc: dict[MultiIndex, GaussianRational] = {}
     for item in data:
-        coeff = GaussianRational(item.get("re", 0), item.get("im", 0))
-        key = MultiIndex(tuple(item.get("holo", ())), tuple(item.get("anti", ())))
-        out = out + ComplexForm(n, {key: coeff})
-    return out
+        coeff = GaussianRational(_json_part(item, "re"), _json_part(item, "im"))
+        holo = _check_index_tuple(_json_indices(item, "holo"), n, "holo")
+        key = MultiIndex(holo, _check_index_tuple(_json_indices(item, "anti"), n, "anti"))
+        if not coeff:
+            continue
+        total = acc.get(key, ZERO) + coeff
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+    return ComplexForm._wrap(n, acc)

@@ -430,16 +430,19 @@ def algebra_from_coframe_json(data: Mapping) -> LieAlgebraSpec:
     """
     import re
 
+    equations = data.get("d", {})
+    if not isinstance(equations, Mapping):
+        raise ValueError("d must be an object of coframe key: 2-form literal pairs")
     if "dim" in data:
         dim = int(data["dim"])
     else:
         dim = 0
-        for key, text in data.get("d", {}).items():
+        for key, text in equations.items():
             for m in re.finditer(r"e(\d+)", key + " " + str(text)):
                 dim = max(dim, int(m.group(1)))
 
     diffs = {}
-    for key, text in data.get("d", {}).items():
+    for key, text in equations.items():
         match = re.fullmatch(r"e(\d+)", key.strip())
         if not match:
             raise ValueError(f"bad coframe key {key!r}")

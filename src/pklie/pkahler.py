@@ -10,6 +10,7 @@ empty closed cone.  INCONCLUSIVE is a first-class outcome.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -62,6 +63,11 @@ class ObstructionRejected(ValueError):
 
 def real_pp_basis(n: int, p: int) -> list[ComplexForm]:
     """Rational basis of the real vector space of real (p,p)-forms."""
+    return list(_real_pp_basis(n, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _real_pp_basis(n: int, p: int) -> tuple[ComplexForm, ...]:
     combos = list(itertools.combinations(range(1, n + 1), p))
     unit = i_power(p * p)
     out = []
@@ -71,25 +77,31 @@ def real_pp_basis(n: int, p: int) -> list[ComplexForm]:
         for b in combos[ia + 1 :]:
             out.append(monomial(n, a, b, unit) + monomial(n, b, a, unit))
             out.append(monomial(n, a, b, unit * I) - monomial(n, b, a, unit * I))
-    return out
+    return tuple(out)
 
 
 def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
     """Coordinates of a real (p,p)-form over real_pp_basis, exact."""
-    n = omega.n
-    combos = list(itertools.combinations(range(1, n + 1), p))
-    unit = i_power(p * p)
+    combos = list(itertools.combinations(range(1, omega.n + 1), p))
+    terms = omega.terms
+    zero = Fraction(0)
+    odd = p % 2
+
+    def parts(c: GaussianRational) -> tuple[Fraction, Fraction]:
+        # c times conj(i^{p^2}), which is 1 for even p and -i for odd p
+        return (c.im, -c.re) if odd else (c.re, c.im)
+
     coords: list[Fraction] = []
     for a in combos:
-        c = omega.terms.get(MultiIndex(a, a), ZERO) / unit
-        if not c.is_real():
+        c = terms.get(MultiIndex(a, a))
+        re, im = parts(c) if c is not None else (zero, zero)
+        if im:
             raise ValueError("omega is not real in these coordinates")
-        coords.append(c.re)
+        coords.append(re)
     for ia, a in enumerate(combos):
         for b in combos[ia + 1 :]:
-            c = omega.terms.get(MultiIndex(a, b), ZERO) / unit
-            coords.append(c.re)
-            coords.append(c.im)
+            c = terms.get(MultiIndex(a, b))
+            coords.extend(parts(c) if c is not None else (zero, zero))
     return coords
 
 
@@ -516,6 +528,12 @@ def find_pkahler(
 
 
 def _standard_power_coords(n: int, p: int) -> list[Fraction]:
+    """pp_coordinates of omega^p / p! for omega = sum_j i a^{j,jb}."""
+    return list(_standard_power_coords_cached(n, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_power_coords_cached(n: int, p: int) -> tuple[Fraction, ...]:
     omega = ComplexForm.zero(n)
     for j in range(1, n + 1):
         omega = omega + monomial(n, (j,), (j,), I)
@@ -524,7 +542,7 @@ def _standard_power_coords(n: int, p: int) -> list[Fraction]:
     for t in range(1, p + 1):
         acc = wedge(acc, omega)
         fact *= t
-    return pp_coordinates(acc / fact, p)
+    return tuple(pp_coordinates(acc / fact, p))
 
 
 def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):

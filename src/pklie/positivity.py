@@ -116,15 +116,6 @@ class TransversalityVerdict:
 # -- volume pairing ---------------------------------------------------------------
 
 
-def _top_coefficient(f: ComplexForm) -> GaussianRational:
-    n = f.n
-    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    for key, value in f.terms.items():
-        if key != top:
-            raise ValueError("form is not of top degree")
-    return f.terms.get(top, ZERO)
-
-
 def volume_coefficient(omega: ComplexForm, psi: ComplexForm) -> GaussianRational:
     """c with i^{(n-p)^2} omega ^ psi ^ conj(psi) = c * (i a^{1,1b} ^ ... ^ i a^{n,nb})."""
     return pairing_coefficient(omega, psi, psi)
@@ -133,22 +124,44 @@ def volume_coefficient(omega: ComplexForm, psi: ComplexForm) -> GaussianRational
 def pairing_coefficient(
     omega: ComplexForm, psi: ComplexForm, phi: ComplexForm
 ) -> GaussianRational:
-    """Polarized volume pairing i^{(n-p)^2} omega ^ psi ^ conj(phi) over the volume."""
+    """Polarized volume pairing i^{(n-p)^2} omega ^ psi ^ conj(phi) over the volume.
+
+    Sesquilinear in (psi, phi): with psi = sum x_a a^{I_a} and phi = sum y_b a^{I_b}
+    it is sum x_a conj(y_b) times the pairing of the two monomials, which
+    `_gram_units` holds as one key of omega and a unit factor.
+    """
     n = omega.n
     bid = omega.bidegree()
     if bid is None or bid[0] != bid[1]:
         raise ValueError("omega must be a homogeneous (p,p)-form")
-    p = bid[0]
-    k = n - p
+    k = n - bid[0]
     for test in (psi, phi):
+        if test.n != n:
+            raise ValueError("coframe dimension mismatch")
         if not test.is_zero() and test.bidegrees() != {(k, 0)}:
             raise ValueError(f"test form must be a ({k},0)-form")
-    w = wedge(wedge(omega, psi), conjugate(phi)) * i_power(k * k)
-    return _top_coefficient(w) / reference_volume_coefficient(n)
+    units = _gram_units(n, k)
+    position = _gram_position(n, k)
+    terms = omega.terms
+    total = ZERO
+    for (holo_a, _), x in psi.terms.items():
+        row = units[position[holo_a]]
+        for (holo_b, _), y in phi.terms.items():
+            key, unit = row[position[holo_b]]
+            c = terms.get(key)
+            if c is not None:
+                total = total + x * y.conjugate() * c * unit
+    return total
 
 
 def gram_basis(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_position(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Row of each (k,0) coframe monomial in the Gram matrix."""
+    return {idx: a for a, idx in enumerate(gram_basis(n, k))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,19 +170,23 @@ def _gram_units(n: int, k: int) -> tuple[tuple[tuple[MultiIndex, GaussianRationa
 
     Only omega's term at (complement of I_a, complement of I_b) survives the
     wedge with a^{I_a} and conj(a^{I_b}); the factor is the pairing of that
-    unit monomial, so entry (a, b) is omega's coefficient there times it.
+    unit monomial, computed here once by wedges, so entry (a, b) is omega's
+    coefficient there times it.
     """
     basis = gram_basis(n, k)
-    mono = [monomial(n, idx) for idx in basis]
     comp = [tuple(j for j in range(1, n + 1) if j not in idx) for idx in basis]
-    keys = [[MultiIndex(ca, cb) for cb in comp] for ca in comp]
-    return tuple(
-        tuple(
-            (key, pairing_coefficient(ComplexForm(n, {key: ONE}), mono[a], mono[b]))
-            for b, key in enumerate(keys[a])
-        )
-        for a in range(len(basis))
-    )
+    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    scale = i_power(k * k) / reference_volume_coefficient(n)
+    rows = []
+    for a, ca in enumerate(comp):
+        row = []
+        for b, cb in enumerate(comp):
+            key = MultiIndex(ca, cb)
+            w = wedge(ComplexForm(n, {key: ONE}), monomial(n, basis[a]))
+            w = wedge(w, monomial(n, (), basis[b]))
+            row.append((key, w.terms.get(top, ZERO) * scale))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def gram_matrix(omega: ComplexForm) -> tuple[list[tuple[int, ...]], Matrix]:
@@ -185,9 +202,10 @@ def gram_matrix(omega: ComplexForm) -> tuple[list[tuple[int, ...]], Matrix]:
         [terms[key] * unit if key in terms else ZERO for key, unit in row]
         for row in _gram_units(n, k)
     ]
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            if h[a][b] != h[b][a].conjugate():
+    for a, row in enumerate(h):
+        for b in range(a, len(h)):
+            x, y = row[b], h[b][a]
+            if x.re != y.re or x.im != -y.im:
                 raise AssertionError("volume pairing is not Hermitian; omega not real?")
     return basis, h
 

@@ -348,6 +348,12 @@ def _assert_input_error(argv, capsys):
         _kt_input(lambda d: d["coframe"].pop()),
         _kt_input(lambda d: d.update(coframe=5)),
         _kt_input(lambda d: d.update(dalpha=5)),
+        _kt_input(lambda d: d["dalpha"][1][0].update(holo=5)),
+        _kt_input(lambda d: d["dalpha"][1][0].update(anti="12")),
+        _kt_input(lambda d: d["dalpha"][1][0].update(re=[1])),
+        _kt_input(lambda d: d["dalpha"][1][0].update(im="1/0")),
+        _kt_input(lambda d: d["dalpha"][1][0].pop("anti")),
+        {"dim": 4, "d": 5, "J": _J4},
     ],
     ids=[
         "key_out_of_range",
@@ -368,6 +374,12 @@ def _assert_input_error(argv, capsys):
         "coframe_missing_row",
         "coframe_not_a_list",
         "dalpha_not_a_list",
+        "term_holo_not_a_list",
+        "term_anti_a_string",
+        "term_re_a_list",
+        "term_im_zero_denominator",
+        "term_without_anti",
+        "d_not_an_object",
     ],
 )
 def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
@@ -397,4 +409,48 @@ def test_verify_report_missing_key_rejected(tmp_path, capsys, argv, key):
     del data[key]
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
+    _assert_input_error(["verify", str(path)], capsys)
+
+
+def test_verify_report_with_malformed_term_rejected(tmp_path, capsys):
+    code, out = run_cli(["find", "--catalog", "kt", "--p", "1", "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    data["report"]["closed_basis"][0][0]["holo"] = 5
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    _assert_input_error(["verify", str(path)], capsys)
+
+
+_AAB = {
+    "n": 3,
+    "lambda": "0",
+    "v": ["0", "0", "0", "0"],
+    "A": [["0", "0", "0", "-1"], ["0", "0", "-2", "0"], ["0", "2", "0", "0"], ["1", "0", "0", "0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"v": 5},
+        {"A": 5},
+        {"A": [5, 5, 5, 5]},
+        {"v": ["0", "0", "0"]},
+        {"n": "3"},
+        {"n": [3]},
+    ],
+    ids=["v_not_a_list", "A_not_a_list", "A_rows_not_lists", "v_short", "n_a_string", "n_a_list"],
+)
+def test_malformed_almost_abelian_input_rejected(tmp_path, capsys, edit):
+    path = tmp_path / "aab.json"
+    path.write_text(json.dumps({"almost_abelian": {**_AAB, **edit}}))
+    _assert_input_error(["aab-kahler", "--in", str(path)], capsys)
+    # `pkl verify` reads the same payload from an aab-kahler report
+    path.write_text(json.dumps({"almost_abelian": _AAB}))
+    code, out = run_cli(["aab-kahler", "--in", str(path), "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    report["almost_abelian"].update(edit)
+    path.write_text(json.dumps(report))
     _assert_input_error(["verify", str(path)], capsys)

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +17,13 @@ from pklie.exterior import (
     combine,
     conjugate,
     monomial,
+    reference_volume_coefficient,
     wedge,
 )
 from pklie.linalg import identity, kernel, rref
-from pklie.pkahler import closed_pp_space, real_pp_basis, _combine
-from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient
-from pklie.scalars import GaussianRational, ONE, ZERO
+from pklie.pkahler import closed_pp_space, pp_coordinates, real_pp_basis, _combine
+from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient, volume_coefficient
+from pklie.scalars import GaussianRational, ONE, ZERO, i_power
 from test_acceptance import _random_integrable_data
 from test_fuzz_pipeline import random_tower
 
@@ -138,6 +140,22 @@ def real_pp_forms(draw):
     return _combine(basis, coeffs)
 
 
+def _wedge_pairing_reference(omega, psi, phi):
+    """pairing_coefficient as first written: two wedges and a top-degree division."""
+    n = omega.n
+    bid = omega.bidegree()
+    if bid is None or bid[0] != bid[1]:
+        raise ValueError("omega must be a homogeneous (p,p)-form")
+    k = n - bid[0]
+    for test in (psi, phi):
+        if not test.is_zero() and test.bidegrees() != {(k, 0)}:
+            raise ValueError(f"test form must be a ({k},0)-form")
+    w = wedge(wedge(omega, psi), conjugate(phi)) * i_power(k * k)
+    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    assert set(w.terms) <= {top}
+    return w.terms.get(top, ZERO) / reference_volume_coefficient(n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(real_pp_forms())
 def test_table_gram_matches_wedge_pairing(omega):
@@ -149,10 +167,75 @@ def test_table_gram_matches_wedge_pairing(omega):
     assert basis == gram_basis(n, k)
     mono = [monomial(n, idx) for idx in basis]
     for a, b in itertools.product(range(len(basis)), repeat=2):
-        assert h[a][b] == pairing_coefficient(omega, mono[a], mono[b])
+        assert h[a][b] == _wedge_pairing_reference(omega, mono[a], mono[b])
 
 
 gaussians = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def pairing_cases(draw):
+    """A nonzero real (p,p)-form, 0 <= p <= n <= 4, and two complex (n-p,0)-forms with
+    at least two terms each wherever Lambda^{n-p,0} has two monomials."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(0, n))
+    basis = real_pp_basis(n, p)
+    coeffs = [draw(entries) for _ in basis]
+    if not any(coeffs):
+        coeffs[0] = Fraction(1)
+    omega = _combine(basis, coeffs)
+    mono = gram_basis(n, n - p)
+    nonzero = gaussians.filter(bool)
+
+    def test_form():
+        support = draw(st.lists(st.sampled_from(mono), min_size=min(2, len(mono)), unique=True))
+        return ComplexForm(n, {MultiIndex(idx, ()): draw(nonzero) for idx in support})
+
+    return omega, test_form(), test_form()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairing_cases())
+def test_table_pairing_matches_wedge_pairing(case):
+    omega, psi, phi = case
+    assert pairing_coefficient(omega, psi, phi) == _wedge_pairing_reference(omega, psi, phi)
+    assert volume_coefficient(omega, psi) == _wedge_pairing_reference(omega, psi, psi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairing_cases(), st.sampled_from(["omega_mixed", "omega_pq", "psi", "phi"]), st.data())
+def test_pairing_rejects_wrong_bidegree(case, where, data):
+    omega, psi, phi = case
+    n, p = omega.n, omega.bidegree()[0]
+    if where == "omega_mixed":
+        # a second bidegree next to (p,p)
+        key = data.draw(st.sampled_from([k for k in _keys(n) if k.bidegree != (p, p)]))
+        omega = omega + ComplexForm(n, {key: ONE})
+    elif where == "omega_pq":
+        # one bidegree, but not of type (p,p)
+        key = data.draw(st.sampled_from([k for k in _keys(n) if len(k.holo) != len(k.anti)]))
+        omega = ComplexForm(n, {key: ONE})
+    else:
+        key = data.draw(st.sampled_from([k for k in _keys(n) if k.bidegree != (n - p, 0)]))
+        wrong = ComplexForm(n, {key: ONE})
+        psi, phi = (psi + wrong, phi) if where == "psi" else (psi, phi + wrong)
+    with pytest.raises(ValueError):
+        _wedge_pairing_reference(omega, psi, phi)
+    with pytest.raises(ValueError):
+        pairing_coefficient(omega, psi, phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))), st.data())
+def test_pp_coordinates_invert_the_real_basis(np_, data):
+    n, p = np_
+    basis = real_pp_basis(n, p)
+    x = [data.draw(entries) for _ in basis]
+    assert pp_coordinates(_combine(basis, x), p) == x
+    basis.append(None)  # callers get a fresh list, never the cached one
+    assert len(real_pp_basis(n, p)) == len(basis) - 1
+
+
 # few keys, so that sums cancel often
 small_keys = st.sampled_from([MultiIndex((1,), ()), MultiIndex((2,), (1,)), MultiIndex((), (1, 2))])
 small_forms = st.dictionaries(small_keys, gaussians, max_size=3).map(lambda t: ComplexForm(2, t))
