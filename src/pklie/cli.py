@@ -426,9 +426,12 @@ def _verify(data: dict) -> int:
     elif command == "obstruct" and data.get("obstructed"):
         beta, terms = obstruction_from_json(data["certificate"], struct.n)
         try:
-            obstruction_check(struct, int(data["p"]), beta, terms)
+            cert = obstruction_check(struct, int(data["p"]), beta, terms)
         except ObstructionRejected as exc:
             failures = [str(exc)]
+        else:
+            if cert.component != form_from_json(data["certificate"]["component"], struct.n):
+                failures = ["stored obstruction component mismatch"]
     elif command == "restrict":
         omega = form_from_json(data["omega"], struct.n)
         alpha = form_from_json(data["alpha"], struct.n)

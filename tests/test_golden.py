@@ -6,6 +6,10 @@ exact core must reproduce these bytes; a change of any verdict, closed basis,
 certificate or statistic shows up here.  Every golden report must also pass
 `verify_report`, and tampered witness families must fail it.
 
+The same twelve SnN instances also keep `pkl obstruct --p 2 --beta=...
+--format json` outputs for the paper's obstruction forms beta; each must pass
+`pkl verify`, and a changed beta coefficient or stored component must not.
+
 After an intended change of the reports, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py --regen`.
 """
@@ -22,6 +26,7 @@ import pytest
 
 from pklie.catalog import named_example, registry
 from pklie.cli import main
+from pklie.exterior import form_to_literal, monomial
 from pklie.pkahler import verify_report
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -58,11 +63,43 @@ def _path(name: str, p: int) -> str:
     return os.path.join(GOLDEN_DIR, f"{name.translate(_SAFE)}.p{p}.json")
 
 
-def _find_json(name: str, p: int) -> str:
+def _obstruct_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name.translate(_SAFE)}.obstruct.p2.json")
+
+
+def _cli_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["find", "--catalog", name, "--p", str(p), "--format", "json", "--seed", "0"])
+        main(argv)
     return out.getvalue()
+
+
+def _find_json(name: str, p: int) -> str:
+    return _cli_stdout(
+        ["find", "--catalog", name, "--p", str(p), "--format", "json", "--seed", "0"]
+    )
+
+
+def snn8_beta(name: str) -> str:
+    """The paper's obstruction form for p = 2, as a literal.
+
+    Family 1 (eps, nu, a, b): beta = b a^{14,1b} - a a^{13,2b}.
+    Family 2 (eps, mu, nu, a, b): beta = a^{14,1b} + (1 - mu) a^{12,3b}.
+    """
+    family, params = name.split(":")[:2]
+    params = [Fraction(x) for x in params.split(",")]
+    if family == "snn8f1":
+        a, b = params[2], params[3]
+        beta = monomial(4, (1, 4), (1,), b) - monomial(4, (1, 3), (2,), a)
+    else:
+        beta = monomial(4, (1, 4), (1,)) + monomial(4, (1, 2), (3,), 1 - params[1])
+    return form_to_literal(beta)
+
+
+def _obstruct_json(name: str) -> str:
+    return _cli_stdout(
+        ["obstruct", "--catalog", name, "--p", "2", f"--beta={snn8_beta(name)}", "--format", "json"]
+    )
 
 
 @pytest.mark.parametrize("name,p", _cases())
@@ -74,7 +111,47 @@ def test_find_report_matches_golden(name, p):
 
 def test_every_golden_file_is_a_case():
     expected = {os.path.basename(_path(name, p)) for name, p in _cases()}
+    expected |= {os.path.basename(_obstruct_path(name)) for name in SNN8_NAMES}
     assert set(os.listdir(GOLDEN_DIR)) == expected
+
+
+@pytest.mark.parametrize("name", SNN8_NAMES)
+def test_obstruct_report_matches_golden(name):
+    with open(_obstruct_path(name)) as fh:
+        expected = fh.read()
+    assert _obstruct_json(name) == expected
+
+
+def _verify_file(path: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", path])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", SNN8_NAMES)
+def test_obstruct_golden_passes_verification(name):
+    assert _verify_file(_obstruct_path(name)) == (0, "certificate verified (exact arithmetic)\n")
+
+
+@pytest.mark.parametrize("name", SNN8_NAMES)
+def test_tampered_obstruct_golden_fails_verification(name, tmp_path):
+    with open(_obstruct_path(name)) as fh:
+        report = json.load(fh)
+    # the doubled beta term must reach the (2,2) part of d beta, or the edit
+    # leaves a valid obstruction.  Family 1: b a^{14,1b} adds b^2 and
+    # -a a^{13,2b} adds a^2, and the last term is a^{14,1b} unless b = 0.
+    # Family 2: a^{14,1b} adds -mu and (1-mu) a^{12,3b} adds eps (1-mu), and
+    # the first term is a^{12,3b} unless mu = 1.
+    beta_term = -1 if name.startswith("snn8f1") else 0
+    for part, i in (("beta", beta_term), ("component", 0)):
+        edit = copy.deepcopy(report)
+        term = edit["certificate"][part][i]
+        term["re"] = str(2 * Fraction(term["re"]))
+        path = tmp_path / f"{part}.json"
+        path.write_text(json.dumps(edit))
+        code, out = _verify_file(str(path))
+        assert code == 1 and out.startswith("FAIL: "), (part, out)
 
 
 def _report(name: str, p: int) -> dict:
@@ -133,3 +210,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
     for name, p in _cases():
         with open(_path(name, p), "w") as fh:
             fh.write(_find_json(name, p))
+    for name in SNN8_NAMES:
+        with open(_obstruct_path(name), "w") as fh:
+            fh.write(_obstruct_json(name))
