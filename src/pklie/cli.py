@@ -50,7 +50,7 @@ from .pkahler import (
     verify_report,
 )
 from .positivity import SearchBudget
-from .scalars import parse_fraction
+from .scalars import json_int, parse_fraction
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -426,7 +426,7 @@ def _verify(data: dict) -> int:
     elif command == "obstruct" and data.get("obstructed"):
         beta, terms = obstruction_from_json(data["certificate"], struct.n)
         try:
-            cert = obstruction_check(struct, int(data["p"]), beta, terms)
+            cert = obstruction_check(struct, json_int(data["p"], "p"), beta, terms)
         except ObstructionRejected as exc:
             failures = [str(exc)]
         else:
@@ -442,7 +442,8 @@ def _verify(data: dict) -> int:
             failures.append("closedness flag does not match")
     elif command == "quotient":
         omega = form_from_json(data["omega"], struct.n)
-        res = b_extension_quotient(struct, omega, int(data.get("p", 0)) or _infer_p(omega))
+        p = json_int(data.get("p", 0), "p") or _infer_p(omega)
+        res = b_extension_quotient(struct, omega, p)
         if form_to_json(res.omega) != data["descended_form"]:
             failures.append("descended form does not match")
     elif command == "validate":

@@ -136,31 +136,73 @@ def _eigen_coframe(g: LieAlgebraSpec, J: Matrix) -> Matrix:
     return row_space_rref(vecs)
 
 
-def _real_to_complex_images(coframe: Matrix, dim: int, n: int) -> list[ComplexForm]:
-    """Images e^m -> expansion in a^j, conj(a^j) for the given coframe rows."""
-    big = [list(row) for row in coframe] + [
-        [c.conjugate() for c in row] for row in coframe
-    ]
-    binv = inverse(big)
+def _real_to_complex_images(coframe: Matrix) -> list[ComplexForm]:
+    """Images e^m -> expansion in a^j, conj(a^j) for the given coframe rows.
+
+    [C; conj C] = T [Re C; Im C] with T = [[1, i], [1, -i]], so the inverse is
+    the rational inverse of [Re C; Im C] followed by T^-1 = 1/2 [[1, 1], [-i, i]]:
+    e^m = sum_j (r_mj - i r_m,n+j)/2 a^j + (r_mj + i r_m,n+j)/2 conj(a^j).
+    """
+    n = len(coframe)
+    real = [[c.re for c in row] for row in coframe] + [[c.im for c in row] for row in coframe]
+    rinv = inverse(real)
     images = []
-    for m in range(dim):
+    for row in rinv:
         terms = {}
         for j in range(n):
-            c1 = binv[m][j]
-            c2 = binv[m][n + j]
+            c1 = GaussianRational(row[j] / 2, -row[n + j] / 2)
             if c1:
                 terms[MultiIndex((j + 1,), ())] = c1
-            if c2:
-                terms[MultiIndex((), (j + 1,))] = c2
-        images.append(ComplexForm(n, terms))
+                terms[MultiIndex((), (j + 1,))] = c1.conjugate()
+        images.append(ComplexForm._wrap(n, terms))
     return images
+
+
+@functools.lru_cache(maxsize=None)
+def _real_image(n: int, key: MultiIndex) -> ComplexForm:
+    """The monomial a^key over the real coframe e^{2j-1} = Re a^j, e^{2j} = Im a^j.
+
+    Conjugation must act on the image coefficientwise; then the real and
+    imaginary parts of sum c_K image(K) are the real images of the real and
+    imaginary parts of sum c_K a^K, for every equation at once.
+    """
+    dim = 2 * n
+    re = [monomial(dim, (2 * j - 1,)) for j in range(1, n + 1)]
+    im = [monomial(dim, (2 * j,)) for j in range(1, n + 1)]
+    holo = [x + y * I for x, y in zip(re, im)]
+    anti = [x - y * I for x, y in zip(re, im)]
+    mono = ComplexForm._wrap(n, {key: ONE})
+    image = substitute(mono, holo, anti, n_target=dim)
+    conj_image = substitute(conjugate(mono), holo, anti, n_target=dim)
+    if conj_image.terms != {k: c.conjugate() for k, c in image.terms.items()}:
+        raise ValueError("derived real structure constants not real")
+    return image
+
+
+def _real_algebra(equations: Sequence[ComplexForm]) -> LieAlgebraSpec:
+    """Structure constants over e^{2j-1} = Re a^j, e^{2j} = Im a^j; Jacobi unchecked.
+
+    d e^{2j-1} and d e^{2j} are the real and imaginary parts of d a^j
+    written over the real coframe.
+    """
+    n = len(equations)
+    dim = 2 * n
+    entries = []
+    for j, eq in enumerate(equations, start=1):
+        d_alpha = combine(dim, ((c, _real_image(n, key)) for key, c in eq.terms.items()))
+        for k, part in ((2 * j - 1, "re"), (2 * j, "im")):
+            for (holo, _anti), coeff in d_alpha.terms.items():
+                value = getattr(coeff, part)
+                if value:
+                    entries.append((holo[0], holo[1], k, -value))
+    return from_bracket_list(dim, entries)
 
 
 def structure_equations(g: LieAlgebraSpec, coframe: Matrix) -> list[ComplexForm]:
     """d a^j expanded over the a / conj(a) coframe, for a^j = sum coframe[j] e."""
     dim = g.dim
     n = len(coframe)
-    images = _real_to_complex_images(coframe, dim, n)
+    images = _real_to_complex_images(coframe)
     zero_anti = [ComplexForm.zero(n)] * dim
     diffs = coframe_differentials(g)
     out = []
@@ -239,32 +281,7 @@ class ComplexStructureSpec:
                 raise NonIntegrableError(
                     f"d a^{j} has a (0,2) component; structure not integrable"
                 )
-        # real coframe images of a^j and conj(a^j)
-        holo_images = []
-        anti_images = []
-        for j in range(1, n + 1):
-            holo_images.append(
-                monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=I)
-            )
-            anti_images.append(
-                monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=-I)
-            )
-        entries = []
-        for j in range(1, n + 1):
-            d_alpha = substitute(equations[j - 1], holo_images, anti_images, n_target=dim)
-            d_alpha_bar = substitute(
-                conjugate(equations[j - 1]), holo_images, anti_images, n_target=dim
-            )
-            two = GaussianRational(2)
-            d_re = (d_alpha + d_alpha_bar) / two
-            d_im = (d_alpha - d_alpha_bar) / (two * I)
-            for k, dform in ((2 * j - 1, d_re), (2 * j, d_im)):
-                for (holo, _anti), coeff in dform.terms.items():
-                    if not coeff.is_real():
-                        raise ValueError("derived real structure constants not real")
-                    i1, i2 = holo
-                    entries.append((i1, i2, k, -coeff.re))
-        g = from_bracket_list(dim, entries)
+        g = _real_algebra(equations)
         ensure_valid(g)
         J = zeros(dim, dim)
         for j in range(1, n + 1):

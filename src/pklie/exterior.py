@@ -7,10 +7,9 @@ normalized to that order at insertion time, so term keys are unique.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .scalars import GaussianRational, ZERO, ONE, i_power, parse_scalar
+from .scalars import GaussianRational, ZERO, ONE, i_power, json_rational, parse_scalar
 
 
 class MultiIndex(NamedTuple):
@@ -216,15 +215,21 @@ def wedge(f: ComplexForm, g: ComplexForm) -> ComplexForm:
             anti, sa = _merge(a1, a2)
             if anti is None:
                 continue
+            value = c1 * c2
             # move the anti block of the first factor across the holo block
             # of the second factor
-            sign = sh * sa * (-1 if (la1 * len(h2)) % 2 else 1)
+            if sh * sa * (-1 if (la1 * len(h2)) % 2 else 1) < 0:
+                value = -value
             key = MultiIndex(holo, anti)
-            value = acc.get(key, ZERO) + c1 * c2 * sign
-            if value.is_zero():
-                acc.pop(key, None)
-            else:
+            prev = acc.get(key)
+            if prev is None:
                 acc[key] = value
+            else:
+                total = prev + value
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
     return ComplexForm._wrap(f.n, acc)
 
 
@@ -507,18 +512,6 @@ def _json_indices(item: Mapping, name: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _json_part(item: Mapping, name: str) -> Fraction:
-    value = item.get(name)
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"term {name!r} is not a rational: {value!r}") from exc
-    raise ValueError(f"term {name!r} must be a string or an int, got {value!r}")
-
-
 def form_from_json(data: list[Mapping], n: int) -> ComplexForm:
     """Inverse of form_to_json; every term needs holo, anti, re and im."""
     if not isinstance(data, list) or not all(isinstance(item, Mapping) for item in data):
@@ -526,7 +519,9 @@ def form_from_json(data: list[Mapping], n: int) -> ComplexForm:
     # summed in one dict, with the term order of adding the terms one by one
     acc: dict[MultiIndex, GaussianRational] = {}
     for item in data:
-        coeff = GaussianRational(_json_part(item, "re"), _json_part(item, "im"))
+        coeff = GaussianRational(
+            json_rational(item.get("re"), "term 're'"), json_rational(item.get("im"), "term 'im'")
+        )
         holo = _check_index_tuple(_json_indices(item, "holo"), n, "holo")
         key = MultiIndex(holo, _check_index_tuple(_json_indices(item, "anti"), n, "anti"))
         if not coeff:

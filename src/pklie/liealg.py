@@ -24,7 +24,7 @@ from .linalg import (
     is_zero_vec,
     row_space_rref,
 )
-from .scalars import ZERO, ONE, parse_fraction
+from .scalars import ZERO, ONE, json_int, parse_fraction
 
 
 class InvalidAlgebraError(ValueError):
@@ -123,14 +123,18 @@ class JacobiResult:
 def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
     """Exhaustive Jacobi check; returns the first violating basis triple."""
     n = g.dim
+    # [e_a, e_b] = sum c e_k as (k, c) pairs, for both orders of a != b
+    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for (a, b), comp in g.brackets.items():
+        table[(a, b)] = list(comp.items())
+        table[(b, a)] = [(k, -c) for k, c in comp.items()]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 acc = [Fraction(0)] * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.bracket_basis(a, b)
-                    for m, coeff in inner.items():
-                        for t, c2 in g.bracket_basis(m, c).items():
+                    for m, coeff in table.get((a, b), ()):
+                        for t, c2 in table.get((m, c), ()):
                             acc[t - 1] += coeff * c2
                 if any(acc):
                     return JacobiResult(False, (i, j, k), acc)
@@ -230,11 +234,14 @@ def lower_central_series(g: LieAlgebraSpec) -> list[Matrix]:
 
 
 def is_unimodular(g: LieAlgebraSpec) -> bool:
-    for i in range(1, g.dim + 1):
-        ad = g.ad_matrix(i)
-        if sum((ad[k][k] for k in range(g.dim)), Fraction(0)):
-            return False
-    return True
+    """tr ad(e_i) = sum_k c^k_{ik} vanishes for every i."""
+    traces = [Fraction(0)] * (g.dim + 1)
+    for (i, j), comp in g.brackets.items():
+        # [e_i, e_j] adds its e_j part to tr ad(e_i); [e_j, e_i] = -[e_i, e_j]
+        # adds minus its e_i part to tr ad(e_j)
+        traces[i] += comp.get(j, 0)
+        traces[j] -= comp.get(i, 0)
+    return not any(traces)
 
 
 def derived_subalgebra(g: LieAlgebraSpec) -> Matrix:
@@ -412,14 +419,14 @@ def algebra_from_json(data: Mapping) -> LieAlgebraSpec:
         raise ValueError("an algebra must be a JSON object")
     if "d" in data:
         return algebra_from_coframe_json(data)
-    dim = int(data["dim"])
+    dim = json_int(data["dim"], "dim")
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list) or not all(isinstance(item, Mapping) for item in brackets):
         raise ValueError("brackets must be a list of {i, j, k, c} objects")
-    entries = [
-        (int(item["i"]), int(item["j"]), int(item["k"]), parse_fraction(item["c"]))
-        for item in brackets
-    ]
+    entries = []
+    for item in brackets:
+        i, j, k = (json_int(item[x], f"bracket {x!r}") for x in "ijk")
+        entries.append((i, j, k, parse_fraction(item["c"])))
     return from_bracket_list(dim, entries)
 
 
@@ -434,7 +441,7 @@ def algebra_from_coframe_json(data: Mapping) -> LieAlgebraSpec:
     if not isinstance(equations, Mapping):
         raise ValueError("d must be an object of coframe key: 2-form literal pairs")
     if "dim" in data:
-        dim = int(data["dim"])
+        dim = json_int(data["dim"], "dim")
     else:
         dim = 0
         for key, text in equations.items():

@@ -44,7 +44,7 @@ from .positivity import (
     is_simple,
     volume_coefficient,
 )
-from .scalars import GaussianRational, I, ONE, ZERO, i_power
+from .scalars import GaussianRational, I, ONE, ZERO, i_power, json_int, json_rational
 from .simplex import feasibility, verify_farkas
 
 
@@ -197,6 +197,10 @@ class ObstructionCertificate:
 
 def obstruction_from_json(data: dict, n: int):
     """(beta, terms) of a serialized ObstructionCertificate, for re-checking."""
+    if not isinstance(data, dict):
+        raise ValueError("an obstruction certificate must be a JSON object")
+    if not isinstance(data["terms"], list) or not all(isinstance(t, dict) for t in data["terms"]):
+        raise ValueError("obstruction terms must be a list of {c, psi} objects")
     beta = form_from_json(data["beta"], n)
     terms = [
         (GaussianRational.parse(item["c"]), form_from_json(item["psi"], n))
@@ -630,10 +634,15 @@ def _random_witness_row(forms, cand, n, k, rng):
 def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
     """Exact re-verification of a serialized PKahlerReport; returns failures."""
     failures: list[str] = []
-    p = int(data["p"])
+    if not isinstance(data, dict):
+        raise ValueError("a report must be a JSON object")
+    p = json_int(data["p"], "p")
     n = struct.n
     closed = closed_pp_space(struct, p)
-    stored_basis = [form_from_json(item, n) for item in data.get("closed_basis", [])]
+    stored = data.get("closed_basis", [])
+    if not isinstance(stored, list):
+        raise ValueError("closed_basis must be a list of forms")
+    stored_basis = [form_from_json(item, n) for item in stored]
     stored_coords = [pp_coordinates(f, p) for f in stored_basis]
     if stored_basis and not same_row_space(closed.coords, stored_coords):
         failures.append("closed space mismatch")
@@ -661,13 +670,17 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
             failures.extend(verify_verdict(omega, data.get("found_certificate", {})))
     elif verdict == PKVerdict.REFUTED.value:
         ref = data.get("refutation", {})
+        if not isinstance(ref, dict):
+            raise ValueError("a refutation must be a JSON object")
         kind = ref.get("kind")
         if kind == "empty_cone":
             if closed.coords:
                 failures.append("closed space is nonzero; empty-cone claim false")
         elif kind == "witness_family":
+            if not isinstance(ref["witnesses"], list) or not isinstance(ref["farkas"], list):
+                raise ValueError("witnesses and farkas must be lists")
             witnesses = [form_from_json(item, n) for item in ref["witnesses"]]
-            farkas = [Fraction(x) for x in ref["farkas"]]
+            farkas = [json_rational(x, "farkas multiplier") for x in ref["farkas"]]
             rows = []
             for psi in witnesses:
                 if psi.is_zero():

@@ -450,6 +450,10 @@ def _rationalize_witness(omega: ComplexForm, mat: np.ndarray) -> SimpleFormWitne
 def witness_from_json(data: dict) -> SimpleFormWitness:
     from .scalars import parse_scalar
 
+    if not isinstance(data, dict) or not isinstance(data["columns"], list):
+        raise ValueError("a witness must be an object with a list of columns")
+    if not all(isinstance(col, list) for col in data["columns"]):
+        raise ValueError("witness columns must be lists of scalars")
     columns = [[parse_scalar(x) for x in col] for col in data["columns"]]
     return SimpleFormWitness(columns, parse_scalar(data["value"]))
 
@@ -457,6 +461,8 @@ def witness_from_json(data: dict) -> SimpleFormWitness:
 def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
     """Exact re-verification of a serialized TransversalityVerdict."""
     failures: list[str] = []
+    if not isinstance(data, dict):
+        raise ValueError("a found certificate must be a JSON object")
     status = data.get("status")
     if status == TransStatus.TRANSVERSE.value:
         _, h = gram_matrix(omega)
@@ -465,7 +471,8 @@ def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
             failures.append("Gram pairing is not positive definite")
         else:
             minors = [str(m) for m in leading_minors(pivots)]
-            if minors != data.get("gram", {}).get("minors"):
+            gram = data.get("gram", {})
+            if not isinstance(gram, dict) or minors != gram.get("minors"):
                 failures.append("stored minors do not match the recomputation")
     elif status == TransStatus.NOT_TRANSVERSE.value:
         witness = witness_from_json(data["witness"])

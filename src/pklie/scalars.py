@@ -296,6 +296,8 @@ def parse_scalar(text: str, params=None) -> GaussianRational:
     Parameter names are substituted from `params` at parse time; there is no
     symbolic arithmetic.
     """
+    if not isinstance(text, str):
+        raise ScalarParseError(f"a scalar must be a string literal, got {text!r}")
     try:
         tokens = _tokenize(text)
         if not tokens:
@@ -311,3 +313,25 @@ def parse_fraction(text) -> Fraction:
     if not value.is_real():
         raise ScalarParseError(f"expected a real rational, got {value}")
     return value.re
+
+
+# -- JSON scalars --------------------------------------------------------------
+
+
+def json_int(value, what: str) -> int:
+    """An int read from JSON; floats, strings and bools are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def json_rational(value, what: str) -> Fraction:
+    """A rational read from JSON as an int or a string such as '-3/2'."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{what} is not a rational: {value!r}") from exc
+    raise ValueError(f"{what} must be a string or an int, got {value!r}")

@@ -354,6 +354,12 @@ def _assert_input_error(argv, capsys):
         _kt_input(lambda d: d["dalpha"][1][0].update(im="1/0")),
         _kt_input(lambda d: d["dalpha"][1][0].pop("anti")),
         {"dim": 4, "d": 5, "J": _J4},
+        {"dim": [4], "brackets": [], "J": _J4},
+        {"dim": True, "brackets": [], "J": _J4},
+        {"dim": 4, "brackets": [{"i": "1", "j": 2, "k": 3, "c": "1"}], "J": _J4},
+        {"dim": 4, "brackets": [{"i": 1, "j": 2.0, "k": 3, "c": "1"}], "J": _J4},
+        {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": [3], "c": "1"}], "J": _J4},
+        {"dim": "4", "d": {"e3": "e1^e2"}, "J": _J4},
     ],
     ids=[
         "key_out_of_range",
@@ -380,6 +386,12 @@ def _assert_input_error(argv, capsys):
         "term_im_zero_denominator",
         "term_without_anti",
         "d_not_an_object",
+        "dim_a_list",
+        "dim_a_bool",
+        "bracket_i_a_string",
+        "bracket_j_a_float",
+        "bracket_k_a_list",
+        "coframe_dim_a_string",
     ],
 )
 def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
@@ -420,6 +432,58 @@ def test_verify_report_with_malformed_term_rejected(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     _assert_input_error(["verify", str(path)], capsys)
+
+
+def _report_file(tmp_path, capsys, argv, edit):
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    edit(data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _farkas(data, value):
+    data["report"]["refutation"]["farkas"] = value
+
+
+_KT_FIND = ["find", "--catalog", "kt", "--p", "1"]
+_SNN_OBSTRUCT = ["obstruct", "--catalog", "snn8f2:1,1,0,0,0", "--p", "2", "--beta=a14_b1"]
+_T3_QUOTIENT = ["quotient", "--catalog", "torus3", "--p", "2", "--omega", "a12_b12 + a13_b13 + a23_b23"]
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        (_KT_FIND, lambda d: _farkas(d, ["1/0"])),
+        (_KT_FIND, lambda d: _farkas(d, [["1"]])),
+        (_KT_FIND, lambda d: _farkas(d, [1.5])),
+        (_KT_FIND, lambda d: _farkas(d, "1")),
+        (_KT_FIND, lambda d: d["report"].update(p=[1])),
+        (_KT_FIND, lambda d: d["report"].update(p=True)),
+        (_KT_FIND, lambda d: d["report"].update(p="1")),
+        (_SNN_OBSTRUCT, lambda d: d.update(p=[2])),
+        (_SNN_OBSTRUCT, lambda d: d.update(p=2.0)),
+        (_T3_QUOTIENT, lambda d: d.update(p=[2])),
+        (_T3_QUOTIENT, lambda d: d.update(p=True)),
+    ],
+    ids=[
+        "farkas_zero_denominator",
+        "farkas_nested_list",
+        "farkas_float",
+        "farkas_not_a_list",
+        "find_p_a_list",
+        "find_p_a_bool",
+        "find_p_a_string",
+        "obstruct_p_a_list",
+        "obstruct_p_a_float",
+        "quotient_p_a_list",
+        "quotient_p_a_bool",
+    ],
+)
+def test_verify_report_with_malformed_number_rejected(tmp_path, capsys, argv, edit):
+    _assert_input_error(["verify", _report_file(tmp_path, capsys, argv, edit)], capsys)
 
 
 _AAB = {

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklie.catalog import build_almost_abelian
+from pklie.catalog import almost_abelian_equations, build_almost_abelian
+from pklie.cxstruct import (
+    ComplexStructureSpec,
+    _eigen_coframe,
+    _real_algebra,
+    _real_to_complex_images,
+)
 from pklie.exterior import (
     ComplexForm,
     MultiIndex,
@@ -18,12 +24,14 @@ from pklie.exterior import (
     conjugate,
     monomial,
     reference_volume_coefficient,
+    substitute,
     wedge,
 )
-from pklie.linalg import identity, kernel, rref
+from pklie.liealg import JacobiResult, LieAlgebraSpec, check_jacobi, from_bracket_list, is_unimodular
+from pklie.linalg import identity, inverse, kernel, rref
 from pklie.pkahler import closed_pp_space, pp_coordinates, real_pp_basis, _combine
 from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient, volume_coefficient
-from pklie.scalars import GaussianRational, ONE, ZERO, i_power
+from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power
 from test_acceptance import _random_integrable_data
 from test_fuzz_pipeline import random_tower
 
@@ -325,3 +333,173 @@ def test_struct_d_is_a_graded_derivation_with_square_zero(case, data):
     assert d(wedge(f, g)) == wedge(d(f), g) + wedge(f, d(g)) * sign
     assert d(d(g)).is_zero()
     assert d(d(f)).is_zero()
+
+
+# -- structure construction and the checks on structure constants ---------------
+
+
+def _real_structure_reference(equations):
+    """The real algebra of (1,0) equations as first built: d a^j and its conjugate
+    each substituted into the real coframe, then (d a + d conj a)/2 and
+    (d a - d conj a)/2i read off as d e^{2j-1} and d e^{2j}."""
+    n = len(equations)
+    dim = 2 * n
+    holo = [monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=I) for j in range(1, n + 1)]
+    anti = [monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=-I) for j in range(1, n + 1)]
+    entries = []
+    for j, eq in enumerate(equations, start=1):
+        d_alpha = substitute(eq, holo, anti, n_target=dim)
+        d_alpha_bar = substitute(conjugate(eq), holo, anti, n_target=dim)
+        two = GaussianRational(2)
+        d_re = (d_alpha + d_alpha_bar) / two
+        d_im = (d_alpha - d_alpha_bar) / (two * I)
+        for k, dform in ((2 * j - 1, d_re), (2 * j, d_im)):
+            for (pair, _), coeff in dform.terms.items():
+                assert coeff.is_real()
+                entries.append((pair[0], pair[1], k, -coeff.re))
+    return from_bracket_list(dim, entries)
+
+
+def _complex_images_reference(coframe, dim, n):
+    """e^m over a^j, conj(a^j) from the Gaussian inverse of [C; conj C]."""
+    binv = inverse([list(row) for row in coframe] + [[c.conjugate() for c in row] for row in coframe])
+    images = []
+    for m in range(dim):
+        terms = {}
+        for j in range(n):
+            if binv[m][j]:
+                terms[MultiIndex((j + 1,), ())] = binv[m][j]
+            if binv[m][n + j]:
+                terms[MultiIndex((), (j + 1,))] = binv[m][n + j]
+        images.append(ComplexForm(n, terms))
+    return images
+
+
+def _ad_trace_unimodular_reference(g):
+    """tr ad(e_i) = 0 for every i, from the full ad matrices."""
+    for i in range(1, g.dim + 1):
+        ad = g.ad_matrix(i)
+        if sum((ad[k][k] for k in range(g.dim)), Fraction(0)):
+            return False
+    return True
+
+
+def _jacobi_reference(g):
+    """check_jacobi as first written, through `bracket_basis` on every lookup."""
+    n = g.dim
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                acc = [Fraction(0)] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, coeff in g.bracket_basis(a, b).items():
+                        for t, c2 in g.bracket_basis(m, c).items():
+                            acc[t - 1] += coeff * c2
+                if any(acc):
+                    return JacobiResult(False, (i, j, k), acc)
+    return JacobiResult(True)
+
+
+@st.composite
+def integrable_equations(draw):
+    """(1,0) equations of every kind the engine builds from: random nilpotent
+    towers, almost-abelian data (unimodular or not) and hypothesis-drawn
+    (2,0)+(1,1) forms, which mostly fail Jacobi."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["tower", "almost_abelian", "drawn"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "tower":
+        return random_tower(n, rng).equations
+    if kind == "almost_abelian" and n >= 2:
+        data = _random_integrable_data(n, rng, rng.random() < 0.5)
+        data.lam += draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+        return almost_abelian_equations(data)
+    keys = [k for k in _keys(n, 2) if k.bidegree != (0, 2)]
+    if not keys:
+        return [ComplexForm.zero(n)] * n
+    two_forms = st.dictionaries(st.sampled_from(keys), gaussians, max_size=3)
+    return [ComplexForm(n, draw(two_forms)) for _ in range(n)]
+
+
+def _nested_items(g):
+    return [(ij, list(comp.items())) for ij, comp in g.brackets.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(integrable_equations())
+def test_real_algebra_matches_two_substitution_reference(equations):
+    g = _real_algebra(equations)
+    ref = _real_structure_reference(equations)
+    assert g == ref
+    assert _nested_items(g) == _nested_items(ref)
+    assert is_unimodular(g) == _ad_trace_unimodular_reference(g)
+    assert check_jacobi(g) == _jacobi_reference(g)
+    if check_jacobi(g):
+        struct = ComplexStructureSpec.from_equations(equations)
+        assert _nested_items(struct.g) == _nested_items(ref)
+
+
+def _coframes(struct):
+    yield struct.coframe
+    yield _eigen_coframe(struct.g, struct.J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures())
+def test_real_field_inverse_matches_gaussian_inverse(case):
+    struct, _ = case
+    dim, n = struct.g.dim, struct.n
+    for coframe in _coframes(struct):
+        images = _real_to_complex_images(coframe)
+        ref = _complex_images_reference(coframe, dim, n)
+        assert images == ref
+        assert [list(f.terms) for f in images] == [list(f.terms) for f in ref]
+
+
+@st.composite
+def bracket_tables(draw):
+    """Antisymmetric bracket tables, dim <= 6, with no Jacobi condition; half of
+    them are made unimodular with trace terms of both signs."""
+    dim = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    if not pairs:
+        return LieAlgebraSpec(dim)
+    comps = st.dictionaries(st.integers(1, dim), rationals, max_size=3)
+    table = draw(st.dictionaries(st.sampled_from(pairs), comps, max_size=5))
+    g = LieAlgebraSpec(dim, table)
+    if draw(st.booleans()):
+        # cancel tr ad(e_i) through the e_j part of [e_i, e_j], which is
+        # stored with a minus sign when j < i
+        for i in range(1, dim + 1):
+            trace = sum(g.ad_matrix(i)[k][k] for k in range(dim))
+            j = draw(st.sampled_from([x for x in range(1, dim + 1) if x != i]))
+            comp = table.setdefault((min(i, j), max(i, j)), {})
+            comp[j] = comp.get(j, 0) + (trace if j < i else -trace)
+        g = LieAlgebraSpec(dim, table)
+        assert _ad_trace_unimodular_reference(g)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_tables())
+def test_unimodular_and_jacobi_match_references_on_any_brackets(g):
+    assert is_unimodular(g) == _ad_trace_unimodular_reference(g)
+    assert check_jacobi(g) == _jacobi_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.data())
+def test_jacobi_matches_reference_with_one_broken_bracket(case, data):
+    struct, _ = case
+    g = struct.g
+    assert check_jacobi(g).ok
+    dim = g.dim
+    i = data.draw(st.integers(1, dim - 1))
+    j = data.draw(st.integers(i + 1, dim))
+    k = data.draw(st.integers(1, dim))
+    brackets = {ij: dict(comp) for ij, comp in g.brackets.items()}
+    comp = brackets.setdefault((i, j), {})
+    comp[k] = comp.get(k, 0) + data.draw(rationals.filter(bool))
+    broken = LieAlgebraSpec(dim, brackets)
+    assert check_jacobi(broken) == _jacobi_reference(broken)
+    assert is_unimodular(broken) == _ad_trace_unimodular_reference(broken)
