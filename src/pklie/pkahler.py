@@ -638,6 +638,8 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
         raise ValueError("a report must be a JSON object")
     p = json_int(data["p"], "p")
     n = struct.n
+    if not 1 <= p < n:
+        raise ValueError("need 1 <= p < n")
     closed = closed_pp_space(struct, p)
     stored = data.get("closed_basis", [])
     if not isinstance(stored, list):

@@ -450,7 +450,8 @@ def _farkas(data, value):
 
 _KT_FIND = ["find", "--catalog", "kt", "--p", "1"]
 _SNN_OBSTRUCT = ["obstruct", "--catalog", "snn8f2:1,1,0,0,0", "--p", "2", "--beta=a14_b1"]
-_T3_QUOTIENT = ["quotient", "--catalog", "torus3", "--p", "2", "--omega", "a12_b12 + a13_b13 + a23_b23"]
+_T3_QUOTIENT = ["quotient", "--catalog", "torus3", "--p", "2"]
+_T3_QUOTIENT += ["--omega", "a12_b12 + a13_b13 + a23_b23"]
 
 
 @pytest.mark.parametrize(
@@ -484,6 +485,24 @@ _T3_QUOTIENT = ["quotient", "--catalog", "torus3", "--p", "2", "--omega", "a12_b
 )
 def test_verify_report_with_malformed_number_rejected(tmp_path, capsys, argv, edit):
     _assert_input_error(["verify", _report_file(tmp_path, capsys, argv, edit)], capsys)
+
+
+def _found_at_p0(data):
+    """A FOUND claim for the constant 0-form on kt; p = 0 is no p-Kahler degree."""
+    one = [{"holo": [], "anti": [], "re": "1", "im": "0"}]
+    report = data["report"]
+    report.pop("refutation")
+    report.update(
+        p=0,
+        verdict="FOUND",
+        closed_basis=[one],
+        found_form=one,
+        found_certificate={"status": "TRANSVERSE", "gram": {"minors": ["1"], "pivots": ["1"]}},
+    )
+
+
+def test_verify_report_outside_1_le_p_lt_n_rejected(tmp_path, capsys):
+    _assert_input_error(["verify", _report_file(tmp_path, capsys, _KT_FIND, _found_at_p0)], capsys)
 
 
 _AAB = {

@@ -80,7 +80,7 @@ def _find_json(name: str, p: int) -> str:
     )
 
 
-def snn8_beta(name: str) -> str:
+def _snn8_beta(name: str) -> str:
     """The paper's obstruction form for p = 2, as a literal.
 
     Family 1 (eps, nu, a, b): beta = b a^{14,1b} - a a^{13,2b}.
@@ -98,7 +98,7 @@ def snn8_beta(name: str) -> str:
 
 def _obstruct_json(name: str) -> str:
     return _cli_stdout(
-        ["obstruct", "--catalog", name, "--p", "2", f"--beta={snn8_beta(name)}", "--format", "json"]
+        ["obstruct", "--catalog", name, "--p", "2", f"--beta={_snn8_beta(name)}", "--format", "json"]
     )
 
 

@@ -27,7 +27,13 @@ from pklie.exterior import (
     substitute,
     wedge,
 )
-from pklie.liealg import JacobiResult, LieAlgebraSpec, check_jacobi, from_bracket_list, is_unimodular
+from pklie.liealg import (
+    JacobiResult,
+    LieAlgebraSpec,
+    check_jacobi,
+    from_bracket_list,
+    is_unimodular,
+)
 from pklie.linalg import identity, inverse, kernel, rref
 from pklie.pkahler import closed_pp_space, pp_coordinates, real_pp_basis, _combine
 from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient, volume_coefficient
@@ -344,8 +350,10 @@ def _real_structure_reference(equations):
     (d a - d conj a)/2i read off as d e^{2j-1} and d e^{2j}."""
     n = len(equations)
     dim = 2 * n
-    holo = [monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=I) for j in range(1, n + 1)]
-    anti = [monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=-I) for j in range(1, n + 1)]
+    holo, anti = [], []
+    for j in range(1, n + 1):
+        holo.append(monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=I))
+        anti.append(monomial(dim, (2 * j - 1,)) + monomial(dim, (2 * j,), coeff=-I))
     entries = []
     for j, eq in enumerate(equations, start=1):
         d_alpha = substitute(eq, holo, anti, n_target=dim)
@@ -362,7 +370,8 @@ def _real_structure_reference(equations):
 
 def _complex_images_reference(coframe, dim, n):
     """e^m over a^j, conj(a^j) from the Gaussian inverse of [C; conj C]."""
-    binv = inverse([list(row) for row in coframe] + [[c.conjugate() for c in row] for row in coframe])
+    big = [list(row) for row in coframe] + [[c.conjugate() for c in row] for row in coframe]
+    binv = inverse(big)
     images = []
     for m in range(dim):
         terms = {}
