@@ -130,7 +130,11 @@ def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
         table[(b, a)] = [(k, -c) for k, c in comp.items()]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
+            ij = (i, j) in table
             for k in range(j + 1, n + 1):
+                # the residual is a sum over the three cyclic brackets
+                if not (ij or (j, k) in table or (k, i) in table):
+                    continue
                 acc = [Fraction(0)] * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, coeff in table.get((a, b), ()):

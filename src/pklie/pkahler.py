@@ -390,11 +390,16 @@ def find_pkahler(
 ) -> PKahlerReport:
     """Search for, or refute, a d-closed transverse real (p,p)-form.
 
-    Pipeline: exact closed-space kernel; positive-definite candidates
-    (projection of the standard power, kernel elements, seeded random
-    combinations, eigenvalue hill-climbing with exact re-verification);
-    exact infeasibility over a growing family of simple witnesses
-    (coframe monomials first); diagonal obstruction search.
+    Decision order, after the exact closed-space kernel:
+    1. the projection of the standard power, as a positive-definite candidate;
+    2. the LP over the coframe monomial witnesses; infeasible means REFUTED;
+    3. kernel elements and seeded random combinations as candidates;
+    4. witness rounds on the LP point: eigenvalue hill-climbing with exact
+       re-verification, diagonal obstruction search, and harvested simple
+       witnesses added to the LP.
+    Step 2 may run before step 3 because an infeasible LP rules out every
+    candidate: a positive definite Gram matrix has a positive diagonal, so a
+    positive multiple of a passing candidate meets every monomial row >= 1.
     """
     budget = budget or SearchBudget()
     n = struct.n
@@ -446,38 +451,38 @@ def find_pkahler(
         )
         return report
 
-    # seeded candidates, as coefficient vectors over the kernel basis
-    candidates: list[list[Fraction]] = []
-    std_coords = _standard_power_coords(n, p)
-    proj = _project_onto_span(std_coords, closed.coords)
-    if proj is not None and any(proj):
-        candidates.append(proj)
-    unit_starts = []
-    for r in range(k_dim):
-        unit = [Fraction(0)] * k_dim
-        unit[r] = Fraction(1)
-        candidates.append(unit)
-        unit_starts.append(unit)
-    rng = random.Random(budget.seed)
-    for _ in range(min(budget.restarts, 16)):
-        candidates.append(
-            [Fraction(rng.randint(-2, 2)) for _ in range(k_dim)]
-        )
-    seen = set()
-    for cand in candidates:
-        key = tuple(cand)
-        if key in seen or not any(cand):
-            continue
-        seen.add(key)
-        ok, cert = exact_pd(cand)
-        if ok:
-            return finish_found(cand, cert)
+    # candidates are coefficient vectors over the kernel basis
+    seen: set[tuple[Fraction, ...]] = set()
+
+    def first_pd(candidates: list[list[Fraction]]) -> PKahlerReport | None:
+        for cand in candidates:
+            key = tuple(cand)
+            if key in seen or not any(cand):
+                continue
+            seen.add(key)
+            ok, cert = exact_pd(cand)
+            if ok:
+                return finish_found(cand, cert)
+        return None
+
+    proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
+    if proj is not None and (found := first_pd([proj])):
+        return found
 
     # witness family: all coframe monomials, then harvested simple forms
     witnesses: list[ComplexForm] = [monomial(n, idx) for idx in mono_basis]
-    rows: list[list[Fraction]] = [
-        [grams[r][a][a].re for r in range(k_dim)] for a in range(gram_size)
-    ]
+    rows = _monomial_rows(grams)
+    res = feasibility(rows, [Fraction(1)] * len(rows))
+    unit_starts = identity(k_dim, Fraction(1))
+    rng = random.Random(budget.seed)
+    # an infeasible LP rules out every candidate, so they are tried only here
+    if res.feasible:
+        draws = [
+            [Fraction(rng.randint(-2, 2)) for _ in range(k_dim)]
+            for _ in range(min(budget.restarts, 16))
+        ]
+        if found := first_pd(unit_starts + draws):
+            return found
 
     harvest_budget = SearchBudget(
         restarts=max(2, budget.restarts // 20),
@@ -487,7 +492,8 @@ def find_pkahler(
     )
     obstruction_done = False
     for round_idx in range(max(budget.witness_cap, 1)):
-        res = feasibility(rows, [Fraction(1)] * len(rows))
+        if round_idx:
+            res = feasibility(rows, [Fraction(1)] * len(rows))
         if not res.feasible:
             if not verify_farkas(rows, [Fraction(1)] * len(rows), res.farkas_ge):
                 raise AssertionError("Farkas certificate failed re-verification")
@@ -531,13 +537,9 @@ def find_pkahler(
     return report
 
 
-def _standard_power_coords(n: int, p: int) -> list[Fraction]:
-    """pp_coordinates of omega^p / p! for omega = sum_j i a^{j,jb}."""
-    return list(_standard_power_coords_cached(n, p))
-
-
 @functools.lru_cache(maxsize=None)
-def _standard_power_coords_cached(n: int, p: int) -> tuple[Fraction, ...]:
+def _standard_power_coords(n: int, p: int) -> tuple[Fraction, ...]:
+    """pp_coordinates of omega^p / p! for omega = sum_j i a^{j,jb}."""
     omega = ComplexForm.zero(n)
     for j in range(1, n + 1):
         omega = omega + monomial(n, (j,), (j,), I)
@@ -547,6 +549,11 @@ def _standard_power_coords_cached(n: int, p: int) -> tuple[Fraction, ...]:
         acc = wedge(acc, omega)
         fact *= t
     return tuple(pp_coordinates(acc / fact, p))
+
+
+def _monomial_rows(grams) -> list[list[Fraction]]:
+    """One row per coframe monomial witness: the Gram diagonal over the closed basis."""
+    return [[h[a][a].re for h in grams] for a in range(len(grams[0]))]
 
 
 def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):

@@ -4,7 +4,9 @@ Covers every registry instance at every 1 <= p < n, plus twelve instances of
 the two 8-dimensional SnN families at p = 2.  Refactors and speedups of the
 exact core must reproduce these bytes; a change of any verdict, closed basis,
 certificate or statistic shows up here.  Every golden report must also pass
-`verify_report`, and tampered witness families must fail it.
+`verify_report`, and tampered witness families must fail it; a second pass
+re-checks them with the volume pairing, the Gram matrix and d computed by the
+wedge-based references of `test_properties.py` instead of the cached tables.
 
 The same twelve SnN instances also keep `pkl obstruct --p 2 --beta=...
 --format json` outputs for the paper's obstruction forms beta; each must pass
@@ -17,6 +19,7 @@ After an intended change of the reports, rewrite the files with
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import sys
@@ -24,10 +27,14 @@ from fractions import Fraction
 
 import pytest
 
+from pklie import pkahler, positivity
 from pklie.catalog import named_example, registry
 from pklie.cli import main
-from pklie.exterior import form_to_literal, monomial
+from pklie.cxstruct import ComplexStructureSpec
+from pklie.exterior import MultiIndex, bidegree_component, form_to_literal, monomial
 from pklie.pkahler import verify_report
+from pklie.positivity import gram_basis
+from test_properties import _antiderivation_reference, _wedge_pairing_reference
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -161,6 +168,39 @@ def _report(name: str, p: int) -> dict:
 
 @pytest.mark.parametrize("name,p", _cases())
 def test_golden_report_passes_verification(name, p):
+    assert verify_report(named_example(name), _report(name, p)) == []
+
+
+def _wedge_gram_reference(omega):
+    n = omega.n
+    basis = gram_basis(n, n - omega.bidegree()[0])
+    mono = [monomial(n, idx) for idx in basis]
+    return basis, [[_wedge_pairing_reference(omega, x, y) for y in mono] for x in mono]
+
+
+def _d_reference(struct, f):
+    return _antiderivation_reference(f, struct.equations)
+
+
+def _d_pp_block_reference(struct, p):
+    n = struct.n
+    combos = list(itertools.combinations(range(1, n + 1), p))
+    return {
+        MultiIndex(a, b): bidegree_component(_d_reference(struct, monomial(n, a, b)), p + 1, p)
+        for a in combos
+        for b in combos
+    }
+
+
+@pytest.mark.parametrize("name,p", _cases())
+def test_golden_report_passes_verification_on_wedge_references(name, p, monkeypatch):
+    # find_pkahler and verify_report read the same pairing and d-block tables,
+    # so a wrong table entry could pass both; here verify reads none of them
+    monkeypatch.setattr(positivity, "pairing_coefficient", _wedge_pairing_reference)
+    monkeypatch.setattr(positivity, "gram_matrix", _wedge_gram_reference)
+    monkeypatch.setattr(pkahler, "gram_matrix", _wedge_gram_reference)
+    monkeypatch.setattr(ComplexStructureSpec, "d", _d_reference)
+    monkeypatch.setattr(ComplexStructureSpec, "d_pp_block", _d_pp_block_reference)
     assert verify_report(named_example(name), _report(name, p)) == []
 
 

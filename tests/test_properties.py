@@ -35,9 +35,27 @@ from pklie.liealg import (
     is_unimodular,
 )
 from pklie.linalg import identity, inverse, kernel, rref
-from pklie.pkahler import closed_pp_space, pp_coordinates, real_pp_basis, _combine
-from pklie.positivity import gram_basis, gram_matrix, pairing_coefficient, volume_coefficient
+from pklie.pkahler import (
+    PKVerdict,
+    _combine,
+    _monomial_rows,
+    _project_onto_span,
+    _standard_power_coords,
+    closed_pp_space,
+    find_pkahler,
+    pp_coordinates,
+    real_pp_basis,
+)
+from pklie.positivity import (
+    SearchBudget,
+    gram_basis,
+    gram_matrix,
+    gram_positive_definite,
+    pairing_coefficient,
+    volume_coefficient,
+)
 from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power
+from pklie.simplex import feasibility
 from test_acceptance import _random_integrable_data
 from test_fuzz_pipeline import random_tower
 
@@ -512,3 +530,39 @@ def test_jacobi_matches_reference_with_one_broken_bracket(case, data):
     broken = LieAlgebraSpec(dim, brackets)
     assert check_jacobi(broken) == _jacobi_reference(broken)
     assert is_unimodular(broken) == _ad_trace_unimodular_reference(broken)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.integers(0, 3))
+def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
+    """find_pkahler solves the monomial-witness LP before the unit and random
+    candidates; that is exact only if an infeasible LP leaves no candidate
+    with a positive definite Gram matrix."""
+    struct, p = case
+    n = struct.n
+    closed = closed_pp_space(struct, p)
+    if not closed.coords:
+        return
+    grams = [gram_matrix(f)[1] for f in closed.forms]
+    rows = _monomial_rows(grams)
+    if feasibility(rows, [Fraction(1)] * len(rows)).feasible:
+        return
+    k_dim = len(closed.coords)
+    budget = SearchBudget(seed=seed)
+    rng = random.Random(budget.seed)
+    candidates = [_project_onto_span(_standard_power_coords(n, p), closed.coords)]
+    candidates += identity(k_dim, Fraction(1))
+    candidates += [
+        [Fraction(rng.randint(-2, 2)) for _ in range(k_dim)]
+        for _ in range(min(budget.restarts, 16))
+    ]
+    size = len(grams[0])
+    for cand in filter(any, candidates):
+        h = [
+            [sum((g[a][b] * c for c, g in zip(cand, grams)), ZERO) for b in range(size)]
+            for a in range(size)
+        ]
+        assert not gram_positive_definite(h)[0]
+    report = find_pkahler(struct, p, budget)
+    assert report.verdict == PKVerdict.REFUTED
+    assert report.stats["witness_rounds"] == 1
