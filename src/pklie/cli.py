@@ -44,9 +44,9 @@ from .pkahler import (
     PKVerdict,
     find_pkahler,
     obstruction_check,
-    obstruction_from_json,
     obstruction_search,
     closed_coframe_obstruction,
+    verify_obstruction,
     verify_report,
 )
 from .positivity import SearchBudget
@@ -78,7 +78,7 @@ def load_structure(args) -> ComplexStructureSpec:
             return named_example(args.catalog)
         except (KeyError, InadmissibleParameters) as exc:
             raise InputError(str(exc)) from exc
-    if not getattr(args, "infile", None):
+    if not args.infile:
         raise InputError("need --catalog NAME or --in FILE")
     data = _load_json(args.infile)
     try:
@@ -115,7 +115,7 @@ def load_structure(args) -> ComplexStructureSpec:
 
 
 def load_almost_abelian(args) -> AlmostAbelianData:
-    if not getattr(args, "infile", None):
+    if not args.infile:
         raise InputError("aab-kahler needs --in FILE with almost_abelian data")
     data = _load_json(args.infile)
     return almost_abelian_from_json(data.get("almost_abelian", data))
@@ -156,8 +156,14 @@ def budget_from(args) -> SearchBudget:
     )
 
 
-def emit(args, report: dict, text_lines: list[str]) -> None:
+def emit(
+    args, report: dict, text_lines: list[str], struct: ComplexStructureSpec | None = None
+) -> None:
+    """Write the report, under the tool/command/input envelope, or its text lines."""
     if args.format == "json":
+        report = {"tool": "pkl", "command": args.command, **report}
+        if struct is not None:
+            report["input"] = struct_to_json(struct)
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         for line in text_lines:
@@ -166,13 +172,7 @@ def emit(args, report: dict, text_lines: list[str]) -> None:
 
 def cmd_validate(args) -> int:
     struct = load_structure(args)
-    report = {
-        "tool": "pkl",
-        "command": "validate",
-        "input": struct_to_json(struct),
-        "valid": True,
-    }
-    emit(args, report, ["VALID: Jacobi, J^2 = -Id and integrability all hold"])
+    emit(args, {"valid": True}, ["VALID: Jacobi, J^2 = -Id and integrability all hold"], struct)
     return EXIT_OK
 
 
@@ -187,9 +187,6 @@ def cmd_classify(args) -> int:
         f"almost abelian: {inv.abelian_codim1_ideal is not None}",
     ]
     report = {
-        "tool": "pkl",
-        "command": "classify",
-        "input": struct_to_json(struct),
         "nilpotent": inv.is_nilpotent,
         "unimodular": inv.is_unimodular,
         "center_dim": len(inv.center_basis),
@@ -212,7 +209,7 @@ def cmd_classify(args) -> int:
                 if res.forbidden_p
                 else f"closed coframe elements: {res.t}"
             )
-    emit(args, report, lines)
+    emit(args, report, lines, struct)
     return EXIT_OK
 
 
@@ -220,13 +217,7 @@ def cmd_find(args) -> int:
     struct = load_structure(args)
     budget = budget_from(args)
     rep = find_pkahler(struct, args.p, budget)
-    report = {
-        "tool": "pkl",
-        "command": "find",
-        "input": struct_to_json(struct),
-        "seed": budget.seed,
-        "report": rep.to_json(),
-    }
+    report = {"seed": budget.seed, "report": rep.to_json()}
     lines = [f"verdict: {rep.verdict.value} (p = {args.p})"]
     if rep.verdict == PKVerdict.FOUND:
         lines.append(f"form: {form_to_literal(rep.found_form)}")
@@ -236,7 +227,7 @@ def cmd_find(args) -> int:
         if kind == "obstruction":
             lines.append(f"beta: {form_to_literal(rep.refutation.beta)}")
             lines.append(f"component: {form_to_literal(rep.refutation.component)}")
-    emit(args, report, lines)
+    emit(args, report, lines, struct)
     return EXIT_OK if rep.verdict != PKVerdict.INCONCLUSIVE else EXIT_INCONCLUSIVE
 
 
@@ -247,36 +238,16 @@ def cmd_obstruct(args) -> int:
         try:
             cert = obstruction_check(struct, args.p, beta)
         except ObstructionRejected as exc:
-            report = {
-                "tool": "pkl",
-                "command": "obstruct",
-                "input": struct_to_json(struct),
-                "p": args.p,
-                "obstructed": False,
-                "reason": str(exc),
-            }
-            emit(args, report, [f"REJECTED: {exc}"])
+            report = {"p": args.p, "obstructed": False, "reason": str(exc)}
+            emit(args, report, [f"REJECTED: {exc}"], struct)
             return EXIT_OK
     else:
-        cert = obstruction_search(struct, args.p, budget_from(args))
+        cert = obstruction_search(struct, args.p)
         if cert is None:
-            report = {
-                "tool": "pkl",
-                "command": "obstruct",
-                "input": struct_to_json(struct),
-                "p": args.p,
-                "obstructed": None,
-            }
-            emit(args, report, ["no obstruction found in the monomial ansatz"])
+            report = {"p": args.p, "obstructed": None}
+            emit(args, report, ["no obstruction found in the monomial ansatz"], struct)
             return EXIT_INCONCLUSIVE
-    report = {
-        "tool": "pkl",
-        "command": "obstruct",
-        "input": struct_to_json(struct),
-        "p": args.p,
-        "obstructed": True,
-        "certificate": cert.to_json(),
-    }
+    report = {"p": args.p, "obstructed": True, "certificate": cert.to_json()}
     emit(
         args,
         report,
@@ -285,6 +256,7 @@ def cmd_obstruct(args) -> int:
             f"beta: {form_to_literal(cert.beta)}",
             f"(n-p,n-p) part of d beta: {form_to_literal(cert.component)}",
         ],
+        struct,
     )
     return EXIT_OK
 
@@ -311,9 +283,6 @@ def cmd_restrict(args) -> int:
     res = restrict_to_jinvariant_ideal(struct, omega, alpha)
     closed_ok = res.sub.d(res.omega_h).is_zero()
     report = {
-        "tool": "pkl",
-        "command": "restrict",
-        "input": struct_to_json(struct),
         "alpha": form_to_json(alpha),
         "omega": form_to_json(omega),
         "ideal": struct_to_json(res.sub),
@@ -329,6 +298,7 @@ def cmd_restrict(args) -> int:
             f"omega_h: {form_to_literal(res.omega_h)}",
             f"omega_h closed: {closed_ok}",
         ],
+        struct,
     )
     return EXIT_OK
 
@@ -339,9 +309,6 @@ def cmd_quotient(args) -> int:
     res = b_extension_quotient(struct, omega, args.p)
     closed_ok = res.quotient.d(res.omega).is_zero()
     report = {
-        "tool": "pkl",
-        "command": "quotient",
-        "input": struct_to_json(struct),
         "p": args.p,
         "omega": form_to_json(omega),
         "quotient": struct_to_json(res.quotient),
@@ -356,6 +323,7 @@ def cmd_quotient(args) -> int:
             f"descended form: {form_to_literal(res.omega)}",
             f"descended form closed: {closed_ok}",
         ],
+        struct,
     )
     return EXIT_OK
 
@@ -367,8 +335,6 @@ def cmd_aab_kahler(args) -> int:
     except InadmissibleParameters as exc:
         raise InputError(str(exc)) from exc
     report = {
-        "tool": "pkl",
-        "command": "aab-kahler",
         "almost_abelian": {
             "n": data.n,
             "lambda": str(data.lam),
@@ -386,13 +352,6 @@ def cmd_aab_kahler(args) -> int:
         report["char_poly_A"] = dec.char_poly_a
     emit(args, report, [f"kahler: {dec.value}", f"reason: {dec.reason}"])
     return EXIT_OK
-
-
-def _infer_p(omega: ComplexForm) -> int:
-    bid = omega.bidegree()
-    if bid is None:
-        raise InputError("cannot infer p from a non-homogeneous form")
-    return bid[0]
 
 
 def cmd_verify(args) -> int:
@@ -424,14 +383,7 @@ def _verify(data: dict) -> int:
     if command == "find":
         failures = verify_report(struct, data["report"])
     elif command == "obstruct" and data.get("obstructed"):
-        beta, terms = obstruction_from_json(data["certificate"], struct.n)
-        try:
-            cert = obstruction_check(struct, json_int(data["p"], "p"), beta, terms)
-        except ObstructionRejected as exc:
-            failures = [str(exc)]
-        else:
-            if cert.component != form_from_json(data["certificate"]["component"], struct.n):
-                failures = ["stored obstruction component mismatch"]
+        failures = verify_obstruction(struct, json_int(data["p"], "p"), data["certificate"])
     elif command == "restrict":
         omega = form_from_json(data["omega"], struct.n)
         alpha = form_from_json(data["alpha"], struct.n)
@@ -442,8 +394,7 @@ def _verify(data: dict) -> int:
             failures.append("closedness flag does not match")
     elif command == "quotient":
         omega = form_from_json(data["omega"], struct.n)
-        p = json_int(data.get("p", 0), "p") or _infer_p(omega)
-        res = b_extension_quotient(struct, omega, p)
+        res = b_extension_quotient(struct, omega, json_int(data["p"], "p"))
         if form_to_json(res.omega) != data["descended_form"]:
             failures.append("descended form does not match")
     elif command == "validate":
@@ -460,50 +411,58 @@ def _verify(data: dict) -> int:
 
 def cmd_catalog(args) -> int:
     entries = registry()
-    report = {"tool": "pkl", "command": "catalog", "entries": entries}
+    report = {"entries": entries}
     lines = [f"{name}: {desc}" for name, desc in entries.items()]
     lines.append("parametrized: snn8f1:eps,nu,a,b[:delta] and snn8f2:eps,mu,nu,a,b")
     emit(args, report, lines)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, since 2 means INCONCLUSIVE here."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pkl",
         description="decide, certify or refute p-Kahler structures on Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_p=False):
+    def command(name, help, needs_p=False):
+        """A subcommand that reads a structure (--catalog or --in) and emits a report."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--catalog", help="catalog instance name")
         p.add_argument("--in", dest="infile", help="JSON input file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-restarts", type=int, default=200)
-        p.add_argument("--budget-steps", type=int, default=500)
-        p.add_argument("--witness-cap", type=int, default=24)
         if needs_p:
             p.add_argument("--p", type=int, required=True)
+        return p
 
-    common(sub.add_parser("validate", help="parse and validate an input"))
-    common(sub.add_parser("classify", help="structural invariants and class"))
-    common(sub.add_parser("find", help="search or refute a p-Kahler structure"), needs_p=True)
-    p_obs = sub.add_parser("obstruct", help="check or search a same-sign obstruction")
-    common(p_obs, needs_p=True)
+    command("validate", "parse and validate an input")
+    command("classify", "structural invariants and class")
+    p_find = command("find", "search or refute a p-Kahler structure", needs_p=True)
+    p_find.add_argument("--seed", type=int, default=0, help="overridden by PKL_SEED")
+    p_find.add_argument("--budget-restarts", type=int, default=200)
+    p_find.add_argument("--budget-steps", type=int, default=500)
+    p_find.add_argument("--witness-cap", type=int, default=24)
+    p_obs = command("obstruct", "check or search a same-sign obstruction", needs_p=True)
     p_obs.add_argument("--beta", help="candidate form in compact literal syntax")
-    p_res = sub.add_parser("restrict", help="restrict to the codimension-2 ideal")
-    common(p_res)
+    p_res = command("restrict", "restrict to the codimension-2 ideal")
     p_res.add_argument("--omega", help="real (p,p)-form literal", required=False)
     p_res.add_argument("--alpha", help="closed (1,0)-form literal (default: first closed)")
-    p_quo = sub.add_parser("quotient", help="quotient by a central J-invariant plane")
-    common(p_quo, needs_p=True)
+    p_quo = command("quotient", "quotient by a central J-invariant plane", needs_p=True)
     p_quo.add_argument("--omega", help="real (p,p)-form literal", required=False)
     p_aab = sub.add_parser("aab-kahler", help="almost-abelian Kahler decision")
-    common(p_aab)
+    p_aab.add_argument("--in", dest="infile", help="JSON file with almost_abelian data")
+    p_aab.add_argument("--format", choices=("text", "json"), default="text")
     p_ver = sub.add_parser("verify", help="re-verify a JSON report")
     p_ver.add_argument("report", help="path to a report emitted with --format json")
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    common(sub.add_parser("catalog", help="list named instances"))
+    p_cat = sub.add_parser("catalog", help="list named instances")
+    p_cat.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -521,11 +480,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _DISPATCH[args.command]
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return _DISPATCH[args.command](args)
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

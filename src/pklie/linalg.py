@@ -238,30 +238,6 @@ def inverse(m: Matrix) -> Matrix:
     return [row[n:] for row in red]
 
 
-def det(m: Matrix) -> GaussianRational:
-    a = copy_matrix(m)
-    n = len(a)
-    out = ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            out = -out
-        out = out * a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            if not a[i][c].is_zero():
-                factor = a[i][c] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
-    return out
-
-
 def row_space_rref(rows: Sequence[Sequence]) -> Matrix:
     """Canonical (RREF, zero rows dropped) basis of the span of the rows."""
     if not rows:

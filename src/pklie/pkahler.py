@@ -33,7 +33,6 @@ from .exterior import (
 from .liealg import InvalidAlgebraError, is_nilpotent, is_unimodular
 from .linalg import gr, identity, kernel, same_row_space, solve
 from .positivity import (
-    GramCertificate,
     SearchBudget,
     TransStatus,
     TransversalityVerdict,
@@ -108,7 +107,6 @@ def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
 @dataclass
 class ClosedPP:
     p: int
-    real_basis: list[ComplexForm]
     coords: list[list[Fraction]]  # kernel basis over the real coordinates
     forms: list[ComplexForm]
 
@@ -137,7 +135,7 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     rows = [_integer_row(entries, len(basis)) for _, entries in sorted(sparse_rows.items())]
     coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
     forms = [_combine(basis, vec) for vec in coords]
-    return ClosedPP(p, basis, coords, forms)
+    return ClosedPP(p, coords, forms)
 
 
 def _integer_row(entries: dict[int, Fraction], cols: int) -> list[int]:
@@ -193,20 +191,6 @@ class ObstructionCertificate:
                 {"c": str(c), "psi": form_to_json(psi)} for c, psi in self.terms
             ],
         }
-
-
-def obstruction_from_json(data: dict, n: int):
-    """(beta, terms) of a serialized ObstructionCertificate, for re-checking."""
-    if not isinstance(data, dict):
-        raise ValueError("an obstruction certificate must be a JSON object")
-    if not isinstance(data["terms"], list) or not all(isinstance(t, dict) for t in data["terms"]):
-        raise ValueError("obstruction terms must be a list of {c, psi} objects")
-    beta = form_from_json(data["beta"], n)
-    terms = [
-        (GaussianRational.parse(item["c"]), form_from_json(item["psi"], n))
-        for item in data["terms"]
-    ]
-    return beta, terms
 
 
 @dataclass
@@ -281,6 +265,27 @@ def obstruction_check(
     return ObstructionCertificate(beta, component, [(gr(c), psi) for c, psi in decomposition])
 
 
+def verify_obstruction(struct: ComplexStructureSpec, p: int, data: dict) -> list[str]:
+    """Exact re-check of a serialized ObstructionCertificate; returns failures."""
+    n = struct.n
+    if not isinstance(data, dict):
+        raise ValueError("an obstruction certificate must be a JSON object")
+    if not isinstance(data["terms"], list) or not all(isinstance(t, dict) for t in data["terms"]):
+        raise ValueError("obstruction terms must be a list of {c, psi} objects")
+    beta = form_from_json(data["beta"], n)
+    terms = [
+        (GaussianRational.parse(item["c"]), form_from_json(item["psi"], n))
+        for item in data["terms"]
+    ]
+    try:
+        cert = obstruction_check(struct, p, beta, terms)
+    except ObstructionRejected as exc:
+        return [f"obstruction invalid: {exc}"]
+    if cert.component != form_from_json(data["component"], n):
+        return ["stored obstruction component mismatch"]
+    return []
+
+
 def _diagonal_decomposition(component: ComplexForm):
     n = component.n
     terms = []
@@ -293,9 +298,7 @@ def _diagonal_decomposition(component: ComplexForm):
     return terms
 
 
-def obstruction_search(
-    struct: ComplexStructureSpec, p: int, budget: SearchBudget | None = None
-) -> ObstructionCertificate | None:
+def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCertificate | None:
     """Exact search for a diagonal same-sign obstruction.
 
     The ansatz runs over (q-1,q) and (q,q-1) monomials (the only bidegrees
@@ -417,39 +420,6 @@ def find_pkahler(
     k_dim = len(closed.coords)
     mono_basis = gram_basis(n, n - p)
     grams = [gram_matrix(f)[1] for f in closed.forms]
-    gram_size = len(mono_basis)
-    # each closed form's Gram matrix as its nonzero entries (a, b, re, im)
-    sparse_grams = [
-        [(a, b, v.re, v.im) for a, row in enumerate(h) for b, v in enumerate(row) if v]
-        for h in grams
-    ]
-
-    def exact_pd(coords: list[Fraction]):
-        re = [[Fraction(0)] * gram_size for _ in range(gram_size)]
-        im = [[Fraction(0)] * gram_size for _ in range(gram_size)]
-        for c, entries in zip(coords, sparse_grams):
-            if c:
-                for a, b, vre, vim in entries:
-                    if vre:
-                        re[a][b] += c * vre
-                    if vim:
-                        im[a][b] += c * vim
-        h = [
-            [GaussianRational(x, y) for x, y in zip(re_row, im_row)]
-            for re_row, im_row in zip(re, im)
-        ]
-        return gram_positive_definite(h)
-
-    def finish_found(coords: list[Fraction], cert: GramCertificate) -> PKahlerReport:
-        omega = _combine(closed.forms, coords)
-        if not struct.d(omega).is_zero():
-            raise AssertionError("candidate is not closed; internal error")
-        report.verdict = PKVerdict.FOUND
-        report.found_form = omega
-        report.found_certificate = TransversalityVerdict(
-            TransStatus.TRANSVERSE, gram=cert
-        )
-        return report
 
     # candidates are coefficient vectors over the kernel basis
     seen: set[tuple[Fraction, ...]] = set()
@@ -460,9 +430,17 @@ def find_pkahler(
             if key in seen or not any(cand):
                 continue
             seen.add(key)
-            ok, cert = exact_pd(cand)
+            omega = _combine(closed.forms, cand)
+            ok, cert = gram_positive_definite(gram_matrix(omega)[1])
             if ok:
-                return finish_found(cand, cert)
+                if not struct.d(omega).is_zero():
+                    raise AssertionError("candidate is not closed; internal error")
+                report.verdict = PKVerdict.FOUND
+                report.found_form = omega
+                report.found_certificate = TransversalityVerdict(
+                    TransStatus.TRANSVERSE, gram=cert
+                )
+                return report
         return None
 
     proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
@@ -495,25 +473,19 @@ def find_pkahler(
         if round_idx:
             res = feasibility(rows, [Fraction(1)] * len(rows))
         if not res.feasible:
-            if not verify_farkas(rows, [Fraction(1)] * len(rows), res.farkas_ge):
-                raise AssertionError("Farkas certificate failed re-verification")
             report.verdict = PKVerdict.REFUTED
             report.refutation = WitnessRefutation(witnesses, res.farkas_ge)
             report.stats["witness_rounds"] = round_idx + 1
             return report
         cand = res.point
-        ok, cert = exact_pd(cand)
-        if ok:
-            return finish_found(cand, cert)
+        if found := first_pd([cand]):
+            return found
         # eigenvalue hill-climb around the feasible region
-        improved = _pd_hill_climb(grams, [cand] + unit_starts, budget)
-        for better in improved:
-            ok, cert = exact_pd(better)
-            if ok:
-                return finish_found(better, cert)
+        if found := first_pd(_pd_hill_climb(grams, [cand] + unit_starts, budget)):
+            return found
         if not obstruction_done:
             obstruction_done = True
-            cert_obs = obstruction_search(struct, p, budget)
+            cert_obs = obstruction_search(struct, p)
             if cert_obs is not None:
                 report.verdict = PKVerdict.REFUTED
                 report.refutation = cert_obs
@@ -705,15 +677,7 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
             elif not verify_farkas(rows, [Fraction(1)] * len(rows), farkas):
                 failures.append("farkas certificate invalid")
         elif kind == "obstruction":
-            beta, terms = obstruction_from_json(ref, n)
-            try:
-                cert = obstruction_check(struct, p, beta, terms)
-            except ObstructionRejected as exc:
-                failures.append(f"obstruction invalid: {exc}")
-            else:
-                stored_component = form_from_json(ref["component"], n)
-                if cert.component != stored_component:
-                    failures.append("stored obstruction component mismatch")
+            failures.extend(verify_obstruction(struct, p, ref))
         else:
             failures.append(f"unknown refutation kind {kind!r}")
     elif verdict != PKVerdict.INCONCLUSIVE.value:

@@ -465,14 +465,12 @@ def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
         raise ValueError("a found certificate must be a JSON object")
     status = data.get("status")
     if status == TransStatus.TRANSVERSE.value:
-        _, h = gram_matrix(omega)
-        ok, pivots, _vectors, _bad = hermitian_pivots(h)
+        ok, cert = gram_positive_definite(gram_matrix(omega)[1])
         if not ok:
             failures.append("Gram pairing is not positive definite")
         else:
-            minors = [str(m) for m in leading_minors(pivots)]
             gram = data.get("gram", {})
-            if not isinstance(gram, dict) or minors != gram.get("minors"):
+            if not isinstance(gram, dict) or cert.to_json()["minors"] != gram.get("minors"):
                 failures.append("stored minors do not match the recomputation")
     elif status == TransStatus.NOT_TRANSVERSE.value:
         witness = witness_from_json(data["witness"])

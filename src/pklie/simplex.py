@@ -147,17 +147,7 @@ def feasibility(
     y = [flips[i] * y_flip[i] for i in range(m)]
     y_ge = y[:n_ge]
     y_eq = y[n_ge:]
-    combo = [Fraction(0)] * nv
-    for yi, row in zip(y_ge, a_ge):
-        for j in range(nv):
-            combo[j] += yi * row[j]
-    for yi, row in zip(y_eq, a_eq):
-        for j in range(nv):
-            combo[j] += yi * row[j]
-    value = sum(yi * bi for yi, bi in zip(y_ge, b_ge)) + sum(
-        yi * bi for yi, bi in zip(y_eq, b_eq)
-    )
-    if any(combo) or value <= 0 or any(yi < 0 for yi in y_ge):
+    if not verify_farkas(a_ge, b_ge, y_ge, a_eq, b_eq, y_eq):
         raise LPError("Farkas certificate failed exact verification")
     return LPResult(False, None, y_ge, y_eq)
 

@@ -78,6 +78,27 @@ def test_input_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find", "--catalog", "kt"],
+        ["find", "--catalog", "kt", "--p", "1", "--bogus"],
+        ["obstruct", "--catalog", "kt", "--p", "1", "--seed", "3"],
+    ],
+    ids=["missing_p", "unknown_option", "seed_outside_find"],
+)
+def test_usage_error_is_an_input_error(argv, capsys):
+    # exit 2 means INCONCLUSIVE, so a usage error must not keep argparse's 2
+    _assert_input_error(argv, capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["find", "--help"])
+    assert exc.value.code == 0
+    assert "--witness-cap" in capsys.readouterr().out
+
+
 def test_json_reports_are_deterministic(capsys):
     args = ["find", "--catalog", "qn8b", "--p", "2", "--format", "json", "--seed", "0"]
     code1, out1 = run_cli(args, capsys)

@@ -12,7 +12,7 @@ from pklie.exterior import (
     wedge,
     wedge_all,
 )
-from pklie.linalg import det, gr
+from pklie.linalg import gr, rank
 from pklie.positivity import (
     SearchBudget,
     TransStatus,
@@ -246,7 +246,7 @@ def _random_invertible_complex(n, rng):
             [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
             for _ in range(n)
         ]
-        if not det(m).is_zero():
+        if rank(m) == len(m):
             return m
 
 

@@ -532,6 +532,45 @@ def test_jacobi_matches_reference_with_one_broken_bracket(case, data):
     assert is_unimodular(broken) == _ad_trace_unimodular_reference(broken)
 
 
+def _sparse_gram_reference(grams, coords):
+    """Gram matrix of sum c_r omega_r, accumulated entrywise from the basis Gram matrices."""
+    size = len(grams[0])
+    re = [[Fraction(0)] * size for _ in range(size)]
+    im = [[Fraction(0)] * size for _ in range(size)]
+    for c, h in zip(coords, grams):
+        if c:
+            for a, row in enumerate(h):
+                for b, v in enumerate(row):
+                    re[a][b] += c * v.re
+                    im[a][b] += c * v.im
+    return [[GaussianRational(x, y) for x, y in zip(rr, ir)] for rr, ir in zip(re, im)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.data())
+def test_gram_of_combined_form_matches_sparse_accumulation(case, data):
+    """find_pkahler tests a candidate by the Gram matrix of the combined form;
+    gram_matrix is linear in omega, so this is the basis Gram matrices summed."""
+    struct, p = case
+    closed = closed_pp_space(struct, p)
+    if not closed.coords:
+        return
+    grams = [gram_matrix(f)[1] for f in closed.forms]
+    k = len(grams)
+    vectors = st.lists(st.integers(-2, 2).map(Fraction), min_size=k, max_size=k)
+    coords = data.draw(vectors.filter(any))
+    reference = _sparse_gram_reference(grams, coords)
+    h = gram_matrix(_combine(closed.forms, coords))[1]
+    assert h == reference
+    ok, cert = gram_positive_definite(h)
+    ok_ref, cert_ref = gram_positive_definite(reference)
+    assert ok == ok_ref
+    if ok:
+        assert cert.to_json() == cert_ref.to_json()
+    else:
+        assert cert == cert_ref
+
+
 @settings(max_examples=60, deadline=None)
 @given(structures(), st.integers(0, 3))
 def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):

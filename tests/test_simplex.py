@@ -78,3 +78,13 @@ def test_sum_to_zero_functionals():
 
 def test_empty_system():
     assert feasibility([], []).feasible
+
+
+def test_infeasible_result_needs_an_accepted_farkas_check(monkeypatch):
+    # feasibility hands out a Farkas vector only after verify_farkas accepts it
+    import pklie.simplex as simplex
+
+    monkeypatch.setattr(simplex, "verify_farkas", lambda *args: False)
+    with pytest.raises(LPError):
+        simplex.feasibility([[1], [-1]], [2, -1])
+    assert simplex.feasibility([[1], [-1]], [1, -3]).feasible
