@@ -41,6 +41,7 @@ from .positivity import (
     gram_matrix,
     gram_positive_definite,
     is_simple,
+    verify_verdict,
     volume_coefficient,
 )
 from .scalars import GaussianRational, I, ONE, ZERO, i_power, json_int, json_rational
@@ -323,6 +324,8 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
     ]
     target_keys = sorted({key for img in images for key in img.terms})
     diag_keys = [key for key in target_keys if key.holo == key.anti]
+    if not diag_keys:
+        return None
     off_keys = [key for key in target_keys if key.holo != key.anti]
     nv = 2 * len(ansatz)
 
@@ -346,13 +349,10 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
     for key in diag_keys:
         a_eq.append(row_for(key, "im"))
         b_eq.append(Fraction(0))
+    # each diagonal coefficient is >= 0, and their sum is >= 1
     a_ge = [row_for(key, "re") for key in diag_keys]
-    b_ge = [Fraction(0)] * len(diag_keys)
-    if diag_keys:
-        a_ge.append([sum(col) for col in zip(*[row_for(key, "re") for key in diag_keys])])
-        b_ge.append(Fraction(1))
-    else:
-        return None
+    a_ge.append([sum(col) for col in zip(*a_ge)])
+    b_ge = [Fraction(0)] * len(diag_keys) + [Fraction(1)]
     res = feasibility(a_ge, b_ge, a_eq, b_eq)
     if not res.feasible:
         return None
@@ -640,15 +640,15 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
         real = omega.is_real()
         if not real:
             failures.append("found form is not real")
-        # the Gram test is defined for real (p,p)-forms only
+        # the Gram test is defined for real (p,p)-forms only; verify_verdict
+        # runs it once and compares the stored minors, and a FOUND claim must
+        # carry a TRANSVERSE certificate
         if pp and real:
-            _, h = gram_matrix(omega)
-            ok, _ = gram_positive_definite(h)
-            if not ok:
-                failures.append("found form fails the exact Gram test")
-            from .positivity import verify_verdict
-
-            failures.extend(verify_verdict(omega, data.get("found_certificate", {})))
+            cert = data.get("found_certificate", {})
+            if isinstance(cert, dict) and cert.get("status") != TransStatus.TRANSVERSE.value:
+                failures.append("found certificate is not TRANSVERSE")
+            else:
+                failures.extend(verify_verdict(omega, cert))
     elif verdict == PKVerdict.REFUTED.value:
         ref = data.get("refutation", {})
         if not isinstance(ref, dict):

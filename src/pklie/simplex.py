@@ -1,7 +1,10 @@
 """Exact rational linear feasibility with Farkas infeasibility certificates.
 
 Phase-one simplex over Fraction with Bland's rule (no cycling, no floats,
-no external solver).  The system is  A_ge x >= b_ge,  A_eq x = b_eq  with x
+no external solver).  The tableau is stored dense, but building it and
+each pivot touch only nonzero entries: a skipped term is an exact zero, so
+every rational, and hence the Bland pivot sequence, is the same as for the
+dense update.  The system is  A_ge x >= b_ge,  A_eq x = b_eq  with x
 free.  Infeasibility returns multipliers (y_ge >= 0, y_eq free) satisfying
 y_ge A_ge + y_eq A_eq = 0 and y_ge b_ge + y_eq b_eq > 0, verified before
 being handed out.
@@ -52,49 +55,46 @@ def feasibility(
     m = len(rows)
     rhs = b_ge + b_eq
 
-    # columns: x+ (nv), x- (nv), slacks (n_ge), artificials (m)
+    # columns: x+ (nv), x- (nv), slacks (n_ge), artificials (m); a row whose
+    # rhs is negative is negated, and only nonzero entries are written
     n_cols = 2 * nv + n_ge + m
+    zero = Fraction(0)
     tableau: list[Row] = []
-    flips = []
     for i in range(m):
-        flip = -1 if rhs[i] < 0 else 1
-        flips.append(flip)
-        row = [flip * c for c in rows[i]]
-        row += [-flip * c for c in rows[i]]
-        slack = [Fraction(0)] * n_ge
+        flip = rhs[i] < 0
+        row = [zero] * (n_cols + 1)
+        for j, c in enumerate(rows[i]):
+            if c:
+                row[j], row[nv + j] = (-c, c) if flip else (c, -c)
         if i < n_ge:
-            slack[i] = Fraction(-flip)
-        row += slack
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        row += art
-        row.append(flip * rhs[i])
+            row[2 * nv + i] = Fraction(1 if flip else -1)
+        row[2 * nv + n_ge + i] = Fraction(1)
+        row[n_cols] = -rhs[i] if flip else rhs[i]
         tableau.append(row)
 
     # phase-one objective: minimize the artificial sum; objective row holds
     # the negated reduced costs -(c_j - z_j) so pivoting is row arithmetic
-    obj = [Fraction(0)] * (n_cols + 1)
-    for i in range(m):
-        for j in range(n_cols + 1):
-            obj[j] += tableau[i][j]
+    obj = [zero] * (n_cols + 1)
+    for row in tableau:
+        for j, c in enumerate(row):
+            if c:
+                obj[j] += c
     for j in range(2 * nv + n_ge, n_cols):
         obj[j] -= Fraction(1)
 
     basis = [2 * nv + n_ge + i for i in range(m)]
 
     def pivot(row_idx: int, col_idx: int):
-        prow = tableau[row_idx]
-        inv = Fraction(1) / prow[col_idx]
-        tableau[row_idx] = [x * inv for x in prow]
-        prow = tableau[row_idx]
-        for r in range(m):
-            if r != row_idx and tableau[r][col_idx]:
-                factor = tableau[r][col_idx]
-                tableau[r] = [x - factor * y for x, y in zip(tableau[r], prow)]
-        if obj[col_idx]:
-            factor = obj[col_idx]
-            for j in range(n_cols + 1):
-                obj[j] -= factor * prow[j]
+        # scale the pivot row, then eliminate its column from the rows (and
+        # the objective) that have a nonzero there, on its nonzero columns only
+        inv = Fraction(1) / tableau[row_idx][col_idx]
+        prow = tableau[row_idx] = [x * inv if x else x for x in tableau[row_idx]]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        for row in tableau + [obj]:
+            factor = row[col_idx]
+            if factor and row is not prow:
+                for j, y in nonzero:
+                    row[j] -= factor * y
         basis[row_idx] = col_idx
 
     guard = 0
@@ -144,7 +144,7 @@ def feasibility(
     # stores z_j - c_j, and an artificial column has A_col = e_i, c = 1, so
     # obj[col] = y_i - 1
     y_flip = [obj[2 * nv + n_ge + i] + Fraction(1) for i in range(m)]
-    y = [flips[i] * y_flip[i] for i in range(m)]
+    y = [-v if b < 0 else v for v, b in zip(y_flip, rhs)]
     y_ge = y[:n_ge]
     y_eq = y[n_ge:]
     if not verify_farkas(a_ge, b_ge, y_ge, a_eq, b_eq, y_eq):
@@ -169,12 +169,11 @@ def verify_farkas(
         return False
     nv = len(a_ge[0]) if a_ge else (len(a_eq[0]) if a_eq else 0)
     combo = [Fraction(0)] * nv
-    for yi, row in zip(y_ge, a_ge):
-        for j in range(nv):
-            combo[j] += yi * row[j]
-    for yi, row in zip(y_eq, a_eq):
-        for j in range(nv):
-            combo[j] += yi * row[j]
+    for yi, row in [*zip(y_ge, a_ge), *zip(y_eq, a_eq)]:
+        if yi:
+            for j, c in enumerate(row):
+                if c:
+                    combo[j] += yi * c
     if any(combo):
         return False
     value = sum(yi * Fraction(bi) for yi, bi in zip(y_ge, b_ge)) + sum(

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +369,39 @@ def test_verify_rejects_found_form_that_is_not_real():
     struct, data = _found_report("torus3", 2)
     data["found_form"] += form_to_json(parse_form("i a12_b13", 3))
     assert verify_report(struct, data) == ["found form is not real"]
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        {"status": "INCONCLUSIVE"},
+        {"status": "NOT_TRANSVERSE", "witness": {}},
+        {},
+        {"status": "TRANSVERSE"},
+        {"status": "TRANSVERSE", "gram": ["1", "1", "1"]},
+        {"status": "TRANSVERSE", "gram": {"minors": ["1", "1", "2"], "pivots": ["1", "1", "2"]}},
+    ],
+    ids=["inconclusive", "not_transverse", "no_status", "no_gram", "gram_a_list", "minors"],
+)
+def test_verify_rejects_found_report_without_its_transverse_certificate(monkeypatch, certificate):
+    # the golden torus3 p = 1 report is FOUND with minors 1, 1, 1; the form
+    # passes the Gram test, which runs once, so only the certificate
+    # comparison can fail it
+    from pklie import pkahler, positivity
+
+    path = Path(__file__).parent / "golden" / "torus3.p1.json"
+    data = json.loads(path.read_text())["report"]
+    struct = named_example("torus3")
+    calls = []
+    original = positivity.gram_positive_definite
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(pkahler, "gram_positive_definite", counted)
+    monkeypatch.setattr(positivity, "gram_positive_definite", counted)
+    assert verify_report(struct, data) == []
+    assert len(calls) == 1
+    data["found_certificate"] = certificate
+    assert verify_report(struct, data) != []

@@ -55,7 +55,7 @@ from pklie.positivity import (
     volume_coefficient,
 )
 from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power
-from pklie.simplex import feasibility
+from pklie.simplex import LPResult, feasibility, verify_farkas
 from test_acceptance import _random_integrable_data
 from test_fuzz_pipeline import random_tower
 
@@ -605,3 +605,127 @@ def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
     report = find_pkahler(struct, p, budget)
     assert report.verdict == PKVerdict.REFUTED
     assert report.stats["witness_rounds"] == 1
+
+
+def _dense_feasibility_reference(a_ge, b_ge, a_eq=(), b_eq=()):
+    """Phase-one simplex with Bland's rule on a dense tableau: every pivot
+    updates every column of every row and of the objective."""
+    a_ge = [[Fraction(x) for x in row] for row in a_ge]
+    a_eq = [[Fraction(x) for x in row] for row in a_eq]
+    b_ge = [Fraction(x) for x in b_ge]
+    b_eq = [Fraction(x) for x in b_eq]
+    rows = a_ge + a_eq
+    if not rows:
+        return LPResult(True, [])
+    nv, n_ge, m = len(rows[0]), len(a_ge), len(rows)
+    rhs = b_ge + b_eq
+    n_cols = 2 * nv + n_ge + m
+    tableau = []
+    flips = []
+    for i in range(m):
+        flip = -1 if rhs[i] < 0 else 1
+        flips.append(flip)
+        row = [flip * c for c in rows[i]] + [-flip * c for c in rows[i]]
+        slack = [Fraction(0)] * n_ge
+        if i < n_ge:
+            slack[i] = Fraction(-flip)
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tableau.append(row + slack + art + [flip * rhs[i]])
+    obj = [Fraction(0)] * (n_cols + 1)
+    for i in range(m):
+        for j in range(n_cols + 1):
+            obj[j] += tableau[i][j]
+    for j in range(2 * nv + n_ge, n_cols):
+        obj[j] -= Fraction(1)
+    basis = [2 * nv + n_ge + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n_cols) if obj[j] > 0), None)
+        if enter is None:
+            break
+        best_row = best_ratio = None
+        for r in range(m):
+            coeff = tableau[r][enter]
+            if coeff > 0:
+                ratio = tableau[r][n_cols] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                ):
+                    best_ratio, best_row = ratio, r
+        inv = Fraction(1) / tableau[best_row][enter]
+        prow = tableau[best_row] = [x * inv for x in tableau[best_row]]
+        for r in range(m):
+            if r != best_row and tableau[r][enter]:
+                factor = tableau[r][enter]
+                tableau[r] = [x - factor * y for x, y in zip(tableau[r], prow)]
+        factor = obj[enter]
+        obj = [x - factor * y for x, y in zip(obj, prow)]
+        basis[best_row] = enter
+    if obj[n_cols] == 0:
+        x = [Fraction(0)] * (2 * nv)
+        for r, b in enumerate(basis):
+            if b < 2 * nv:
+                x[b] = tableau[r][n_cols]
+        return LPResult(True, [x[j] - x[nv + j] for j in range(nv)])
+    y = [flips[i] * (obj[2 * nv + n_ge + i] + 1) for i in range(m)]
+    assert _dense_farkas_reference(a_ge, b_ge, y[:n_ge], a_eq, b_eq, y[n_ge:])
+    return LPResult(False, None, y[:n_ge], y[n_ge:])
+
+
+def _dense_farkas_reference(a_ge, b_ge, y_ge, a_eq=(), b_eq=(), y_eq=()):
+    """Farkas check that multiplies every multiplier into every entry."""
+    if any(y < 0 for y in y_ge):
+        return False
+    nv = len(a_ge[0]) if a_ge else (len(a_eq[0]) if a_eq else 0)
+    combo = [Fraction(0)] * nv
+    for yi, row in list(zip(y_ge, a_ge)) + list(zip(y_eq, a_eq)):
+        for j in range(nv):
+            combo[j] += Fraction(yi) * Fraction(row[j])
+    if any(combo):
+        return False
+    pairs = list(zip(y_ge, b_ge)) + list(zip(y_eq, b_eq))
+    return sum(Fraction(yi) * Fraction(bi) for yi, bi in pairs) > 0
+
+
+@st.composite
+def lp_systems(draw):
+    """Sparse >= and = systems with right-hand sides of both signs; some have an
+    all-zero row, and some a row -x_k >= t > 0 that only a negative free
+    variable meets."""
+    nv = draw(st.integers(1, 5))
+    row = st.lists(entries, min_size=nv, max_size=nv)
+    a_ge = draw(st.lists(row, max_size=5))
+    a_eq = draw(st.lists(row, max_size=3))
+    if draw(st.booleans()):
+        a_ge.append([Fraction(0)] * nv)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, nv - 1))
+        a_ge.append([Fraction(-1 if j == k else 0) for j in range(nv)])
+    b_ge = draw(st.lists(rationals, min_size=len(a_ge), max_size=len(a_ge)))
+    b_eq = draw(st.lists(rationals, min_size=len(a_eq), max_size=len(a_eq)))
+    if draw(st.booleans()) and a_ge:
+        b_ge[-1] = draw(rationals.filter(lambda t: t > 0))
+    return a_ge, b_ge, a_eq, b_eq
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems(), st.data())
+def test_sparse_simplex_matches_dense_reference(system, data):
+    """Skipping zero entries changes no rational of the tableau, so Bland's rule
+    makes the same pivots: the point and the Farkas vector are equal."""
+    a_ge, b_ge, a_eq, b_eq = system
+    res = feasibility(a_ge, b_ge, a_eq, b_eq)
+    assert res == _dense_feasibility_reference(a_ge, b_ge, a_eq, b_eq)
+    multipliers = st.lists(entries, min_size=len(a_ge), max_size=len(a_ge))
+    y_ge = data.draw(multipliers)
+    y_eq = data.draw(st.lists(entries, min_size=len(a_eq), max_size=len(a_eq)))
+    cases = [(y_ge, y_eq)]
+    if not res.feasible:
+        cases.append((res.farkas_ge, res.farkas_eq))
+        cases.append(([y + abs(z) for y, z in zip(res.farkas_ge, y_ge)], res.farkas_eq))
+    for y_ge, y_eq in cases:
+        assert verify_farkas(a_ge, b_ge, y_ge, a_eq, b_eq, y_eq) == _dense_farkas_reference(
+            a_ge, b_ge, y_ge, a_eq, b_eq, y_eq
+        )

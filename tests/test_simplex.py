@@ -88,3 +88,20 @@ def test_infeasible_result_needs_an_accepted_farkas_check(monkeypatch):
     with pytest.raises(LPError):
         simplex.feasibility([[1], [-1]], [2, -1])
     assert simplex.feasibility([[1], [-1]], [1, -3]).feasible
+
+
+def test_inputs_are_left_unchanged():
+    # the pivots update the tableau in place; find_pkahler appends witness rows
+    # to one list across rounds, so nothing may write through to the caller
+    a_ge = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)], [Fraction(-1), Fraction(-1)]]
+    b_ge = [Fraction(1), Fraction(-2), Fraction(-3)]
+    a_eq = [[Fraction(1), Fraction(-1)]]
+    b_eq = [Fraction(-1)]
+    copies = [[list(row) for row in a_ge], list(b_ge), [list(row) for row in a_eq], list(b_eq)]
+    assert feasibility(a_ge, b_ge, a_eq, b_eq).feasible
+    assert [a_ge, b_ge, a_eq, b_eq] == copies
+    a_ge.append([Fraction(-1), Fraction(0)])
+    b_ge.append(Fraction(0))
+    copies = [[list(row) for row in a_ge], list(b_ge), [list(row) for row in a_eq], list(b_eq)]
+    assert not feasibility(a_ge, b_ge, a_eq, b_eq).feasible
+    assert [a_ge, b_ge, a_eq, b_eq] == copies
