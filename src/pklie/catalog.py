@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from .cxstruct import ComplexStructureSpec
 from .exterior import ComplexForm, monomial, parse_form
 from .liealg import LieAlgebraSpec, from_bracket_list
-from .linalg import Matrix, gr, mat_from_rows, matmul, solve, zeros
+from .linalg import Matrix, apply_columns, gr, solve, sparse_columns, zeros
 from .polynomials import (
     all_roots_purely_imaginary,
     char_poly,
@@ -164,9 +164,10 @@ class AlmostAbelianData:
         return out
 
     def integrable(self) -> bool:
-        a = mat_from_rows(self.A)
-        j1 = mat_from_rows(self.j1_matrix())
-        return matmul(a, j1) == matmul(j1, a)
+        """A J1 = J1 A, compared column by column: A (J1 e_c) = J1 (A e_c)."""
+        a = sparse_columns(self.A)
+        j1 = sparse_columns(self.j1_matrix())
+        return all(apply_columns(a, jc) == apply_columns(j1, ac) for jc, ac in zip(j1, a))
 
     def unimodular(self) -> bool:
         return self.lam == -sum(self.A[i][i] for i in range(len(self.A)))

@@ -34,10 +34,12 @@ from .liealg import (
     ensure_valid,
     from_bracket_list,
     is_nilpotent,
+    signed_brackets,
 )
 from .linalg import (
     Matrix,
     Vector,
+    apply_columns,
     gr,
     identity,
     inverse,
@@ -46,9 +48,9 @@ from .linalg import (
     mat_from_json,
     mat_from_rows,
     matmul,
-    matvec,
     reduce_against,
     row_space_rref,
+    sparse_columns,
     transpose,
     zeros,
 )
@@ -78,6 +80,10 @@ class IntegrabilityResult:
     ok: bool
     witness: tuple[int, int] | None = None
     nijenhuis_value: list[Fraction] | None = None
+    # the canonical (1,0)-coframe of J and its structure equations, which
+    # `check_integrability` computes for the bidegree test
+    coframe: Matrix | None = None
+    equations: list[ComplexForm] | None = None
 
     def __bool__(self):
         return self.ok
@@ -88,40 +94,51 @@ def _j_fraction_matrix(J: Matrix) -> list[list[Fraction]]:
 
 
 def _check_j_square(J: Matrix, dim: int) -> None:
+    if len(J) != dim or any(len(row) != dim for row in J):
+        raise ValueError(f"J must be a {dim}x{dim} matrix")
     for row in J:
         for entry in row:
             if not entry.is_real():
                 raise ValueError("J must be a real rational matrix")
-    sq = matmul(J, J)
-    for i in range(dim):
-        for j in range(dim):
-            expect = -ONE if i == j else ZERO
-            if sq[i][j] != expect:
-                raise ValueError("J^2 != -Id")
+    cols = sparse_columns(_j_fraction_matrix(J))
+    for i, col in enumerate(cols, start=1):
+        if apply_columns(cols, col) != {i: -1}:
+            raise ValueError("J^2 != -Id")
 
 
 def nijenhuis_tensor(g: LieAlgebraSpec, J: Matrix) -> IntegrabilityResult:
-    """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs."""
-    dim = g.dim
-    jf = _j_fraction_matrix(J)
+    """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
-    def jcol(i: int) -> list[Fraction]:
-        return [jf[k][i - 1] for k in range(dim)]
+    Formed from the nonzero terms of the signed bracket table and of the
+    columns J e_i; the first pair (in lexicographic order) with N != 0 is
+    the witness, its value the dense residual.
+    """
+    table = signed_brackets(g)
+    cols = sparse_columns(_j_fraction_matrix(J))
 
-    def japply(v: list[Fraction]) -> list[Fraction]:
-        return [sum((jf[k][m] * v[m] for m in range(dim)), Fraction(0)) for k in range(dim)]
+    def bracket(x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                for k, c in table.get((a, b), ()):
+                    out[k] = out.get(k, 0) + xa * yb * c
+        return out
 
-    basis = [[Fraction(1) if m == i else Fraction(0) for m in range(dim)] for i in range(dim)]
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            x, y = basis[i - 1], basis[j - 1]
-            jx, jy = jcol(i), jcol(j)
-            term = g.bracket(jx, jy)
-            term = [a - b for a, b in zip(term, japply(g.bracket(jx, y)))]
-            term = [a - b for a, b in zip(term, japply(g.bracket(x, jy)))]
-            term = [a - b for a, b in zip(term, g.bracket(x, y))]
-            if any(term):
-                return IntegrabilityResult(False, (i, j), term)
+    for i in range(1, g.dim + 1):
+        jx = cols[i - 1]
+        for j in range(i + 1, g.dim + 1):
+            jy = cols[j - 1]
+            term = bracket(jx, jy)
+            mixed = bracket(jx, {j: 1})
+            for k, c in bracket({i: 1}, jy).items():
+                mixed[k] = mixed.get(k, 0) + c
+            for k, c in apply_columns(cols, mixed).items():
+                term[k] = term.get(k, 0) - c
+            for k, c in table.get((i, j), ()):
+                term[k] = term.get(k, 0) - c
+            if any(term.values()):
+                value = [Fraction(term.get(k, 0)) for k in range(1, g.dim + 1)]
+                return IntegrabilityResult(False, (i, j), value)
     return IntegrabilityResult(True)
 
 
@@ -239,27 +256,33 @@ class ComplexStructureSpec:
                 f"Nijenhuis tensor nonzero on basis pair {integ.witness}",
                 witness=integ,
             )
-        coframe = _eigen_coframe(g, J)
-        equations = structure_equations(g, coframe)
-        return ComplexStructureSpec(g, J, coframe, equations)
+        return ComplexStructureSpec(g, J, integ.coframe, integ.equations)
 
     @staticmethod
     def from_coframe(g: LieAlgebraSpec, J: Sequence[Sequence], coframe: Sequence[Sequence]) -> "ComplexStructureSpec":
         """Use a caller-supplied adapted coframe instead of the canonical one."""
         J = mat_from_rows(J)
         coframe = mat_from_rows(coframe)
+        if g.dim % 2:
+            raise ValueError("complex structures need even real dimension")
+        if len(coframe) != g.dim // 2 or any(len(row) != g.dim for row in coframe):
+            raise ValueError(f"coframe must have {g.dim // 2} rows of {g.dim} entries")
         integ = check_integrability(g, J)
         if not integ.ok:
             raise NonIntegrableError(
                 f"Nijenhuis tensor nonzero on basis pair {integ.witness}",
                 witness=integ,
             )
-        jt = transpose(J)
+        # a (1,0)-form a = sum_k row[k] e^k has (J^T a)_m = sum_k J_km row[k] = i row[m]
+        cols = sparse_columns(_j_fraction_matrix(J))
         for row in coframe:
-            lhs = matvec(jt, row)
-            if any(l != I * c for l, c in zip(lhs, row)):
-                raise ValueError("coframe row is not a (1,0)-form for J")
-        equations = structure_equations(g, coframe)
+            for col, entry in zip(cols, row):
+                if sum((row[k - 1] * c for k, c in col.items()), ZERO) != I * entry:
+                    raise ValueError("coframe row is not a (1,0)-form for J")
+        if coframe == integ.coframe:
+            equations = integ.equations
+        else:
+            equations = structure_equations(g, coframe)
         return ComplexStructureSpec(g, J, coframe, equations)
 
     @staticmethod
@@ -395,6 +418,8 @@ def check_integrability(g: LieAlgebraSpec, J: Sequence[Sequence]) -> Integrabili
     """Nijenhuis test cross-checked against the bidegree test on d(Lambda^{1,0}).
 
     Disagreement between the two tests is an internal error, not a verdict.
+    The result carries the canonical (1,0)-coframe of J and the structure
+    equations the bidegree test read, for the constructors to reuse.
     """
     J = mat_from_rows(J)
     _check_j_square(J, g.dim)
@@ -407,6 +432,7 @@ def check_integrability(g: LieAlgebraSpec, J: Sequence[Sequence]) -> Integrabili
         raise AssertionError(
             "integrability tests disagree (Nijenhuis vs bidegree); internal bug"
         )
+    nij.coframe, nij.equations = coframe, equations
     return nij
 
 

@@ -120,14 +120,20 @@ class JacobiResult:
         return self.ok
 
 
-def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
-    """Exhaustive Jacobi check; returns the first violating basis triple."""
-    n = g.dim
-    # [e_a, e_b] = sum c e_k as (k, c) pairs, for both orders of a != b
+def signed_brackets(g: LieAlgebraSpec) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    """[e_a, e_b] = sum c e_k as (k, c) pairs, for both orders of every a != b
+    with a nonzero bracket."""
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for (a, b), comp in g.brackets.items():
         table[(a, b)] = list(comp.items())
         table[(b, a)] = [(k, -c) for k, c in comp.items()]
+    return table
+
+
+def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
+    """Exhaustive Jacobi check; returns the first violating basis triple."""
+    n = g.dim
+    table = signed_brackets(g)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ij = (i, j) in table

@@ -8,14 +8,15 @@ each updated row divided by its content, one division by the pivot per entry
 at the end) and yields `Fraction` results.  Everything is exact; pivot columns
 are found scanning left to right, so reduced echelon forms and kernel bases
 are reproducible, and since the RREF of a row space is unique they are the
-same in every field.
+same in every field.  `sparse_columns` and `apply_columns` hold a real
+matrix by its nonzero entries, for products that would mostly multiply zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, parse_scalar
 
@@ -81,6 +82,27 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             for j in range(cols):
                 oi[j] = oi[j] + aik * bk[j]
     return out
+
+
+def sparse_columns(m: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
+    """Columns of a square real matrix over their nonzero entries, rows
+    1-based: m e_j = sum_i cols[j - 1][i] e_i."""
+    cols: list[dict[int, Fraction]] = [{} for _ in m]
+    for i, row in enumerate(m, start=1):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def apply_columns(cols: Sequence[Mapping[int, Fraction]], v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """m v for the matrix with sparse columns `cols` and a sparse 1-based v;
+    the result holds no zero entries."""
+    out: dict[int, Fraction] = {}
+    for j, vj in v.items():
+        for i, c in cols[j - 1].items():
+            out[i] = out.get(i, 0) + vj * c
+    return {i: c for i, c in out.items() if c}
 
 
 def transpose(m: Matrix) -> Matrix:

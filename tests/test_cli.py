@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -558,3 +559,34 @@ def test_malformed_almost_abelian_input_rejected(tmp_path, capsys, edit):
     report["almost_abelian"].update(edit)
     path.write_text(json.dumps(report))
     _assert_input_error(["verify", str(path)], capsys)
+
+
+_KT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "kt.p1.json")
+
+
+def _negate(x):
+    return x if x == "0" else (x[1:] if x.startswith("-") else "-" + x)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s["coframe"].__setitem__(1, list(s["coframe"][0])), "matrix is singular"),
+        (lambda s: s["coframe"].__setitem__(1, ["0"] * 4), "matrix is singular"),
+        (lambda s: s["coframe"].reverse(), "stored structure equations do not match the algebra"),
+        (
+            lambda s: s.update(J=[[_negate(x) for x in row] for row in s["J"]]),
+            "coframe row is not a (1,0)-form for J",
+        ),
+    ],
+    ids=["coframe_rows_duplicated", "coframe_row_zero", "coframe_rows_reversed", "J_negated"],
+)
+def test_verify_tampered_structure_message(tmp_path, capsys, edit, message):
+    with open(_KT_GOLDEN) as fh:
+        data = json.load(fh)
+    edit(data["input"])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: report does not embed a valid structure: {message}\n"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from pklie import cxstruct
+from pklie.catalog import AlmostAbelianData, almost_abelian_algebra, almost_abelian_coframe
 from pklie.exterior import ComplexForm, conjugate, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError, LieAlgebraSpec, change_basis, from_bracket_list
 from pklie.linalg import gr, identity, inverse, matmul, mat_from_rows, rank
@@ -17,6 +19,7 @@ from pklie.cxstruct import (
     coframe_from_J,
     in_coframe_ideal,
     restrict_to_jinvariant_ideal,
+    structure_equations,
     triangular_coframe,
 )
 from pklie.scalars import GaussianRational, I, ONE
@@ -342,3 +345,82 @@ def test_classification_is_isomorphism_invariant():
             j2 = matmul(matmul(inverse(s), struct.J), s)
             struct2 = ComplexStructureSpec.from_matrix(g2, j2)
             assert ascending_series(struct2).classification == base_class
+
+
+_J_STD4 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "J",
+    [
+        [row + [0] for row in _J_STD4],
+        [[0, -1], [1, 0]],
+        [row + [0] for row in _J_STD4[:3]],
+    ],
+    ids=["4x5", "2x2", "3x4"],
+)
+def test_wrongly_shaped_j_rejected(J):
+    with pytest.raises(ValueError, match="J must be a 4x4 matrix"):
+        check_integrability(LieAlgebraSpec(4), J)
+
+
+def test_wrongly_shaped_coframe_rejected():
+    coframe = [[1, I, 0, 0, 0], [0, 0, 1, I, 0]]
+    with pytest.raises(ValueError, match="coframe must have 2 rows of 4 entries"):
+        ComplexStructureSpec.from_coframe(LieAlgebraSpec(4), _J_STD4, coframe)
+
+
+def _count_structure_equations(monkeypatch):
+    calls = []
+
+    def counted(g, coframe):
+        calls.append(coframe)
+        return structure_equations(g, coframe)
+
+    monkeypatch.setattr(cxstruct, "structure_equations", counted)
+    return calls
+
+
+def _aab_data():
+    a = [[0, 0, 0, -1], [0, 0, -2, 0], [0, 2, 0, 0], [1, 0, 0, 0]]
+    return AlmostAbelianData(3, 0, [1, 0, 0, 2], a)
+
+
+def test_from_matrix_computes_structure_equations_once(monkeypatch):
+    g = from_bracket_list(4, [(1, 2, 3, 1)])
+    calls = _count_structure_equations(monkeypatch)
+    struct = ComplexStructureSpec.from_matrix(g, _J_STD4)
+    assert len(calls) == 1
+    assert struct.coframe == calls[0]
+    assert struct.equations == structure_equations(g, struct.coframe)
+
+
+@pytest.mark.parametrize("which", ["kt", "almost_abelian"])
+def test_from_coframe_on_canonical_coframe_computes_structure_equations_once(monkeypatch, which):
+    if which == "kt":
+        kt = kodaira_thurston()
+        g, J, coframe = kt.g, kt.J, kt.coframe
+    else:
+        g, J = almost_abelian_algebra(_aab_data())
+        coframe = almost_abelian_coframe(_aab_data())
+    calls = _count_structure_equations(monkeypatch)
+    struct = ComplexStructureSpec.from_coframe(g, J, coframe)
+    assert len(calls) == 1
+    assert struct.coframe == coframe
+    assert struct.equations == structure_equations(g, coframe)
+
+
+@pytest.mark.parametrize("edit", ["reversed", "scaled"])
+def test_from_coframe_on_other_coframe_uses_its_own_equations(monkeypatch, edit):
+    g, J = almost_abelian_algebra(_aab_data())
+    coframe = almost_abelian_coframe(_aab_data())
+    if edit == "reversed":
+        coframe = coframe[::-1]
+    else:
+        coframe = [[x * 2 for x in coframe[0]]] + coframe[1:]
+    calls = _count_structure_equations(monkeypatch)
+    struct = ComplexStructureSpec.from_coframe(g, J, coframe)
+    assert len(calls) == 2 and calls[1] == coframe
+    assert struct.coframe == coframe
+    assert struct.equations == structure_equations(g, coframe)
+    assert struct.equations != ComplexStructureSpec.from_matrix(g, J).equations

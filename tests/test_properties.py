@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklie.catalog import almost_abelian_equations, build_almost_abelian
+from pklie.catalog import almost_abelian_algebra, almost_abelian_equations, build_almost_abelian
 from pklie.cxstruct import (
     ComplexStructureSpec,
+    _check_j_square,
     _eigen_coframe,
     _real_algebra,
     _real_to_complex_images,
+    nijenhuis_tensor,
 )
 from pklie.exterior import (
     ComplexForm,
@@ -30,11 +32,12 @@ from pklie.exterior import (
 from pklie.liealg import (
     JacobiResult,
     LieAlgebraSpec,
+    change_basis,
     check_jacobi,
     from_bracket_list,
     is_unimodular,
 )
-from pklie.linalg import identity, inverse, kernel, rref
+from pklie.linalg import identity, inverse, kernel, mat_from_rows, matmul, rref
 from pklie.pkahler import (
     PKVerdict,
     _combine,
@@ -57,6 +60,7 @@ from pklie.positivity import (
 from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power
 from pklie.simplex import LPResult, feasibility, verify_farkas
 from test_acceptance import _random_integrable_data
+from test_cxstruct import _conjugated_pair, _random_invertible, iwasawa, kodaira_thurston, torus
 from test_fuzz_pipeline import random_tower
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -729,3 +733,95 @@ def test_sparse_simplex_matches_dense_reference(system, data):
         assert verify_farkas(a_ge, b_ge, y_ge, a_eq, b_eq, y_eq) == _dense_farkas_reference(
             a_ge, b_ge, y_ge, a_eq, b_eq, y_eq
         )
+
+
+def _dense_nijenhuis_reference(g, J):
+    """N(e_i, e_j) with J applied as a dense Fraction matrix and dense brackets."""
+    dim = g.dim
+    jf = [[entry.re for entry in row] for row in J]
+
+    def jcol(i):
+        return [jf[k][i - 1] for k in range(dim)]
+
+    def japply(v):
+        return [sum((jf[k][m] * v[m] for m in range(dim)), Fraction(0)) for k in range(dim)]
+
+    basis = [[Fraction(1) if m == i else Fraction(0) for m in range(dim)] for i in range(dim)]
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            x, y = basis[i - 1], basis[j - 1]
+            jx, jy = jcol(i), jcol(j)
+            term = g.bracket(jx, jy)
+            term = [a - b for a, b in zip(term, japply(g.bracket(jx, y)))]
+            term = [a - b for a, b in zip(term, japply(g.bracket(x, jy)))]
+            term = [a - b for a, b in zip(term, g.bracket(x, y))]
+            if any(term):
+                return False, (i, j), term
+    return True, None, None
+
+
+def _dense_j_square_reference(J):
+    sq = matmul(J, J)
+    return all(sq[i][j] == (-ONE if i == j else ZERO) for i in range(len(J)) for j in range(len(J)))
+
+
+def _dense_commutes_reference(data):
+    a = mat_from_rows(data.A)
+    j1 = mat_from_rows(data.j1_matrix())
+    return matmul(a, j1) == matmul(j1, a)
+
+
+# J on h3 + R that mixes the center with the derived algebra: J^2 = -Id, N != 0
+_H3R_BAD_J = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+@st.composite
+def nijenhuis_cases(draw):
+    """(g, J) in a random rational basis, so that J is dense with non-unit
+    rationals: kt, the Iwasawa structure and the torus (integrable), the
+    non-integrable J on h3 + R, and almost-abelian data whose A is perturbed
+    half of the time, so that it mostly stops commuting with J."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["named", "h3r_bad", "almost_abelian"]))
+    if kind == "named":
+        return _conjugated_pair(rng.choice([kodaira_thurston(), iwasawa(), torus(2)]), rng), None
+    data = None
+    if kind == "h3r_bad":
+        g, J = from_bracket_list(4, [(1, 2, 3, 1)]), mat_from_rows(_H3R_BAD_J)
+    else:
+        n = draw(st.integers(2, 3))
+        data = _random_integrable_data(n, rng, rng.random() < 0.5)
+        if draw(st.booleans()):
+            r, c = draw(st.integers(0, 2 * n - 3)), draw(st.integers(0, 2 * n - 3))
+            data.A[r][c] += draw(rationals.filter(bool))
+        g, J = almost_abelian_algebra(data)
+    s = _random_invertible(g.dim, rng)
+    return (change_basis(g, s), matmul(matmul(inverse(s), J), s)), data
+
+
+@settings(max_examples=80, deadline=None)
+@given(nijenhuis_cases())
+def test_sparse_nijenhuis_matches_dense_reference(case):
+    """Skipping zero terms changes no rational of N, so the first witness pair
+    and its residual are the same."""
+    (g, J), data = case
+    res = nijenhuis_tensor(g, J)
+    assert (res.ok, res.witness, res.nijenhuis_value) == _dense_nijenhuis_reference(g, J)
+    if data is not None:
+        assert data.integrable() == _dense_commutes_reference(data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nijenhuis_cases(), st.data())
+def test_sparse_j_square_matches_dense_reference(case, data):
+    (g, J), _ = case
+    J = [list(row) for row in J]
+    if data.draw(st.booleans()):
+        r, c = data.draw(st.integers(0, g.dim - 1)), data.draw(st.integers(0, g.dim - 1))
+        J[r][c] += data.draw(rationals.filter(bool))
+    try:
+        _check_j_square(J, g.dim)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _dense_j_square_reference(J)
