@@ -3,12 +3,17 @@
 Polynomials are coefficient lists, low degree first.  Used for the
 similarity decision of the almost-abelian Kahler criterion: characteristic
 and minimal polynomials, squarefree tests, and Sturm root counting (all
-radical-free).
+radical-free).  The characteristic and minimal polynomials of a rational
+matrix M are computed fraction-free on the int matrix N = D M, D the lcm of
+M's denominators: the trace recursion and the RREF of the powers run in
+ints, and the coefficients are scaled back by powers of D, so they are the
+rationals a Fraction computation on M gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Poly = list[Fraction]
@@ -78,46 +83,59 @@ def squarefree_part(p: Poly) -> Poly:
     return divmod_poly(p, g)[0]
 
 
-def char_poly(m: Sequence[Sequence[Fraction]]) -> Poly:
-    """Characteristic polynomial det(xI - M) by the trace recursion."""
-    n = len(m)
+def _clear_denominators(m: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(N, D) with N = D M an int matrix and D > 0 the lcm of M's denominators."""
     a = [[Fraction(x) for x in row] for row in m]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    work = [[Fraction(0)] * n for _ in range(n)]  # N = 0
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def char_poly(m: Sequence[Sequence[Fraction]]) -> Poly:
+    """Characteristic polynomial det(xI - M) by the trace recursion.
+
+    The recursion runs on the int matrix N = D M, whose coefficients are
+    ints (each trace is divisible by its k); then c_k(M) = c_k(N) / D^(n-k).
+    """
+    n = len(m)
+    a, den = _clear_denominators(m)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    work = [[0] * n for _ in range(n)]  # W = 0
     for k in range(1, n + 1):
-        # N <- M (N + c_{n-k+1} I); c_{n-k} = -tr(M N + c I M)/k
+        # W <- N (W + c_{n-k+1} I); c_{n-k} = -tr(W)/k
         for i in range(n):
             work[i][i] += coeffs[n - k + 1]
-        work = [
-            [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        coeffs[n - k] = -sum(work[i][i] for i in range(n)) / k
-    return coeffs
+        work = _int_matmul(a, work)
+        trace = sum(work[i][i] for i in range(n))
+        if trace % k:
+            raise AssertionError("trace recursion left the integers; impossible")
+        coeffs[n - k] = -trace // k
+    return [Fraction(c, den ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def minimal_poly(m: Sequence[Sequence[Fraction]]) -> Poly:
-    """Minimal polynomial via the first linear dependence among powers of M."""
-    from .linalg import kernel
+    """Minimal polynomial via the first linear dependence among powers of M.
+
+    One integer `rref` of the n^2 x (n+1) matrix whose column k is vec(N^k),
+    N = D M: its first non-pivot column d gives N^d = sum_k r_k N^k over the
+    pivot columns k < d, so mp(M) = x^d - sum_k r_k D^(k-d) x^k.
+    """
+    from .linalg import rref
 
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    powers = [[[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]]
+    a, den = _clear_denominators(m)
+    powers = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
     for _ in range(n):
-        last = powers[-1]
-        powers.append(
-            [[sum(a[i][t] * last[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        )
-    for d in range(1, n + 1):
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                rows.append([powers[k][i][j] for k in range(d + 1)])
-        for vec in kernel(rows, d + 1):
-            if vec[d]:
-                return trim([c / vec[d] for c in vec])
-    raise AssertionError("no annihilating polynomial up to dimension; impossible")
+        powers.append(_int_matmul(a, powers[-1]))
+    columns = [[power[i][j] for power in powers] for i in range(n) for j in range(n)]
+    red, pivots = rref(columns)
+    d = next(c for c in range(n + 1) if c not in pivots)
+    return [-red[k][d] / den ** (d - k) for k in range(d)] + [Fraction(1)]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:

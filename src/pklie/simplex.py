@@ -1,10 +1,18 @@
 """Exact rational linear feasibility with Farkas infeasibility certificates.
 
-Phase-one simplex over Fraction with Bland's rule (no cycling, no floats,
-no external solver).  The tableau is stored dense, but building it and
-each pivot touch only nonzero entries: a skipped term is an exact zero, so
-every rational, and hence the Bland pivot sequence, is the same as for the
-dense update.  The system is  A_ge x >= b_ge,  A_eq x = b_eq  with x
+Phase-one simplex with Bland's rule (no cycling, no floats, no external
+solver), run fraction-free.  Each tableau row, and the objective row, is a
+list of ints over one positive denominator of its own, in lowest terms (the
+gcd of the row's ints and its denominator is 1).  A pivot keeps the pivot
+row's ints and makes the pivot entry its denominator; every other row with
+a nonzero f in the pivot column becomes s*row - t*pivot_row with
+(s, t) = (pivot, f) / gcd, over s times its denominator, and is then divided
+by the gcd of its ints and that denominator.  Building the tableau and each
+pivot subtract only the pivot row's nonzero entries.  Every row holds the
+same rationals as the Fraction tableau, and a positive row scale changes no
+sign and no ratio (the ratio test compares by cross-multiplication), so the
+Bland pivot sequence, the point and the Farkas multipliers are those of the
+Fraction tableau.  The system is  A_ge x >= b_ge,  A_eq x = b_eq  with x
 free.  Infeasibility returns multipliers (y_ge >= 0, y_eq free) satisfying
 y_ge A_ge + y_eq A_eq = 0 and y_ge b_ge + y_eq b_eq > 0, verified before
 being handed out.
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Row = list[Fraction]
@@ -35,6 +44,14 @@ def _to_rows(rows: Sequence[Sequence]) -> list[Row]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _width(rows: Sequence[Row]) -> int:
+    """The common length of the rows of a_ge and a_eq (0 when there are none)."""
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError("rows of a_ge and a_eq differ in length")
+    return widths.pop() if widths else 0
+
+
 def feasibility(
     a_ge: Sequence[Sequence],
     b_ge: Sequence,
@@ -48,53 +65,79 @@ def feasibility(
     if len(a_ge) != len(b_ge) or len(a_eq) != len(b_eq):
         raise ValueError("row/rhs count mismatch")
     rows = a_ge + a_eq
+    nv = _width(rows)
     if not rows:
         return LPResult(True, [])
-    nv = len(rows[0])
     n_ge = len(a_ge)
     m = len(rows)
     rhs = b_ge + b_eq
 
-    # columns: x+ (nv), x- (nv), slacks (n_ge), artificials (m); a row whose
-    # rhs is negative is negated, and only nonzero entries are written
+    # columns: x+ (nv), x- (nv), slacks (n_ge), artificials (m), rhs; a row
+    # whose rhs is negative is negated, and its denominator is the lcm of
+    # its entries' denominators
     n_cols = 2 * nv + n_ge + m
-    zero = Fraction(0)
-    tableau: list[Row] = []
+    tableau: list[list[int]] = []
+    dens: list[int] = []
     for i in range(m):
-        flip = rhs[i] < 0
-        row = [zero] * (n_cols + 1)
+        sign = -1 if rhs[i] < 0 else 1
+        den = lcm(rhs[i].denominator, *(c.denominator for c in rows[i]))
+        row = [0] * (n_cols + 1)
         for j, c in enumerate(rows[i]):
             if c:
-                row[j], row[nv + j] = (-c, c) if flip else (c, -c)
+                row[j] = sign * c.numerator * (den // c.denominator)
+                row[nv + j] = -row[j]
         if i < n_ge:
-            row[2 * nv + i] = Fraction(1 if flip else -1)
-        row[2 * nv + n_ge + i] = Fraction(1)
-        row[n_cols] = -rhs[i] if flip else rhs[i]
+            row[2 * nv + i] = -sign * den
+        row[2 * nv + n_ge + i] = den
+        row[n_cols] = sign * rhs[i].numerator * (den // rhs[i].denominator)
         tableau.append(row)
+        dens.append(den)
 
-    # phase-one objective: minimize the artificial sum; objective row holds
-    # the negated reduced costs -(c_j - z_j) so pivoting is row arithmetic
-    obj = [zero] * (n_cols + 1)
-    for row in tableau:
+    # phase-one objective, stored as row m: minimize the artificial sum; it
+    # holds the negated reduced costs -(c_j - z_j), the sum of the rows less
+    # 1 on each artificial column, where that sum is 1 (so 0 is left there)
+    den = lcm(*dens)
+    obj = [0] * (n_cols + 1)
+    for row, row_den in zip(tableau, dens):
+        scale = den // row_den
         for j, c in enumerate(row):
             if c:
-                obj[j] += c
+                obj[j] += scale * c
     for j in range(2 * nv + n_ge, n_cols):
-        obj[j] -= Fraction(1)
+        obj[j] = 0
+    g = gcd(den, *obj)
+    tableau.append([c // g for c in obj])
+    dens.append(den // g)
 
     basis = [2 * nv + n_ge + i for i in range(m)]
 
     def pivot(row_idx: int, col_idx: int):
-        # scale the pivot row, then eliminate its column from the rows (and
-        # the objective) that have a nonzero there, on its nonzero columns only
-        inv = Fraction(1) / tableau[row_idx][col_idx]
-        prow = tableau[row_idx] = [x * inv if x else x for x in tableau[row_idx]]
+        # the pivot row keeps its ints over the pivot entry (its content
+        # divides the pivot entry); every row with a nonzero in the pivot
+        # column, the objective included, is rescaled and loses that column
+        prow = tableau[row_idx]
+        content = gcd(*prow)
+        if content > 1:
+            prow = tableau[row_idx] = [x // content for x in prow]
+        pv = dens[row_idx] = prow[col_idx]
         nonzero = [(j, y) for j, y in enumerate(prow) if y]
-        for row in tableau + [obj]:
+        for i, row in enumerate(tableau):
             factor = row[col_idx]
-            if factor and row is not prow:
-                for j, y in nonzero:
-                    row[j] -= factor * y
+            if not factor or i == row_idx:
+                continue
+            g = gcd(pv, factor)
+            s, t = pv // g, factor // g
+            if s != 1:
+                row = [s * x for x in row]
+            for j, y in nonzero:
+                row[j] -= t * y
+            den = dens[i] * s
+            g = gcd(den, *row)
+            if g > 1:
+                row = [x // g for x in row]
+                den //= g
+            tableau[i] = row
+            dens[i] = den
         basis[row_idx] = col_idx
 
     guard = 0
@@ -103,22 +146,23 @@ def feasibility(
         guard += 1
         if guard > limit:
             raise LPError("simplex iteration limit exceeded")
+        obj = tableau[m]
         enter = next((j for j in range(n_cols) if obj[j] > 0), None)
         if enter is None:
             break
+        # Bland's ratio test: least rhs/coeff over the rows with coeff > 0,
+        # ties to the smaller basis index; a row's denominator cancels
         best_row = None
-        best_ratio = None
         for r in range(m):
             coeff = tableau[r][enter]
             if coeff > 0:
-                ratio = tableau[r][n_cols] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = r
+                b = tableau[r][n_cols]
+                if best_row is None:
+                    best_row, best_b, best_coeff = r, b, coeff
+                    continue
+                left, right = b * best_coeff, best_b * coeff
+                if left < right or (left == right and basis[r] < basis[best_row]):
+                    best_row, best_b, best_coeff = r, b, coeff
         if best_row is None:
             raise LPError("phase-one objective unbounded; internal error")
         pivot(best_row, enter)
@@ -130,7 +174,7 @@ def feasibility(
         x = [Fraction(0)] * (2 * nv)
         for r, b in enumerate(basis):
             if b < 2 * nv:
-                x[b] = tableau[r][n_cols]
+                x[b] = Fraction(tableau[r][n_cols], dens[r])
         point = [x[j] - x[nv + j] for j in range(nv)]
         for row, b in zip(a_ge, b_ge):
             if sum(c * v for c, v in zip(row, point)) < b:
@@ -143,7 +187,8 @@ def feasibility(
     # infeasible: read the dual off the artificial columns; the objective row
     # stores z_j - c_j, and an artificial column has A_col = e_i, c = 1, so
     # obj[col] = y_i - 1
-    y_flip = [obj[2 * nv + n_ge + i] + Fraction(1) for i in range(m)]
+    den = dens[m]
+    y_flip = [Fraction(obj[2 * nv + n_ge + i] + den, den) for i in range(m)]
     y = [-v if b < 0 else v for v, b in zip(y_flip, rhs)]
     y_ge = y[:n_ge]
     y_eq = y[n_ge:]
@@ -165,9 +210,9 @@ def verify_farkas(
     a_eq = _to_rows(a_eq)
     y_ge = [Fraction(x) for x in y_ge]
     y_eq = [Fraction(x) for x in y_eq]
+    nv = _width(a_ge + a_eq)
     if any(y < 0 for y in y_ge):
         return False
-    nv = len(a_ge[0]) if a_ge else (len(a_eq[0]) if a_eq else 0)
     combo = [Fraction(0)] * nv
     for yi, row in [*zip(y_ge, a_ge), *zip(y_eq, a_eq)]:
         if yi:

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklie.catalog import almost_abelian_algebra, almost_abelian_equations, build_almost_abelian
+import pklie.pkahler as pkahler
+from pklie.catalog import (
+    AlmostAbelianData,
+    almost_abelian_algebra,
+    almost_abelian_equations,
+    build_almost_abelian,
+)
 from pklie.cxstruct import (
     ComplexStructureSpec,
     _check_j_square,
@@ -46,6 +52,7 @@ from pklie.pkahler import (
     _standard_power_coords,
     closed_pp_space,
     find_pkahler,
+    obstruction_search,
     pp_coordinates,
     real_pp_basis,
 )
@@ -57,6 +64,7 @@ from pklie.positivity import (
     pairing_coefficient,
     volume_coefficient,
 )
+from pklie.polynomials import char_poly, divmod_poly, minimal_poly, trim
 from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power
 from pklie.simplex import LPResult, feasibility, verify_farkas
 from test_acceptance import _random_integrable_data
@@ -735,6 +743,132 @@ def test_sparse_simplex_matches_dense_reference(system, data):
         )
 
 
+def _fraction_simplex_reference(a_ge, b_ge, a_eq=(), b_eq=()):
+    """Phase-one simplex with Bland's rule on a Fraction tableau, each pivot
+    scaling the pivot row and subtracting its nonzero entries from the rows
+    (and the objective) that meet its column."""
+    a_ge = [[Fraction(x) for x in row] for row in a_ge]
+    a_eq = [[Fraction(x) for x in row] for row in a_eq]
+    b_ge = [Fraction(x) for x in b_ge]
+    b_eq = [Fraction(x) for x in b_eq]
+    rows = a_ge + a_eq
+    if not rows:
+        return LPResult(True, [])
+    nv, n_ge, m = len(rows[0]), len(a_ge), len(rows)
+    rhs = b_ge + b_eq
+    n_cols = 2 * nv + n_ge + m
+    zero = Fraction(0)
+    tableau = []
+    for i in range(m):
+        flip = rhs[i] < 0
+        row = [zero] * (n_cols + 1)
+        for j, c in enumerate(rows[i]):
+            if c:
+                row[j], row[nv + j] = (-c, c) if flip else (c, -c)
+        if i < n_ge:
+            row[2 * nv + i] = Fraction(1 if flip else -1)
+        row[2 * nv + n_ge + i] = Fraction(1)
+        row[n_cols] = -rhs[i] if flip else rhs[i]
+        tableau.append(row)
+    obj = [zero] * (n_cols + 1)
+    for row in tableau:
+        for j, c in enumerate(row):
+            if c:
+                obj[j] += c
+    for j in range(2 * nv + n_ge, n_cols):
+        obj[j] -= Fraction(1)
+    basis = [2 * nv + n_ge + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n_cols) if obj[j] > 0), None)
+        if enter is None:
+            break
+        best_row = best_ratio = None
+        for r in range(m):
+            coeff = tableau[r][enter]
+            if coeff > 0:
+                ratio = tableau[r][n_cols] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                ):
+                    best_ratio, best_row = ratio, r
+        inv = Fraction(1) / tableau[best_row][enter]
+        prow = tableau[best_row] = [x * inv if x else x for x in tableau[best_row]]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        for row in tableau + [obj]:
+            factor = row[enter]
+            if factor and row is not prow:
+                for j, y in nonzero:
+                    row[j] -= factor * y
+        basis[best_row] = enter
+    if obj[n_cols] == 0:
+        x = [zero] * (2 * nv)
+        for r, b in enumerate(basis):
+            if b < 2 * nv:
+                x[b] = tableau[r][n_cols]
+        return LPResult(True, [x[j] - x[nv + j] for j in range(nv)])
+    y = [obj[2 * nv + n_ge + i] + 1 for i in range(m)]
+    y = [-v if b < 0 else v for v, b in zip(y, rhs)]
+    assert _dense_farkas_reference(a_ge, b_ge, y[:n_ge], a_eq, b_eq, y[n_ge:])
+    return LPResult(False, None, y[:n_ge], y[n_ge:])
+
+
+# entries over several denominators, so that rows get different common ones
+mixed_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 6, 7]))
+
+
+@st.composite
+def tied_lp_systems(draw):
+    """>= and = systems with mixed denominators and right-hand sides of both
+    signs; some have zero rows, and some repeat a row times a positive
+    factor, rhs included, so that two rows tie in the ratio test."""
+    nv = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(Fraction(0)), mixed_rationals), min_size=nv, max_size=nv)
+    a_ge = draw(st.lists(row, min_size=1, max_size=5))
+    a_eq = draw(st.lists(row, max_size=3))
+    b_ge = draw(st.lists(mixed_rationals, min_size=len(a_ge), max_size=len(a_ge)))
+    b_eq = draw(st.lists(mixed_rationals, min_size=len(a_eq), max_size=len(a_eq)))
+    if draw(st.booleans()):
+        a_ge.append([Fraction(0)] * nv)
+        b_ge.append(draw(mixed_rationals))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(a_ge) - 1))
+        c = draw(mixed_rationals.filter(lambda t: t > 0))
+        a_ge.append([c * x for x in a_ge[i]])
+        b_ge.append(c * b_ge[i])
+    return a_ge, b_ge, a_eq, b_eq
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_lp_systems())
+def test_integer_simplex_matches_fraction_reference(system):
+    """Rows of ints over a positive denominator hold the Fraction tableau's
+    rationals, so Bland's rule makes the same pivots: the flag, the point
+    and both Farkas vectors are equal."""
+    assert feasibility(*system) == _fraction_simplex_reference(*system)
+
+
+def test_integer_simplex_matches_fraction_reference_on_aab_obstruction_lp(monkeypatch):
+    """The obstruction_search LP of the INCONCLUSIVE almost-abelian item of
+    the benchmark set (3 >= rows, 14 = rows, 36 variables)."""
+    data = AlmostAbelianData(
+        3, -2, [-1, -2, 0, 1], [[2, 0, 2, 0], [-2, -1, -2, 1], [-1, 2, -1, -2], [0, -2, 0, 2]]
+    )
+    systems = []
+
+    def recording(*system):
+        systems.append(system)
+        return feasibility(*system)
+
+    monkeypatch.setattr(pkahler, "feasibility", recording)
+    assert obstruction_search(build_almost_abelian(data), 1) is None
+    (system,) = systems
+    res = feasibility(*system)
+    assert not res.feasible
+    assert res == _fraction_simplex_reference(*system)
+
+
 def _dense_nijenhuis_reference(g, J):
     """N(e_i, e_j) with J applied as a dense Fraction matrix and dense brackets."""
     dim = g.dim
@@ -825,3 +959,144 @@ def test_sparse_j_square_matches_dense_reference(case, data):
     except ValueError:
         accepted = False
     assert accepted == _dense_j_square_reference(J)
+
+
+def _fraction_char_poly_reference(m):
+    """det(xI - M) by the trace recursion on the Fraction matrix."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    work = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            work[i][i] += coeffs[n - k + 1]
+        work = [
+            [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        coeffs[n - k] = -sum(work[i][i] for i in range(n)) / k
+    return coeffs
+
+
+def _fraction_minimal_poly_reference(m):
+    """The first d whose Fraction kernel of [vec M^0 .. vec M^d] meets x^d."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    powers = [[[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]]
+    for _ in range(n):
+        last = powers[-1]
+        powers.append(
+            [[sum(a[i][t] * last[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        )
+    for d in range(1, n + 1):
+        rows = [[powers[k][i][j] for k in range(d + 1)] for i in range(n) for j in range(n)]
+        for vec in kernel(rows, d + 1):
+            if vec[d]:
+                return trim([c / vec[d] for c in vec])
+    raise AssertionError("no annihilating polynomial")
+
+
+def _fraction_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _poly_at_matrix(p, m):
+    """p(M) by Horner's rule over Fraction matrices."""
+    n = len(m)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        out = _fraction_matmul(out, m)
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _jordan_block(c, size):
+    return [[c if i == j else Fraction(int(j == i + 1)) for j in range(size)] for i in range(size)]
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational n x n matrices, n = 1..7: dense draws over mixed denominators,
+    and the zero, scalar, nilpotent Jordan and derogatory block-diagonal
+    kinds (two Jordan blocks share an eigenvalue); the structured kinds are
+    sometimes conjugated by a unit triangular matrix with rational entries,
+    which changes neither polynomial."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["dense", "zero", "scalar", "jordan", "derogatory"]))
+    entry = st.one_of(st.just(Fraction(0)), mixed_rationals)
+    if kind == "dense":
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "zero":
+        m = _block_diagonal([[[Fraction(0)]]] * n)
+    elif kind == "scalar":
+        m = _block_diagonal([[[draw(mixed_rationals)]]] * n)
+    elif kind == "jordan":
+        m = _jordan_block(Fraction(0), n)
+    else:
+        n = max(n, 2)
+        sizes = [draw(st.integers(1, n - 1))]
+        while sum(sizes) < n:
+            sizes.append(draw(st.integers(1, n - sum(sizes))))
+        shared = draw(mixed_rationals)
+        eigen = [shared, shared] + [draw(mixed_rationals) for _ in sizes[2:]]
+        m = _block_diagonal([_jordan_block(c, size) for c, size in zip(eigen, sizes)])
+    if draw(st.booleans()):
+        u = [[Fraction(int(i == j)) if j <= i else draw(entry) for j in range(n)] for i in range(n)]
+        m = _fraction_matmul(_fraction_matmul(inverse(u), m), u)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_integer_polynomials_match_fraction_references(m):
+    """N = D M has int powers and an int trace recursion; scaling back by
+    powers of D gives the Fraction coefficients, string for string."""
+    mp, cp = minimal_poly(m), char_poly(m)
+    assert mp == _fraction_minimal_poly_reference(m)
+    assert cp == _fraction_char_poly_reference(m)
+    assert all(type(c) is Fraction for c in mp + cp)
+    n = len(m)
+    zero = [[Fraction(0)] * n for _ in range(n)]
+    assert mp[-1] == cp[-1] == 1 and len(cp) == n + 1
+    assert _poly_at_matrix(mp, m) == zero
+    assert _poly_at_matrix(cp, m) == zero  # Cayley-Hamilton
+    assert not divmod_poly(cp, mp)[1]
+
+
+def _poly_product(factors):
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_polynomials_of_structured_matrices():
+    third, half, zero = Fraction(1, 3), Fraction(1, 2), Fraction(0)
+    assert minimal_poly([[zero] * 3] * 3) == [0, 1]
+    assert char_poly([[zero] * 3] * 3) == [0, 0, 0, 1]
+    scalar = _block_diagonal([[[third]]] * 3)
+    assert minimal_poly(scalar) == [-third, 1]
+    assert char_poly(scalar) == _poly_product([[-third, 1]] * 3)
+    assert minimal_poly(_jordan_block(zero, 4)) == [0, 0, 0, 0, 1]
+    assert char_poly(_jordan_block(zero, 4)) == [0, 0, 0, 0, 1]
+    # J_2(1/2) + J_2(1/2) + (1/2) + (2) is derogatory: mp = (x - 1/2)^2 (x - 2)
+    m = _block_diagonal([_jordan_block(half, 2), _jordan_block(half, 2), [[half]], [[Fraction(2)]]])
+    assert minimal_poly(m) == _poly_product([[-half, 1]] * 2 + [[-2, 1]])
+    assert char_poly(m) == _poly_product([[-half, 1]] * 5 + [[-2, 1]])

@@ -105,3 +105,27 @@ def test_inputs_are_left_unchanged():
     copies = [[list(row) for row in a_ge], list(b_ge), [list(row) for row in a_eq], list(b_eq)]
     assert not feasibility(a_ge, b_ge, a_eq, b_eq).feasible
     assert [a_ge, b_ge, a_eq, b_eq] == copies
+
+
+def test_ragged_rows_are_rejected():
+    # the variable count is the common row length; a row of another length
+    # used to be read as if it had the first row's length
+    with pytest.raises(ValueError):
+        feasibility([[1], [1, 1]], [1, 1])
+    with pytest.raises(ValueError):
+        feasibility([[1, 0]], [1], [[1]], [0])
+    with pytest.raises(ValueError):
+        feasibility([], [], [[1, 1], [1]], [0, 0])
+
+
+def test_verify_farkas_rejects_ragged_rows():
+    # y = (1, 1) cancels the first coefficients only: the trailing 1 of the
+    # longer row must not be dropped
+    with pytest.raises(ValueError):
+        verify_farkas([[1], [-1, 1]], [1, 0], [1, 1])
+    with pytest.raises(ValueError):
+        verify_farkas([[1, 0]], [1], [1], [[-1]], [0], [1])
+    # the same certificate on equal-length rows is rejected for its nonzero
+    # combination, and the padded-with-zero system has a valid one
+    assert not verify_farkas([[1, 0], [-1, 1]], [1, 0], [1, 1])
+    assert verify_farkas([[1, 0], [-1, 0]], [1, 0], [1, 1])
