@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -308,8 +307,8 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
     """
     n = struct.n
     q = n - p
-    if not 1 <= p < n or q < 1:
-        return None
+    if not 1 <= p < n:
+        raise ValueError("need 1 <= p < n")
     if not is_unimodular(struct.g):
         return None
     ansatz: list[MultiIndex] = []
@@ -317,8 +316,6 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
         for holo in itertools.combinations(range(1, n + 1), a):
             for anti in itertools.combinations(range(1, n + 1), b):
                 ansatz.append(MultiIndex(holo, anti))
-    if not ansatz:
-        return None
     images = [
         bidegree_component(struct.d(ComplexForm(n, {key: ONE})), q, q) for key in ansatz
     ]
@@ -394,15 +391,17 @@ def find_pkahler(
     """Search for, or refute, a d-closed transverse real (p,p)-form.
 
     Decision order, after the exact closed-space kernel:
-    1. the projection of the standard power, as a positive-definite candidate;
-    2. the LP over the coframe monomial witnesses; infeasible means REFUTED;
-    3. kernel elements and seeded random combinations as candidates;
-    4. witness rounds on the LP point: eigenvalue hill-climbing with exact
-       re-verification, diagonal obstruction search, and harvested simple
-       witnesses added to the LP.
-    Step 2 may run before step 3 because an infeasible LP rules out every
-    candidate: a positive definite Gram matrix has a positive diagonal, so a
-    positive multiple of a passing candidate meets every monomial row >= 1.
+    1. the projection of the standard power, tested by the exact Gram
+       reduction;
+    2. witness rounds, at most `budget.witness_cap`.  Each solves the LP over
+       the witnesses (the coframe monomials, then harvested simple forms);
+       infeasible means REFUTED.  Otherwise `check_transverse` on the LP point
+       decides: TRANSVERSE is FOUND, NOT_TRANSVERSE adds its simple witness
+       to the LP, INCONCLUSIVE ends the rounds.  Round 1 also runs the
+       diagonal obstruction search.
+    The LP points never repeat: each harvested row cuts off the point that
+    produced it.  Only the harvest's numeric search (at 1 < p < n-1) reads
+    the budget's seed, restarts and steps.
     """
     budget = budget or SearchBudget()
     n = struct.n
@@ -417,95 +416,52 @@ def find_pkahler(
         report.refutation = EmptyConeRefutation()
         return report
 
-    k_dim = len(closed.coords)
-    mono_basis = gram_basis(n, n - p)
-    grams = [gram_matrix(f)[1] for f in closed.forms]
+    def found(omega: ComplexForm, cert: TransversalityVerdict) -> PKahlerReport:
+        if not struct.d(omega).is_zero():
+            raise AssertionError("found form is not closed; internal error")
+        report.verdict = PKVerdict.FOUND
+        report.found_form = omega
+        report.found_certificate = cert
+        return report
 
-    # candidates are coefficient vectors over the kernel basis
-    seen: set[tuple[Fraction, ...]] = set()
-
-    def first_pd(candidates: list[list[Fraction]]) -> PKahlerReport | None:
-        for cand in candidates:
-            key = tuple(cand)
-            if key in seen or not any(cand):
-                continue
-            seen.add(key)
-            omega = _combine(closed.forms, cand)
-            ok, cert = gram_positive_definite(gram_matrix(omega)[1])
-            if ok:
-                if not struct.d(omega).is_zero():
-                    raise AssertionError("candidate is not closed; internal error")
-                report.verdict = PKVerdict.FOUND
-                report.found_form = omega
-                report.found_certificate = TransversalityVerdict(
-                    TransStatus.TRANSVERSE, gram=cert
-                )
-                return report
-        return None
+    def refuted(refutation, rounds: int) -> PKahlerReport:
+        report.verdict = PKVerdict.REFUTED
+        report.refutation = refutation
+        report.stats["witness_rounds"] = rounds
+        return report
 
     proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
-    if proj is not None and (found := first_pd([proj])):
-        return found
+    if proj is not None and any(proj):
+        omega = _combine(closed.forms, proj)
+        ok, cert = gram_positive_definite(gram_matrix(omega)[1])
+        if ok:
+            return found(omega, TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert))
 
     # witness family: all coframe monomials, then harvested simple forms
-    witnesses: list[ComplexForm] = [monomial(n, idx) for idx in mono_basis]
-    rows = _monomial_rows(grams)
-    res = feasibility(rows, [Fraction(1)] * len(rows))
-    unit_starts = identity(k_dim, Fraction(1))
-    rng = random.Random(budget.seed)
-    # an infeasible LP rules out every candidate, so they are tried only here
-    if res.feasible:
-        draws = [
-            [Fraction(rng.randint(-2, 2)) for _ in range(k_dim)]
-            for _ in range(min(budget.restarts, 16))
-        ]
-        if found := first_pd(unit_starts + draws):
-            return found
-
+    witnesses: list[ComplexForm] = [monomial(n, idx) for idx in gram_basis(n, n - p)]
+    rows = _monomial_rows([gram_matrix(f)[1] for f in closed.forms])
     harvest_budget = SearchBudget(
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
         seed=budget.seed,
         step_tol=budget.step_tol,
     )
-    obstruction_done = False
     for round_idx in range(max(budget.witness_cap, 1)):
-        if round_idx:
-            res = feasibility(rows, [Fraction(1)] * len(rows))
+        res = feasibility(rows, [Fraction(1)] * len(rows))
         if not res.feasible:
-            report.verdict = PKVerdict.REFUTED
-            report.refutation = WitnessRefutation(witnesses, res.farkas_ge)
+            return refuted(WitnessRefutation(witnesses, res.farkas_ge), round_idx + 1)
+        if round_idx == 0 and (obstruction := obstruction_search(struct, p)) is not None:
+            return refuted(obstruction, 1)
+        omega = _combine(closed.forms, res.point)
+        verdict = check_transverse(omega, harvest_budget)
+        if verdict.status == TransStatus.TRANSVERSE:
+            return found(omega, verdict)
+        if verdict.status == TransStatus.INCONCLUSIVE:
             report.stats["witness_rounds"] = round_idx + 1
-            return report
-        cand = res.point
-        if found := first_pd([cand]):
-            return found
-        # eigenvalue hill-climb around the feasible region
-        if found := first_pd(_pd_hill_climb(grams, [cand] + unit_starts, budget)):
-            return found
-        if not obstruction_done:
-            obstruction_done = True
-            cert_obs = obstruction_search(struct, p)
-            if cert_obs is not None:
-                report.verdict = PKVerdict.REFUTED
-                report.refutation = cert_obs
-                report.stats["witness_rounds"] = round_idx + 1
-                return report
-        omega_hat = _combine(closed.forms, cand)
-        verdict = check_transverse(omega_hat, harvest_budget)
-        if verdict.status == TransStatus.NOT_TRANSVERSE and verdict.witness is not None:
-            psi = verdict.witness.to_form(n)
-            witnesses.append(psi)
-            rows.append([volume_coefficient(closed.forms[r], psi).re for r in range(k_dim)])
-        else:
-            probe = _random_witness_row(closed.forms, cand, n, n - p, rng)
-            if probe is None:
-                report.stats["witness_rounds"] = round_idx + 1
-                break
-            psi, row = probe
-            witnesses.append(psi)
-            rows.append(row)
-    report.verdict = PKVerdict.INCONCLUSIVE
+            break
+        psi = verdict.witness.to_form(n)
+        witnesses.append(psi)
+        rows.append([volume_coefficient(f, psi).re for f in closed.forms])
     return report
 
 
@@ -544,67 +500,6 @@ def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
             gram[i][j] = gram[j][i] = dot(i, basis_vecs[j])
     rhs = [dot(i, x0) for i in range(k)]
     return solve(gram, rhs)
-
-
-def _pd_hill_climb(grams, starts, budget: SearchBudget) -> list[list[Fraction]]:
-    """Maximize the minimal Gram eigenvalue over the closed space (float),
-    returning rationalized candidates worth exact checking."""
-    import numpy as np
-
-    k = len(grams)
-    if k == 0:
-        return []
-    size = len(grams[0])
-    hf = np.array(
-        [[[v.to_complex() for v in row] for row in h] for h in grams]
-    )  # shape (k, size, size)
-    rng = np.random.default_rng(budget.seed)
-    out = []
-    start_vecs = [np.array([float(c) for c in s]) for s in starts if any(s)]
-    for _ in range(max(2, min(budget.restarts // 10, 10))):
-        start_vecs.append(rng.standard_normal(k))
-    for y in start_vecs[: 12]:
-        y = y.astype(float)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            continue
-        y = y / norm
-        best_val = -np.inf
-        best_y = y
-        lr = 0.5
-        for _ in range(min(budget.steps, 120)):
-            h = np.tensordot(y, hf, axes=(0, 0))
-            vals, vecs = np.linalg.eigh(h)
-            lam = vals[0]
-            if lam > best_val:
-                best_val = lam
-                best_y = y.copy()
-            v = vecs[:, 0]
-            grad = np.array([float(np.real(np.vdot(v, hf[r] @ v))) for r in range(k)])
-            gnorm = np.linalg.norm(grad)
-            if gnorm < 1e-14:
-                break
-            y = y + lr * grad / gnorm
-            y = y / np.linalg.norm(y)
-        if best_val > 1e-9:
-            for denom in (3, 10, 100, 1000):
-                out.append([Fraction(float(c)).limit_denominator(denom) for c in best_y])
-    return out
-
-
-def _random_witness_row(forms, cand, n, k, rng):
-    """Probe random rational decomposables for a nonpositive pairing at cand."""
-    from .positivity import random_decomposable
-
-    omega_hat = _combine(forms, cand)
-    for _ in range(40):
-        psi = random_decomposable(n, k, rng)
-        if psi.is_zero():
-            continue
-        if volume_coefficient(omega_hat, psi).re <= 0:
-            row = [volume_coefficient(forms[r], psi).re for r in range(len(forms))]
-            return psi, row
-    return None
 
 
 # -- re-verification of serialized reports -------------------------------------------

@@ -50,7 +50,13 @@ class TransStatus(str, Enum):
 
 @dataclass
 class SearchBudget:
-    """Knobs of the numeric searches; exact paths ignore them."""
+    """Knobs of the numeric search in `check_transverse`; exact paths ignore them.
+
+    `seed`, `restarts`, `steps` and `step_tol` drive that search, which runs
+    only at 1 < p < n-1.  In `find_pkahler` it is the harvest on each LP
+    point, with a fraction of `restarts` and `steps`; `witness_cap` bounds
+    the LP rounds there.
+    """
 
     restarts: int = 200
     steps: int = 500
@@ -504,15 +510,6 @@ def verify_strongly_positive(omega: ComplexForm, factors: Sequence[ComplexForm])
             return False
         total = total + wedge(psi, conjugate(psi)) * i_power(p * p)
     return total == omega
-
-
-def random_decomposable(n: int, k: int, rng) -> ComplexForm:
-    """Random rational simple (k,0)-form; may be zero for degenerate draws."""
-    cols = [
-        [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
-        for _ in range(k)
-    ]
-    return _columns_form(cols, n)
 
 
 # -- root extraction for top-codimension positive forms ------------------------------

@@ -32,10 +32,10 @@ from pklie.positivity import (
     TransStatus,
     check_transverse,
     metric_power_root,
-    random_decomposable,
     volume_coefficient,
 )
 from pklie.scalars import GaussianRational, I, ONE
+from test_positivity import random_decomposable
 
 
 def _report(num, ok, detail):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,36 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_exact_decisions_leave_numpy_unloaded():
+    # numpy is imported only by the harvest's numeric search, at 1 < p < n-1:
+    # decisions by the projection, the LP rounds or exact p = 1 and p = n-1
+    # witnesses never load it, INCONCLUSIVE ones included
+    code = """
+import random, sys
+from pklie.catalog import build_almost_abelian, named_example
+from pklie.pkahler import find_pkahler
+from pklie.positivity import SearchBudget
+from test_acceptance import _random_integrable_data
+
+aab = build_almost_abelian(_random_integrable_data(3, random.Random(5), False))
+budget = SearchBudget(restarts=20, steps=100, witness_cap=6)
+cases = [(named_example(name), p, None) for name, p in
+         [("kt", 1), ("torus3", 2), ("iwasawa", 1), ("qn8b", 3)]]
+verdicts = [find_pkahler(s, p, b).verdict.value for s, p, b in cases + [(aab, 1, budget)]]
+print(" ".join(verdicts))
+sys.exit('numpy' in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent)] + [x for x in env.get("PYTHONPATH", "").split(os.pathsep) if x]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["REFUTED", "FOUND", "REFUTED", "REFUTED", "INCONCLUSIVE"]
+
+
 def test_verify_restrict_and_quotient(tmp_path, capsys):
     code, out = run_cli(
         [
@@ -425,6 +456,12 @@ def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
 def test_zero_denominator_in_literal_rejected(capsys):
     argv = ["obstruct", "--catalog", "torus4", "--p", "2", "--beta", "1/0 a1"]
     _assert_input_error(argv, capsys)
+
+
+@pytest.mark.parametrize("p", ["7", "0", "-1"])
+def test_obstruct_search_rejects_p_out_of_range(capsys, p):
+    # the search used to report "no obstruction found" and exit 2
+    _assert_input_error(["obstruct", "--catalog", "torus3", "--p", p], capsys)
 
 
 @pytest.mark.parametrize(

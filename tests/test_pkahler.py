@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from pklie.catalog import build_snn8, named_example
+import pklie.pkahler as pkahler
+from pklie.catalog import build_almost_abelian, build_snn8, named_example
 from pklie.cxstruct import ComplexStructureSpec
 from pklie.exterior import ComplexForm, form_to_json, form_to_literal, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError
@@ -24,6 +25,7 @@ from pklie.pkahler import (
 )
 from pklie.positivity import SearchBudget, TransStatus, volume_coefficient
 from pklie.scalars import GaussianRational, I, ONE
+from test_acceptance import _random_integrable_data
 
 
 BUDGET = SearchBudget(restarts=12, steps=80, seed=0, witness_cap=12)
@@ -136,6 +138,32 @@ def test_find_pkahler_snn_instance_refuted():
     assert rep.verdict == PKVerdict.REFUTED
 
 
+def _kahlerable_aab(n, seed):
+    return build_almost_abelian(_random_integrable_data(n, random.Random(seed), True))
+
+
+@pytest.mark.parametrize(
+    "struct, p",
+    [
+        pytest.param(named_example(f"torus{n}"), p, id=f"torus{n}-p{p}")
+        for n in (2, 3, 4)
+        for p in range(1, n)
+    ]
+    + [
+        pytest.param(_kahlerable_aab(n, seed), 1, id=f"aab-n{n}-seed{seed}-p1")
+        for n, seed in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+    ],
+)
+def test_witness_rounds_find_and_certify_without_the_projection(monkeypatch, struct, p):
+    # every FOUND in the catalog comes from the projection; skipping it makes
+    # the LP point, tested by check_transverse, the one that decides
+    monkeypatch.setattr(pkahler, "_project_onto_span", lambda *args: None)
+    report = find_pkahler(struct, p, SearchBudget(restarts=20, steps=100, witness_cap=6))
+    assert report.verdict == PKVerdict.FOUND
+    assert report.found_certificate.status == TransStatus.TRANSVERSE
+    assert verify_report(struct, json.loads(json.dumps(report.to_json()))) == []
+
+
 def test_find_pkahler_rejects_bad_p():
     t2 = named_example("torus2")
     with pytest.raises(ValueError):
@@ -214,6 +242,12 @@ def test_obstruction_search_qn8_instances():
 def test_obstruction_search_torus_none():
     assert obstruction_search(named_example("torus4"), 2) is None
     assert obstruction_search(named_example("torus3"), 1) is None
+
+
+@pytest.mark.parametrize("p", [0, -1, 3, 7])
+def test_obstruction_search_rejects_p_out_of_range(p):
+    with pytest.raises(ValueError, match="need 1 <= p < n"):
+        obstruction_search(named_example("torus3"), p)
 
 
 def test_closed_coframe_obstruction():

@@ -16,17 +16,26 @@ from pklie.linalg import gr, rank
 from pklie.positivity import (
     SearchBudget,
     TransStatus,
+    _columns_form,
     check_transverse,
     gram_matrix,
     gram_positive_definite,
     is_simple,
     metric_power_root,
     pairing_coefficient,
-    random_decomposable,
     simple_factors,
     volume_coefficient,
 )
 from pklie.scalars import GaussianRational, I, ONE
+
+
+def random_decomposable(n, k, rng):
+    """Random rational simple (k,0)-form; may be zero for degenerate draws."""
+    cols = [
+        [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        for _ in range(k)
+    ]
+    return _columns_form(cols, n)
 
 
 def std_omega(n):

@@ -14,6 +14,8 @@ from pklie.catalog import (
     almost_abelian_algebra,
     almost_abelian_equations,
     build_almost_abelian,
+    build_snn8,
+    named_example,
 )
 from pklie.cxstruct import (
     ComplexStructureSpec,
@@ -586,9 +588,9 @@ def test_gram_of_combined_form_matches_sparse_accumulation(case, data):
 @settings(max_examples=60, deadline=None)
 @given(structures(), st.integers(0, 3))
 def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
-    """find_pkahler solves the monomial-witness LP before the unit and random
-    candidates; that is exact only if an infeasible LP leaves no candidate
-    with a positive definite Gram matrix."""
+    """An infeasible monomial-witness LP leaves no closed form with a positive
+    definite Gram matrix: the projection of the standard power, the unit
+    vectors and seeded random combinations all fail the Gram test."""
     struct, p = case
     n = struct.n
     closed = closed_pp_space(struct, p)
@@ -617,6 +619,54 @@ def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
     report = find_pkahler(struct, p, budget)
     assert report.verdict == PKVerdict.REFUTED
     assert report.stats["witness_rounds"] == 1
+
+
+def _check_obstruction_dominated(struct, p) -> bool:
+    """If obstruction_search finds a certificate, the monomial-witness LP is
+    already infeasible, so find_pkahler refutes in witness round 1 before its
+    own obstruction search could; returns whether a certificate was found."""
+    if obstruction_search(struct, p) is None:
+        return False
+    report = find_pkahler(struct, p, SearchBudget(restarts=20, steps=100, witness_cap=6))
+    assert report.verdict == PKVerdict.REFUTED
+    closed = closed_pp_space(struct, p)
+    if not closed.coords:
+        assert report.refutation.to_json()["kind"] == "empty_cone"
+        return True
+    rows = _monomial_rows([gram_matrix(f)[1] for f in closed.forms])
+    assert not feasibility(rows, [Fraction(1)] * len(rows)).feasible
+    assert report.refutation.to_json()["kind"] == "witness_family"
+    assert report.stats["witness_rounds"] == 1
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures())
+def test_obstruction_certificate_implies_infeasible_monomial_lp(case):
+    _check_obstruction_dominated(*case)
+
+
+_SNN8_FAMILY = [
+    (1, (0, 0, 0, 1), 1),
+    (1, (0, 0, 1, 0), 1),
+    (1, (0, 0, 1, 1), -1),
+    (1, (0, 1, 0, 1), 1),
+    (1, (0, 1, 1, Fraction(1, 2)), 1),
+    (1, (1, 0, 0, 1), 1),
+    (1, (1, 1, 1, 1), 1),
+    (2, (1, 1, 0, 0, 0), 1),
+    (2, (1, 0, 1, 1, 1), 1),
+    (2, (1, 0, 0, 0, 2), 1),
+    (2, (1, 0, 0, 1, -1), 1),
+    (2, (0, 1, 0, 1, 0), 1),
+]
+
+
+def test_obstruction_certificates_on_snn8_families_imply_infeasible_monomial_lp():
+    structs = [build_snn8(*args) for args in _SNN8_FAMILY]
+    structs += [named_example(name) for name in ("qn8a", "qn8b", "qn8c")]
+    found = sum(_check_obstruction_dominated(s, p) for s in structs for p in (1, 2, 3))
+    assert found >= len(structs) * 2  # every instance has certificates at p = 1 and 2
 
 
 def _dense_feasibility_reference(a_ge, b_ge, a_eq=(), b_eq=()):
