@@ -108,24 +108,31 @@ def _check_family2_tuple(eps, mu, nu, a, b) -> None:
         if (a, b) not in ((0, 0), (1, 0)):
             raise InadmissibleParameters("with (0,1,0): (a,b) in {(0,0),(1,0)}")
         return
-    raise InadmissibleParameters(f"tuple (eps,mu,nu) = {key} is not admissible")
+    raise InadmissibleParameters(f"tuple (eps,mu,nu) = ({eps}, {mu}, {nu}) is not admissible")
+
+
+_SNN8_PARAMS = {1: ("eps", "nu", "a", "b"), 2: ("eps", "mu", "nu", "a", "b")}
 
 
 def build_snn8(family: int, params: Sequence, delta=1) -> ComplexStructureSpec:
     """Validated instance of one of the two 8-dimensional SnN families."""
+    names = _SNN8_PARAMS.get(family)
+    if names is None:
+        raise InadmissibleParameters("family must be 1 or 2")
+    values = [_f(x) for x in params]
+    if len(values) != len(names):
+        raise InadmissibleParameters(
+            f"family {family} takes the parameters {','.join(names)}, got {len(values)} values"
+        )
     delta = _f(delta)
     if family == 1:
         if delta not in (1, -1):
             raise InadmissibleParameters("delta must be +1 or -1")
-        eps, nu, a, b = (_f(x) for x in params)
-        _check_family1_tuple(eps, nu, a, b)
-        equations = snn8_family1_equations(eps, nu, a, b, delta)
-    elif family == 2:
-        eps, mu, nu, a, b = (_f(x) for x in params)
-        _check_family2_tuple(eps, mu, nu, a, b)
-        equations = snn8_family2_equations(eps, mu, nu, a, b)
+        _check_family1_tuple(*values)
+        equations = snn8_family1_equations(*values, delta)
     else:
-        raise InadmissibleParameters("family must be 1 or 2")
+        _check_family2_tuple(*values)
+        equations = snn8_family2_equations(*values)
     return ComplexStructureSpec.from_equations(equations)
 
 
@@ -408,6 +415,10 @@ def parse_catalog_name(name: str) -> ComplexStructureSpec | None:
     pieces = rest.split(":")
     params = [p.strip() for p in pieces[0].split(",")]
     if head == "snn8f1":
+        if len(pieces) > 2:
+            raise InadmissibleParameters(f"{name!r}: snn8f1 takes eps,nu,a,b[:delta]")
         delta = pieces[1] if len(pieces) > 1 else "1"
         return build_snn8(1, params, delta)
+    if len(pieces) > 1:
+        raise InadmissibleParameters(f"{name!r}: snn8f2 takes eps,mu,nu,a,b and no delta")
     return build_snn8(2, params)

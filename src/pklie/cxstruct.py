@@ -167,8 +167,8 @@ def _real_to_complex_images(coframe: Matrix) -> list[ComplexForm]:
     for row in rinv:
         terms = {}
         for j in range(n):
-            c1 = GaussianRational(row[j] / 2, -row[n + j] / 2)
-            if c1:
+            if row[j] or row[n + j]:
+                c1 = GaussianRational(row[j], row[n + j]).conjugate() / 2
                 terms[MultiIndex((j + 1,), ())] = c1
                 terms[MultiIndex((), (j + 1,))] = c1.conjugate()
         images.append(ComplexForm._wrap(n, terms))

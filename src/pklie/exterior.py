@@ -332,7 +332,7 @@ def apply_antiderivation(
         raise ValueError("coframe dimension mismatch")
     acc: dict[MultiIndex, GaussianRational] = {}
     for (holo, anti), c in f.terms.items():
-        unit = c.re == 1 and not c.im
+        unit = c.a == 1 and c.d == 1 and not c.b
         # (position t, d x_t, the holo and anti slots without x_t)
         slots = [(t, d_holo[j - 1], holo[:t] + holo[t + 1 :], anti) for t, j in enumerate(holo)]
         slots += [

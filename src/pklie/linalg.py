@@ -2,14 +2,16 @@
 
 Matrices are lists of row lists.  `rref`, `kernel`, `solve`, `inverse` and
 `row_space_rref` work in the field of the entries they are given: `Fraction`
-for data that are real by construction, `GaussianRational` otherwise.  A
-matrix of plain `int` entries is reduced fraction-free (integer Gauss-Jordan,
-each updated row divided by its content, one division by the pivot per entry
-at the end) and yields `Fraction` results.  Everything is exact; pivot columns
-are found scanning left to right, so reduced echelon forms and kernel bases
-are reproducible, and since the RREF of a row space is unique they are the
-same in every field.  `sparse_columns` and `apply_columns` hold a real
-matrix by its nonzero entries, for products that would mostly multiply zeros.
+for data that are real by construction, `GaussianRational` otherwise (an int
+triple (a + b i)/d in lowest terms, so `hermitian_pivots` reads the sign of a
+real pivot off its numerator).  A matrix of plain `int` entries is reduced
+fraction-free (integer Gauss-Jordan, each updated row divided by its content,
+one division by the pivot per entry at the end) and yields `Fraction`
+results.  Everything is exact; pivot columns are found scanning left to
+right, so reduced echelon forms and kernel bases are reproducible, and since
+the RREF of a row space is unique they are the same in every field.
+`sparse_columns` and `apply_columns` hold a real matrix by its nonzero
+entries, for products that would mostly multiply zeros.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ def hermitian_pivots(h: Matrix):
         d = hermitian_pairing(h, u, u)
         if not d.is_real():
             raise ValueError("pairing matrix is not Hermitian")
-        if d.re <= 0:
+        if d.a <= 0:
             return False, pivots, vectors, (u, d)
         vectors.append(u)
         pivots.append(d)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cxstruct import ComplexStructureSpec, ascending_series, JClass
 from .exterior import (
@@ -88,7 +88,8 @@ def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
 
     def parts(c: GaussianRational) -> tuple[Fraction, Fraction]:
         # c times conj(i^{p^2}), which is 1 for even p and -i for odd p
-        return (c.im, -c.re) if odd else (c.re, c.im)
+        x, y = (c.b, -c.a) if odd else (c.a, c.b)
+        return (Fraction(x, c.d) if x else zero, Fraction(y, c.d) if y else zero)
 
     coords: list[Fraction] = []
     for a in combos:
@@ -124,26 +125,29 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     basis = real_pp_basis(n, p)
     block = struct.d_pp_block(p)
     images = [combine(n, ((c, block[key]) for key, c in f.terms.items())) for f in basis]
-    # one row per (key, real or imaginary part) of the image, as {column: value}
-    sparse_rows: dict[tuple[MultiIndex, int], dict[int, Fraction]] = {}
+    # one row per (key, real or imaginary part) of the image, as
+    # {column: (numerator, denominator)} in lowest terms
+    sparse_rows: dict[tuple[MultiIndex, int], dict[int, tuple[int, int]]] = {}
     for col, img in enumerate(images):
         for key, c in img.terms.items():
-            if c.re:
-                sparse_rows.setdefault((key, 0), {})[col] = c.re
-            if c.im:
-                sparse_rows.setdefault((key, 1), {})[col] = c.im
+            if c.a:
+                g = gcd(c.a, c.d)
+                sparse_rows.setdefault((key, 0), {})[col] = (c.a // g, c.d // g)
+            if c.b:
+                g = gcd(c.b, c.d)
+                sparse_rows.setdefault((key, 1), {})[col] = (c.b // g, c.d // g)
     rows = [_integer_row(entries, len(basis)) for _, entries in sorted(sparse_rows.items())]
     coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
     forms = [_combine(basis, vec) for vec in coords]
     return ClosedPP(p, coords, forms)
 
 
-def _integer_row(entries: dict[int, Fraction], cols: int) -> list[int]:
+def _integer_row(entries: dict[int, tuple[int, int]], cols: int) -> list[int]:
     """Dense int row of the sparse entries times the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in entries.values()))
+    den = lcm(*(q for _, q in entries.values()))
     row = [0] * cols
-    for col, x in entries.items():
-        row[col] = x.numerator * (den // x.denominator)
+    for col, (p, q) in entries.items():
+        row[col] = p * (den // q)
     return row
 
 
@@ -254,7 +258,7 @@ def obstruction_check(
         c = gr(c)
         if not c.is_real() or c.is_zero():
             raise ObstructionRejected("decomposition coefficients must be real nonzero")
-        signs.add(c.re > 0)
+        signs.add(c.a > 0)
         if not is_simple(psi):
             raise ObstructionRejected("decomposition contains a non-simple test form")
         total = total + wedge(psi, conjugate(psi)) * c
@@ -446,7 +450,7 @@ def find_pkahler(
         seed=budget.seed,
         step_tol=budget.step_tol,
     )
-    for round_idx in range(max(budget.witness_cap, 1)):
+    for round_idx in range(budget.witness_cap):
         res = feasibility(rows, [Fraction(1)] * len(rows))
         if not res.feasible:
             return refuted(WitnessRefutation(witnesses, res.farkas_ge), round_idx + 1)

@@ -64,6 +64,15 @@ class SearchBudget:
     step_tol: float = 1e-12
     witness_cap: int = 24
 
+    def __post_init__(self):
+        # restarts = 0 is valid: it leaves only the exact steps
+        if self.restarts < 0 or self.steps < 0:
+            raise ValueError(
+                f"search budget restarts and steps must be >= 0, got {self.restarts} and {self.steps}"
+            )
+        if self.witness_cap < 1:
+            raise ValueError(f"witness cap must be >= 1, got {self.witness_cap}")
+
     def config_json(self) -> dict:
         return {
             "pkl.search.restarts": self.restarts,
@@ -211,7 +220,7 @@ def gram_matrix(omega: ComplexForm) -> tuple[list[tuple[int, ...]], Matrix]:
     for a, row in enumerate(h):
         for b in range(a, len(h)):
             x, y = row[b], h[b][a]
-            if x.re != y.re or x.im != -y.im:
+            if x.a != y.a or x.b != -y.b or x.d != y.d:
                 raise AssertionError("volume pairing is not Hermitian; omega not real?")
     return basis, h
 
@@ -319,7 +328,7 @@ def check_transverse(omega: ComplexForm, budget: SearchBudget | None = None) -> 
         return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
     # exact monomial scan on the Gram diagonal
     for a, idx in enumerate(basis):
-        if h[a][a].re <= 0:
+        if h[a][a].a <= 0:
             cols = [_unit_column(n, j) for j in idx]
             witness = SimpleFormWitness(cols, h[a][a])
             return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
@@ -448,7 +457,7 @@ def _rationalize_witness(omega: ComplexForm, mat: np.ndarray) -> SimpleFormWitne
         if psi.is_zero():
             continue
         value = volume_coefficient(omega, psi)
-        if value.re <= 0:
+        if value.a <= 0:
             return SimpleFormWitness(cols, value)
     return None
 
@@ -487,7 +496,7 @@ def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
             value = volume_coefficient(omega, psi)
             if value != witness.value:
                 failures.append("stored witness value does not match")
-            if value.re > 0:
+            if value.a > 0:
                 failures.append("witness pairing is positive; no refutation")
     elif status != TransStatus.INCONCLUSIVE.value:
         failures.append(f"unknown status {status!r}")

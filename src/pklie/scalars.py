@@ -2,11 +2,18 @@
 
 This is the only coefficient domain used on certificate-producing paths.
 Floats appear solely inside numeric searches and never in verdicts.
+
+A `GaussianRational` is three ints `a`, `b`, `d` meaning (a + b i)/d, kept
+canonical: d > 0 and gcd(a, b, d) = 1, so equal numbers have equal triples.
+Arithmetic works on the ints and reduces each result with one `math.gcd`.
+`re` and `im` are read-only `Fraction` views built on every read; code on a
+hot path reads the ints instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _FractionLike = (int, Fraction, str)
 
@@ -14,11 +21,31 @@ _FractionLike = (int, Fraction, str)
 class GaussianRational:
     """Immutable complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if q == s:
+            self.a, self.b, self.d = p, r, q
+        else:
+            # lowest terms: a prime of d divides q or s to its full power, so it
+            # cannot divide the numerator scaled by that part of d
+            d = q // gcd(q, s) * s
+            self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- construction helpers -------------------------------------------------
 
@@ -26,6 +53,10 @@ class GaussianRational:
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
+        if type(value) is int:
+            return _gr(value, 0, 1)
+        if isinstance(value, Fraction):
+            return _gr(value.numerator, 0, value.denominator)
         if isinstance(value, _FractionLike):
             return GaussianRational(value)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
@@ -37,30 +68,30 @@ class GaussianRational:
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     # -- arithmetic ------------------------------------------------------------
     #
-    # Operands with a zero imaginary part skip the products and sums that are
-    # known to vanish; the results are the same numbers.
+    # Each result is divided by gcd(a, b, d) unless d is 1 or the result is
+    # known to be in lowest terms already.
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        return _gr(self.re + other.re, self.im + other.im if other.im else self.im)
+        return _sum(self.a, self.b, self.d, other.a, other.b, other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        return _gr(self.re - other.re, self.im - other.im if other.im else self.im)
+        return _sum(self.a, self.b, self.d, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
@@ -68,33 +99,41 @@ class GaussianRational:
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            return _gr(a * c, a * d if d else _FZERO)
-        if not d:
-            return _gr(a * c, b * c)
-        return _gr(a * c - b * d, a * d + b * c)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not b1:
+            a, b = a1 * a2, a1 * b2
+        elif not b2:
+            a, b = a1 * a2, b1 * a2
+        else:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        d = self.d * other.d
+        if d == 1:
+            return _gr(a, b, 1)
+        return _reduced(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        if not other.im:
-            if not other.re:
+        a1, b1, a2, b2, d2 = self.a, self.b, other.a, other.b, other.d
+        if not b2:
+            if not a2:
                 raise ZeroDivisionError("division by zero GaussianRational")
-            return _gr(self.re / other.re, self.im / other.re if self.im else _FZERO)
-        d = other.re * other.re + other.im * other.im
-        return _gr(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+            if a2 < 0:
+                a2, d2 = -a2, -d2
+            a, b, d = a1 * d2, b1 * d2, self.d * a2
+        else:
+            a = (a1 * a2 + b1 * b2) * d2
+            b = (b1 * a2 - a1 * b2) * d2
+            d = self.d * (a2 * a2 + b2 * b2)
+        return _reduced(a, b, d)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -109,58 +148,100 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return _gr(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- comparisons / hashing ---------------------------------------------------
+    #
+    # Equal to the int or Fraction of the same value, and hashed like it; a str
+    # is a literal to parse, not a number, so it compares as NotImplemented.
 
     def __eq__(self, other):
-        if isinstance(other, _FractionLike):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.a == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     # -- conversion ---------------------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im)).lstrip('+')}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_str(a, d)
+        if not a:
+            return _imag_str(b, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_str(a, d)}{sign}{_imag_str(abs(b), d)}"
 
     def __repr__(self):
         return f"GaussianRational('{self}')"
 
 
-_FZERO = Fraction(0)
+_new = object.__new__
 
 
-def _gr(re: Fraction, im: Fraction) -> GaussianRational:
-    """GaussianRational from two Fractions, skipping the type checks."""
-    z = object.__new__(GaussianRational)
-    z.re = re
-    z.im = im
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """GaussianRational from a canonical triple, skipping the checks."""
+    z = _new(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = d
     return z
 
 
-def _imag_str(b: Fraction) -> str:
-    if b == 1:
+def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """(a1 + b1 i)/d1 + (a2 + b2 i)/d2 from two canonical triples."""
+    if d1 == d2:
+        a, b, d = a1 + a2, b1 + b2, d1
+        if d == 1:
+            return _gr(a, b, 1)
+    elif d1 == 1:
+        # over d2 alone, and no prime of d2 divides both a2 and b2
+        return _gr(a1 * d2 + a2, b1 * d2 + b2, d2)
+    elif d2 == 1:
+        return _gr(a1 + a2 * d1, b1 + b2 * d1, d1)
+    else:
+        a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+    return _reduced(a, b, d)
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _gr(a, b, d)
+    return _gr(a // g, b // g, d // g)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d))."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _imag_str(b: int, d: int) -> str:
+    if b == d:
         return "i"
-    if b == -1:
+    if b == -d:
         return "-i"
-    return f"{b}i"
+    return f"{_ratio_str(b, d)}i"
 
 
 ZERO = GaussianRational(0)

@@ -458,6 +458,41 @@ def test_zero_denominator_in_literal_rejected(capsys):
     _assert_input_error(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("snn8f2:1,1,0,0,0:-1", "snn8f2 takes eps,mu,nu,a,b and no delta"),
+        ("snn8f1:0,0,1,1:1:7", "snn8f1 takes eps,nu,a,b[:delta]"),
+        ("snn8f2:1,1,0,0", "family 2 takes the parameters eps,mu,nu,a,b, got 4 values"),
+        ("snn8f1:0,0,1,1,0", "family 1 takes the parameters eps,nu,a,b, got 5 values"),
+        ("snn8f2:1,1,1,0,0", "tuple (eps,mu,nu) = (1, 1, 1) is not admissible"),
+    ],
+)
+def test_malformed_catalog_name_rejected(capsys, name, message):
+    # extra pieces used to be ignored, and a short tuple printed an unpacking error
+    assert main(["classify", "--catalog", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        ["--witness-cap", "-1"],
+        ["--witness-cap", "0"],
+        ["--budget-steps", "-5"],
+        ["--budget-restarts", "-1"],
+    ],
+)
+def test_find_rejects_malformed_budget(capsys, budget):
+    _assert_input_error(["find", "--catalog", "kt", "--p", "1", *budget], capsys)
+
+
+def test_find_accepts_zero_restarts(capsys):
+    code, out = run_cli(["find", "--catalog", "kt", "--p", "1", "--budget-restarts", "0"], capsys)
+    assert code == 0 and "REFUTED" in out
+
+
 @pytest.mark.parametrize("p", ["7", "0", "-1"])
 def test_obstruct_search_rejects_p_out_of_range(capsys, p):
     # the search used to report "no obstruction found" and exit 2

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +68,7 @@ from pklie.positivity import (
     volume_coefficient,
 )
 from pklie.polynomials import char_poly, divmod_poly, minimal_poly, trim
-from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power
+from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power, parse_scalar
 from pklie.simplex import LPResult, feasibility, verify_farkas
 from test_acceptance import _random_integrable_data
 from test_cxstruct import _conjugated_pair, _random_invertible, iwasawa, kodaira_thurston, torus
@@ -1150,3 +1151,173 @@ def test_polynomials_of_structured_matrices():
     m = _block_diagonal([_jordan_block(half, 2), _jordan_block(half, 2), [[half]], [[Fraction(2)]]])
     assert minimal_poly(m) == _poly_product([[-half, 1]] * 2 + [[-2, 1]])
     assert char_poly(m) == _poly_product([[-half, 1]] * 5 + [[-2, 1]])
+
+
+# -- Gaussian rationals: the int triple against a pair of Fractions -----------------
+
+
+class _fraction_pair_reference:
+    """The former GaussianRational: a real and an imaginary Fraction."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def coerce(value):
+        if isinstance(value, _fraction_pair_reference):
+            return value
+        return _fraction_pair_reference(value)
+
+    def is_real(self):
+        return not self.im
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __add__(self, other):
+        other = self.coerce(other)
+        return _fraction_pair_reference(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self.coerce(other)
+        return _fraction_pair_reference(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return self.coerce(other) - self
+
+    def __mul__(self, other):
+        other = self.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _fraction_pair_reference(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self.coerce(other)
+        d = other.re * other.re + other.im * other.im
+        if not d:
+            raise ZeroDivisionError("division by zero")
+        return _fraction_pair_reference(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return self.coerce(other) / self
+
+    def __neg__(self):
+        return _fraction_pair_reference(-self.re, -self.im)
+
+    def __pow__(self, k):
+        out = _fraction_pair_reference(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return _fraction_pair_reference(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        other = self.coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def to_complex(self):
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self):
+        def imag(b):
+            return "i" if b == 1 else "-i" if b == -1 else f"{b}i"
+
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return imag(self.im)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{imag(abs(self.im))}"
+
+
+def _canonical_and_equal(x, ref):
+    assert type(x) is GaussianRational
+    assert all(type(v) is int for v in (x.a, x.b, x.d))
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+
+
+_gr_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30)),
+    st.one_of(st.integers(1, 6), st.integers(1, 10**20)),
+)
+_gr_parts = st.one_of(
+    st.just((Fraction(0), Fraction(0))),
+    st.tuples(_gr_rationals, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), _gr_rationals),
+    st.tuples(_gr_rationals, _gr_rationals),
+    # negative real and complex divisors
+    st.tuples(st.builds(Fraction, st.integers(-9, -1), st.integers(1, 4)), st.just(Fraction(0))),
+    st.tuples(st.integers(-3, 3).map(Fraction), st.integers(-3, -1).map(Fraction)),
+)
+# a second operand: a Gaussian rational as (re, im), or an int, a Fraction or a str
+_gr_others = st.one_of(
+    _gr_parts,
+    st.integers(-(10**12), 10**12),
+    _gr_rationals,
+    _gr_rationals.map(str),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gr_parts, _gr_others)
+def test_gaussian_triple_matches_fraction_pair_reference(xs, other):
+    x, xr = GaussianRational(*xs), _fraction_pair_reference(*xs)
+    if isinstance(other, tuple):
+        y, yr = GaussianRational(*other), _fraction_pair_reference(*other)
+    else:
+        y = yr = other
+    _canonical_and_equal(x, xr)
+    for got, want in [
+        (x + y, xr + yr),
+        (y + x, yr + xr),
+        (x - y, xr - yr),
+        (y - x, yr - xr),
+        (x * y, xr * yr),
+        (y * x, yr * xr),
+        (-x, -xr),
+        (x.conjugate(), xr.conjugate()),
+    ] + [(x**k, xr**k) for k in range(4)]:
+        _canonical_and_equal(got, want)
+    for num, den, num_r, den_r in [(x, y, xr, yr), (y, x, yr, xr)]:
+        if _fraction_pair_reference.coerce(den_r):
+            _canonical_and_equal(num / den, num_r / den_r)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+    assert x.abs2() == xr.abs2()
+    assert str(x) == str(xr) and parse_scalar(str(x)) == x
+    assert bool(x) == bool(xr) and x.is_zero() == (not xr)
+    assert x.is_real() == xr.is_real()
+    assert x.to_complex() == xr.to_complex()
+    if isinstance(other, str):
+        # a str is a literal, not a number: unequal, never parsed
+        assert x != other and (x == other) is False
+    else:
+        assert (x == y) == (xr == yr) == (y == x)
+        if x == y:
+            assert hash(x) == hash(y)
+    if x.is_real():
+        assert hash(x) == hash(x.re)
+
+
+def test_gaussian_rational_equality_with_str_and_hash():
+    assert (ZERO == "abc") is False and (ZERO == "1/0") is False and ONE != "1"
+    assert {GaussianRational(1): "x"}.get(1) == "x"
+    assert {Fraction(1, 2): "y"}.get(GaussianRational("1/2")) == "y"
+    assert hash(GaussianRational(3)) == hash(3) and GaussianRational(3) == 3
+    assert len({GaussianRational("2/4", "-3/6"), GaussianRational("1/2", "-1/2")}) == 1
