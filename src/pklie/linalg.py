@@ -1,22 +1,26 @@
-"""Exact dense linear algebra over the rationals or the Gaussian rationals.
+"""Exact linear algebra over the rationals or the Gaussian rationals.
 
 Matrices are lists of row lists.  `rref`, `kernel`, `solve`, `inverse` and
 `row_space_rref` work in the field of the entries they are given: `Fraction`
 for data that are real by construction, `GaussianRational` otherwise (an int
 triple (a + b i)/d in lowest terms, so `hermitian_pivots` reads the sign of a
-real pivot off its numerator).  A matrix of plain `int` entries is reduced
-fraction-free (integer Gauss-Jordan, each updated row divided by its content,
-one division by the pivot per entry at the end) and yields `Fraction`
-results.  Everything is exact; pivot columns are found scanning left to
-right, so reduced echelon forms and kernel bases are reproducible, and since
-the RREF of a row space is unique they are the same in every field.
-`sparse_columns` and `apply_columns` hold a real matrix by its nonzero
-entries, for products that would mostly multiply zeros.
+real pivot off its numerator).  A matrix of plain `int` entries is reduced by
+one sparse fraction-free Gauss-Jordan elimination (Bareiss-style: rows held
+as {column: int}, each updated row divided by its content, the sparsest
+candidate row as pivot) and yields `Fraction` results: `rref` densifies the
+pivot rows once, and `kernel` reads each basis entry off them as one
+division by the pivot.  Everything is exact; pivot columns are found scanning
+left to right, so reduced echelon forms and kernel bases are reproducible,
+and since the RREF of a row space is unique they are the same in every field
+and for every choice of pivot row.  A matrix of the wrong shape is a
+`ValueError`.  `sparse_columns` and `apply_columns` hold a real matrix by its
+nonzero entries, for products that would mostly multiply zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -117,13 +121,37 @@ def is_zero_vec(v: Sequence) -> bool:
     return not any(v)
 
 
+def _is_integer_matrix(m: Sequence[Sequence]) -> bool:
+    """True when m has entries and every one is a plain int."""
+    return set(map(type, chain.from_iterable(m))) == {int}
+
+
+def _width(m: Sequence[Sequence]) -> int:
+    """The common row length of m (0 when m has no rows)."""
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise ValueError("matrix rows differ in length")
+    return cols
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list, in the field of m."""
-    if m and all(type(x) is int for row in m for x in row):
-        return _rref_integer(m)
+    cols = _width(m)
+    if _is_integer_matrix(m):
+        rows, pivots = _integer_pivot_rows(m, cols)
+        zero, one = Fraction(0), Fraction(1)
+        out = []
+        for row, c in zip(rows, pivots):
+            pv = row[c]
+            dense = [zero] * cols
+            for j, x in row.items():
+                dense[j] = Fraction(x, pv)
+            dense[c] = one
+            out.append(dense)
+        out.extend([zero] * cols for _ in range(len(m) - len(pivots)))
+        return out, pivots
     a = copy_matrix(m)
     rows = len(a)
-    cols = len(a[0]) if rows else 0
     one = _one_like(a)
     pivots: list[int] = []
     r = 0
@@ -157,57 +185,66 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def _rref_integer(m: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """`rref` of an int matrix by fraction-free Gauss-Jordan elimination.
+def _integer_pivot_rows(m: Sequence[Sequence[int]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse fraction-free Gauss-Jordan elimination of an int matrix.
 
-    Rows stay integral: eliminating with pivot row r turns row i into
-    (pivot / g) * row_i - (row_i[c] / g) * row_r with g their gcd, then divides
-    it by its content.  Pivot rows are scaled to a leading 1 at the end.
+    Rows are held as {column: int} over their nonzero entries and divided by
+    their content.  Pivot columns are taken left to right; the rows that
+    lead with column c are the candidates, and the sparsest of them is the
+    pivot row, which clears c from the others.  A last pass clears each pivot
+    column from the pivot rows above it.  Returns the pivot rows, in the
+    order of their pivot columns, and those columns: row k over its pivot
+    entry is row k of the RREF.
     """
-    a = copy_matrix(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    leading: dict[int, list[dict[int, int]]] = {}
+    for row in m:
+        sparse = {j: x for j, x in enumerate(row) if x}
+        if sparse:
+            leading.setdefault(next(iter(sparse)), []).append(_primitive(sparse))
+    done: list[dict[int, int]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        candidates = leading.pop(c, None)
+        if candidates is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        row = a[r]
-        pv = row[c]
-        support = [j for j in range(c, cols) if row[j]]
-        for i in range(rows):
-            if i == r or not a[i][c]:
-                continue
-            other = a[i]
-            factor = other[c]
-            g = gcd(pv, factor)
-            s, t = pv // g, factor // g
-            if s != 1:
-                other = [s * x for x in other]
-            for j in support:
-                other[j] -= t * row[j]
-            content = gcd(*other)
-            if content > 1:
-                other = [x // content for x in other]
-            a[i] = other
+        prow = min(candidates, key=len)
+        for row in candidates:
+            if row is not prow:
+                reduced = _eliminate(row, prow, c)
+                if reduced:
+                    leading.setdefault(min(reduced), []).append(reduced)
+        done.append(prow)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    zero, one = Fraction(0), Fraction(1)
-    out = []
-    for row, c in zip(a, pivots):
-        pv = row[c]
-        out.append([Fraction(x, pv) if x else zero for x in row])
-        out[-1][c] = one
-    out.extend([zero] * cols for _ in range(rows - len(pivots)))
-    return out, pivots
+    for k in range(len(done) - 1, 0, -1):
+        prow, c = done[k], pivots[k]
+        for i in range(k):
+            if c in done[i]:
+                done[i] = _eliminate(done[i], prow, c)
+    return done, pivots
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """(p / g) row - (row[c] / g) prow for the pivot p = prow[c] and g the
+    gcd of the two, divided by its content: a sparse int row without c."""
+    pv, factor = prow[c], row[c]
+    g = gcd(pv, factor)
+    s, t = pv // g, factor // g
+    new = {j: s * x for j, x in row.items()} if s != 1 else dict(row)
+    for j, y in prow.items():
+        x = new.get(j, 0) - t * y
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    return _primitive(new)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The sparse int row divided by its content (the gcd of its entries)."""
+    content = gcd(*row.values())
+    if content > 1:
+        return {j: x // content for j, x in row.items()}
+    return row
 
 
 def rank(m: Matrix) -> int:
@@ -215,13 +252,33 @@ def rank(m: Matrix) -> int:
 
 
 def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
-    """Deterministic basis of the right kernel {x : m x = 0}, in the field of m."""
+    """Deterministic basis of the right kernel {x : m x = 0}, in the field of m.
+
+    Basis vector k has a 1 in the k-th free column, zeros in the other free
+    columns, and minus the RREF's free-column entries in the pivot columns.
+    """
     if cols is None:
         if not m:
             raise ValueError("kernel of empty matrix needs explicit column count")
         cols = len(m[0])
     if not m:
         return identity(cols)
+    if _width(m) != cols:
+        raise ValueError(f"kernel of a matrix with {len(m[0])} columns, not {cols}")
+    if _is_integer_matrix(m):
+        rows, pivots = _integer_pivot_rows(m, cols)
+        zero, one = Fraction(0), Fraction(1)
+        free = [c for c in range(cols) if c not in pivots]
+        slot = {fc: k for k, fc in enumerate(free)}
+        basis = [[zero] * cols for _ in free]
+        for vec, fc in zip(basis, free):
+            vec[fc] = one
+        for row, pc in zip(rows, pivots):
+            pv = row[pc]
+            for j, x in row.items():
+                if j != pc:
+                    basis[slot[j]][pc] = Fraction(-x, pv)
+        return basis
     one = _one_like(m)
     zero = one - one
     red, pivots = rref(m)
@@ -238,6 +295,8 @@ def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
     """One exact solution of m x = b, or None when inconsistent."""
+    if len(b) != len(m):
+        raise ValueError(f"{len(m)} equations but {len(b)} right-hand sides")
     if not m:
         return []
     cols = len(m[0])
@@ -254,6 +313,8 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("only a square matrix has an inverse")
     unit = identity(n, _one_like(m))
     aug = [list(m[i]) + unit[i] for i in range(n)]
     red, pivots = rref(aug)

@@ -153,7 +153,7 @@ def _integer_row(entries: dict[int, tuple[int, int]], cols: int) -> list[int]:
 
 def _combine(basis: list[ComplexForm], coords) -> ComplexForm:
     n = basis[0].n if basis else 0
-    return combine(n, ((GaussianRational(c), f) for c, f in zip(coords, basis) if c))
+    return combine(n, ((c, f) for c, f in zip(coords, basis) if c))
 
 
 # -- certificates ------------------------------------------------------------------
@@ -465,7 +465,7 @@ def find_pkahler(
             break
         psi = verdict.witness.to_form(n)
         witnesses.append(psi)
-        rows.append([volume_coefficient(f, psi).re for f in closed.forms])
+        rows.append([_real_part(volume_coefficient(f, psi)) for f in closed.forms])
     return report
 
 
@@ -483,26 +483,46 @@ def _standard_power_coords(n: int, p: int) -> tuple[Fraction, ...]:
     return tuple(pp_coordinates(acc / fact, p))
 
 
-def _monomial_rows(grams) -> list[list[Fraction]]:
+def _monomial_rows(grams) -> list[list[int | Fraction]]:
     """One row per coframe monomial witness: the Gram diagonal over the closed basis."""
-    return [[h[a][a].re for h in grams] for a in range(len(grams[0]))]
+    return [[_real_part(h[a][a]) for h in grams] for a in range(len(grams[0]))]
+
+
+def _real_part(c: GaussianRational) -> int | Fraction:
+    """The real part of c as an LP entry: an int when it is integral."""
+    return c.a if c.d == 1 else Fraction(c.a, c.d)
 
 
 def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
-    """Exact orthogonal projection coefficients of x0 onto span(basis_vecs)."""
+    """Exact orthogonal projection coefficients of x0 onto span(basis_vecs).
+
+    The Gram matrix and the right-hand side are summed coordinate by
+    coordinate, over the vectors that are nonzero there, so that only
+    products of entries sharing a coordinate are formed.
+    """
     if not basis_vecs:
         return None
     k = len(basis_vecs)
-    support = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis_vecs]
-
-    def dot(i: int, y) -> Fraction:
-        return sum((v * y[j] for j, v in support[i]), Fraction(0))
-
-    gram = [[Fraction(0)] * k for _ in range(k)]
+    buckets: dict[int, list[tuple[int, Fraction]]] = {}
+    for i, vec in enumerate(basis_vecs):
+        for j, v in enumerate(vec):
+            if v:
+                buckets.setdefault(j, []).append((i, v))
+    zero = Fraction(0)
+    gram = [[zero] * k for _ in range(k)]
+    for col in buckets.values():
+        for a, (i, v) in enumerate(col):
+            row = gram[i]
+            for l, w in col[a:]:
+                row[l] += v * w
     for i in range(k):
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = dot(i, basis_vecs[j])
-    rhs = [dot(i, x0) for i in range(k)]
+        for l in range(i + 1, k):
+            gram[l][i] = gram[i][l]
+    rhs = [zero] * k
+    for j, x in enumerate(x0):
+        if x:
+            for i, v in buckets.get(j, ()):
+                rhs[i] += v * x
     return solve(gram, rhs)
 
 
@@ -523,11 +543,12 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
     if not isinstance(stored, list):
         raise ValueError("closed_basis must be a list of forms")
     stored_basis = [form_from_json(item, n) for item in stored]
-    stored_coords = [pp_coordinates(f, p) for f in stored_basis]
-    if stored_basis and not same_row_space(closed.coords, stored_coords):
-        failures.append("closed space mismatch")
-    if not stored_basis and closed.coords:
-        failures.append("closed space mismatch")
+    # find_pkahler stores the canonical basis; any other basis of the same
+    # space passes the row-space comparison
+    if stored_basis != closed.forms:
+        stored_coords = [pp_coordinates(f, p) for f in stored_basis]
+        if not stored_basis or not same_row_space(closed.coords, stored_coords):
+            failures.append("closed space mismatch")
     verdict = data["verdict"]
     if verdict == PKVerdict.FOUND.value:
         omega = form_from_json(data["found_form"], n)
@@ -570,7 +591,7 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
                 elif not is_simple(psi):
                     failures.append("witness is not simple")
                 else:
-                    rows.append([volume_coefficient(f, psi).re for f in closed.forms])
+                    rows.append([_real_part(volume_coefficient(f, psi)) for f in closed.forms])
             if len(farkas) != len(rows):
                 failures.append("farkas length mismatch")
             elif not verify_farkas(rows, [Fraction(1)] * len(rows), farkas):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Row = list[Fraction]
+Row = list[int | Fraction]
 
 
 @dataclass
@@ -40,8 +40,13 @@ class LPError(RuntimeError):
     pass
 
 
+def _rational(x) -> int | Fraction:
+    """x as an exact rational; an int or a Fraction is kept as it is."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _to_rows(rows: Sequence[Sequence]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[_rational(x) for x in row] for row in rows]
 
 
 def _width(rows: Sequence[Row]) -> int:
@@ -60,8 +65,8 @@ def feasibility(
 ) -> LPResult:
     a_ge = _to_rows(a_ge)
     a_eq = _to_rows(a_eq)
-    b_ge = [Fraction(x) for x in b_ge]
-    b_eq = [Fraction(x) for x in b_eq]
+    b_ge = [_rational(x) for x in b_ge]
+    b_eq = [_rational(x) for x in b_eq]
     if len(a_ge) != len(b_ge) or len(a_eq) != len(b_eq):
         raise ValueError("row/rhs count mismatch")
     rows = a_ge + a_eq
@@ -208,8 +213,8 @@ def verify_farkas(
     """Re-check an infeasibility certificate with exact arithmetic only."""
     a_ge = _to_rows(a_ge)
     a_eq = _to_rows(a_eq)
-    y_ge = [Fraction(x) for x in y_ge]
-    y_eq = [Fraction(x) for x in y_eq]
+    y_ge = [_rational(x) for x in y_ge]
+    y_eq = [_rational(x) for x in y_eq]
     nv = _width(a_ge + a_eq)
     if any(y < 0 for y in y_ge):
         return False
@@ -221,7 +226,7 @@ def verify_farkas(
                     combo[j] += yi * c
     if any(combo):
         return False
-    value = sum(yi * Fraction(bi) for yi, bi in zip(y_ge, b_ge)) + sum(
-        yi * Fraction(bi) for yi, bi in zip(y_eq, b_eq)
+    value = sum(yi * _rational(bi) for yi, bi in zip(y_ge, b_ge)) + sum(
+        yi * _rational(bi) for yi, bi in zip(y_eq, b_eq)
     )
     return value > 0

@@ -1,0 +1,46 @@
+"""Shape checks of the exact linear algebra: a matrix of the wrong shape is
+a ValueError, never a truncated answer or an IndexError."""
+
+from fractions import Fraction
+
+import pytest
+
+from pklie.linalg import inverse, kernel, rref, solve
+
+
+def test_solve_rejects_fewer_right_hand_sides_than_equations():
+    with pytest.raises(ValueError):
+        solve([[1, 0], [0, 1]], [1])
+
+
+def test_solve_rejects_more_right_hand_sides_than_equations():
+    with pytest.raises(ValueError):
+        solve([[1, 0]], [1, 2])
+
+
+def test_kernel_rejects_a_column_count_that_is_not_the_matrix_width():
+    with pytest.raises(ValueError):
+        kernel([[1, 2, 3]], 2)
+
+
+def test_inverse_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError):
+        inverse([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[Fraction(1)], [Fraction(2), Fraction(3)]]])
+def test_rref_rejects_ragged_rows(m):
+    with pytest.raises(ValueError):
+        rref(m)
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[Fraction(1), Fraction(2)], [Fraction(3)]]])
+def test_kernel_rejects_ragged_rows(m):
+    with pytest.raises(ValueError):
+        kernel(m)
+
+
+def test_well_shaped_calls_still_answer():
+    assert solve([[1, 0], [0, 1]], [1, 2]) == [1, 2]
+    assert kernel([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]
+    assert inverse([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]

@@ -289,6 +289,58 @@ def test_report_round_trip_and_verification():
     assert verify_report(kt, data) != []
 
 
+def _kt_report_with_basis(edit):
+    """A verified kt p = 1 report whose stored closed basis is edit(forms)."""
+    kt = named_example("kt")
+    data = json.loads(json.dumps(find_pkahler(kt, 1, BUDGET).to_json()))
+    forms = closed_pp_space(kt, 1).forms
+    assert len(forms) >= 2
+    data["closed_basis"] = [form_to_json(f) for f in edit(kt, forms)]
+    return kt, data
+
+
+def _count_row_space_checks(monkeypatch):
+    calls = []
+    original = pkahler.same_row_space
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(pkahler, "same_row_space", counting)
+    return calls
+
+
+def test_verify_accepts_the_canonical_closed_basis_without_a_row_space_check(monkeypatch):
+    calls = _count_row_space_checks(monkeypatch)
+    kt, data = _kt_report_with_basis(lambda _s, forms: forms)
+    assert verify_report(kt, data) == []
+    assert calls == []
+
+
+def test_verify_accepts_another_basis_of_the_closed_space(monkeypatch):
+    calls = _count_row_space_checks(monkeypatch)
+    kt, data = _kt_report_with_basis(lambda _s, forms: [forms[0] + forms[1], *forms[1:]])
+    assert verify_report(kt, data) == []
+    assert calls == [1]
+
+
+def test_verify_rejects_a_basis_of_another_space_of_the_same_dimension():
+    def swap_last(struct, forms):
+        # a real (1,1)-form that is not closed, so not in the closed space
+        outside = next(f for f in real_pp_basis(struct.n, 1) if not struct.d(f).is_zero())
+        return [*forms[:-1], outside]
+
+    kt, data = _kt_report_with_basis(swap_last)
+    assert len(data["closed_basis"]) == len(closed_pp_space(kt, 1).forms)
+    assert verify_report(kt, data) == ["closed space mismatch"]
+
+
+def test_verify_rejects_a_closed_basis_one_vector_short():
+    kt, data = _kt_report_with_basis(lambda _s, forms: forms[:-1])
+    assert verify_report(kt, data) == ["closed space mismatch"]
+
+
 def test_empty_cone_refutation():
     # a structure whose closed (2,2) space vanishes entirely would be
     # refuted trivially; simulate via verification of a fabricated report

@@ -46,7 +46,7 @@ from pklie.liealg import (
     from_bracket_list,
     is_unimodular,
 )
-from pklie.linalg import identity, inverse, kernel, mat_from_rows, matmul, rref
+from pklie.linalg import identity, inverse, kernel, mat_from_rows, matmul, rref, solve
 from pklie.pkahler import (
     PKVerdict,
     _combine,
@@ -105,10 +105,23 @@ def test_fraction_linear_algebra_matches_gaussian(m):
 
 @st.composite
 def integer_matrices(draw):
-    """Sparse int matrices, some with zero rows or rows that are combinations."""
+    """Int matrices, some with zero rows or rows that are combinations.
+
+    Draws are sparse or fully dense, short or tall (10 rows or more), with
+    small entries or entries of 2^40 or more.
+    """
     cols = draw(st.integers(1, 7))
-    row = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 12]), min_size=cols, max_size=cols)
-    m = draw(st.lists(row, min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["sparse", "dense", "huge"]))
+    if kind == "sparse":
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 12])
+    elif kind == "dense":
+        entry = st.sampled_from([1, -1, 2, -3, 6, 12])
+    else:
+        huge = st.integers(2**40, 2**64)
+        entry = st.one_of(st.just(0), huge, huge.map(lambda x: -x), st.sampled_from([1, -2, 3]))
+    tall = draw(st.booleans())
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=10 if tall else 1, max_size=14 if tall else 5))
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
         a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
@@ -126,6 +139,75 @@ def test_integer_rref_matches_fraction_rref(m):
     assert red_i == red_f
     assert all(type(x) is Fraction for row in red_i for x in row)
     assert kernel(m) == kernel(as_fraction)
+
+
+def _dense_rref_integer_reference(m):
+    """Dense fraction-free Gauss-Jordan: the first row that meets the pivot
+    column is the pivot row; every updated row is divided by its content."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        row = a[r]
+        pv = row[c]
+        support = [j for j in range(c, cols) if row[j]]
+        for i in range(rows):
+            if i == r or not a[i][c]:
+                continue
+            other = a[i]
+            factor = other[c]
+            g = gcd(pv, factor)
+            s, t = pv // g, factor // g
+            if s != 1:
+                other = [s * x for x in other]
+            for j in support:
+                other[j] -= t * row[j]
+            content = gcd(*other)
+            if content > 1:
+                other = [x // content for x in other]
+            a[i] = other
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for row, c in zip(a, pivots):
+        pv = row[c]
+        out.append([Fraction(x, pv) if x else zero for x in row])
+        out[-1][c] = one
+    out.extend([zero] * cols for _ in range(rows - len(pivots)))
+    return out, pivots
+
+
+def _kernel_from_rref_reference(red, pivots, cols):
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_sparse_integer_elimination_matches_dense_reference(m):
+    cols = len(m[0])
+    red, pivots = _dense_rref_integer_reference(m)
+    assert rref(m) == (red, pivots)
+    basis = kernel(m)
+    assert basis == _kernel_from_rref_reference(red, pivots, cols)
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m)
 
 
 @st.composite
@@ -176,6 +258,37 @@ def test_closed_pp_space_matches_full_image_reference(case):
     assert all(type(x) is Fraction for vec in closed.coords for x in vec)
     assert closed.forms == forms
     assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
+
+
+def _dense_projection_reference(x0, basis_vecs):
+    """Orthogonal projection coefficients from the dense Fraction Gram matrix."""
+    if not basis_vecs:
+        return None
+    k = len(basis_vecs)
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+    gram = [[dot(basis_vecs[i], basis_vecs[j]) for j in range(k)] for i in range(k)]
+    return solve(gram, [dot(vec, x0) for vec in basis_vecs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures(), st.data())
+def test_bucketed_projection_matches_dense_reference(case, data):
+    struct, p = case
+    coords = closed_pp_space(struct, p).coords
+    size = len(real_pp_basis(struct.n, p))
+    drawn = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=size, max_size=size))
+    for x0 in (list(_standard_power_coords(struct.n, p)), [Fraction(x) for x in drawn]):
+        proj = _project_onto_span(x0, coords)
+        assert proj == _dense_projection_reference(x0, coords)
+        if proj is None:
+            continue
+        residual = list(x0)
+        for c, vec in zip(proj, coords):
+            residual = [r - c * v for r, v in zip(residual, vec)]
+        assert all(sum(r * v for r, v in zip(residual, vec)) == 0 for vec in coords)
 
 
 @st.composite
