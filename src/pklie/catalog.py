@@ -283,16 +283,15 @@ def kahler_decision_almost_abelian(data: AlmostAbelianData) -> KahlerDecision:
     if antisym:
         # try to absorb v: (A - lam) u = -v
         shifted = [
-            [gr(a[i][j] - (data.lam if i == j else 0)) for j in range(size)]
-            for i in range(size)
+            [a[i][j] - (data.lam if i == j else 0) for j in range(size)] for i in range(size)
         ]
-        u = solve(shifted, [gr(-x) for x in data.v])
+        u = solve(shifted, [-x for x in data.v])
         if u is not None:
             return KahlerDecision(
                 True,
                 adapted=True,
                 reason="A antisymmetric and J-commuting; v absorbed",
-                absorb=[c.re for c in u],
+                absorb=u,
             )
     c_full = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
     c_full[0][0] = data.lam

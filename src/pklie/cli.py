@@ -34,7 +34,7 @@ from .exterior import (
     form_from_json,
     form_to_json,
     form_to_literal,
-    monomial,
+    one_form,
     parse_form,
 )
 from .liealg import algebra_from_json, algebra_invariants
@@ -276,10 +276,7 @@ def cmd_restrict(args) -> int:
         closed = struct.closed_10_forms()
         if not closed:
             raise InputError("no closed (1,0)-form exists; supply --alpha")
-        alpha = ComplexForm.zero(struct.n)
-        for j, c in enumerate(closed[0], start=1):
-            if not c.is_zero():
-                alpha = alpha + monomial(struct.n, (j,), coeff=c)
+        alpha = one_form(struct.n, closed[0])
     res = restrict_to_jinvariant_ideal(struct, omega, alpha)
     closed_ok = res.sub.d(res.omega_h).is_zero()
     report = {

@@ -1,27 +1,29 @@
 """Exact linear algebra over the rationals or the Gaussian rationals.
 
 Matrices are lists of row lists.  `rref`, `kernel`, `solve`, `inverse` and
-`row_space_rref` work in the field of the entries they are given: `Fraction`
-for data that are real by construction, `GaussianRational` otherwise (an int
-triple (a + b i)/d in lowest terms, so `hermitian_pivots` reads the sign of a
-real pivot off its numerator).  A matrix of plain `int` entries is reduced by
-one sparse fraction-free Gauss-Jordan elimination (Bareiss-style: rows held
-as {column: int}, each updated row divided by its content, the sparsest
-candidate row as pivot) and yields `Fraction` results: `rref` densifies the
-pivot rows once, and `kernel` reads each basis entry off them as one
-division by the pivot.  Everything is exact; pivot columns are found scanning
-left to right, so reduced echelon forms and kernel bases are reproducible,
-and since the RREF of a row space is unique they are the same in every field
-and for every choice of pivot row.  A matrix of the wrong shape is a
-`ValueError`.  `sparse_columns` and `apply_columns` hold a real matrix by its
-nonzero entries, for products that would mostly multiply zeros.
+`row_space_rref` work in the field of the entries they are given:
+`GaussianRational` when any entry is one (an int triple (a + b i)/d in lowest
+terms, so `hermitian_pivots` reads the sign of a real pivot off its
+numerator), else `Fraction`.  Every matrix goes through one sparse
+fraction-free Gauss-Jordan elimination (Bareiss-style) on {column: entry}
+rows: each row is cleared of denominators on entry (to ints, or to Gaussian
+integers in a Gaussian matrix; an int row stays as it is), each updated row
+is divided by its content, and the sparsest candidate row is the pivot.  The
+RREF and the kernel basis are read off the pivot rows, one division by the
+pivot per entry.  Scaling a row keeps its row space and the RREF of a row
+space is unique, so neither the scaling nor the pivot row changes a result;
+pivot columns are found left to right, so reduced echelon forms and kernel
+bases are reproducible.  A matrix of the wrong shape is a `ValueError`.
+`sparse_columns` and `apply_columns` hold a real matrix by its nonzero
+entries, for products that would mostly multiply zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
+from operator import truediv
 from typing import Mapping, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, parse_scalar
@@ -34,9 +36,10 @@ def gr(value) -> GaussianRational:
     return GaussianRational.coerce(value)
 
 
-def _one_like(m: Matrix):
-    """1 in the field of m's entries: GaussianRational if they are, else Fraction."""
-    return ONE if m and m[0] and isinstance(m[0][0], GaussianRational) else Fraction(1)
+def _one_like(m: Sequence[Sequence]):
+    """1 in the field of m's entries: GaussianRational if any entry is one,
+    else Fraction."""
+    return ONE if GaussianRational in set(map(type, chain.from_iterable(m))) else Fraction(1)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -61,10 +64,6 @@ def mat_from_json(data, rows: int, cols: int, what: str) -> Matrix:
     ):
         raise ValueError(f"{what} must be a list of {rows} rows of {cols} entries")
     return [[parse_scalar(str(x)) for x in row] for row in data]
-
-
-def copy_matrix(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
 
 
 def matvec(m: Matrix, v: Sequence) -> Vector:
@@ -121,11 +120,6 @@ def is_zero_vec(v: Sequence) -> bool:
     return not any(v)
 
 
-def _is_integer_matrix(m: Sequence[Sequence]) -> bool:
-    """True when m has entries and every one is a plain int."""
-    return set(map(type, chain.from_iterable(m))) == {int}
-
-
 def _width(m: Sequence[Sequence]) -> int:
     """The common row length of m (0 when m has no rows)."""
     cols = len(m[0]) if m else 0
@@ -134,74 +128,54 @@ def _width(m: Sequence[Sequence]) -> int:
     return cols
 
 
+# (0, 1, x / y for integers x and y) of the rationals and the Gaussian rationals
+_RATIONALS = (Fraction(0), Fraction(1), Fraction)
+_GAUSSIAN = (ZERO, ONE, truediv)
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list, in the field of m."""
     cols = _width(m)
-    if _is_integer_matrix(m):
-        rows, pivots = _integer_pivot_rows(m, cols)
-        zero, one = Fraction(0), Fraction(1)
-        out = []
-        for row, c in zip(rows, pivots):
-            pv = row[c]
-            dense = [zero] * cols
-            for j, x in row.items():
-                dense[j] = Fraction(x, pv)
-            dense[c] = one
-            out.append(dense)
-        out.extend([zero] * cols for _ in range(len(m) - len(pivots)))
-        return out, pivots
-    a = copy_matrix(m)
-    rows = len(a)
-    one = _one_like(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        row = a[r]
-        inv = one / row[c]
-        # columns left of c are zero in every row from r down
-        support = [j for j in range(c, cols) if row[j]]
-        for j in support:
-            row[j] = row[j] * inv
-        for i in range(rows):
-            if i == r:
-                continue
-            other = a[i]
-            factor = other[c]
-            if factor:
-                for j in support:
-                    other[j] = other[j] - factor * row[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    rows, pivots, (zero, one, div) = _pivot_rows(m, cols)
+    out = []
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        dense = [zero] * cols
+        for j, x in row.items():
+            dense[j] = div(x, pv)
+        dense[c] = one
+        out.append(dense)
+    out.extend([zero] * cols for _ in range(len(m) - len(pivots)))
+    return out, pivots
 
 
-def _integer_pivot_rows(m: Sequence[Sequence[int]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
-    """Sparse fraction-free Gauss-Jordan elimination of an int matrix.
+def _pivot_rows(m: Sequence[Sequence], cols: int) -> tuple[list[dict], list[int], tuple]:
+    """Sparse fraction-free Gauss-Jordan elimination of m.
 
-    Rows are held as {column: int} over their nonzero entries and divided by
-    their content.  Pivot columns are taken left to right; the rows that
-    lead with column c are the candidates, and the sparsest of them is the
-    pivot row, which clears c from the others.  A last pass clears each pivot
-    column from the pivot rows above it.  Returns the pivot rows, in the
-    order of their pivot columns, and those columns: row k over its pivot
-    entry is row k of the RREF.
+    Rows are held as {column: entry} over their nonzero entries, cleared of
+    denominators and divided by their content; scaling a row changes neither
+    its row space nor the RREF.  Pivot columns are taken left to right; the
+    rows that lead with column c are the candidates, and the sparsest of them
+    is the pivot row, which clears c from the others.  A last pass clears each
+    pivot column from the pivot rows above it.  Returns the pivot rows, in the
+    order of their pivot columns, those columns, and the field of m: row k
+    over its pivot entry is row k of the RREF.
     """
-    leading: dict[int, list[dict[int, int]]] = {}
+    kinds = set(map(type, chain.from_iterable(m)))
+    if GaussianRational in kinds:
+        field, clear = _GAUSSIAN, _gaussian_integers
+        if len(kinds) > 1:
+            m = [[gr(x) for x in row] for row in m]
+    else:
+        field, clear = _RATIONALS, None if kinds <= {int} else _integers
+    leading: dict[int, list[dict]] = {}
     for row in m:
         sparse = {j: x for j, x in enumerate(row) if x}
         if sparse:
+            if clear:
+                sparse = clear(sparse)
             leading.setdefault(next(iter(sparse)), []).append(_primitive(sparse))
-    done: list[dict[int, int]] = []
+    done: list[dict] = []
     pivots: list[int] = []
     for c in range(cols):
         candidates = leading.pop(c, None)
@@ -220,15 +194,37 @@ def _integer_pivot_rows(m: Sequence[Sequence[int]], cols: int) -> tuple[list[dic
         for i in range(k):
             if c in done[i]:
                 done[i] = _eliminate(done[i], prow, c)
-    return done, pivots
+    return done, pivots, field
 
 
-def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
-    """(p / g) row - (row[c] / g) prow for the pivot p = prow[c] and g the
-    gcd of the two, divided by its content: a sparse int row without c."""
+def _integers(row: dict) -> dict[int, int]:
+    """A sparse rational row times the lcm of its denominators; an int row
+    as it is."""
+    if all(type(x) is int for x in row.values()):
+        return row
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _gaussian_integers(row: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
+    """A sparse Gaussian-rational row times the lcm of its denominators:
+    Gaussian integers, held as GaussianRational with d = 1."""
+    den = lcm(*(z.d for z in row.values()))
+    if den == 1:
+        return row
+    return {j: GaussianRational(z.a * (den // z.d), z.b * (den // z.d)) for j, z in row.items()}
+
+
+def _eliminate(row: dict, prow: dict, c: int) -> dict:
+    """s row - t prow for (s, t) = (p, f), the pivot p = prow[c] and f =
+    row[c], divided by their gcd when they are ints; then divided by its
+    content.  A sparse row without c."""
     pv, factor = prow[c], row[c]
-    g = gcd(pv, factor)
-    s, t = pv // g, factor // g
+    if type(pv) is int:
+        g = gcd(pv, factor)
+        s, t = pv // g, factor // g
+    else:
+        s, t = pv, factor
     new = {j: s * x for j, x in row.items()} if s != 1 else dict(row)
     for j, y in prow.items():
         x = new.get(j, 0) - t * y
@@ -239,12 +235,20 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return _primitive(new)
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The sparse int row divided by its content (the gcd of its entries)."""
-    content = gcd(*row.values())
-    if content > 1:
-        return {j: x // content for j, x in row.items()}
-    return row
+def _primitive(row: dict) -> dict:
+    """The sparse row divided by its content: the gcd of its int entries, or
+    of every real and imaginary part of its Gaussian-integer entries."""
+    if type(next(iter(row.values()), 0)) is int:
+        content = gcd(*row.values())
+        if content > 1:
+            return {j: x // content for j, x in row.items()}
+        return row
+    content = 0
+    for z in row.values():
+        content = gcd(content, z.a, z.b)
+        if content == 1:
+            return row
+    return {j: GaussianRational(z.a // content, z.b // content) for j, z in row.items()}
 
 
 def rank(m: Matrix) -> int:
@@ -255,7 +259,8 @@ def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
     """Deterministic basis of the right kernel {x : m x = 0}, in the field of m.
 
     Basis vector k has a 1 in the k-th free column, zeros in the other free
-    columns, and minus the RREF's free-column entries in the pivot columns.
+    columns, and minus the RREF's free-column entries in the pivot columns,
+    read off the pivot rows of the elimination.
     """
     if cols is None:
         if not m:
@@ -265,47 +270,33 @@ def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
         return identity(cols)
     if _width(m) != cols:
         raise ValueError(f"kernel of a matrix with {len(m[0])} columns, not {cols}")
-    if _is_integer_matrix(m):
-        rows, pivots = _integer_pivot_rows(m, cols)
-        zero, one = Fraction(0), Fraction(1)
-        free = [c for c in range(cols) if c not in pivots]
-        slot = {fc: k for k, fc in enumerate(free)}
-        basis = [[zero] * cols for _ in free]
-        for vec, fc in zip(basis, free):
-            vec[fc] = one
-        for row, pc in zip(rows, pivots):
-            pv = row[pc]
-            for j, x in row.items():
-                if j != pc:
-                    basis[slot[j]][pc] = Fraction(-x, pv)
-        return basis
-    one = _one_like(m)
-    zero = one - one
-    red, pivots = rref(m)
+    rows, pivots, (zero, one, div) = _pivot_rows(m, cols)
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * cols
+    slot = {fc: k for k, fc in enumerate(free)}
+    basis = [[zero] * cols for _ in free]
+    for vec, fc in zip(basis, free):
         vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
+    for row, pc in zip(rows, pivots):
+        pv = row[pc]
+        for j, x in row.items():
+            if j != pc:
+                basis[slot[j]][pc] = div(-x, pv)
     return basis
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
-    """One exact solution of m x = b, or None when inconsistent."""
+    """One exact solution of m x = b in the field of [m | b], or None when
+    inconsistent."""
     if len(b) != len(m):
         raise ValueError(f"{len(m)} equations but {len(b)} right-hand sides")
     if not m:
         return []
     cols = len(m[0])
-    one = _one_like(m)
-    aug = [list(row) + [bv * one] for row, bv in zip(m, b)]
+    aug = [[*row, bv] for row, bv in zip(m, b)]
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [one - one] * cols
+    x = [_one_like(aug) * 0] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x

@@ -544,10 +544,14 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
         raise ValueError("closed_basis must be a list of forms")
     stored_basis = [form_from_json(item, n) for item in stored]
     # find_pkahler stores the canonical basis; any other basis of the same
-    # space passes the row-space comparison
+    # space, as many real (p,p)-forms as its dimension, passes the row-space
+    # comparison
     if stored_basis != closed.forms:
-        stored_coords = [pp_coordinates(f, p) for f in stored_basis]
-        if not stored_basis or not same_row_space(closed.coords, stored_coords):
+        if not all(f.bidegrees() <= {(p, p)} and f.is_real() for f in stored_basis):
+            failures.append(f"closed basis holds a form that is not a real ({p},{p})-form")
+        elif len(stored_basis) != len(closed.coords) or not same_row_space(
+            closed.coords, [pp_coordinates(f, p) for f in stored_basis]
+        ):
             failures.append("closed space mismatch")
     verdict = data["verdict"]
     if verdict == PKVerdict.FOUND.value:

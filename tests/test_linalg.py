@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pklie.linalg import inverse, kernel, rref, solve
+from pklie.scalars import GaussianRational, I
 
 
 def test_solve_rejects_fewer_right_hand_sides_than_equations():
@@ -28,13 +29,19 @@ def test_inverse_rejects_a_non_square_matrix():
         inverse([[1, 2, 3], [4, 5, 6]])
 
 
-@pytest.mark.parametrize("m", [[[1, 2], [3]], [[Fraction(1)], [Fraction(2), Fraction(3)]]])
+@pytest.mark.parametrize(
+    "m",
+    [[[1, 2], [3]], [[Fraction(1)], [Fraction(2), Fraction(3)]], [[I, GaussianRational(2)], [I]]],
+)
 def test_rref_rejects_ragged_rows(m):
     with pytest.raises(ValueError):
         rref(m)
 
 
-@pytest.mark.parametrize("m", [[[1, 2], [3]], [[Fraction(1), Fraction(2)], [Fraction(3)]]])
+@pytest.mark.parametrize(
+    "m",
+    [[[1, 2], [3]], [[Fraction(1), Fraction(2)], [Fraction(3)]], [[I], [GaussianRational(2), I]]],
+)
 def test_kernel_rejects_ragged_rows(m):
     with pytest.raises(ValueError):
         kernel(m)
@@ -44,3 +51,14 @@ def test_well_shaped_calls_still_answer():
     assert solve([[1, 0], [0, 1]], [1, 2]) == [1, 2]
     assert kernel([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]
     assert inverse([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+
+
+def test_a_gaussian_entry_after_an_int_gives_gaussian_results():
+    m = [[1, I, 0], [2, 0, 1]]
+    red, pivots = rref(m)
+    assert pivots == [0, 1]
+    assert red == [[1, 0, Fraction(1, 2)], [0, 1, GaussianRational(0, Fraction(1, 2))]]
+    assert all(type(x) is GaussianRational for row in red for x in row)
+    (vec,) = kernel(m)
+    assert vec == [Fraction(-1, 2), GaussianRational(0, Fraction(-1, 2)), 1]
+    assert all(type(x) is GaussianRational for x in vec)

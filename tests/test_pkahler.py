@@ -341,6 +341,43 @@ def test_verify_rejects_a_closed_basis_one_vector_short():
     assert verify_report(kt, data) == ["closed space mismatch"]
 
 
+def _qn8a_p2_golden():
+    with open(Path(__file__).parent / "golden" / "qn8a.p2.json") as fh:
+        return named_example("qn8a"), json.load(fh)["report"]
+
+
+def _first_two_term_form(basis):
+    """Index of the first stored form with an off-diagonal term and its
+    conjugate partner."""
+    return next(i for i, form in enumerate(basis) if len(form) == 2)
+
+
+def test_verify_rejects_a_closed_basis_form_with_a_term_of_another_bidegree():
+    s, data = _qn8a_p2_golden()
+    assert verify_report(s, data) == []
+    data["closed_basis"][0].append({"holo": [1, 2, 3], "anti": [4], "re": "1", "im": "0"})
+    assert verify_report(s, data) == ["closed basis holds a form that is not a real (2,2)-form"]
+
+
+def test_verify_rejects_a_closed_basis_form_without_its_conjugate_partner():
+    s, data = _qn8a_p2_golden()
+    i = _first_two_term_form(data["closed_basis"])
+    data["closed_basis"][i].pop()
+    assert verify_report(s, data) == ["closed basis holds a form that is not a real (2,2)-form"]
+
+
+def test_verify_rejects_a_closed_basis_with_a_duplicate_form():
+    s, data = _qn8a_p2_golden()
+    data["closed_basis"].append(data["closed_basis"][0])
+    assert verify_report(s, data) == ["closed space mismatch"]
+
+
+def test_verify_rejects_a_closed_basis_with_an_empty_form():
+    s, data = _qn8a_p2_golden()
+    data["closed_basis"].append([])
+    assert verify_report(s, data) == ["closed space mismatch"]
+
+
 def test_empty_cone_refutation():
     # a structure whose closed (2,2) space vanishes entirely would be
     # refuted trivially; simulate via verification of a fabricated report

@@ -133,12 +133,10 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_integer_rref_matches_fraction_rref(m):
     as_fraction = [[Fraction(x) for x in row] for row in m]
-    red_i, piv_i = rref(m)
-    red_f, piv_f = rref(as_fraction)
-    assert piv_i == piv_f
-    assert red_i == red_f
-    assert all(type(x) is Fraction for row in red_i for x in row)
-    assert kernel(m) == kernel(as_fraction)
+    red, pivots = _field_rref_reference(as_fraction)
+    assert rref(m) == rref(as_fraction) == (red, pivots)
+    assert all(type(x) is Fraction for row in rref(m)[0] for x in row)
+    assert kernel(m) == kernel(as_fraction) == _kernel_from_rref_reference(red, pivots, len(m[0]))
 
 
 def _dense_rref_integer_reference(m):
@@ -186,11 +184,51 @@ def _dense_rref_integer_reference(m):
     return out, pivots
 
 
-def _kernel_from_rref_reference(red, pivots, cols):
+def _field_one(m):
+    return ONE if any(isinstance(x, GaussianRational) for row in m for x in row) else Fraction(1)
+
+
+def _field_rref_reference(m):
+    """Dense Gauss-Jordan in the field of m (the Gaussian rationals if any
+    entry is a GaussianRational, else the rationals): the first row that meets
+    the pivot column is the pivot row, scaled to 1, and clears that column
+    from every other row."""
+    one = _field_one(m)
+    a = [[x * one for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        row = a[r]
+        inv = one / row[c]
+        support = [j for j in range(c, cols) if row[j]]
+        for j in support:
+            row[j] = row[j] * inv
+        for i in range(rows):
+            if i == r:
+                continue
+            other = a[i]
+            factor = other[c]
+            if factor:
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _kernel_from_rref_reference(red, pivots, cols, one=Fraction(1)):
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
+        vec = [one - one] * cols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
         basis.append(vec)
@@ -208,6 +246,82 @@ def test_sparse_integer_elimination_matches_dense_reference(m):
     assert all(type(x) is Fraction for vec in basis for x in vec)
     for vec in basis:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m)
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """Fraction or GaussianRational matrices, some with zero rows or rows
+    that are combinations of others, some with entries of 2^40 or more.
+
+    Fraction draws mix in plain ints; Gaussian draws mix in ints and
+    Fractions, and some are real-valued.
+    """
+    field = draw(st.sampled_from(["fraction", "gaussian", "real gaussian"]))
+    huge = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(2**40, 2**64))
+    scalar = st.one_of(rationals, huge) if draw(st.booleans()) else rationals
+    if field == "fraction":
+        entry = st.one_of(st.just(0), st.just(Fraction(0)), scalar, st.integers(-3, 3))
+    else:
+        part = scalar.map(GaussianRational)
+        if field == "gaussian":
+            part = st.one_of(part, st.builds(GaussianRational, scalar, scalar), st.just(I))
+        entry = st.one_of(st.just(ZERO), part, st.integers(-3, 3), rationals)
+    cols = draw(st.integers(1, 6))
+    rows = cols if square else draw(st.integers(1, 6))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, b = draw(entry), draw(entry)
+        m[draw(st.integers(0, rows - 1))] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [draw(st.sampled_from([0, ZERO, Fraction(0)]))] * cols
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.data())
+def test_fraction_free_elimination_matches_field_reference(m, data):
+    one = _field_one(m)
+    cols = len(m[0])
+    red, pivots = _field_rref_reference(m)
+    assert rref(m) == (red, pivots)
+    assert all(type(x) is type(one) for row in rref(m)[0] for x in row)
+    basis = kernel(m)
+    assert basis == _kernel_from_rref_reference(red, pivots, cols, one)
+    assert all(type(x) is type(one) for vec in basis for x in vec)
+    for vec in basis:
+        assert all(sum((a * x for a, x in zip(row, vec)), ZERO) == 0 for row in m)
+
+    rhs = st.sampled_from([0, 1, -2, Fraction(1, 3), I])
+    b = data.draw(st.lists(rhs, min_size=len(m), max_size=len(m)))
+    aug = [[*row, bv] for row, bv in zip(m, b)]
+    red, pivots = _field_rref_reference(aug)
+    x = solve(m, b)
+    if cols in pivots:
+        assert x is None
+    else:
+        one = _field_one(aug)
+        expected = [one - one] * cols
+        for r, pc in enumerate(pivots):
+            expected[pc] = red[r][cols]
+        assert x == expected
+        assert all(type(v) is type(one) for v in x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(square=True))
+def test_inverse_matches_field_reference(m):
+    n = len(m)
+    one = _field_one(m)
+    unit = [[one if i == j else one - one for j in range(n)] for i in range(n)]
+    red, pivots = _field_rref_reference([row + unit[i] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        inv = inverse(m)
+        assert inv == [row[n:] for row in red]
+        assert all(type(x) is type(one) for row in inv for x in row)
 
 
 @st.composite
