@@ -8,14 +8,15 @@ numerator), else `Fraction`.  Every matrix goes through one sparse
 fraction-free Gauss-Jordan elimination (Bareiss-style) on {column: entry}
 rows: each row is cleared of denominators on entry (to ints, or to Gaussian
 integers in a Gaussian matrix; an int row stays as it is), each updated row
-is divided by its content, and the sparsest candidate row is the pivot.  The
-RREF and the kernel basis are read off the pivot rows, one division by the
-pivot per entry.  Scaling a row keeps its row space and the RREF of a row
-space is unique, so neither the scaling nor the pivot row changes a result;
-pivot columns are found left to right, so reduced echelon forms and kernel
-bases are reproducible.  A matrix of the wrong shape is a `ValueError`.
-`sparse_columns` and `apply_columns` hold a real matrix by its nonzero
-entries, for products that would mostly multiply zeros.
+is divided by its content (a Gaussian gcd in a Gaussian matrix), and the
+sparsest candidate row is the pivot.  The RREF and the kernel basis are read
+off the pivot rows, one division by the pivot per entry; `sparse_kernel`
+takes and gives {column: entry} rows.  Scaling a row keeps its row space and
+the RREF of a row space is unique, so neither the scaling nor the pivot row
+changes a result; pivot columns are found left to right, so reduced echelon
+forms and kernel bases are reproducible.  A matrix of the wrong shape is a
+`ValueError`.  `sparse_columns` and `apply_columns` hold a real matrix by its
+nonzero entries, for products that would mostly multiply zeros.
 """
 
 from __future__ import annotations
@@ -150,31 +151,32 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def _pivot_rows(m: Sequence[Sequence], cols: int) -> tuple[list[dict], list[int], tuple]:
-    """Sparse fraction-free Gauss-Jordan elimination of m.
-
-    Rows are held as {column: entry} over their nonzero entries, cleared of
-    denominators and divided by their content; scaling a row changes neither
-    its row space nor the RREF.  Pivot columns are taken left to right; the
-    rows that lead with column c are the candidates, and the sparsest of them
-    is the pivot row, which clears c from the others.  A last pass clears each
-    pivot column from the pivot rows above it.  Returns the pivot rows, in the
-    order of their pivot columns, those columns, and the field of m: row k
-    over its pivot entry is row k of the RREF.
-    """
+    """`_sparse_pivot_rows` of m, in the field read from all its entries, zeros included."""
     kinds = set(map(type, chain.from_iterable(m)))
-    if GaussianRational in kinds:
-        field, clear = _GAUSSIAN, _gaussian_integers
-        if len(kinds) > 1:
-            m = [[gr(x) for x in row] for row in m]
-    else:
-        field, clear = _RATIONALS, None if kinds <= {int} else _integers
+    gaussian = GaussianRational in kinds
+    if gaussian and len(kinds) > 1:
+        m = [[gr(x) for x in row] for row in m]
+    return _sparse_pivot_rows([{j: x for j, x in enumerate(row) if x} for row in m], cols, gaussian)
+
+
+def _sparse_pivot_rows(m: Sequence[dict], cols: int, gaussian: bool) -> tuple[list[dict], list[int], tuple]:
+    """Sparse fraction-free Gauss-Jordan elimination of the rows of m, each
+    {column: entry} over its nonzero entries (GaussianRational when
+    `gaussian`, else int or Fraction).
+
+    Rows are cleared of denominators and divided by their content; scaling a
+    row changes neither its row space nor the RREF.  Pivot columns are taken
+    left to right; the rows that lead with column c are the candidates, and
+    the sparsest of them is the pivot row, which clears c from the others.  A
+    last pass clears each pivot column from the pivot rows above it.  Returns
+    the pivot rows, in the order of their pivot columns, those columns, and
+    the field of m: row k over its pivot entry is row k of the RREF.
+    """
+    field, clear = (_GAUSSIAN, _gaussian_integers) if gaussian else (_RATIONALS, _integers)
     leading: dict[int, list[dict]] = {}
     for row in m:
-        sparse = {j: x for j, x in enumerate(row) if x}
-        if sparse:
-            if clear:
-                sparse = clear(sparse)
-            leading.setdefault(next(iter(sparse)), []).append(_primitive(sparse))
+        if row:
+            leading.setdefault(min(row), []).append(_primitive(clear(row)))
     done: list[dict] = []
     pivots: list[int] = []
     for c in range(cols):
@@ -237,18 +239,28 @@ def _eliminate(row: dict, prow: dict, c: int) -> dict:
 
 def _primitive(row: dict) -> dict:
     """The sparse row divided by its content: the gcd of its int entries, or
-    of every real and imaginary part of its Gaussian-integer entries."""
+    the Gaussian gcd of its Gaussian-integer entries."""
     if type(next(iter(row.values()), 0)) is int:
         content = gcd(*row.values())
         if content > 1:
             return {j: x // content for j, x in row.items()}
         return row
-    content = 0
+    # g by Euclid in Z[i] with rounded quotients, then z / g = z conj(g) / |g|^2
+    ga = gb = 0
     for z in row.values():
-        content = gcd(content, z.a, z.b)
-        if content == 1:
+        xa, xb = z.a, z.b
+        while ga or gb:
+            norm = ga * ga + gb * gb
+            qa = (2 * (xa * ga + xb * gb) + norm) // (2 * norm)
+            qb = (2 * (xb * ga - xa * gb) + norm) // (2 * norm)
+            xa, xb, ga, gb = ga, gb, xa - qa * ga + qb * gb, xb - qa * gb - qb * ga
+        ga, gb, norm = xa, xb, xa * xa + xb * xb
+        if norm == 1:
             return row
-    return {j: GaussianRational(z.a // content, z.b // content) for j, z in row.items()}
+    return {
+        j: GaussianRational((z.a * ga + z.b * gb) // norm, (z.b * ga - z.a * gb) // norm)
+        for j, z in row.items()
+    }
 
 
 def rank(m: Matrix) -> int:
@@ -270,18 +282,31 @@ def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
         return identity(cols)
     if _width(m) != cols:
         raise ValueError(f"kernel of a matrix with {len(m[0])} columns, not {cols}")
-    rows, pivots, (zero, one, div) = _pivot_rows(m, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    slot = {fc: k for k, fc in enumerate(free)}
-    basis = [[zero] * cols for _ in free]
-    for vec, fc in zip(basis, free):
-        vec[fc] = one
+    rows, pivots, field = _pivot_rows(m, cols)
+    vectors = _kernel_vectors(rows, pivots, field, cols)
+    return [[vec.get(j, field[0]) for j in range(cols)] for vec in vectors]
+
+
+def sparse_kernel(m: Sequence[dict], cols: int, gaussian: bool = False) -> list[dict]:
+    """`kernel` of the rows {column: entry} over their nonzero entries (GaussianRational
+    when `gaussian`, else int or Fraction), as {column: entry} in ascending columns."""
+    return _kernel_vectors(*_sparse_pivot_rows(m, cols, gaussian), cols)
+
+
+def _kernel_vectors(rows: list[dict], pivots: list[int], field: tuple, cols: int) -> list[dict]:
+    """Sparse kernel basis: vector k is 1 in the k-th free column and minus
+    the RREF's entries of that column in the pivot columns, all to its left."""
+    _, one, div = field
+    pivot_set = set(pivots)
+    basis = {fc: {} for fc in range(cols) if fc not in pivot_set}
     for row, pc in zip(rows, pivots):
         pv = row[pc]
         for j, x in row.items():
             if j != pc:
-                basis[slot[j]][pc] = div(-x, pv)
-    return basis
+                basis[j][pc] = div(-x, pv)
+    for fc, vec in basis.items():
+        vec[fc] = one
+    return list(basis.values())
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:

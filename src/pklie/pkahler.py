@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .cxstruct import ComplexStructureSpec, ascending_series, JClass
 from .exterior import (
@@ -30,16 +30,18 @@ from .exterior import (
     wedge,
 )
 from .liealg import InvalidAlgebraError, is_nilpotent, is_unimodular
-from .linalg import gr, identity, kernel, same_row_space, solve
+from .linalg import gr, same_row_space, solve, sparse_kernel
 from .positivity import (
     SearchBudget,
     TransStatus,
     TransversalityVerdict,
+    apply_functional,
     check_transverse,
     gram_basis,
     gram_matrix,
     gram_positive_definite,
     is_simple,
+    pairing_functional,
     verify_verdict,
     volume_coefficient,
 )
@@ -116,39 +118,36 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     """Exact kernel of d on real (p,p)-forms, deterministic RREF basis.
 
     Only the (p+1,p) part of d is used: for real omega the (p,p+1) part is
-    its conjugate, so its rows add nothing to the row space.  Each row is
-    cleared of denominators and the kernel is taken over the integers.
+    its conjugate, so its rows add nothing to the row space.  A basis
+    column's image is read off `struct.d_pp_block(p)`; each (key, real or
+    imaginary part) of the images is one sparse int row, cleared of the
+    denominators by their common lcm, and the kernel is taken over them.
     """
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
     basis = real_pp_basis(n, p)
     block = struct.d_pp_block(p)
-    images = [combine(n, ((c, block[key]) for key, c in f.terms.items())) for f in basis]
-    # one row per (key, real or imaginary part) of the image, as
-    # {column: (numerator, denominator)} in lowest terms
-    sparse_rows: dict[tuple[MultiIndex, int], dict[int, tuple[int, int]]] = {}
+    images = [
+        block[next(iter(f.terms))]
+        if len(f.terms) == 1 and ONE in f.terms.values()  # one monomial, coefficient 1
+        else combine(n, ((c, block[key]) for key, c in f.terms.items()))
+        for f in basis
+    ]
+    den = lcm(*(c.d for img in images for c in img.terms.values()))
+    rows: dict[tuple[MultiIndex, int], dict[int, int]] = {}
     for col, img in enumerate(images):
         for key, c in img.terms.items():
+            scale = den // c.d
             if c.a:
-                g = gcd(c.a, c.d)
-                sparse_rows.setdefault((key, 0), {})[col] = (c.a // g, c.d // g)
+                rows.setdefault((key, 0), {})[col] = c.a * scale
             if c.b:
-                g = gcd(c.b, c.d)
-                sparse_rows.setdefault((key, 1), {})[col] = (c.b // g, c.d // g)
-    rows = [_integer_row(entries, len(basis)) for _, entries in sorted(sparse_rows.items())]
-    coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
-    forms = [_combine(basis, vec) for vec in coords]
+                rows.setdefault((key, 1), {})[col] = c.b * scale
+    vectors = sparse_kernel(list(rows.values()), len(basis))
+    zero = Fraction(0)
+    coords = [[vec.get(j, zero) for j in range(len(basis))] for vec in vectors]
+    forms = [combine(n, ((x, basis[j]) for j, x in vec.items())) for vec in vectors]
     return ClosedPP(p, coords, forms)
-
-
-def _integer_row(entries: dict[int, tuple[int, int]], cols: int) -> list[int]:
-    """Dense int row of the sparse entries times the lcm of their denominators."""
-    den = lcm(*(q for _, q in entries.values()))
-    row = [0] * cols
-    for col, (p, q) in entries.items():
-        row[col] = p * (den // q)
-    return row
 
 
 def _combine(basis: list[ComplexForm], coords) -> ComplexForm:
@@ -443,7 +442,7 @@ def find_pkahler(
 
     # witness family: all coframe monomials, then harvested simple forms
     witnesses: list[ComplexForm] = [monomial(n, idx) for idx in gram_basis(n, n - p)]
-    rows = _monomial_rows([gram_matrix(f)[1] for f in closed.forms])
+    rows = _witness_rows(closed.forms, witnesses, n - p)
     harvest_budget = SearchBudget(
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
@@ -465,7 +464,7 @@ def find_pkahler(
             break
         psi = verdict.witness.to_form(n)
         witnesses.append(psi)
-        rows.append([_real_part(volume_coefficient(f, psi)) for f in closed.forms])
+        rows += _witness_rows(closed.forms, [psi], n - p)
     return report
 
 
@@ -483,9 +482,11 @@ def _standard_power_coords(n: int, p: int) -> tuple[Fraction, ...]:
     return tuple(pp_coordinates(acc / fact, p))
 
 
-def _monomial_rows(grams) -> list[list[int | Fraction]]:
-    """One row per coframe monomial witness: the Gram diagonal over the closed basis."""
-    return [[_real_part(h[a][a]) for h in grams] for a in range(len(grams[0]))]
+def _witness_rows(forms: list[ComplexForm], witnesses: list[ComplexForm], k: int) -> list[list[int | Fraction]]:
+    """One LP row per (k,0) witness psi: the real part of the volume pairing
+    of psi with each form, from one pairing functional per witness."""
+    functionals = [pairing_functional(psi, psi, k) for psi in witnesses]
+    return [[_real_part(apply_functional(fn, f)) for f in forms] for fn in functionals]
 
 
 def _real_part(c: GaussianRational) -> int | Fraction:

@@ -139,34 +139,44 @@ def volume_coefficient(omega: ComplexForm, psi: ComplexForm) -> GaussianRational
 def pairing_coefficient(
     omega: ComplexForm, psi: ComplexForm, phi: ComplexForm
 ) -> GaussianRational:
-    """Polarized volume pairing i^{(n-p)^2} omega ^ psi ^ conj(phi) over the volume.
-
-    Sesquilinear in (psi, phi): with psi = sum x_a a^{I_a} and phi = sum y_b a^{I_b}
-    it is sum x_a conj(y_b) times the pairing of the two monomials, which
-    `_gram_units` holds as one key of omega and a unit factor.
-    """
-    n = omega.n
+    """Polarized volume pairing i^{(n-p)^2} omega ^ psi ^ conj(phi) over the volume:
+    `pairing_functional(psi, phi, n - p)` applied to omega."""
     bid = omega.bidegree()
     if bid is None or bid[0] != bid[1]:
         raise ValueError("omega must be a homogeneous (p,p)-form")
-    k = n - bid[0]
-    for test in (psi, phi):
+    if psi.n != omega.n:
+        raise ValueError("coframe dimension mismatch")
+    return apply_functional(pairing_functional(psi, phi, omega.n - bid[0]), omega)
+
+
+def pairing_functional(psi: ComplexForm, phi: ComplexForm, k: int) -> dict[MultiIndex, GaussianRational]:
+    """The pairing with (k,0)-forms psi and phi as {key: coefficient} on (n-k,n-k)-forms.
+
+    Sesquilinear in (psi, phi): with psi = sum x_a a^{I_a} and phi = sum y_b a^{I_b}
+    it is sum x_a conj(y_b) times the pairing of the two monomials, which
+    `_gram_units` holds as one key of omega, distinct for each (a, b), and a
+    unit factor.
+    """
+    n = psi.n
+    for test in (psi,) if phi is psi else (psi, phi):
         if test.n != n:
             raise ValueError("coframe dimension mismatch")
         if not test.is_zero() and test.bidegrees() != {(k, 0)}:
             raise ValueError(f"test form must be a ({k},0)-form")
     units = _gram_units(n, k)
     position = _gram_position(n, k)
-    terms = omega.terms
-    total = ZERO
+    out = {}
     for (holo_a, _), x in psi.terms.items():
         row = units[position[holo_a]]
         for (holo_b, _), y in phi.terms.items():
             key, unit = row[position[holo_b]]
-            c = terms.get(key)
-            if c is not None:
-                total = total + x * y.conjugate() * c * unit
-    return total
+            out[key] = x * y.conjugate() * unit
+    return out
+
+
+def apply_functional(functional: dict[MultiIndex, GaussianRational], omega: ComplexForm) -> GaussianRational:
+    """The sum over the functional's keys of omega's coefficient there times the functional's."""
+    return sum((omega.terms[key] * c for key, c in functional.items() if key in omega.terms), ZERO)
 
 
 def gram_basis(n: int, k: int) -> list[tuple[int, ...]]:

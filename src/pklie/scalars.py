@@ -406,12 +406,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_rational(value, what: str) -> Fraction:
-    """A rational read from JSON as an int or a string such as '-3/2'."""
+def json_rational(value, what: str) -> int | Fraction:
+    """A rational read from JSON as an int or a string such as '-3/2'; a
+    string of decimal digits, with or without a '-', is read by `int`."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
+            if value.isdecimal() or value[:1] == "-" and value[1:].isdecimal():
+                return int(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{what} is not a rational: {value!r}") from exc

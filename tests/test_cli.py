@@ -542,6 +542,10 @@ def _farkas(data, value):
     data["report"]["refutation"]["farkas"] = value
 
 
+def _coefficient(data, value):
+    data["report"]["closed_basis"][0][0]["re"] = value
+
+
 _KT_FIND = ["find", "--catalog", "kt", "--p", "1"]
 _SNN_OBSTRUCT = ["obstruct", "--catalog", "snn8f2:1,1,0,0,0", "--p", "2", "--beta=a14_b1"]
 _T3_QUOTIENT = ["quotient", "--catalog", "torus3", "--p", "2"]
@@ -562,6 +566,11 @@ _T3_QUOTIENT += ["--omega", "a12_b12 + a13_b13 + a23_b23"]
         (_SNN_OBSTRUCT, lambda d: d.update(p=2.0)),
         (_T3_QUOTIENT, lambda d: d.update(p=[2])),
         (_T3_QUOTIENT, lambda d: d.update(p=True)),
+        (_KT_FIND, lambda d: _coefficient(d, "1/0")),
+        (_KT_FIND, lambda d: _coefficient(d, "1.5.")),
+        (_KT_FIND, lambda d: _coefficient(d, "\u00b2")),
+        (_KT_FIND, lambda d: _coefficient(d, "")),
+        (_KT_FIND, lambda d: _coefficient(d, "-")),
     ],
     ids=[
         "farkas_zero_denominator",
@@ -575,6 +584,11 @@ _T3_QUOTIENT += ["--omega", "a12_b12 + a13_b13 + a23_b23"]
         "obstruct_p_a_float",
         "quotient_p_a_list",
         "quotient_p_a_bool",
+        "coefficient_zero_denominator",
+        "coefficient_two_points",
+        "coefficient_superscript_digit",
+        "coefficient_empty",
+        "coefficient_bare_minus",
     ],
 )
 def test_verify_report_with_malformed_number_rejected(tmp_path, capsys, argv, edit):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,8 @@ from pklie.exterior import (
     bidegree_component,
     combine,
     conjugate,
+    form_from_json,
+    form_to_json,
     monomial,
     reference_volume_coefficient,
     substitute,
@@ -46,13 +48,24 @@ from pklie.liealg import (
     from_bracket_list,
     is_unimodular,
 )
-from pklie.linalg import identity, inverse, kernel, mat_from_rows, matmul, rref, solve
+from pklie.linalg import (
+    _pivot_rows,
+    identity,
+    inverse,
+    kernel,
+    mat_from_rows,
+    matmul,
+    rref,
+    solve,
+    sparse_kernel,
+)
 from pklie.pkahler import (
     PKVerdict,
     _combine,
-    _monomial_rows,
     _project_onto_span,
+    _real_part,
     _standard_power_coords,
+    _witness_rows,
     closed_pp_space,
     find_pkahler,
     obstruction_search,
@@ -68,7 +81,7 @@ from pklie.positivity import (
     volume_coefficient,
 )
 from pklie.polynomials import char_poly, divmod_poly, minimal_poly, trim
-from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power, parse_scalar
+from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power, json_rational, parse_scalar
 from pklie.simplex import LPResult, feasibility, verify_farkas
 from test_acceptance import _random_integrable_data
 from test_cxstruct import _conjugated_pair, _random_invertible, iwasawa, kodaira_thurston, torus
@@ -372,6 +385,132 @@ def test_closed_pp_space_matches_full_image_reference(case):
     assert all(type(x) is Fraction for vec in closed.coords for x in vec)
     assert closed.forms == forms
     assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
+
+
+def _closed_space_route_reference(struct, p):
+    """closed_pp_space as first written over the d-block: a combined image per
+    column, dense int rows cleared by the lcm of their denominators, the dense
+    kernel, and each form combined over all of its coordinates."""
+    n = struct.n
+    basis = real_pp_basis(n, p)
+    block = struct.d_pp_block(p)
+    images = [combine(n, ((c, block[key]) for key, c in f.terms.items())) for f in basis]
+    sparse_rows = {}
+    for col, img in enumerate(images):
+        for key, c in img.terms.items():
+            for part, x in ((0, c.a), (1, c.b)):
+                if x:
+                    sparse_rows.setdefault((key, part), {})[col] = Fraction(x, c.d)
+    rows = []
+    for _, entries in sorted(sparse_rows.items()):
+        den = lcm(*(x.denominator for x in entries.values()))
+        row = [0] * len(basis)
+        for col, x in entries.items():
+            row[col] = x.numerator * (den // x.denominator)
+        rows.append(row)
+    coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
+    return coords, [_combine(basis, vec) for vec in coords]
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures())
+def test_closed_pp_space_matches_dense_route_reference(case):
+    struct, _ = case
+    for q in range(struct.n + 1):
+        closed = closed_pp_space(struct, q)
+        coords, forms = _closed_space_route_reference(struct, q)
+        assert closed.coords == coords
+        assert all(type(x) is Fraction for vec in closed.coords for x in vec)
+        assert closed.forms == forms
+        assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
+
+
+@st.composite
+def sparse_row_matrices(draw):
+    """Rows {column: entry} over nonzero int, Fraction or Gaussian entries
+    (Gaussian rows hold only GaussianRational), some of them empty, with their field."""
+    field = draw(st.sampled_from(["int", "fraction", "gaussian"]))
+    entry = {
+        "int": st.integers(-3, 3),
+        "fraction": rationals,
+        "gaussian": st.one_of(gaussians, st.integers(-2, 2).map(GaussianRational)),
+    }[field].filter(bool)
+    cols = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, cols - 1), entry, max_size=4)
+    return field == "gaussian", cols, draw(st.lists(row, max_size=8))
+
+
+def _dense_rows(rows, cols, zero):
+    return [[row.get(j, zero) for j in range(cols)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_row_matrices())
+def test_sparse_kernel_matches_dense_kernel(case):
+    gaussian, cols, rows = case
+    zero, one = (ZERO, ONE) if gaussian else (Fraction(0), Fraction(1))
+    vectors = sparse_kernel(rows, cols, gaussian)
+    # the sparse rows as a dense matrix in the same field, all-zero included
+    dense = _dense_rows(rows, cols, zero) if rows else [[zero] * cols]
+    basis = kernel(dense, cols)
+    assert _dense_rows(vectors, cols, zero) == basis
+    assert all(type(x) is type(one) for vec in basis for x in vec)
+    assert all(type(x) is type(one) and x for vec in vectors for x in vec.values())
+    assert all(list(vec) == sorted(vec) for vec in vectors)
+
+
+def test_sparse_kernel_of_a_zero_gaussian_matrix_is_gaussian():
+    basis = kernel([[ZERO] * 3] * 2, 3)
+    assert basis == identity(3) and all(type(x) is GaussianRational for v in basis for x in v)
+    vectors = sparse_kernel([{}, {}], 3, gaussian=True)
+    assert vectors == [{0: ONE}, {1: ONE}, {2: ONE}]
+    assert all(type(x) is GaussianRational for v in vectors for x in v.values())
+
+
+def _hadamard_bound_squared(rows):
+    """The square of prod ||row|| over the nonzero rows of a Gaussian-integer
+    (or integer) matrix: a bound on |minor|^2 for every square minor."""
+    bound = 1
+    for row in rows:
+        norm = sum(_abs2(x) for x in row)
+        if norm:
+            bound *= norm
+    return bound
+
+
+def _abs2(x):
+    return x.a * x.a + x.b * x.b if isinstance(x, GaussianRational) else x * x
+
+
+def _cleared(row):
+    """The row times the lcm of its denominators: Gaussian integers or ints."""
+    if any(isinstance(x, GaussianRational) for x in row):
+        den = lcm(*(x.d for x in row))
+        return [GaussianRational(x.a * (den // x.d), x.b * (den // x.d)) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+@pytest.mark.parametrize("field", ["gaussian", "fraction"])
+def test_pivot_rows_stay_within_the_hadamard_bound(field):
+    """Every pivot-row entry of the fraction-free elimination is at most the
+    Hadamard bound of the cleared input, on dense matrices up to 14 x 16: a
+    pivot row divided by its content divides the Cramer vector of minors on
+    the same line of the row space."""
+    rng = random.Random(3)
+    for m in (4, 6, 8, 10, 12, 14):
+        for _ in range(2):
+            if field == "gaussian":
+                a = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m + 2)]
+                     for _ in range(m)]
+            else:
+                a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m + 2)]
+                     for _ in range(m)]
+            bound = _hadamard_bound_squared([_cleared(row) for row in a])
+            rows, pivots, _ = _pivot_rows(a, m + 2)
+            assert len(pivots) == len(rows)
+            for row in rows:
+                assert all(_abs2(x) <= bound for x in row.values()), (m, field)
 
 
 def _dense_projection_reference(x0, basis_vecs):
@@ -813,6 +952,33 @@ def test_gram_of_combined_form_matches_sparse_accumulation(case, data):
         assert cert == cert_ref
 
 
+def _gram_diagonal_rows(grams):
+    """The monomial-witness LP rows as first built: the real part of each
+    Gram diagonal entry, over the closed basis."""
+    return [[_real_part(h[a][a]) for h in grams] for a in range(len(grams[0]))]
+
+
+def _typed(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.data())
+def test_functional_witness_rows_match_gram_diagonal_and_volume_pairing(case, data):
+    struct, p = case
+    n, k = struct.n, struct.n - p
+    forms = closed_pp_space(struct, p).forms
+    if not forms:
+        return
+    monomials = [monomial(n, idx) for idx in gram_basis(n, k)]
+    rows = _witness_rows(forms, monomials, k)
+    assert _typed(rows) == _typed(_gram_diagonal_rows([gram_matrix(f)[1] for f in forms]))
+    support = data.draw(st.lists(st.sampled_from(gram_basis(n, k)), unique=True))
+    psi = ComplexForm(n, {MultiIndex(idx, ()): data.draw(gaussians) for idx in support})
+    expected = [[_real_part(volume_coefficient(f, psi)) for f in forms]]
+    assert _typed(_witness_rows(forms, [psi], k)) == _typed(expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(structures(), st.integers(0, 3))
 def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
@@ -825,7 +991,7 @@ def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
     if not closed.coords:
         return
     grams = [gram_matrix(f)[1] for f in closed.forms]
-    rows = _monomial_rows(grams)
+    rows = _gram_diagonal_rows(grams)
     if feasibility(rows, [Fraction(1)] * len(rows)).feasible:
         return
     k_dim = len(closed.coords)
@@ -861,7 +1027,7 @@ def _check_obstruction_dominated(struct, p) -> bool:
     if not closed.coords:
         assert report.refutation.to_json()["kind"] == "empty_cone"
         return True
-    rows = _monomial_rows([gram_matrix(f)[1] for f in closed.forms])
+    rows = _gram_diagonal_rows([gram_matrix(f)[1] for f in closed.forms])
     assert not feasibility(rows, [Fraction(1)] * len(rows)).feasible
     assert report.refutation.to_json()["kind"] == "witness_family"
     assert report.stats["witness_rounds"] == 1
@@ -1548,3 +1714,50 @@ def test_gaussian_rational_equality_with_str_and_hash():
     assert {Fraction(1, 2): "y"}.get(GaussianRational("1/2")) == "y"
     assert hash(GaussianRational(3)) == hash(3) and GaussianRational(3) == 3
     assert len({GaussianRational("2/4", "-3/6"), GaussianRational("1/2", "-1/2")}) == 1
+
+
+# -- report I/O -------------------------------------------------------------------
+
+_RATIONAL_LITERALS = [
+    " 1", "+1", "-0", "007", "1_000", "٣", "1/0", "", "1.5", "-", "-7", "1/2", "-3/6",
+    "²", "1e3", " -7 ", "0x1", "--1", "1__0", "-٣", "1" * 5000, "12345678901234567890123",
+]
+
+
+def _check_json_rational(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="is not a rational"):
+            json_rational(text, "x")
+    else:
+        value = json_rational(text, "x")
+        assert value == expected
+        assert type(value) in (int, Fraction)
+
+
+@pytest.mark.parametrize("text", _RATIONAL_LITERALS)
+def test_json_rational_accepts_exactly_what_fraction_accepts(text):
+    _check_json_rational(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-+/._ e\t٣²", max_size=6))
+def test_json_rational_matches_fraction_on_drawn_strings(text):
+    _check_json_rational(text)
+
+
+parts = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts, st.one_of(st.integers(1, 12), st.integers(1, 10**30)))
+def test_form_to_json_writes_str_of_fraction(a, b, d):
+    z = GaussianRational(Fraction(a, d), Fraction(b, d))
+    if not z:
+        return
+    form = ComplexForm(2, {MultiIndex((1,), (2,)): z})
+    (term,) = form_to_json(form)
+    assert term["re"] == str(Fraction(a, d))
+    assert term["im"] == str(Fraction(b, d))
+    assert form_from_json([term], 2) == form
