@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .scalars import GaussianRational, ZERO, ONE, _ratio_str, i_power, json_rational, parse_scalar
+from .scalars import GaussianRational, ZERO, ONE, ratio_str, i_power, json_rational, parse_scalar
 
 
 class MultiIndex(NamedTuple):
@@ -496,8 +496,8 @@ def parse_form(text: str, n: int, params=None) -> ComplexForm:
 def form_to_json(f: ComplexForm) -> list[dict]:
     return [
         {
-            "re": _ratio_str(value.a, value.d),
-            "im": _ratio_str(value.b, value.d),
+            "re": ratio_str(value.a, value.d),
+            "im": ratio_str(value.b, value.d),
             "holo": list(key.holo),
             "anti": list(key.anti),
         }

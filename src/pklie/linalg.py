@@ -287,10 +287,10 @@ def kernel(m: Matrix, cols: int | None = None) -> list[Vector]:
     return [[vec.get(j, field[0]) for j in range(cols)] for vec in vectors]
 
 
-def sparse_kernel(m: Sequence[dict], cols: int, gaussian: bool = False) -> list[dict]:
-    """`kernel` of the rows {column: entry} over their nonzero entries (GaussianRational
-    when `gaussian`, else int or Fraction), as {column: entry} in ascending columns."""
-    return _kernel_vectors(*_sparse_pivot_rows(m, cols, gaussian), cols)
+def sparse_kernel(m: Sequence[dict], cols: int) -> list[dict]:
+    """`kernel` of the rows {column: entry} over their nonzero int or Fraction
+    entries, as {column: entry} in ascending columns."""
+    return _kernel_vectors(*_sparse_pivot_rows(m, cols, False), cols)
 
 
 def _kernel_vectors(rows: list[dict], pivots: list[int], field: tuple, cols: int) -> list[dict]:

@@ -182,11 +182,11 @@ class GaussianRational:
     def __str__(self):
         a, b, d = self.a, self.b, self.d
         if not b:
-            return _ratio_str(a, d)
+            return ratio_str(a, d)
         if not a:
             return _imag_str(b, d)
         sign = "+" if b > 0 else "-"
-        return f"{_ratio_str(a, d)}{sign}{_imag_str(abs(b), d)}"
+        return f"{ratio_str(a, d)}{sign}{_imag_str(abs(b), d)}"
 
     def __repr__(self):
         return f"GaussianRational('{self}')"
@@ -228,8 +228,8 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _gr(a // g, b // g, d // g)
 
 
-def _ratio_str(n: int, d: int) -> str:
-    """str(Fraction(n, d))."""
+def ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
     g = gcd(n, d)
     if g != 1:
         n, d = n // g, d // g
@@ -241,7 +241,7 @@ def _imag_str(b: int, d: int) -> str:
         return "i"
     if b == -d:
         return "-i"
-    return f"{_ratio_str(b, d)}i"
+    return f"{ratio_str(b, d)}i"
 
 
 ZERO = GaussianRational(0)

@@ -49,7 +49,9 @@ from pklie.liealg import (
     is_unimodular,
 )
 from pklie.linalg import (
+    _kernel_vectors,
     _pivot_rows,
+    _sparse_pivot_rows,
     identity,
     inverse,
     kernel,
@@ -444,17 +446,23 @@ def _dense_rows(rows, cols, zero):
     return [[row.get(j, zero) for j in range(cols)] for row in rows]
 
 
+def _sparse_kernel_in_field(rows, cols, gaussian):
+    """`sparse_kernel`, or the same elimination entered with Gaussian rows."""
+    if gaussian:
+        return _kernel_vectors(*_sparse_pivot_rows(rows, cols, True), cols)
+    return sparse_kernel(rows, cols)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_row_matrices())
-def test_sparse_kernel_matches_dense_kernel(case):
+def test_sparse_kernel_matches_dense_reference(case):
     gaussian, cols, rows = case
     zero, one = (ZERO, ONE) if gaussian else (Fraction(0), Fraction(1))
-    vectors = sparse_kernel(rows, cols, gaussian)
+    vectors = _sparse_kernel_in_field(rows, cols, gaussian)
     # the sparse rows as a dense matrix in the same field, all-zero included
     dense = _dense_rows(rows, cols, zero) if rows else [[zero] * cols]
-    basis = kernel(dense, cols)
-    assert _dense_rows(vectors, cols, zero) == basis
-    assert all(type(x) is type(one) for vec in basis for x in vec)
+    red, pivots = _field_rref_reference(dense)
+    assert _dense_rows(vectors, cols, zero) == _kernel_from_rref_reference(red, pivots, cols, one)
     assert all(type(x) is type(one) and x for vec in vectors for x in vec.values())
     assert all(list(vec) == sorted(vec) for vec in vectors)
 
@@ -462,7 +470,7 @@ def test_sparse_kernel_matches_dense_kernel(case):
 def test_sparse_kernel_of_a_zero_gaussian_matrix_is_gaussian():
     basis = kernel([[ZERO] * 3] * 2, 3)
     assert basis == identity(3) and all(type(x) is GaussianRational for v in basis for x in v)
-    vectors = sparse_kernel([{}, {}], 3, gaussian=True)
+    vectors = _sparse_kernel_in_field([{}, {}], 3, True)
     assert vectors == [{0: ONE}, {1: ONE}, {2: ONE}]
     assert all(type(x) is GaussianRational for v in vectors for x in v.values())
 
