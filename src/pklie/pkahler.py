@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .cxstruct import ComplexStructureSpec, ascending_series, JClass
 from .exterior import (
@@ -119,30 +119,52 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
 
     Only the (p+1,p) part of d is used: for real omega the (p,p+1) part is
     its conjugate, so its rows add nothing to the row space.  A basis
-    column's image is read off `struct.d_pp_block(p)`; each (key, real or
-    imaginary part) of the images is one sparse int row, cleared of the
-    denominators by their common lcm, and the kernel is taken over them.
+    column's image is read off `struct.d_pp_block(p)`: u X for a diagonal
+    monomial, and u(X + Y), iu(X - Y) for the pair of a^{A,B} and a^{B,A},
+    with X, Y their blocks and u = i^{p^2}.  Each (key, real or imaginary
+    part) of the images is one sparse int row, cleared of the denominators
+    by their common lcm, and the kernel is taken over them.
     """
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
     basis = real_pp_basis(n, p)
     block = struct.d_pp_block(p)
+    combos = list(itertools.combinations(range(1, n + 1), p))
+    turns = p % 2  # the basis unit i^{p^2} is i^turns
+    # each column's image as (key, coefficient, quarter turns it is rotated by)
     images = [
-        block[next(iter(f.terms))]
-        if len(f.terms) == 1 and ONE in f.terms.values()  # one monomial, coefficient 1
-        else combine(n, ((c, block[key]) for key, c in f.terms.items()))
-        for f in basis
+        [(key, c, turns) for key, c in block[MultiIndex(a, a)].terms.items()] for a in combos
     ]
-    den = lcm(*(c.d for img in images for c in img.terms.values()))
+    for ia, a in enumerate(combos):
+        for b in combos[ia + 1 :]:
+            # the +- pair of columns is u(X + Y) and iu(X - Y), built in one pass
+            x, y = block[MultiIndex(a, b)].terms, block[MultiIndex(b, a)].terms
+            plus, minus = [], []
+            for key in {**x, **y}:
+                s, t = x.get(key), y.get(key)
+                if t is None:
+                    plus.append((key, s, turns))
+                    minus.append((key, s, turns + 1))
+                elif s is None:
+                    plus.append((key, t, turns))
+                    minus.append((key, t, (turns + 3) % 4))  # iu(-t)
+                else:
+                    if c := s + t:
+                        plus.append((key, c, turns))
+                    if c := s - t:
+                        minus.append((key, c, turns + 1))
+            images += (plus, minus)
+    den = lcm(*(c.d for img in images for _, c, _ in img))
     rows: dict[tuple[MultiIndex, int], dict[int, int]] = {}
     for col, img in enumerate(images):
-        for key, c in img.terms.items():
+        for key, c, k in img:
             scale = den // c.d
-            if c.a:
-                rows.setdefault((key, 0), {})[col] = c.a * scale
-            if c.b:
-                rows.setdefault((key, 1), {})[col] = c.b * scale
+            re, im = ((c.a, c.b), (-c.b, c.a), (-c.a, -c.b), (c.b, -c.a))[k]  # c * i^k
+            if re:
+                rows.setdefault((key, 0), {})[col] = re * scale
+            if im:
+                rows.setdefault((key, 1), {})[col] = im * scale
     vectors = sparse_kernel(list(rows.values()), len(basis))
     zero = Fraction(0)
     coords = [[vec.get(j, zero) for j in range(len(basis))] for vec in vectors]
@@ -395,7 +417,10 @@ def find_pkahler(
 
     Decision order, after the exact closed-space kernel:
     1. the projection of the standard power, tested by the exact Gram
-       reduction;
+       reduction, unless one of the first C(n,p) coordinates (the diagonal
+       monomials) is zero on the whole closed space: no closed form can then
+       pass the Gram test, and that monomial's LP row is all zero, so
+       round 1 of step 2 refutes;
     2. witness rounds, at most `budget.witness_cap`.  Each solves the LP over
        the witnesses (the coframe monomials, then harvested simple forms);
        infeasible means REFUTED.  Otherwise `check_transverse` on the LP point
@@ -433,12 +458,15 @@ def find_pkahler(
         report.stats["witness_rounds"] = rounds
         return report
 
-    proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
-    if proj is not None and any(proj):
-        omega = _combine(closed.forms, proj)
-        ok, cert = gram_positive_definite(gram_matrix(omega)[1])
-        if ok:
-            return found(omega, TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert))
+    # a positive definite Gram matrix has h_aa > 0 at every monomial witness,
+    # so no form with a vanishing diagonal coordinate passes the Gram test
+    if all(any(vec[j] for vec in closed.coords) for j in range(comb(n, p))):
+        proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
+        if proj is not None and any(proj):
+            omega = _combine(closed.forms, proj)
+            ok, cert = gram_positive_definite(gram_matrix(omega)[1])
+            if ok:
+                return found(omega, TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert))
 
     # witness family: all coframe monomials, then harvested simple forms
     witnesses: list[ComplexForm] = [monomial(n, idx) for idx in gram_basis(n, n - p)]
@@ -531,7 +559,13 @@ def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
 
 
 def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
-    """Exact re-verification of a serialized PKahlerReport; returns failures."""
+    """Exact re-verification of a serialized PKahlerReport; returns failures.
+
+    A witness family's witnesses are all checked (nonzero, of bidegree
+    (n-p,0), simple), but only those with a nonzero Farkas multiplier are
+    paired with the closed forms: the other rows add nothing to the
+    certificate.
+    """
     failures: list[str] = []
     if not isinstance(data, dict):
         raise ValueError("a report must be a JSON object")
@@ -587,7 +621,7 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
                 raise ValueError("witnesses and farkas must be lists")
             witnesses = [form_from_json(item, n) for item in ref["witnesses"]]
             farkas = [json_rational(x, "farkas multiplier") for x in ref["farkas"]]
-            rows = []
+            before = len(failures)
             for psi in witnesses:
                 if psi.is_zero():
                     failures.append("zero witness form")
@@ -595,12 +629,18 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
                     failures.append(f"witness is not of bidegree ({n - p},0)")
                 elif not is_simple(psi):
                     failures.append("witness is not simple")
-                else:
-                    rows.append([_real_part(volume_coefficient(f, psi)) for f in closed.forms])
-            if len(farkas) != len(rows):
+            if len(farkas) != len(witnesses):
                 failures.append("farkas length mismatch")
-            elif not verify_farkas(rows, [Fraction(1)] * len(rows), farkas):
-                failures.append("farkas certificate invalid")
+            elif len(failures) == before:
+                # a row with multiplier 0 adds nothing to y A or y b; a
+                # negative multiplier stays, for verify_farkas to reject
+                support = [(psi, y) for psi, y in zip(witnesses, farkas) if y != 0]
+                rows = [
+                    [_real_part(volume_coefficient(f, psi)) for f in closed.forms]
+                    for psi, _ in support
+                ]
+                if not verify_farkas(rows, [Fraction(1)] * len(rows), [y for _, y in support]):
+                    failures.append("farkas certificate invalid")
         elif kind == "obstruction":
             failures.extend(verify_obstruction(struct, p, ref))
         else:

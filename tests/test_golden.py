@@ -31,7 +31,14 @@ from pklie import pkahler, positivity
 from pklie.catalog import named_example, registry
 from pklie.cli import main
 from pklie.cxstruct import ComplexStructureSpec
-from pklie.exterior import MultiIndex, bidegree_component, form_to_literal, monomial
+from pklie.exterior import (
+    MultiIndex,
+    bidegree_component,
+    form_from_json,
+    form_to_json,
+    form_to_literal,
+    monomial,
+)
 from pklie.pkahler import verify_report
 from pklie.positivity import gram_basis
 from test_properties import _antiderivation_reference, _wedge_pairing_reference
@@ -234,6 +241,36 @@ def test_tampered_witness_family_fails_verification(name, p):
         # and then any positive multiple of its multiplier does too
         expected = ["farkas certificate invalid"] if verify_report(struct, alone) else []
         assert verify_report(struct, _doubled(report, i)) == expected
+
+
+@pytest.mark.parametrize("name,p", _witness_family_cases())
+def test_multiplier_off_the_support_fails_verification(name, p):
+    """verify_report pairs only the witnesses whose multiplier is nonzero; a
+    multiplier put on any other witness must still be checked."""
+    struct = named_example(name)
+    report = _report(name, p)
+    witnesses = [form_from_json(w, struct.n) for w in report["refutation"]["witnesses"]]
+    forms = [form_from_json(f, struct.n) for f in report["closed_basis"]]
+    rows = [[positivity.volume_coefficient(f, psi).re for f in forms] for psi in witnesses]
+    farkas = report["refutation"]["farkas"]
+    for j in (j for j, y in enumerate(farkas) if not Fraction(y)):
+        negative = copy.deepcopy(report)
+        negative["refutation"]["farkas"][j] = "-1"
+        assert verify_report(struct, negative) == ["farkas certificate invalid"]
+        for i in (i for i, y in enumerate(farkas) if Fraction(y)):
+            moved = copy.deepcopy(report)
+            moved["refutation"]["farkas"][i] = "0"
+            moved["refutation"]["farkas"][j] = farkas[i]
+            # the move adds y_i (row_j - row_i) to y A and leaves y b as it is
+            expected = [] if rows[i] == rows[j] else ["farkas certificate invalid"]
+            assert verify_report(struct, moved) == expected
+
+
+def test_non_simple_witness_is_the_only_failure():
+    name = "snn8f1:0,0,0,1"
+    report = copy.deepcopy(_report(name, 2))
+    report["refutation"]["witnesses"][3] = form_to_json(monomial(4, (1, 2)) + monomial(4, (3, 4)))
+    assert verify_report(named_example(name), report) == ["witness is not simple"]
 
 
 @pytest.mark.parametrize("name,p", [("h5r", 2), ("qn8b", 3)])

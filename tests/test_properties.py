@@ -62,7 +62,10 @@ from pklie.linalg import (
     sparse_kernel,
 )
 from pklie.pkahler import (
+    EmptyConeRefutation,
+    PKahlerReport,
     PKVerdict,
+    WitnessRefutation,
     _combine,
     _project_onto_span,
     _real_part,
@@ -76,6 +79,9 @@ from pklie.pkahler import (
 )
 from pklie.positivity import (
     SearchBudget,
+    TransStatus,
+    TransversalityVerdict,
+    check_transverse,
     gram_basis,
     gram_matrix,
     gram_positive_definite,
@@ -1021,6 +1027,96 @@ def test_infeasible_monomial_lp_rules_out_every_candidate(case, seed):
     report = find_pkahler(struct, p, budget)
     assert report.verdict == PKVerdict.REFUTED
     assert report.stats["witness_rounds"] == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures())
+def test_vanishing_diagonal_zeroes_an_lp_row_and_rules_out_the_projection(case):
+    """A diagonal coordinate that is 0 on the whole closed space gives its
+    monomial witness an all-zero LP row, so the monomial LP is infeasible and
+    the projection of the standard power fails the Gram test."""
+    struct, _ = case
+    n = struct.n
+    for p in range(1, n):
+        closed = closed_pp_space(struct, p)
+        vanishing = [
+            a
+            for a in itertools.combinations(range(1, n + 1), p)
+            if all(MultiIndex(a, a) not in f.terms for f in closed.forms)
+        ]
+        if not closed.coords or not vanishing:
+            continue
+        rows = _gram_diagonal_rows([gram_matrix(f)[1] for f in closed.forms])
+        position = {idx: a for a, idx in enumerate(gram_basis(n, n - p))}
+        for a in vanishing:
+            complement = tuple(j for j in range(1, n + 1) if j not in a)
+            assert not any(rows[position[complement]])
+        assert not feasibility(rows, [Fraction(1)] * len(rows)).feasible
+        proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
+        if proj is not None and any(proj):
+            omega = _combine(closed.forms, proj)
+            assert not gram_positive_definite(gram_matrix(omega)[1])[0]
+
+
+def _project_first_reference(struct, p, budget):
+    """find_pkahler as it was before the diagonal test: the projection of the
+    standard power is Gram-tested on every nonzero closed space."""
+    n = struct.n
+    closed = closed_pp_space(struct, p)
+    stats = {"closed_dim": len(closed.coords), **budget.config_json()}
+    report = PKahlerReport(p, PKVerdict.INCONCLUSIVE, closed.forms, stats=stats)
+
+    def decided(verdict, rounds=None, refutation=None, form=None, cert=None):
+        report.verdict, report.refutation = verdict, refutation
+        report.found_form, report.found_certificate = form, cert
+        if rounds is not None:
+            report.stats["witness_rounds"] = rounds
+        return report
+
+    if not closed.coords:
+        return decided(PKVerdict.REFUTED, refutation=EmptyConeRefutation())
+    proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
+    if proj is not None and any(proj):
+        omega = _combine(closed.forms, proj)
+        ok, cert = gram_positive_definite(gram_matrix(omega)[1])
+        if ok:
+            transverse = TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert)
+            return decided(PKVerdict.FOUND, form=omega, cert=transverse)
+    witnesses = [monomial(n, idx) for idx in gram_basis(n, n - p)]
+    rows = _witness_rows(closed.forms, witnesses, n - p)
+    harvest = SearchBudget(
+        restarts=max(2, budget.restarts // 20),
+        steps=max(50, budget.steps // 5),
+        seed=budget.seed,
+        step_tol=budget.step_tol,
+    )
+    for round_idx in range(budget.witness_cap):
+        res = feasibility(rows, [Fraction(1)] * len(rows))
+        if not res.feasible:
+            refutation = WitnessRefutation(witnesses, res.farkas_ge)
+            return decided(PKVerdict.REFUTED, round_idx + 1, refutation)
+        if round_idx == 0 and (obstruction := obstruction_search(struct, p)) is not None:
+            return decided(PKVerdict.REFUTED, 1, obstruction)
+        omega = _combine(closed.forms, res.point)
+        verdict = check_transverse(omega, harvest)
+        if verdict.status == TransStatus.TRANSVERSE:
+            return decided(PKVerdict.FOUND, form=omega, cert=verdict)
+        if verdict.status == TransStatus.INCONCLUSIVE:
+            return decided(PKVerdict.INCONCLUSIVE, round_idx + 1)
+        psi = verdict.witness.to_form(n)
+        witnesses.append(psi)
+        rows += _witness_rows(closed.forms, [psi], n - p)
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures(), st.integers(0, 3))
+def test_find_pkahler_matches_project_first_reference(case, seed):
+    struct, _ = case
+    budget = SearchBudget(restarts=20, steps=100, seed=seed, witness_cap=6)
+    for p in range(1, struct.n):
+        expected = _project_first_reference(struct, p, budget).to_json()
+        assert find_pkahler(struct, p, budget).to_json() == expected
 
 
 def _check_obstruction_dominated(struct, p) -> bool:
