@@ -24,7 +24,6 @@ from .cxstruct import (
     ascending_series,
     b_extension_quotient,
     check_integrability,
-    coframe_from_J,
     restrict_to_jinvariant_ideal,
     triangular_coframe,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ascending_series",
     "b_extension_quotient",
     "check_integrability",
-    "coframe_from_J",
     "restrict_to_jinvariant_ideal",
     "triangular_coframe",
     "SearchBudget",

@@ -436,11 +436,6 @@ def check_integrability(g: LieAlgebraSpec, J: Sequence[Sequence]) -> Integrabili
     return nij
 
 
-def coframe_from_J(g: LieAlgebraSpec, J: Sequence[Sequence]) -> ComplexStructureSpec:
-    """Canonical (1,0)-coframe and structure equations for an integrable J."""
-    return ComplexStructureSpec.from_matrix(g, J)
-
-
 # -- ascending series adapted to J ----------------------------------------------
 
 

@@ -324,11 +324,18 @@ def _diagonal_decomposition(component: ComplexForm):
 
 
 def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCertificate | None:
-    """Exact search for a diagonal same-sign obstruction.
+    """Exact search for a diagonal same-sign obstruction, as the dual of
+    witness round 1 of `find_pkahler`.
 
-    The ansatz runs over (q-1,q) and (q,q-1) monomials (the only bidegrees
-    whose differential meets (q,q)); the sign conditions become an exact
-    rational feasibility problem.
+    On a unimodular algebra, with q = n - p, the wedge pairing of (p,p)- and
+    (q,q)-forms is perfect and exact top-degree forms vanish, so the
+    (q,q)-forms that annihilate every closed (p,p)-form are exactly the (q,q)
+    parts of d beta, over beta of bidegree (q-1,q) and (q,q-1) (Harvey-Lawson;
+    Alessandrini-Bassanelli).  A diagonal same-sign obstruction therefore
+    exists iff the LP over the coframe-monomial witnesses a^K is infeasible.
+    Its Farkas multipliers y give the target sum_K y_K a^{K,Kb}, and one exact
+    solve of (d beta)^{(q,q)} = target over the (q-1,q) and (q,q-1) monomials
+    gives beta.  None when the LP is feasible or the algebra is not unimodular.
     """
     n = struct.n
     q = n - p
@@ -336,54 +343,28 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
         raise ValueError("need 1 <= p < n")
     if not is_unimodular(struct.g):
         return None
-    ansatz: list[MultiIndex] = []
-    for a, b in ((q - 1, q), (q, q - 1)):
-        for holo in itertools.combinations(range(1, n + 1), a):
-            for anti in itertools.combinations(range(1, n + 1), b):
-                ansatz.append(MultiIndex(holo, anti))
-    images = [
-        bidegree_component(struct.d(ComplexForm(n, {key: ONE})), q, q) for key in ansatz
+    closed = closed_pp_space(struct, p)
+    keys = gram_basis(n, q)
+    rows = _witness_rows(closed.forms, [monomial(n, key) for key in keys], q)
+    res = feasibility(rows, [Fraction(1)] * len(rows))
+    if res.feasible:
+        return None
+    target = {MultiIndex(key, key): gr(y) for key, y in zip(keys, res.farkas_ge) if y}
+    ansatz = [
+        MultiIndex(holo, anti)
+        for a, b in ((q - 1, q), (q, q - 1))
+        for holo in gram_basis(n, a)
+        for anti in gram_basis(n, b)
     ]
-    target_keys = sorted({key for img in images for key in img.terms})
-    diag_keys = [key for key in target_keys if key.holo == key.anti]
-    if not diag_keys:
-        return None
-    off_keys = [key for key in target_keys if key.holo != key.anti]
-    nv = 2 * len(ansatz)
-
-    def row_for(key: MultiIndex, part: str) -> list[Fraction]:
-        row = []
-        for img in images:
-            c = img.terms.get(key, ZERO)
-            if part == "re":
-                row.extend([c.re, -c.im])
-            else:
-                row.extend([c.im, c.re])
-        return row
-
-    a_eq = []
-    b_eq = []
-    for key in off_keys:
-        a_eq.append(row_for(key, "re"))
-        b_eq.append(Fraction(0))
-        a_eq.append(row_for(key, "im"))
-        b_eq.append(Fraction(0))
-    for key in diag_keys:
-        a_eq.append(row_for(key, "im"))
-        b_eq.append(Fraction(0))
-    # each diagonal coefficient is >= 0, and their sum is >= 1
-    a_ge = [row_for(key, "re") for key in diag_keys]
-    a_ge.append([sum(col) for col in zip(*a_ge)])
-    b_ge = [Fraction(0)] * len(diag_keys) + [Fraction(1)]
-    res = feasibility(a_ge, b_ge, a_eq, b_eq)
-    if not res.feasible:
-        return None
-    beta = ComplexForm.zero(n)
-    for idx, key in enumerate(ansatz):
-        c = GaussianRational(res.point[2 * idx], res.point[2 * idx + 1])
-        if not c.is_zero():
-            beta = beta + ComplexForm(n, {key: c})
-    return obstruction_check(struct, p, beta)
+    images = [bidegree_component(struct.d(ComplexForm(n, {key: ONE})), q, q).terms for key in ansatz]
+    image_keys = sorted({*target, *(key for img in images for key in img)})
+    x = solve(
+        [[img.get(key, ZERO) for img in images] for key in image_keys],
+        [target.get(key, ZERO) for key in image_keys],
+    )
+    if x is None:
+        raise AssertionError("no beta reaches the Farkas target; internal error")
+    return obstruction_check(struct, p, ComplexForm(n, {key: c for key, c in zip(ansatz, x) if c}))
 
 
 @dataclass
@@ -426,7 +407,8 @@ def find_pkahler(
        infeasible means REFUTED.  Otherwise `check_transverse` on the LP point
        decides: TRANSVERSE is FOUND, NOT_TRANSVERSE adds its simple witness
        to the LP, INCONCLUSIVE ends the rounds.  Round 1 also runs the
-       diagonal obstruction search.
+       diagonal obstruction search, the dual of its LP, which finds nothing
+       once that LP is feasible.
     The LP points never repeat: each harvested row cuts off the point that
     produced it.  Only the harvest's numeric search (at 1 < p < n-1) reads
     the budget's seed, restarts and steps.
@@ -475,7 +457,6 @@ def find_pkahler(
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
         seed=budget.seed,
-        step_tol=budget.step_tol,
     )
     for round_idx in range(budget.witness_cap):
         res = feasibility(rows, [Fraction(1)] * len(rows))

@@ -52,7 +52,7 @@ class TransStatus(str, Enum):
 class SearchBudget:
     """Knobs of the numeric search in `check_transverse`; exact paths ignore them.
 
-    `seed`, `restarts`, `steps` and `step_tol` drive that search, which runs
+    `seed`, `restarts` and `steps` drive that search, which runs
     only at 1 < p < n-1.  In `find_pkahler` it is the harvest on each LP
     point, with a fraction of `restarts` and `steps`; `witness_cap` bounds
     the LP rounds there.
@@ -61,7 +61,6 @@ class SearchBudget:
     restarts: int = 200
     steps: int = 500
     seed: int = 0
-    step_tol: float = 1e-12
     witness_cap: int = 24
 
     def __post_init__(self):
@@ -392,6 +391,10 @@ def _plucker_jacobian(mat: np.ndarray, basis) -> np.ndarray:
     return jac
 
 
+# a descent run stops once one step changes the pairing by less than this
+_STEP_TOL = 1e-12
+
+
 def _numeric_negative_search(omega, basis, h_exact, budget: SearchBudget):
     """Minimize the volume pairing over decomposable directions (float), then
     rationalize promising minima and re-verify exactly."""
@@ -422,7 +425,7 @@ def _numeric_negative_search(omega, basis, h_exact, budget: SearchBudget):
             scale = np.max(np.abs(mat))
             if scale > 4.0:
                 mat = mat / scale
-            if abs(prev - val) < budget.step_tol:
+            if abs(prev - val) < _STEP_TOL:
                 break
             if val > prev:
                 lr *= 0.5

@@ -9,6 +9,7 @@ import pytest
 from pklie.catalog import named_example
 from pklie.cli import main
 from pklie.cxstruct import struct_to_json
+from test_golden import SNN8_NAMES
 
 PKL = [sys.executable, "-m", "pklie.cli"]
 
@@ -114,7 +115,6 @@ def test_verify_round_trip(tmp_path, capsys):
         ["find", "--catalog", "torus4", "--p", "2", "--format", "json"],
         ["find", "--catalog", "kt", "--p", "1", "--format", "json"],
         ["find", "--catalog", "snn8f1:0,0,1,0", "--p", "2", "--format", "json"],
-        ["obstruct", "--catalog", "snn8f2:1,1,0,0,0", "--p", "2", "--format", "json"],
     ):
         code, out = run_cli(args, capsys)
         assert code == 0
@@ -123,6 +123,20 @@ def test_verify_round_trip(tmp_path, capsys):
         code, out2 = run_cli(["verify", str(path)], capsys)
         assert code == 0, out2
         assert "verified" in out2
+
+
+@pytest.mark.parametrize("name", SNN8_NAMES + ["qn8a", "qn8b", "qn8c"])
+def test_obstruct_search_verify_round_trip(name, tmp_path, capsys):
+    code, out = run_cli(["obstruct", "--catalog", name, "--p", "2"], capsys)
+    assert code == 0
+    assert out.startswith("OBSTRUCTED")
+    code, out = run_cli(["obstruct", "--catalog", name, "--p", "2", "--format", "json"], capsys)
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out2 = run_cli(["verify", str(path)], capsys)
+    assert code == 0, out2
+    assert "verified" in out2
 
 
 def test_verify_detects_tampering(tmp_path, capsys):

@@ -16,7 +16,6 @@ from pklie.cxstruct import (
     ascending_series,
     b_extension_quotient,
     check_integrability,
-    coframe_from_J,
     in_coframe_ideal,
     restrict_to_jinvariant_ideal,
     structure_equations,
@@ -74,7 +73,7 @@ def test_from_equations_builds_real_side():
 def test_kt_from_real_matrix_recovers_equations():
     g = from_bracket_list(4, [(1, 2, 3, 1)])
     J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    struct = coframe_from_J(g, J)
+    struct = ComplexStructureSpec.from_matrix(g, J)
     assert struct.equations[0].is_zero()
     expected = monomial(2, (1,), (1,), GaussianRational(0, "-1/2"))
     assert struct.equations[1] == expected
@@ -83,7 +82,7 @@ def test_kt_from_real_matrix_recovers_equations():
 def test_standard_j_on_abelian_gives_closed_coframe():
     g = LieAlgebraSpec(4)
     J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    struct = coframe_from_J(g, J)
+    struct = ComplexStructureSpec.from_matrix(g, J)
     assert all(eq.is_zero() for eq in struct.equations)
 
 
@@ -106,7 +105,7 @@ def test_non_integrable_witness():
     assert res.witness == (1, 2)
     assert any(res.nijenhuis_value)
     with pytest.raises(NonIntegrableError):
-        coframe_from_J(g, J)
+        ComplexStructureSpec.from_matrix(g, J)
 
 
 def test_integrability_tests_agree_on_random_pairs():

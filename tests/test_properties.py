@@ -1,6 +1,7 @@
 """Property tests: the exact core agrees with itself across fields and routes."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pklie.pkahler as pkahler
 from pklie.catalog import (
     AlmostAbelianData,
     almost_abelian_algebra,
@@ -76,6 +76,7 @@ from pklie.pkahler import (
     obstruction_search,
     pp_coordinates,
     real_pp_basis,
+    verify_obstruction,
 )
 from pklie.positivity import (
     SearchBudget,
@@ -1088,7 +1089,6 @@ def _project_first_reference(struct, p, budget):
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
         seed=budget.seed,
-        step_tol=budget.step_tol,
     )
     for round_idx in range(budget.witness_cap):
         res = feasibility(rows, [Fraction(1)] * len(rows))
@@ -1160,11 +1160,84 @@ _SNN8_FAMILY = [
 ]
 
 
-def test_obstruction_certificates_on_snn8_families_imply_infeasible_monomial_lp():
+def _snn8_structs():
     structs = [build_snn8(*args) for args in _SNN8_FAMILY]
-    structs += [named_example(name) for name in ("qn8a", "qn8b", "qn8c")]
+    return structs + [named_example(name) for name in ("qn8a", "qn8b", "qn8c")]
+
+
+def test_obstruction_certificates_on_snn8_families_imply_infeasible_monomial_lp():
+    structs = _snn8_structs()
     found = sum(_check_obstruction_dominated(s, p) for s in structs for p in (1, 2, 3))
     assert found >= len(structs) * 2  # every instance has certificates at p = 1 and 2
+
+
+def _obstruction_lp_reference(struct, p):
+    """The direct LP for a diagonal same-sign obstruction, as
+    (a_ge, b_ge, a_eq, b_eq) over the real and imaginary parts of the
+    coefficients of beta on the (q-1,q) and (q,q-1) monomials, q = n - p:
+    (d beta)^{(q,q)} has vanishing off-diagonal coefficients and real
+    diagonal ones that are >= 0 and sum to >= 1.  None when the algebra is
+    not unimodular or d meets no diagonal (q,q) monomial."""
+    n = struct.n
+    q = n - p
+    if not is_unimodular(struct.g):
+        return None
+    ansatz: list[MultiIndex] = []
+    for a, b in ((q - 1, q), (q, q - 1)):
+        for holo in itertools.combinations(range(1, n + 1), a):
+            for anti in itertools.combinations(range(1, n + 1), b):
+                ansatz.append(MultiIndex(holo, anti))
+    images = [
+        bidegree_component(struct.d(ComplexForm(n, {key: ONE})), q, q) for key in ansatz
+    ]
+    target_keys = sorted({key for img in images for key in img.terms})
+    diag_keys = [key for key in target_keys if key.holo == key.anti]
+    if not diag_keys:
+        return None
+    off_keys = [key for key in target_keys if key.holo != key.anti]
+
+    def row_for(key: MultiIndex, part: str) -> list[Fraction]:
+        row = []
+        for img in images:
+            c = img.terms.get(key, ZERO)
+            if part == "re":
+                row.extend([c.re, -c.im])
+            else:
+                row.extend([c.im, c.re])
+        return row
+
+    a_eq = []
+    for key in off_keys:
+        a_eq += [row_for(key, "re"), row_for(key, "im")]
+    a_eq += [row_for(key, "im") for key in diag_keys]
+    a_ge = [row_for(key, "re") for key in diag_keys]
+    a_ge.append([sum(col) for col in zip(*a_ge)])
+    b_ge = [Fraction(0)] * len(diag_keys) + [Fraction(1)]
+    return a_ge, b_ge, a_eq, [Fraction(0)] * len(a_eq)
+
+
+def _check_search_matches_lp_reference(struct, p) -> bool:
+    """obstruction_search finds a certificate iff the direct LP is feasible,
+    and the certificate passes verify_obstruction after a JSON round trip;
+    returns whether one was found."""
+    system = _obstruction_lp_reference(struct, p)
+    cert = obstruction_search(struct, p)
+    assert (cert is not None) == (system is not None and feasibility(*system).feasible)
+    if cert is None:
+        return False
+    assert verify_obstruction(struct, p, json.loads(json.dumps(cert.to_json()))) == []
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures())
+def test_obstruction_search_matches_direct_lp_reference(case):
+    _check_search_matches_lp_reference(*case)
+
+
+def test_obstruction_search_matches_direct_lp_reference_on_snn8_families():
+    structs = _snn8_structs()
+    assert all(_check_search_matches_lp_reference(s, 2) for s in structs)
 
 
 def _dense_feasibility_reference(a_ge, b_ge, a_eq=(), b_eq=()):
@@ -1397,21 +1470,17 @@ def test_integer_simplex_matches_fraction_reference(system):
     assert feasibility(*system) == _fraction_simplex_reference(*system)
 
 
-def test_integer_simplex_matches_fraction_reference_on_aab_obstruction_lp(monkeypatch):
-    """The obstruction_search LP of the INCONCLUSIVE almost-abelian item of
+def test_integer_simplex_matches_fraction_reference_on_aab_obstruction_lp():
+    """The direct obstruction LP of the INCONCLUSIVE almost-abelian item of
     the benchmark set (3 >= rows, 14 = rows, 36 variables)."""
     data = AlmostAbelianData(
         3, -2, [-1, -2, 0, 1], [[2, 0, 2, 0], [-2, -1, -2, 1], [-1, 2, -1, -2], [0, -2, 0, 2]]
     )
-    systems = []
-
-    def recording(*system):
-        systems.append(system)
-        return feasibility(*system)
-
-    monkeypatch.setattr(pkahler, "feasibility", recording)
-    assert obstruction_search(build_almost_abelian(data), 1) is None
-    (system,) = systems
+    struct = build_almost_abelian(data)
+    system = _obstruction_lp_reference(struct, 1)
+    a_ge, _, a_eq, _ = system
+    assert (len(a_ge), len(a_eq), len(a_ge[0])) == (3, 14, 36)
+    assert obstruction_search(struct, 1) is None
     res = feasibility(*system)
     assert not res.feasible
     assert res == _fraction_simplex_reference(*system)
