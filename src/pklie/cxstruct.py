@@ -13,11 +13,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exterior import (
     ComplexForm,
     MultiIndex,
+    _merge,
     apply_antiderivation,
     combine,
     conjugate,
@@ -159,16 +161,24 @@ def _real_to_complex_images(coframe: Matrix) -> list[ComplexForm]:
     [C; conj C] = T [Re C; Im C] with T = [[1, i], [1, -i]], so the inverse is
     the rational inverse of [Re C; Im C] followed by T^-1 = 1/2 [[1, 1], [-i, i]]:
     e^m = sum_j (r_mj - i r_m,n+j)/2 a^j + (r_mj + i r_m,n+j)/2 conj(a^j).
+    [Re C; Im C] is inverted as the int matrix R whose rows k and n+k are
+    rows k of Re C and Im C times the lcm s_k of row k's denominators; then
+    r_mj = (R^-1)_mj s_j and r_m,n+j = (R^-1)_m,n+j s_j.
     """
     n = len(coframe)
-    real = [[c.re for c in row] for row in coframe] + [[c.im for c in row] for row in coframe]
+    scales = [lcm(*(c.d for c in row)) for row in coframe]
+    real = [[c.a * (s // c.d) for c in row] for row, s in zip(coframe, scales)]
+    real += [[c.b * (s // c.d) for c in row] for row, s in zip(coframe, scales)]
     rinv = inverse(real)
     images = []
     for row in rinv:
         terms = {}
-        for j in range(n):
-            if row[j] or row[n + j]:
-                c1 = GaussianRational(row[j], row[n + j]).conjugate() / 2
+        for j, s in enumerate(scales):
+            x, y = row[j], row[n + j]
+            if x or y:
+                # (x - i y) s / 2, over the denominator 2 q r of x = p/q, y = t/r
+                q, r = x.denominator, y.denominator
+                c1 = GaussianRational(x.numerator * r * s, -y.numerator * q * s) / (2 * q * r)
                 terms[MultiIndex((j + 1,), ())] = c1
                 terms[MultiIndex((), (j + 1,))] = c1.conjugate()
         images.append(ComplexForm._wrap(n, terms))
@@ -340,31 +350,52 @@ class ComplexStructureSpec:
     def d_pp_block(self, p: int) -> dict[MultiIndex, ComplexForm]:
         """The (p+1,p) part of d(a^A ^ conj a^B) for every |A| = |B| = p.
 
-        Keyed by MultiIndex(A, B) and built once per p by `apply_antiderivation`
-        from the parts of the structure equations that land in (p+1,p):
-        (d a^A ^ conj a^B)^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ del conj a^B,
-        where del takes the (2,0) part of each d a^j and the (1,1) part of
-        each d conj a^j.  Integrability leaves no other bidegree that ends
-        in (p+1,p).
+        Keyed by MultiIndex(A, B) and built once per p by the Leibniz rule:
+        (d(a^A ^ conj a^B))^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ (d conj a^B)^{1,p},
+        where del a^A is the antiderivation of a^A over the (2,0) parts of
+        the d a^j and (d conj a^B)^{1,p} the one of conj a^B over the (1,1)
+        parts of the d conj a^j.  Integrability leaves no other bidegree that
+        ends in (p+1,p).  That is 2 C(n,p) antiderivations, and one index
+        merge per term of each block entry.
         """
         block = self._d_pp_blocks.get(p)
         if block is not None:
             return block
+        n = self.n
         holo_parts = [
-            ComplexForm._wrap(self.n, {k: c for k, c in eq.terms.items() if k.bidegree == (2, 0)})
+            ComplexForm._wrap(n, {k: c for k, c in eq.terms.items() if k.bidegree == (2, 0)})
             for eq in self.equations
         ]
         anti_parts = [
-            ComplexForm._wrap(self.n, {k: c for k, c in eq.terms.items() if k.bidegree == (1, 1)})
+            ComplexForm._wrap(n, {k: c for k, c in eq.terms.items() if k.bidegree == (1, 1)})
             for eq in self._conj_equations
         ]
-        combos = list(itertools.combinations(range(1, self.n + 1), p))
+
+        def part(key: MultiIndex) -> dict[MultiIndex, GaussianRational]:
+            return apply_antiderivation(ComplexForm._wrap(n, {key: ONE}), holo_parts, anti_parts).terms
+
+        combos = list(itertools.combinations(range(1, n + 1), p))
+        dels = [part(MultiIndex(a, ())) for a in combos]
+        dbars = [part(MultiIndex((), b)) for b in combos]
+        odd = p % 2 == 1
         block = {}
-        for holo in combos:
-            for anti in combos:
-                key = MultiIndex(holo, anti)
-                mono = ComplexForm._wrap(self.n, {key: ONE})
-                block[key] = apply_antiderivation(mono, holo_parts, anti_parts)
+        for a, del_a in zip(combos, dels):
+            for b, dbar_b in zip(combos, dbars):
+                terms = {MultiIndex(h, b): c for (h, _), c in del_a.items()}
+                for (h, anti), c in dbar_b.items():
+                    merged, sign = _merge(a, h)
+                    if merged is None:
+                        continue
+                    value = -c if (sign < 0) != odd else c
+                    key = MultiIndex(merged, anti)
+                    prev = terms.get(key)
+                    if prev is None:
+                        terms[key] = value
+                    elif total := prev + value:
+                        terms[key] = total
+                    else:
+                        del terms[key]
+                block[MultiIndex(a, b)] = ComplexForm._wrap(n, terms)
         self._d_pp_blocks[p] = block
         return block
 

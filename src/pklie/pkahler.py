@@ -45,7 +45,7 @@ from .positivity import (
     verify_verdict,
     volume_coefficient,
 )
-from .scalars import GaussianRational, I, ONE, ZERO, i_power, json_int, json_rational
+from .scalars import GaussianRational, I, ONE, ZERO, json_int, json_rational
 from .simplex import feasibility, verify_farkas
 
 
@@ -62,27 +62,11 @@ class ObstructionRejected(ValueError):
 # -- real (p,p) coordinates ----------------------------------------------------
 
 
-def real_pp_basis(n: int, p: int) -> list[ComplexForm]:
-    """Rational basis of the real vector space of real (p,p)-forms."""
-    return list(_real_pp_basis(n, p))
-
-
-@functools.lru_cache(maxsize=None)
-def _real_pp_basis(n: int, p: int) -> tuple[ComplexForm, ...]:
-    combos = list(itertools.combinations(range(1, n + 1), p))
-    unit = i_power(p * p)
-    out = []
-    for a in combos:
-        out.append(monomial(n, a, a, unit))
-    for ia, a in enumerate(combos):
-        for b in combos[ia + 1 :]:
-            out.append(monomial(n, a, b, unit) + monomial(n, b, a, unit))
-            out.append(monomial(n, a, b, unit * I) - monomial(n, b, a, unit * I))
-    return tuple(out)
-
-
 def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
-    """Coordinates of a real (p,p)-form over real_pp_basis, exact."""
+    """Exact coordinates of a real (p,p)-form over the real basis that
+    `closed_pp_space` coordinatizes: u a^{A,A} for each |A| = p, then for
+    each A < B the pair u(a^{A,B} + a^{B,A}), iu(a^{A,B} - a^{B,A}), with
+    u = i^{p^2} and the p-subsets A, B in lexicographic order."""
     combos = list(itertools.combinations(range(1, omega.n + 1), p))
     terms = omega.terms
     zero = Fraction(0)
@@ -117,44 +101,46 @@ class ClosedPP:
 def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     """Exact kernel of d on real (p,p)-forms, deterministic RREF basis.
 
-    Only the (p+1,p) part of d is used: for real omega the (p,p+1) part is
-    its conjugate, so its rows add nothing to the row space.  A basis
-    column's image is read off `struct.d_pp_block(p)`: u X for a diagonal
-    monomial, and u(X + Y), iu(X - Y) for the pair of a^{A,B} and a^{B,A},
-    with X, Y their blocks and u = i^{p^2}.  Each (key, real or imaginary
-    part) of the images is one sparse int row, cleared of the denominators
-    by their common lcm, and the kernel is taken over them.
+    Coordinates are those of `pp_coordinates`.  Only the (p+1,p) part of d
+    is used: for real omega the (p,p+1) part is its conjugate, so its rows
+    add nothing to the row space.  A basis column's image is read off
+    `struct.d_pp_block(p)`: u X for a diagonal monomial, and u(X + Y),
+    iu(X - Y) for the pair of a^{A,B} and a^{B,A}, with X, Y their blocks
+    and u = i^{p^2}.  Each (key, real or imaginary part) of the images is one
+    sparse int row, cleared of the denominators by their common lcm, and the
+    kernel is taken over them.  Each closed form is written straight from
+    its kernel vector: x on a diagonal column is u x at (A,A), and the pair
+    (x+, x-) is u(x+ + i x-) at (A,B) and u(x+ - i x-) at (B,A).
     """
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    basis = real_pp_basis(n, p)
     block = struct.d_pp_block(p)
     combos = list(itertools.combinations(range(1, n + 1), p))
+    pairs = [(a, b) for ia, a in enumerate(combos) for b in combos[ia + 1 :]]
     turns = p % 2  # the basis unit i^{p^2} is i^turns
     # each column's image as (key, coefficient, quarter turns it is rotated by)
     images = [
         [(key, c, turns) for key, c in block[MultiIndex(a, a)].terms.items()] for a in combos
     ]
-    for ia, a in enumerate(combos):
-        for b in combos[ia + 1 :]:
-            # the +- pair of columns is u(X + Y) and iu(X - Y), built in one pass
-            x, y = block[MultiIndex(a, b)].terms, block[MultiIndex(b, a)].terms
-            plus, minus = [], []
-            for key in {**x, **y}:
-                s, t = x.get(key), y.get(key)
-                if t is None:
-                    plus.append((key, s, turns))
-                    minus.append((key, s, turns + 1))
-                elif s is None:
-                    plus.append((key, t, turns))
-                    minus.append((key, t, (turns + 3) % 4))  # iu(-t)
-                else:
-                    if c := s + t:
-                        plus.append((key, c, turns))
-                    if c := s - t:
-                        minus.append((key, c, turns + 1))
-            images += (plus, minus)
+    for a, b in pairs:
+        # the +- pair of columns is u(X + Y) and iu(X - Y), built in one pass
+        x, y = block[MultiIndex(a, b)].terms, block[MultiIndex(b, a)].terms
+        plus, minus = [], []
+        for key in {**x, **y}:
+            s, t = x.get(key), y.get(key)
+            if t is None:
+                plus.append((key, s, turns))
+                minus.append((key, s, turns + 1))
+            elif s is None:
+                plus.append((key, t, turns))
+                minus.append((key, t, (turns + 3) % 4))  # iu(-t)
+            else:
+                if c := s + t:
+                    plus.append((key, c, turns))
+                if c := s - t:
+                    minus.append((key, c, turns + 1))
+        images += (plus, minus)
     den = lcm(*(c.d for img in images for _, c, _ in img))
     rows: dict[tuple[MultiIndex, int], dict[int, int]] = {}
     for col, img in enumerate(images):
@@ -165,10 +151,34 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
                 rows.setdefault((key, 0), {})[col] = re * scale
             if im:
                 rows.setdefault((key, 1), {})[col] = im * scale
-    vectors = sparse_kernel(list(rows.values()), len(basis))
+    vectors = sparse_kernel(list(rows.values()), len(images))
     zero = Fraction(0)
-    coords = [[vec.get(j, zero) for j in range(len(basis))] for vec in vectors]
-    forms = [combine(n, ((x, basis[j]) for j, x in vec.items())) for vec in vectors]
+    coords = [[vec.get(j, zero) for j in range(len(images))] for vec in vectors]
+    diag = len(combos)
+    forms = []
+    for vec in vectors:
+        terms: dict[MultiIndex, GaussianRational] = {}
+        for j, x in vec.items():
+            if j < diag:
+                # u x, with u = 1 for even p and i for odd p
+                key = MultiIndex(combos[j], combos[j])
+                terms[key] = GaussianRational(zero, x) if turns else GaussianRational.coerce(x)
+                continue
+            k = (j - diag) // 2
+            a, b = pairs[k]
+            key = MultiIndex(a, b)
+            if key in terms:  # written from the pair's other column
+                continue
+            xp, xm = vec.get(diag + 2 * k, zero), vec.get(diag + 2 * k + 1, zero)
+            # u(x+ + i x-) at (A,B) and u(x+ - i x-) at (B,A): z and conj z for
+            # u = 1, and -conj z and z for u = i with z = x- + i x+
+            if turns:
+                z = GaussianRational(xm, xp)
+                terms[key], terms[MultiIndex(b, a)] = -z.conjugate(), z
+            else:
+                z = GaussianRational(xp, xm)
+                terms[key], terms[MultiIndex(b, a)] = z, z.conjugate()
+        forms.append(ComplexForm._wrap(n, terms))
     return ClosedPP(p, coords, forms)
 
 
@@ -558,17 +568,22 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
     stored = data.get("closed_basis", [])
     if not isinstance(stored, list):
         raise ValueError("closed_basis must be a list of forms")
-    stored_basis = [form_from_json(item, n) for item in stored]
-    # find_pkahler stores the canonical basis; any other basis of the same
-    # space, as many real (p,p)-forms as its dimension, passes the row-space
-    # comparison
-    if stored_basis != closed.forms:
-        if not all(f.bidegrees() <= {(p, p)} and f.is_real() for f in stored_basis):
-            failures.append(f"closed basis holds a form that is not a real ({p},{p})-form")
-        elif len(stored_basis) != len(closed.coords) or not same_row_space(
-            closed.coords, [pp_coordinates(f, p) for f in stored_basis]
-        ):
-            failures.append("closed space mismatch")
+    # find_pkahler stores the canonical basis, and form_to_json is canonical,
+    # so the same JSON (with int indices, which == does not tell from true or
+    # 1.0) is the same forms.  Any other serialization is parsed; any other
+    # basis of the same space, as many real (p,p)-forms as its dimension,
+    # passes the row-space comparison
+    if stored != [form_to_json(f) for f in closed.forms] or not all(
+        type(j) is int for form in stored for term in form for j in (*term["holo"], *term["anti"])
+    ):
+        stored_basis = [form_from_json(item, n) for item in stored]
+        if stored_basis != closed.forms:
+            if not all(f.bidegrees() <= {(p, p)} and f.is_real() for f in stored_basis):
+                failures.append(f"closed basis holds a form that is not a real ({p},{p})-form")
+            elif len(stored_basis) != len(closed.coords) or not same_row_space(
+                closed.coords, [pp_coordinates(f, p) for f in stored_basis]
+            ):
+                failures.append("closed space mismatch")
     verdict = data["verdict"]
     if verdict == PKVerdict.FOUND.value:
         omega = form_from_json(data["found_form"], n)

@@ -18,7 +18,6 @@ from pklie.pkahler import (
     obstruction_check,
     obstruction_search,
     pp_coordinates,
-    real_pp_basis,
     closed_coframe_obstruction,
     verify_report,
     _combine,
@@ -26,6 +25,7 @@ from pklie.pkahler import (
 from pklie.positivity import SearchBudget, TransStatus, volume_coefficient
 from pklie.scalars import GaussianRational, I, ONE
 from test_acceptance import _random_integrable_data
+from test_properties import real_pp_basis
 
 
 BUDGET = SearchBudget(restarts=12, steps=80, seed=0, witness_cap=12)
@@ -316,6 +316,39 @@ def test_verify_accepts_the_canonical_closed_basis_without_a_row_space_check(mon
     kt, data = _kt_report_with_basis(lambda _s, forms: forms)
     assert verify_report(kt, data) == []
     assert calls == []
+
+
+def _permute_terms(basis):
+    basis[_first_two_term_form(basis)].reverse()
+
+
+def _split_term(basis):
+    term = basis[0][0]
+    half = {key: str(Fraction(term[key]) / 2) for key in ("re", "im")}
+    basis[0][0:1] = [{**term, **half}, {**term, **half}]
+
+
+def _add_key(basis):
+    basis[0][0]["note"] = "not read"
+
+
+@pytest.mark.parametrize("edit", [_permute_terms, _split_term, _add_key])
+def test_verify_accepts_another_serialization_of_the_canonical_basis_without_a_row_space_check(
+    monkeypatch, edit
+):
+    calls = _count_row_space_checks(monkeypatch)
+    kt, data = _kt_report_with_basis(lambda _s, forms: forms)
+    edit(data["closed_basis"])
+    assert verify_report(kt, data) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_verify_rejects_the_canonical_basis_with_an_index_that_only_equals_an_int(index):
+    kt, data = _kt_report_with_basis(lambda _s, forms: forms)
+    data["closed_basis"][0][0]["holo"] = [index]
+    with pytest.raises(ValueError, match="list of ints"):
+        verify_report(kt, data)
 
 
 def test_verify_accepts_another_basis_of_the_closed_space(monkeypatch):

@@ -1,10 +1,13 @@
 """Property tests: the exact core agrees with itself across fields and routes."""
 
+import functools
 import itertools
 import json
 import random
+import runpy
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from pklie.catalog import (
     build_almost_abelian,
     build_snn8,
     named_example,
+    registry,
 )
 from pklie.cxstruct import (
     ComplexStructureSpec,
@@ -75,7 +79,6 @@ from pklie.pkahler import (
     find_pkahler,
     obstruction_search,
     pp_coordinates,
-    real_pp_basis,
     verify_obstruction,
 )
 from pklie.positivity import (
@@ -358,17 +361,67 @@ def structures(draw):
     return struct, draw(st.integers(1, n - 1))
 
 
+def real_pp_basis(n, p):
+    """Rational basis of the real vector space of real (p,p)-forms, in the
+    coordinate order of `pp_coordinates`; a fresh list per call."""
+    return list(_real_pp_basis(n, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _real_pp_basis(n, p):
+    combos = list(itertools.combinations(range(1, n + 1), p))
+    unit = i_power(p * p)
+    out = []
+    for a in combos:
+        out.append(monomial(n, a, a, unit))
+    for ia, a in enumerate(combos):
+        for b in combos[ia + 1 :]:
+            out.append(monomial(n, a, b, unit) + monomial(n, b, a, unit))
+            out.append(monomial(n, a, b, unit * I) - monomial(n, b, a, unit * I))
+    return tuple(out)
+
+
+def _d_pp_block_reference(struct, p):
+    """d_pp_block as first written: one antiderivation per monomial
+    a^A ^ conj a^B over the (2,0) parts of the d a^j and the (1,1) parts of
+    the d conj a^j, C(n,p)^2 of them."""
+    n = struct.n
+    holo_parts = [bidegree_component(eq, 2, 0) for eq in struct.equations]
+    anti_parts = [bidegree_component(conjugate(eq), 1, 1) for eq in struct.equations]
+    combos = list(itertools.combinations(range(1, n + 1), p))
+    return {
+        MultiIndex(a, b): apply_antiderivation(monomial(n, a, b), holo_parts, anti_parts)
+        for a in combos
+        for b in combos
+    }
+
+
+def _aab_structures():
+    """The almost-abelian structures of the benchmark's aab workload."""
+    gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))
+    return [build_almost_abelian(data) for data in gen["aab_set"]()]
+
+
+def test_leibniz_d_block_matches_the_per_monomial_reference_on_the_registry_and_aab_set():
+    for struct in [*map(named_example, registry()), *_aab_structures()]:
+        for p in range(struct.n + 1):
+            assert struct.d_pp_block(p) == _d_pp_block_reference(struct, p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(structures())
 def test_cached_d_block_is_the_top_part_of_d(case):
-    struct, p = case
+    struct, _ = case
     n = struct.n
-    block = struct.d_pp_block(p)
-    combos = list(itertools.combinations(range(1, n + 1), p))
-    assert list(block) == [MultiIndex(a, b) for a in combos for b in combos]
-    for (a, b), image in block.items():
-        assert image == bidegree_component(struct.d(monomial(n, a, b)), p + 1, p)
-    assert struct.d_pp_block(p) is block
+    for p in range(n + 1):
+        block = struct.d_pp_block(p)
+        combos = list(itertools.combinations(range(1, n + 1), p))
+        assert list(block) == [MultiIndex(a, b) for a in combos for b in combos]
+        assert block == _d_pp_block_reference(struct, p)
+        for (a, b), image in block.items():
+            full = struct.d(monomial(n, a, b))  # zero at p = n
+            assert image == (bidegree_component(full, p + 1, p) if p < n else full)
+        assert struct.d_pp_block(p) is block
 
 
 def _closed_space_reference(struct, p):
@@ -432,6 +485,10 @@ def test_closed_pp_space_matches_dense_route_reference(case):
         assert all(type(x) is Fraction for vec in closed.coords for x in vec)
         assert closed.forms == forms
         assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
+        for f in closed.forms:
+            assert f.is_real()
+            assert f.bidegrees() == {(q, q)}
+            assert struct.d(f).is_zero()
 
 
 @st.composite
