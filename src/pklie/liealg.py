@@ -21,10 +21,10 @@ from .linalg import (
     kernel,
     matvec,
     inverse,
-    is_zero_vec,
     row_space_rref,
+    sparse_kernel,
 )
-from .scalars import ZERO, ONE, json_int, parse_fraction
+from .scalars import json_int, parse_fraction
 
 
 class InvalidAlgebraError(ValueError):
@@ -202,7 +202,7 @@ class AlgebraInvariants:
     lower_central_series_dims: list[int]
     is_nilpotent: bool
     is_unimodular: bool
-    abelian_codim1_ideal: list[Vector] | None
+    abelian_codim1_ideal: list[list[Fraction]] | None
 
 
 def center(g: LieAlgebraSpec) -> list[Vector]:
@@ -254,126 +254,33 @@ def is_unimodular(g: LieAlgebraSpec) -> bool:
     return not any(traces)
 
 
-def derived_subalgebra(g: LieAlgebraSpec) -> Matrix:
-    full = identity(g.dim)
-    return _span_products(g, full, full)
+def abelian_codim1_ideal(g: LieAlgebraSpec) -> list[list[Fraction]] | None:
+    """Exact decision: the RREF basis of a codimension-one abelian ideal, or
+    None when there is none (always for dim < 2).
 
-
-def abelian_codim1_ideal(g: LieAlgebraSpec) -> list[Vector] | None:
-    """Exact decision: find a codimension-one abelian ideal, or report none.
-
-    Every codimension-one ideal contains the derived subalgebra D, so the
-    search reduces to hyperplanes h >= D with vanishing bracket.  Writing
-    V = g/D, the candidates are h = D + K for hyperplanes K of V killed by
-    [D, .], and the remaining obstruction is a bracket Lambda^2 V -> g that
-    must vanish on K; for dim V >= 3 that is the linear condition
-    phi ^ bracket = 0 on the defining functional phi of K.
+    With c^k(x, y) = e^k([x, y]), the hyperplane h = ker phi is abelian iff
+    every c^k vanishes on it, that is iff phi ^ c^k = 0.  Then [g, g] = [g, h],
+    so h is an ideal iff phi vanishes on [g, g]: sum_k phi_k c^k = 0.  Both
+    conditions are linear in phi, so every nonzero phi in the kernel of the
+    stacked rows gives such an ideal.
     """
-    dim = g.dim
-    if dim == 0:
+    n = g.dim
+    if n < 2:
         return None
-    derived = derived_subalgebra(g)
-    codim = dim - len(derived)
-    if codim == 0:
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (i, j), comp in g.brackets.items():
+        rows[(i, j)] = {k - 1: c for k, c in comp.items()}
+        # phi_m c^k_ij e^m ^ e^i ^ e^j, with e^m moved into ascending place
+        for m in range(1, n + 1):
+            if m != i and m != j:
+                sign = -1 if (i < m) != (j < m) else 1
+                for k, c in comp.items():
+                    rows.setdefault((*sorted((i, j, m)), k), {})[m - 1] = sign * c
+    phis = sparse_kernel(list(rows.values()), n)
+    if not phis:
         return None
-
-    # [D, D] must vanish on any abelian subspace containing D
-    for u in derived:
-        for v in derived:
-            if any(g.bracket([x.re for x in u], [y.re for y in v])):
-                return None
-
-    # complement U of D inside g (coordinates of V = g/D)
-    pivots = set()
-    for row in derived:
-        pivots.add(next(j for j, x in enumerate(row) if not x.is_zero()))
-    comp_idx = [j for j in range(dim) if j not in pivots]
-    comp = []
-    for j in comp_idx:
-        v = [Fraction(0)] * dim
-        v[j] = Fraction(1)
-        comp.append(v)
-    q = len(comp)
-
-    # U0 = complement directions commuting with all of D
-    if derived:
-        rows = []
-        for u in comp:
-            row_block = []
-            for dvec in derived:
-                row_block.extend(g.bracket([x.re for x in dvec], u))
-            rows.append(row_block)
-        cols = len(rows[0])
-        mat = [[gr(rows[i][j]) for i in range(q)] for j in range(cols)]
-        u0_coords = kernel(mat, q) if cols else identity(q)
-    else:
-        u0_coords = identity(q)
-
-    def lift(coords: Vector) -> Vector:
-        out = [ZERO] * dim
-        for c, base in zip(coords, comp):
-            for m in range(dim):
-                out[m] = out[m] + c * base[m]
-        return out
-
-    def abelian_span(rows_vecs: list[Vector]) -> bool:
-        for u in rows_vecs:
-            for v in rows_vecs:
-                if any(g.bracket([x.re for x in u], [y.re for y in v])):
-                    return False
-        return True
-
-    r0 = len(u0_coords)
-    if r0 < q - 1:
-        return None
-    if r0 == q - 1:
-        candidate = list(derived) + [lift(v) for v in u0_coords]
-        if abelian_span(candidate):
-            return row_space_rref(candidate)
-        return None
-
-    # D is central among the complement; bracket factors through V = g/D
-    if q == 1:
-        return row_space_rref(list(derived)) if derived else None
-    gamma = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            w = g.bracket(comp[a], comp[b])
-            gamma[(a, b)] = w
-    if all(not any(w) for w in gamma.values()):
-        candidate = list(derived) + [lift(v) for v in identity(q)[:-1]]
-        return row_space_rref(candidate)
-    if q == 2:
-        # any line of V works only if gamma vanishes on it; a single generator
-        # is automatically abelian with itself, so check [D+span, same]
-        for pick in range(2):
-            coords = [ZERO] * q
-            coords[pick] = ONE
-            candidate = list(derived) + [lift(coords)]
-            if abelian_span(candidate):
-                return row_space_rref(candidate)
-        return None
-    # q >= 3: solve phi ^ gamma = 0 for the hyperplane functional phi
-    rows = []
-    for a in range(q):
-        for b in range(a + 1, q):
-            for c in range(b + 1, q):
-                for m in range(dim):
-                    row = [ZERO] * q
-                    row[a] = row[a] + gr(gamma[(b, c)][m])
-                    row[b] = row[b] - gr(gamma[(a, c)][m])
-                    row[c] = row[c] + gr(gamma[(a, b)][m])
-                    rows.append(row)
-    sols = kernel(rows, q)
-    for phi in sols:
-        if is_zero_vec(phi):
-            continue
-        # K = kernel of phi inside V
-        k_basis = kernel([phi], q)
-        candidate = list(derived) + [lift(v) for v in k_basis]
-        if abelian_span(candidate):
-            return row_space_rref(candidate)
-    return None
+    zero = Fraction(0)
+    return row_space_rref([[v.get(c, zero) for c in range(n)] for v in sparse_kernel(phis[:1], n)])
 
 
 def algebra_invariants(g: LieAlgebraSpec) -> AlgebraInvariants:

@@ -10,7 +10,6 @@ empty closed cone.  INCONCLUSIVE is a first-class outcome.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,7 +44,7 @@ from .positivity import (
     verify_verdict,
     volume_coefficient,
 )
-from .scalars import GaussianRational, I, ONE, ZERO, json_int, json_rational
+from .scalars import GaussianRational, ONE, ZERO, json_int, json_rational
 from .simplex import feasibility, verify_farkas
 
 
@@ -487,18 +486,11 @@ def find_pkahler(
     return report
 
 
-@functools.lru_cache(maxsize=None)
 def _standard_power_coords(n: int, p: int) -> tuple[Fraction, ...]:
-    """pp_coordinates of omega^p / p! for omega = sum_j i a^{j,jb}."""
-    omega = ComplexForm.zero(n)
-    for j in range(1, n + 1):
-        omega = omega + monomial(n, (j,), (j,), I)
-    acc = ComplexForm.scalar(n, 1)
-    fact = 1
-    for t in range(1, p + 1):
-        acc = wedge(acc, omega)
-        fact *= t
-    return tuple(pp_coordinates(acc / fact, p))
+    """pp_coordinates of omega^p / p! for omega = sum_j i a^{j,jb}: that power
+    is i^{p^2} sum_A a^{A,Ab}, so 1 on each diagonal column, 0 elsewhere."""
+    diag = comb(n, p)
+    return (Fraction(1),) * diag + (Fraction(0),) * (diag * (diag - 1))
 
 
 def _witness_rows(forms: list[ComplexForm], witnesses: list[ComplexForm], k: int) -> list[list[int | Fraction]]:

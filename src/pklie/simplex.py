@@ -12,10 +12,9 @@ pivot subtract only the pivot row's nonzero entries.  Every row holds the
 same rationals as the Fraction tableau, and a positive row scale changes no
 sign and no ratio (the ratio test compares by cross-multiplication), so the
 Bland pivot sequence, the point and the Farkas multipliers are those of the
-Fraction tableau.  The system is  A_ge x >= b_ge,  A_eq x = b_eq  with x
-free.  Infeasibility returns multipliers (y_ge >= 0, y_eq free) satisfying
-y_ge A_ge + y_eq A_eq = 0 and y_ge b_ge + y_eq b_eq > 0, verified before
-being handed out.
+Fraction tableau.  The system is  A x >= b  with x free; an equality is
+the pair of rows a x >= b, -a x >= -b.  Infeasibility returns multipliers
+y >= 0 with y A = 0 and y b > 0, verified before being handed out.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class LPResult:
     feasible: bool
     point: list[Fraction] | None = None
     farkas_ge: list[Fraction] | None = None
-    farkas_eq: list[Fraction] | None = None
 
 
 class LPError(RuntimeError):
@@ -50,37 +48,27 @@ def _to_rows(rows: Sequence[Sequence]) -> list[Row]:
 
 
 def _width(rows: Sequence[Row]) -> int:
-    """The common length of the rows of a_ge and a_eq (0 when there are none)."""
+    """The common length of the rows (0 when there are none)."""
     widths = {len(row) for row in rows}
     if len(widths) > 1:
-        raise ValueError("rows of a_ge and a_eq differ in length")
+        raise ValueError("rows of a_ge differ in length")
     return widths.pop() if widths else 0
 
 
-def feasibility(
-    a_ge: Sequence[Sequence],
-    b_ge: Sequence,
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-) -> LPResult:
-    a_ge = _to_rows(a_ge)
-    a_eq = _to_rows(a_eq)
-    b_ge = [_rational(x) for x in b_ge]
-    b_eq = [_rational(x) for x in b_eq]
-    if len(a_ge) != len(b_ge) or len(a_eq) != len(b_eq):
+def feasibility(a_ge: Sequence[Sequence], b_ge: Sequence) -> LPResult:
+    rows = _to_rows(a_ge)
+    rhs = [_rational(x) for x in b_ge]
+    if len(rows) != len(rhs):
         raise ValueError("row/rhs count mismatch")
-    rows = a_ge + a_eq
     nv = _width(rows)
     if not rows:
         return LPResult(True, [])
-    n_ge = len(a_ge)
     m = len(rows)
-    rhs = b_ge + b_eq
 
-    # columns: x+ (nv), x- (nv), slacks (n_ge), artificials (m), rhs; a row
+    # columns: x+ (nv), x- (nv), slacks (m), artificials (m), rhs; a row
     # whose rhs is negative is negated, and its denominator is the lcm of
     # its entries' denominators
-    n_cols = 2 * nv + n_ge + m
+    n_cols = 2 * nv + 2 * m
     tableau: list[list[int]] = []
     dens: list[int] = []
     for i in range(m):
@@ -91,9 +79,8 @@ def feasibility(
             if c:
                 row[j] = sign * c.numerator * (den // c.denominator)
                 row[nv + j] = -row[j]
-        if i < n_ge:
-            row[2 * nv + i] = -sign * den
-        row[2 * nv + n_ge + i] = den
+        row[2 * nv + i] = -sign * den
+        row[2 * nv + m + i] = den
         row[n_cols] = sign * rhs[i].numerator * (den // rhs[i].denominator)
         tableau.append(row)
         dens.append(den)
@@ -108,13 +95,13 @@ def feasibility(
         for j, c in enumerate(row):
             if c:
                 obj[j] += scale * c
-    for j in range(2 * nv + n_ge, n_cols):
+    for j in range(2 * nv + m, n_cols):
         obj[j] = 0
     g = gcd(den, *obj)
     tableau.append([c // g for c in obj])
     dens.append(den // g)
 
-    basis = [2 * nv + n_ge + i for i in range(m)]
+    basis = [2 * nv + m + i for i in range(m)]
 
     def pivot(row_idx: int, col_idx: int):
         # the pivot row keeps its ints over the pivot entry (its content
@@ -181,52 +168,35 @@ def feasibility(
             if b < 2 * nv:
                 x[b] = Fraction(tableau[r][n_cols], dens[r])
         point = [x[j] - x[nv + j] for j in range(nv)]
-        for row, b in zip(a_ge, b_ge):
+        for row, b in zip(rows, rhs):
             if sum(c * v for c, v in zip(row, point)) < b:
                 raise LPError("claimed feasible point violates a >= row")
-        for row, b in zip(a_eq, b_eq):
-            if sum(c * v for c, v in zip(row, point)) != b:
-                raise LPError("claimed feasible point violates an = row")
         return LPResult(True, point)
 
     # infeasible: read the dual off the artificial columns; the objective row
     # stores z_j - c_j, and an artificial column has A_col = e_i, c = 1, so
     # obj[col] = y_i - 1
     den = dens[m]
-    y_flip = [Fraction(obj[2 * nv + n_ge + i] + den, den) for i in range(m)]
+    y_flip = [Fraction(obj[2 * nv + m + i] + den, den) for i in range(m)]
     y = [-v if b < 0 else v for v, b in zip(y_flip, rhs)]
-    y_ge = y[:n_ge]
-    y_eq = y[n_ge:]
-    if not verify_farkas(a_ge, b_ge, y_ge, a_eq, b_eq, y_eq):
+    if not verify_farkas(rows, rhs, y):
         raise LPError("Farkas certificate failed exact verification")
-    return LPResult(False, None, y_ge, y_eq)
+    return LPResult(False, None, y)
 
 
-def verify_farkas(
-    a_ge: Sequence[Sequence],
-    b_ge: Sequence,
-    y_ge: Sequence,
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    y_eq: Sequence = (),
-) -> bool:
+def verify_farkas(a_ge: Sequence[Sequence], b_ge: Sequence, y_ge: Sequence) -> bool:
     """Re-check an infeasibility certificate with exact arithmetic only."""
     a_ge = _to_rows(a_ge)
-    a_eq = _to_rows(a_eq)
     y_ge = [_rational(x) for x in y_ge]
-    y_eq = [_rational(x) for x in y_eq]
-    nv = _width(a_ge + a_eq)
+    nv = _width(a_ge)
     if any(y < 0 for y in y_ge):
         return False
     combo = [Fraction(0)] * nv
-    for yi, row in [*zip(y_ge, a_ge), *zip(y_eq, a_eq)]:
+    for yi, row in zip(y_ge, a_ge):
         if yi:
             for j, c in enumerate(row):
                 if c:
                     combo[j] += yi * c
     if any(combo):
         return False
-    value = sum(yi * _rational(bi) for yi, bi in zip(y_ge, b_ge)) + sum(
-        yi * _rational(bi) for yi, bi in zip(y_eq, b_eq)
-    )
-    return value > 0
+    return sum(yi * _rational(bi) for yi, bi in zip(y_ge, b_ge)) > 0

@@ -67,6 +67,31 @@ def test_classify_kt(capsys):
     assert "SNN" in out
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        *((name, True) for name in ("kt", "torus2", "torus3", "torus4")),
+        *(
+            (name, False)
+            for name in (
+                "h5r",
+                "iwasawa",
+                "iwasawa_x_c",
+                "qn8a",
+                "qn8b",
+                "qn8c",
+                "snn8f1:1,1,1,1",
+                "snn8f2:1,1,0,0,0",
+            )
+        ),
+    ],
+)
+def test_classify_json_reports_almost_abelian(name, expected, capsys):
+    code, out = run_cli(["classify", "--catalog", name, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["almost_abelian"] is expected
+
+
 def test_validate_and_catalog(capsys):
     code, out = run_cli(["validate", "--catalog", "iwasawa"], capsys)
     assert code == 0 and "VALID" in out

@@ -47,10 +47,12 @@ from pklie.exterior import (
 from pklie.liealg import (
     JacobiResult,
     LieAlgebraSpec,
+    abelian_codim1_ideal,
     change_basis,
     check_jacobi,
     from_bracket_list,
     is_unimodular,
+    lower_central_series,
 )
 from pklie.linalg import (
     _kernel_vectors,
@@ -58,9 +60,11 @@ from pklie.linalg import (
     _sparse_pivot_rows,
     identity,
     inverse,
+    is_zero_vec,
     kernel,
     mat_from_rows,
     matmul,
+    row_space_rref,
     rref,
     solve,
     sparse_kernel,
@@ -721,6 +725,18 @@ def test_pp_coordinates_invert_the_real_basis(np_, data):
     assert len(real_pp_basis(n, p)) == len(basis) - 1
 
 
+def test_standard_power_coords_match_the_wedge_built_power():
+    for n in range(1, 6):
+        omega = ComplexForm.zero(n)
+        for j in range(1, n + 1):
+            omega = omega + monomial(n, (j,), (j,), I)
+        power, fact = ComplexForm.scalar(n, 1), 1
+        for p in range(n + 1):
+            if p:
+                power, fact = wedge(power, omega), fact * p
+            assert _standard_power_coords(n, p) == tuple(pp_coordinates(power / fact, p))
+
+
 # few keys, so that sums cancel often
 small_keys = st.sampled_from([MultiIndex((1,), ()), MultiIndex((2,), (1,)), MultiIndex((), (1, 2))])
 small_forms = st.dictionaries(small_keys, gaussians, max_size=3).map(lambda t: ComplexForm(2, t))
@@ -985,6 +1001,171 @@ def test_jacobi_matches_reference_with_one_broken_bracket(case, data):
     assert is_unimodular(broken) == _ad_trace_unimodular_reference(broken)
 
 
+def _abelian_codim1_ideal_reference(g):
+    """A codimension-one abelian ideal by case analysis on the derived
+    subalgebra D, or None.  Every such ideal contains D, so the candidates
+    are h = D + K for hyperplanes K of V = g/D killed by [D, .]; the
+    remaining obstruction is a bracket Lambda^2 V -> g that must vanish on
+    K, for dim V >= 3 the linear condition phi ^ bracket = 0 on the
+    defining functional phi of K."""
+    dim = g.dim
+    if dim == 0:
+        return None
+    derived = lower_central_series(g)[1]
+    codim = dim - len(derived)
+    if codim == 0:
+        return None
+
+    # [D, D] must vanish on any abelian subspace containing D
+    for u in derived:
+        for v in derived:
+            if any(g.bracket([x.re for x in u], [y.re for y in v])):
+                return None
+
+    # complement U of D inside g (coordinates of V = g/D)
+    pivots = set()
+    for row in derived:
+        pivots.add(next(j for j, x in enumerate(row) if not x.is_zero()))
+    comp_idx = [j for j in range(dim) if j not in pivots]
+    comp = []
+    for j in comp_idx:
+        v = [Fraction(0)] * dim
+        v[j] = Fraction(1)
+        comp.append(v)
+    q = len(comp)
+
+    # U0 = complement directions commuting with all of D
+    if derived:
+        rows = []
+        for u in comp:
+            row_block = []
+            for dvec in derived:
+                row_block.extend(g.bracket([x.re for x in dvec], u))
+            rows.append(row_block)
+        cols = len(rows[0])
+        mat = [[GaussianRational(rows[i][j]) for i in range(q)] for j in range(cols)]
+        u0_coords = kernel(mat, q) if cols else identity(q)
+    else:
+        u0_coords = identity(q)
+
+    def lift(coords):
+        out = [ZERO] * dim
+        for c, base in zip(coords, comp):
+            for m in range(dim):
+                out[m] = out[m] + c * base[m]
+        return out
+
+    def abelian_span(rows_vecs):
+        for u in rows_vecs:
+            for v in rows_vecs:
+                if any(g.bracket([x.re for x in u], [y.re for y in v])):
+                    return False
+        return True
+
+    r0 = len(u0_coords)
+    if r0 < q - 1:
+        return None
+    if r0 == q - 1:
+        candidate = list(derived) + [lift(v) for v in u0_coords]
+        if abelian_span(candidate):
+            return row_space_rref(candidate)
+        return None
+
+    # D is central among the complement; bracket factors through V = g/D
+    if q == 1:
+        return row_space_rref(list(derived)) if derived else None
+    gamma = {}
+    for a in range(q):
+        for b in range(a + 1, q):
+            gamma[(a, b)] = g.bracket(comp[a], comp[b])
+    if all(not any(w) for w in gamma.values()):
+        candidate = list(derived) + [lift(v) for v in identity(q)[:-1]]
+        return row_space_rref(candidate)
+    if q == 2:
+        # a single generator is abelian with itself, so check [D+span, same]
+        for pick in range(2):
+            coords = [ZERO] * q
+            coords[pick] = ONE
+            candidate = list(derived) + [lift(coords)]
+            if abelian_span(candidate):
+                return row_space_rref(candidate)
+        return None
+    # q >= 3: solve phi ^ gamma = 0 for the hyperplane functional phi
+    rows = []
+    for a in range(q):
+        for b in range(a + 1, q):
+            for c in range(b + 1, q):
+                for m in range(dim):
+                    row = [ZERO] * q
+                    row[a] = row[a] + GaussianRational(gamma[(b, c)][m])
+                    row[b] = row[b] - GaussianRational(gamma[(a, c)][m])
+                    row[c] = row[c] + GaussianRational(gamma[(a, b)][m])
+                    rows.append(row)
+    for phi in kernel(rows, q):
+        if is_zero_vec(phi):
+            continue
+        candidate = list(derived) + [lift(v) for v in kernel([phi], q)]
+        if abelian_span(candidate):
+            return row_space_rref(candidate)
+    return None
+
+
+def _direct_sum(a, b):
+    shift = a.dim
+    entries = [(i, j, k, c) for (i, j), comp in a.brackets.items() for k, c in comp.items()]
+    entries += [
+        (i + shift, j + shift, k + shift, c) for (i, j), comp in b.brackets.items() for k, c in comp.items()
+    ]
+    return from_bracket_list(a.dim + b.dim, entries)
+
+
+_SL2 = from_bracket_list(3, [(1, 2, 3, 1), (1, 3, 1, -2), (2, 3, 2, 2)])
+_AFF2 = from_bracket_list(2, [(1, 2, 2, 1)])
+_H3 = from_bracket_list(3, [(1, 2, 3, 1)])
+# no abelian subalgebra of codimension one: the largest abelian ones have
+# dimension 2 of 4 in sl2+R and aff2+aff2, and 4 of 6 in h3+h3
+_NOT_ALMOST_ABELIAN = [_direct_sum(_SL2, LieAlgebraSpec(1)), _direct_sum(_AFF2, _AFF2), _direct_sum(_H3, _H3)]
+
+
+@st.composite
+def codim1_cases(draw):
+    """(g, whether g is almost abelian) in a random rational basis: either
+    R e_n acting on the abelian ideal spanned by e_1, ..., e_{n-1} through a
+    drawn matrix, or one of sl2+R, aff2+aff2 and h3+h3."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        action = [[draw(entries) for _ in range(n - 1)] for _ in range(n - 1)]
+        # [e_k, e_n] = -(action e_k)
+        g = from_bracket_list(
+            n, [(k, n, j, -action[j - 1][k - 1]) for k in range(1, n) for j in range(1, n)]
+        )
+        expected = True
+    else:
+        g = draw(st.sampled_from(_NOT_ALMOST_ABELIAN))
+        expected = False
+    s = _random_invertible(g.dim, random.Random(draw(st.integers(0, 2**16))))
+    return change_basis(g, s), expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(codim1_cases())
+def test_abelian_codim1_ideal_matches_case_analysis_reference(case):
+    g, expected = case
+    ideal = abelian_codim1_ideal(g)
+    assert (ideal is not None) == expected
+    assert (_abelian_codim1_ideal_reference(g) is not None) == expected
+    if ideal is None:
+        return
+    # an RREF basis of a hyperplane h = ker phi with [h, h] = 0 and phi([g, h]) = 0
+    assert len(ideal) == g.dim - 1 and row_space_rref(ideal) == ideal
+    (phi,) = kernel(ideal, g.dim)
+    for u in ideal:
+        assert all(not any(g.bracket(u, v)) for v in ideal)
+        for i in range(g.dim):
+            e = [Fraction(int(i == j)) for j in range(g.dim)]
+            assert sum(a * b for a, b in zip(phi, g.bracket(e, u))) == 0
+
+
 def _sparse_gram_reference(grams, coords):
     """Gram matrix of sum c_r omega_r, accumulated entrywise from the basis Gram matrices."""
     size = len(grams[0])
@@ -1228,13 +1409,23 @@ def test_obstruction_certificates_on_snn8_families_imply_infeasible_monomial_lp(
     assert found >= len(structs) * 2  # every instance has certificates at p = 1 and 2
 
 
+def _as_inequality_pairs(a_eq, b_eq):
+    """Each equality a x = b as the pair of rows a x >= b, -a x >= -b."""
+    rows, rhs = [], []
+    for row, b in zip(a_eq, b_eq):
+        rows += [list(row), [-c for c in row]]
+        rhs += [b, -b]
+    return rows, rhs
+
+
 def _obstruction_lp_reference(struct, p):
-    """The direct LP for a diagonal same-sign obstruction, as
-    (a_ge, b_ge, a_eq, b_eq) over the real and imaginary parts of the
-    coefficients of beta on the (q-1,q) and (q,q-1) monomials, q = n - p:
-    (d beta)^{(q,q)} has vanishing off-diagonal coefficients and real
-    diagonal ones that are >= 0 and sum to >= 1.  None when the algebra is
-    not unimodular or d meets no diagonal (q,q) monomial."""
+    """The direct LP for a diagonal same-sign obstruction, as (a_ge, b_ge)
+    over the real and imaginary parts of the coefficients of beta on the
+    (q-1,q) and (q,q-1) monomials, q = n - p: (d beta)^{(q,q)} has vanishing
+    off-diagonal coefficients and real diagonal ones that are >= 0 and sum
+    to >= 1.  The rows >= 0 and the sum row come first, then each vanishing
+    part as a pair of rows.  None when the algebra is not unimodular or d
+    meets no diagonal (q,q) monomial."""
     n = struct.n
     q = n - p
     if not is_unimodular(struct.g):
@@ -1270,7 +1461,8 @@ def _obstruction_lp_reference(struct, p):
     a_ge = [row_for(key, "re") for key in diag_keys]
     a_ge.append([sum(col) for col in zip(*a_ge)])
     b_ge = [Fraction(0)] * len(diag_keys) + [Fraction(1)]
-    return a_ge, b_ge, a_eq, [Fraction(0)] * len(a_eq)
+    pairs, zeros = _as_inequality_pairs(a_eq, [Fraction(0)] * len(a_eq))
+    return a_ge + pairs, b_ge + zeros
 
 
 def _check_search_matches_lp_reference(struct, p) -> bool:
@@ -1297,28 +1489,23 @@ def test_obstruction_search_matches_direct_lp_reference_on_snn8_families():
     assert all(_check_search_matches_lp_reference(s, 2) for s in structs)
 
 
-def _dense_feasibility_reference(a_ge, b_ge, a_eq=(), b_eq=()):
+def _dense_feasibility_reference(a_ge, b_ge):
     """Phase-one simplex with Bland's rule on a dense tableau: every pivot
     updates every column of every row and of the objective."""
-    a_ge = [[Fraction(x) for x in row] for row in a_ge]
-    a_eq = [[Fraction(x) for x in row] for row in a_eq]
-    b_ge = [Fraction(x) for x in b_ge]
-    b_eq = [Fraction(x) for x in b_eq]
-    rows = a_ge + a_eq
+    rows = [[Fraction(x) for x in row] for row in a_ge]
+    rhs = [Fraction(x) for x in b_ge]
     if not rows:
         return LPResult(True, [])
-    nv, n_ge, m = len(rows[0]), len(a_ge), len(rows)
-    rhs = b_ge + b_eq
-    n_cols = 2 * nv + n_ge + m
+    nv, m = len(rows[0]), len(rows)
+    n_cols = 2 * nv + 2 * m
     tableau = []
     flips = []
     for i in range(m):
         flip = -1 if rhs[i] < 0 else 1
         flips.append(flip)
         row = [flip * c for c in rows[i]] + [-flip * c for c in rows[i]]
-        slack = [Fraction(0)] * n_ge
-        if i < n_ge:
-            slack[i] = Fraction(-flip)
+        slack = [Fraction(0)] * m
+        slack[i] = Fraction(-flip)
         art = [Fraction(0)] * m
         art[i] = Fraction(1)
         tableau.append(row + slack + art + [flip * rhs[i]])
@@ -1326,9 +1513,9 @@ def _dense_feasibility_reference(a_ge, b_ge, a_eq=(), b_eq=()):
     for i in range(m):
         for j in range(n_cols + 1):
             obj[j] += tableau[i][j]
-    for j in range(2 * nv + n_ge, n_cols):
+    for j in range(2 * nv + m, n_cols):
         obj[j] -= Fraction(1)
-    basis = [2 * nv + n_ge + i for i in range(m)]
+    basis = [2 * nv + m + i for i in range(m)]
     while True:
         enter = next((j for j in range(n_cols) if obj[j] > 0), None)
         if enter is None:
@@ -1359,31 +1546,30 @@ def _dense_feasibility_reference(a_ge, b_ge, a_eq=(), b_eq=()):
             if b < 2 * nv:
                 x[b] = tableau[r][n_cols]
         return LPResult(True, [x[j] - x[nv + j] for j in range(nv)])
-    y = [flips[i] * (obj[2 * nv + n_ge + i] + 1) for i in range(m)]
-    assert _dense_farkas_reference(a_ge, b_ge, y[:n_ge], a_eq, b_eq, y[n_ge:])
-    return LPResult(False, None, y[:n_ge], y[n_ge:])
+    y = [flips[i] * (obj[2 * nv + m + i] + 1) for i in range(m)]
+    assert _dense_farkas_reference(rows, rhs, y)
+    return LPResult(False, None, y)
 
 
-def _dense_farkas_reference(a_ge, b_ge, y_ge, a_eq=(), b_eq=(), y_eq=()):
+def _dense_farkas_reference(a_ge, b_ge, y_ge):
     """Farkas check that multiplies every multiplier into every entry."""
     if any(y < 0 for y in y_ge):
         return False
-    nv = len(a_ge[0]) if a_ge else (len(a_eq[0]) if a_eq else 0)
+    nv = len(a_ge[0]) if a_ge else 0
     combo = [Fraction(0)] * nv
-    for yi, row in list(zip(y_ge, a_ge)) + list(zip(y_eq, a_eq)):
+    for yi, row in zip(y_ge, a_ge):
         for j in range(nv):
             combo[j] += Fraction(yi) * Fraction(row[j])
     if any(combo):
         return False
-    pairs = list(zip(y_ge, b_ge)) + list(zip(y_eq, b_eq))
-    return sum(Fraction(yi) * Fraction(bi) for yi, bi in pairs) > 0
+    return sum(Fraction(yi) * Fraction(bi) for yi, bi in zip(y_ge, b_ge)) > 0
 
 
 @st.composite
 def lp_systems(draw):
-    """Sparse >= and = systems with right-hand sides of both signs; some have an
-    all-zero row, and some a row -x_k >= t > 0 that only a negative free
-    variable meets."""
+    """Sparse >= systems, with equalities as pairs of rows, and right-hand
+    sides of both signs; some have an all-zero row, and some a row
+    -x_k >= t > 0 that only a negative free variable meets."""
     nv = draw(st.integers(1, 5))
     row = st.lists(entries, min_size=nv, max_size=nv)
     a_ge = draw(st.lists(row, max_size=5))
@@ -1397,7 +1583,8 @@ def lp_systems(draw):
     b_eq = draw(st.lists(rationals, min_size=len(a_eq), max_size=len(a_eq)))
     if draw(st.booleans()) and a_ge:
         b_ge[-1] = draw(rationals.filter(lambda t: t > 0))
-    return a_ge, b_ge, a_eq, b_eq
+    pairs, pair_rhs = _as_inequality_pairs(a_eq, b_eq)
+    return a_ge + pairs, b_ge + pair_rhs
 
 
 @settings(max_examples=300, deadline=None)
@@ -1405,36 +1592,28 @@ def lp_systems(draw):
 def test_sparse_simplex_matches_dense_reference(system, data):
     """Skipping zero entries changes no rational of the tableau, so Bland's rule
     makes the same pivots: the point and the Farkas vector are equal."""
-    a_ge, b_ge, a_eq, b_eq = system
-    res = feasibility(a_ge, b_ge, a_eq, b_eq)
-    assert res == _dense_feasibility_reference(a_ge, b_ge, a_eq, b_eq)
-    multipliers = st.lists(entries, min_size=len(a_ge), max_size=len(a_ge))
-    y_ge = data.draw(multipliers)
-    y_eq = data.draw(st.lists(entries, min_size=len(a_eq), max_size=len(a_eq)))
-    cases = [(y_ge, y_eq)]
+    a_ge, b_ge = system
+    res = feasibility(a_ge, b_ge)
+    assert res == _dense_feasibility_reference(a_ge, b_ge)
+    y_ge = data.draw(st.lists(entries, min_size=len(a_ge), max_size=len(a_ge)))
+    cases = [y_ge]
     if not res.feasible:
-        cases.append((res.farkas_ge, res.farkas_eq))
-        cases.append(([y + abs(z) for y, z in zip(res.farkas_ge, y_ge)], res.farkas_eq))
-    for y_ge, y_eq in cases:
-        assert verify_farkas(a_ge, b_ge, y_ge, a_eq, b_eq, y_eq) == _dense_farkas_reference(
-            a_ge, b_ge, y_ge, a_eq, b_eq, y_eq
-        )
+        cases.append(res.farkas_ge)
+        cases.append([y + abs(z) for y, z in zip(res.farkas_ge, y_ge)])
+    for y in cases:
+        assert verify_farkas(a_ge, b_ge, y) == _dense_farkas_reference(a_ge, b_ge, y)
 
 
-def _fraction_simplex_reference(a_ge, b_ge, a_eq=(), b_eq=()):
+def _fraction_simplex_reference(a_ge, b_ge):
     """Phase-one simplex with Bland's rule on a Fraction tableau, each pivot
     scaling the pivot row and subtracting its nonzero entries from the rows
     (and the objective) that meet its column."""
-    a_ge = [[Fraction(x) for x in row] for row in a_ge]
-    a_eq = [[Fraction(x) for x in row] for row in a_eq]
-    b_ge = [Fraction(x) for x in b_ge]
-    b_eq = [Fraction(x) for x in b_eq]
-    rows = a_ge + a_eq
+    rows = [[Fraction(x) for x in row] for row in a_ge]
+    rhs = [Fraction(x) for x in b_ge]
     if not rows:
         return LPResult(True, [])
-    nv, n_ge, m = len(rows[0]), len(a_ge), len(rows)
-    rhs = b_ge + b_eq
-    n_cols = 2 * nv + n_ge + m
+    nv, m = len(rows[0]), len(rows)
+    n_cols = 2 * nv + 2 * m
     zero = Fraction(0)
     tableau = []
     for i in range(m):
@@ -1443,9 +1622,8 @@ def _fraction_simplex_reference(a_ge, b_ge, a_eq=(), b_eq=()):
         for j, c in enumerate(rows[i]):
             if c:
                 row[j], row[nv + j] = (-c, c) if flip else (c, -c)
-        if i < n_ge:
-            row[2 * nv + i] = Fraction(1 if flip else -1)
-        row[2 * nv + n_ge + i] = Fraction(1)
+        row[2 * nv + i] = Fraction(1 if flip else -1)
+        row[2 * nv + m + i] = Fraction(1)
         row[n_cols] = -rhs[i] if flip else rhs[i]
         tableau.append(row)
     obj = [zero] * (n_cols + 1)
@@ -1453,9 +1631,9 @@ def _fraction_simplex_reference(a_ge, b_ge, a_eq=(), b_eq=()):
         for j, c in enumerate(row):
             if c:
                 obj[j] += c
-    for j in range(2 * nv + n_ge, n_cols):
+    for j in range(2 * nv + m, n_cols):
         obj[j] -= Fraction(1)
-    basis = [2 * nv + n_ge + i for i in range(m)]
+    basis = [2 * nv + m + i for i in range(m)]
     while True:
         enter = next((j for j in range(n_cols) if obj[j] > 0), None)
         if enter is None:
@@ -1486,10 +1664,10 @@ def _fraction_simplex_reference(a_ge, b_ge, a_eq=(), b_eq=()):
             if b < 2 * nv:
                 x[b] = tableau[r][n_cols]
         return LPResult(True, [x[j] - x[nv + j] for j in range(nv)])
-    y = [obj[2 * nv + n_ge + i] + 1 for i in range(m)]
+    y = [obj[2 * nv + m + i] + 1 for i in range(m)]
     y = [-v if b < 0 else v for v, b in zip(y, rhs)]
-    assert _dense_farkas_reference(a_ge, b_ge, y[:n_ge], a_eq, b_eq, y[n_ge:])
-    return LPResult(False, None, y[:n_ge], y[n_ge:])
+    assert _dense_farkas_reference(rows, rhs, y)
+    return LPResult(False, None, y)
 
 
 # entries over several denominators, so that rows get different common ones
@@ -1498,9 +1676,10 @@ mixed_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2,
 
 @st.composite
 def tied_lp_systems(draw):
-    """>= and = systems with mixed denominators and right-hand sides of both
-    signs; some have zero rows, and some repeat a row times a positive
-    factor, rhs included, so that two rows tie in the ratio test."""
+    """>= systems, with equalities as pairs of rows, mixed denominators and
+    right-hand sides of both signs; some have zero rows, and some repeat a
+    row times a positive factor, rhs included, so that two rows tie in the
+    ratio test."""
     nv = draw(st.integers(1, 5))
     row = st.lists(st.one_of(st.just(Fraction(0)), mixed_rationals), min_size=nv, max_size=nv)
     a_ge = draw(st.lists(row, min_size=1, max_size=5))
@@ -1515,7 +1694,8 @@ def tied_lp_systems(draw):
         c = draw(mixed_rationals.filter(lambda t: t > 0))
         a_ge.append([c * x for x in a_ge[i]])
         b_ge.append(c * b_ge[i])
-    return a_ge, b_ge, a_eq, b_eq
+    pairs, pair_rhs = _as_inequality_pairs(a_eq, b_eq)
+    return a_ge + pairs, b_ge + pair_rhs
 
 
 @settings(max_examples=300, deadline=None)
@@ -1523,20 +1703,21 @@ def tied_lp_systems(draw):
 def test_integer_simplex_matches_fraction_reference(system):
     """Rows of ints over a positive denominator hold the Fraction tableau's
     rationals, so Bland's rule makes the same pivots: the flag, the point
-    and both Farkas vectors are equal."""
+    and the Farkas vector are equal."""
     assert feasibility(*system) == _fraction_simplex_reference(*system)
 
 
 def test_integer_simplex_matches_fraction_reference_on_aab_obstruction_lp():
     """The direct obstruction LP of the INCONCLUSIVE almost-abelian item of
-    the benchmark set (3 >= rows, 14 = rows, 36 variables)."""
+    the benchmark set (3 >= rows and 14 = rows as 28 paired rows, 36
+    variables)."""
     data = AlmostAbelianData(
         3, -2, [-1, -2, 0, 1], [[2, 0, 2, 0], [-2, -1, -2, 1], [-1, 2, -1, -2], [0, -2, 0, 2]]
     )
     struct = build_almost_abelian(data)
     system = _obstruction_lp_reference(struct, 1)
-    a_ge, _, a_eq, _ = system
-    assert (len(a_ge), len(a_eq), len(a_ge[0])) == (3, 14, 36)
+    a_ge, _ = system
+    assert (len(a_ge), len(a_ge[0])) == (3 + 2 * 14, 36)
     assert obstruction_search(struct, 1) is None
     res = feasibility(*system)
     assert not res.feasible

@@ -28,15 +28,15 @@ def test_zero_row_infeasible():
 
 
 def test_equalities():
-    res = feasibility([[1, 0]], [0], [[1, 1]], [2])
+    # x + y = 2 as the pair x + y >= 2, -x - y >= -2
+    res = feasibility([[1, 0], [1, 1], [-1, -1]], [0, 2, -2])
     assert res.feasible
     x, y = res.point
     assert x + y == 2 and x >= 0
-    res2 = feasibility([[1, 0], [0, 1]], [2, 2], [[1, 1]], [3])
+    rows = [[1, 0], [0, 1], [1, 1], [-1, -1]]
+    res2 = feasibility(rows, [2, 2, 3, -3])
     assert not res2.feasible
-    assert verify_farkas(
-        [[1, 0], [0, 1]], [2, 2], res2.farkas_ge, [[1, 1]], [3], res2.farkas_eq
-    )
+    assert verify_farkas(rows, [2, 2, 3, -3], res2.farkas_ge)
 
 
 def test_free_variables():
@@ -93,18 +93,22 @@ def test_infeasible_result_needs_an_accepted_farkas_check(monkeypatch):
 def test_inputs_are_left_unchanged():
     # the pivots update the tableau in place; find_pkahler appends witness rows
     # to one list across rounds, so nothing may write through to the caller
-    a_ge = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)], [Fraction(-1), Fraction(-1)]]
-    b_ge = [Fraction(1), Fraction(-2), Fraction(-3)]
-    a_eq = [[Fraction(1), Fraction(-1)]]
-    b_eq = [Fraction(-1)]
-    copies = [[list(row) for row in a_ge], list(b_ge), [list(row) for row in a_eq], list(b_eq)]
-    assert feasibility(a_ge, b_ge, a_eq, b_eq).feasible
-    assert [a_ge, b_ge, a_eq, b_eq] == copies
+    a_ge = [
+        [Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(-1)],
+        [Fraction(-1), Fraction(-1)],
+        [Fraction(1), Fraction(-1)],
+        [Fraction(-1), Fraction(1)],
+    ]
+    b_ge = [Fraction(1), Fraction(-2), Fraction(-3), Fraction(-1), Fraction(1)]
+    copies = [[list(row) for row in a_ge], list(b_ge)]
+    assert feasibility(a_ge, b_ge).feasible
+    assert [a_ge, b_ge] == copies
     a_ge.append([Fraction(-1), Fraction(0)])
     b_ge.append(Fraction(0))
-    copies = [[list(row) for row in a_ge], list(b_ge), [list(row) for row in a_eq], list(b_eq)]
-    assert not feasibility(a_ge, b_ge, a_eq, b_eq).feasible
-    assert [a_ge, b_ge, a_eq, b_eq] == copies
+    copies = [[list(row) for row in a_ge], list(b_ge)]
+    assert not feasibility(a_ge, b_ge).feasible
+    assert [a_ge, b_ge] == copies
 
 
 def test_ragged_rows_are_rejected():
@@ -113,9 +117,9 @@ def test_ragged_rows_are_rejected():
     with pytest.raises(ValueError):
         feasibility([[1], [1, 1]], [1, 1])
     with pytest.raises(ValueError):
-        feasibility([[1, 0]], [1], [[1]], [0])
+        feasibility([[1, 0], [1]], [1, 0])
     with pytest.raises(ValueError):
-        feasibility([], [], [[1, 1], [1]], [0, 0])
+        feasibility([[1, 1], [1], [-1]], [0, 0, 0])
 
 
 def test_verify_farkas_rejects_ragged_rows():
@@ -124,7 +128,7 @@ def test_verify_farkas_rejects_ragged_rows():
     with pytest.raises(ValueError):
         verify_farkas([[1], [-1, 1]], [1, 0], [1, 1])
     with pytest.raises(ValueError):
-        verify_farkas([[1, 0]], [1], [1], [[-1]], [0], [1])
+        verify_farkas([[1, 0], [-1]], [1, 0], [1, 1])
     # the same certificate on equal-length rows is rejected for its nonzero
     # combination, and the padded-with-zero system has a valid one
     assert not verify_farkas([[1, 0], [-1, 1]], [1, 0], [1, 1])
