@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from .cxstruct import ComplexStructureSpec
 from .exterior import ComplexForm, monomial, parse_form
 from .liealg import LieAlgebraSpec, from_bracket_list
-from .linalg import Matrix, apply_columns, gr, solve, sparse_columns, zeros
+from .linalg import Matrix, gr, solve, zeros
 from .polynomials import (
     all_roots_purely_imaginary,
     char_poly,
@@ -171,10 +171,26 @@ class AlmostAbelianData:
         return out
 
     def integrable(self) -> bool:
-        """A J1 = J1 A, compared column by column: A (J1 e_c) = J1 (A e_c)."""
-        a = sparse_columns(self.A)
-        j1 = sparse_columns(self.j1_matrix())
-        return all(apply_columns(a, jc) == apply_columns(j1, ac) for jc, ac in zip(j1, a))
+        """A J1 = J1 A, compared entry by entry with no products.
+
+        Over 0-based indices of size m = 2n-2, J1 e_c = s_c e_{m-1-c} with
+        s_c = 1 on the first half and -1 on the second, so the (r, c) entries
+        read A[r][m-1-c] s_c = -s_r A[m-1-r][c]; the (m-1-r, m-1-c) entries
+        give the same condition, so r runs over the first half only.
+        """
+        a = self.A
+        m = len(a)
+        half = m // 2
+        for r in range(half):
+            row, mirror = a[r], a[m - 1 - r]
+            for c in range(m):
+                x, y = row[m - 1 - c], mirror[c]
+                if c < half:  # s_r s_c = 1: x = -y
+                    if x.numerator != -y.numerator or x.denominator != y.denominator:
+                        return False
+                elif x != y:
+                    return False
+        return True
 
     def unimodular(self) -> bool:
         return self.lam == -sum(self.A[i][i] for i in range(len(self.A)))

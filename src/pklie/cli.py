@@ -240,7 +240,8 @@ def cmd_obstruct(args) -> int:
         except ObstructionRejected as exc:
             report = {"p": args.p, "obstructed": False, "reason": str(exc)}
             emit(args, report, [f"REJECTED: {exc}"], struct)
-            return EXIT_OK
+            # a rejected candidate decides nothing about the structure
+            return EXIT_INCONCLUSIVE
     else:
         cert = obstruction_search(struct, args.p)
         if cert is None:

@@ -34,7 +34,6 @@ from .liealg import (
     LieAlgebraSpec,
     coframe_differentials,
     ensure_valid,
-    from_bracket_list,
     is_nilpotent,
     signed_brackets,
 )
@@ -52,11 +51,10 @@ from .linalg import (
     matmul,
     reduce_against,
     row_space_rref,
-    sparse_columns,
     transpose,
     zeros,
 )
-from .scalars import GaussianRational, I, ONE, ZERO
+from .scalars import GaussianRational, I, ONE, ZERO, _reduced
 
 
 class NonIntegrableError(ValueError):
@@ -95,6 +93,18 @@ def _j_fraction_matrix(J: Matrix) -> list[list[Fraction]]:
     return [[entry.re for entry in row] for row in J]
 
 
+def _j_int_columns(J: Matrix) -> tuple[list[dict[int, int]], int]:
+    """(cols, D): J e_j = sum_i (cols[j - 1][i] / D) e_i over the nonzero
+    entries of a real J, rows 1-based, with D the lcm of J's denominators."""
+    den = lcm(*(x.d for row in J for x in row))
+    cols: list[dict[int, int]] = [{} for _ in J]
+    for i, row in enumerate(J, start=1):
+        for j, x in enumerate(row):
+            if x.a:
+                cols[j][i] = x.a * (den // x.d)
+    return cols, den
+
+
 def _check_j_square(J: Matrix, dim: int) -> None:
     if len(J) != dim or any(len(row) != dim for row in J):
         raise ValueError(f"J must be a {dim}x{dim} matrix")
@@ -102,9 +112,9 @@ def _check_j_square(J: Matrix, dim: int) -> None:
         for entry in row:
             if not entry.is_real():
                 raise ValueError("J must be a real rational matrix")
-    cols = sparse_columns(_j_fraction_matrix(J))
+    cols, den = _j_int_columns(J)
     for i, col in enumerate(cols, start=1):
-        if apply_columns(cols, col) != {i: -1}:
+        if apply_columns(cols, col) != {i: -den * den}:
             raise ValueError("J^2 != -Id")
 
 
@@ -112,14 +122,16 @@ def nijenhuis_tensor(g: LieAlgebraSpec, J: Matrix) -> IntegrabilityResult:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
     Formed from the nonzero terms of the signed bracket table and of the
-    columns J e_i; the first pair (in lexicographic order) with N != 0 is
-    the witness, its value the dense residual.
+    columns J e_i, both as ints: with brackets over D and J over D_J every
+    term is an int over D_J^2 D.  The first pair (in lexicographic order)
+    with N != 0 is the witness, its value the dense residual in Fractions.
     """
-    table = signed_brackets(g)
-    cols = sparse_columns(_j_fraction_matrix(J))
+    table, den = signed_brackets(g)
+    cols, jden = _j_int_columns(J)
+    jden2 = jden * jden
 
-    def bracket(x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def bracket(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
         for a, xa in x.items():
             for b, yb in y.items():
                 for k, c in table.get((a, b), ()):
@@ -137,9 +149,10 @@ def nijenhuis_tensor(g: LieAlgebraSpec, J: Matrix) -> IntegrabilityResult:
             for k, c in apply_columns(cols, mixed).items():
                 term[k] = term.get(k, 0) - c
             for k, c in table.get((i, j), ()):
-                term[k] = term.get(k, 0) - c
+                term[k] = term.get(k, 0) - c * jden2
             if any(term.values()):
-                value = [Fraction(term.get(k, 0)) for k in range(1, g.dim + 1)]
+                scale = jden2 * den
+                value = [Fraction(term.get(k, 0), scale) for k in range(1, g.dim + 1)]
                 return IntegrabilityResult(False, (i, j), value)
     return IntegrabilityResult(True)
 
@@ -178,7 +191,7 @@ def _real_to_complex_images(coframe: Matrix) -> list[ComplexForm]:
             if x or y:
                 # (x - i y) s / 2, over the denominator 2 q r of x = p/q, y = t/r
                 q, r = x.denominator, y.denominator
-                c1 = GaussianRational(x.numerator * r * s, -y.numerator * q * s) / (2 * q * r)
+                c1 = _reduced(x.numerator * r * s, -y.numerator * q * s, 2 * q * r)
                 terms[MultiIndex((j + 1,), ())] = c1
                 terms[MultiIndex((), (j + 1,))] = c1.conjugate()
         images.append(ComplexForm._wrap(n, terms))
@@ -214,15 +227,30 @@ def _real_algebra(equations: Sequence[ComplexForm]) -> LieAlgebraSpec:
     """
     n = len(equations)
     dim = 2 * n
-    entries = []
+    # every image coefficient is a Gaussian integer, so d alpha is summed as
+    # (real, imaginary) int numerators over the lcm of the equations' denominators
+    den = lcm(*(c.d for eq in equations for c in eq.terms.values()))
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for j, eq in enumerate(equations, start=1):
-        d_alpha = combine(dim, ((c, _real_image(n, key)) for key, c in eq.terms.items()))
-        for k, part in ((2 * j - 1, "re"), (2 * j, "im")):
-            for (holo, _anti), coeff in d_alpha.terms.items():
-                value = getattr(coeff, part)
-                if value:
-                    entries.append((holo[0], holo[1], k, -value))
-    return from_bracket_list(dim, entries)
+        # keys that cancel are dropped as they cancel, as `combine` drops them
+        acc: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, c in eq.terms.items():
+            scale = den // c.d
+            a, b = c.a * scale, c.b * scale
+            for (holo, _anti), e in _real_image(n, key).terms.items():
+                x, y = a * e.a - b * e.b, a * e.b + b * e.a
+                prev = acc.get(holo)
+                if prev is not None:
+                    x, y = x + prev[0], y + prev[1]
+                    if not (x or y):
+                        del acc[holo]
+                        continue
+                acc[holo] = (x, y)
+        for k, part in ((2 * j - 1, 0), (2 * j, 1)):
+            for holo, value in acc.items():
+                if value[part]:
+                    brackets.setdefault(holo, {})[k] = Fraction(-value[part], den)
+    return LieAlgebraSpec(dim, brackets)
 
 
 def structure_equations(g: LieAlgebraSpec, coframe: Matrix) -> list[ComplexForm]:
@@ -284,10 +312,10 @@ class ComplexStructureSpec:
                 witness=integ,
             )
         # a (1,0)-form a = sum_k row[k] e^k has (J^T a)_m = sum_k J_km row[k] = i row[m]
-        cols = sparse_columns(_j_fraction_matrix(J))
+        cols, den = _j_int_columns(J)
         for row in coframe:
             for col, entry in zip(cols, row):
-                if sum((row[k - 1] * c for k, c in col.items()), ZERO) != I * entry:
+                if sum((row[k - 1] * c for k, c in col.items()), ZERO) != I * entry * den:
                     raise ValueError("coframe row is not a (1,0)-form for J")
         if coframe == integ.coframe:
             equations = integ.equations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exterior import ComplexForm, MultiIndex, apply_antiderivation, monomial, split_terms
@@ -24,7 +25,7 @@ from .linalg import (
     row_space_rref,
     sparse_kernel,
 )
-from .scalars import json_int, parse_fraction
+from .scalars import GaussianRational, _gr, json_int, parse_fraction
 
 
 class InvalidAlgebraError(ValueError):
@@ -52,7 +53,12 @@ class LieAlgebraSpec:
                 raise ValueError("brackets must be given with i < j")
             if i > j:
                 raise ValueError("brackets must be stored with i < j")
-            entries = {k: Fraction(v) for k, v in comp.items() if Fraction(v) != 0}
+            entries = {}
+            for k, v in comp.items():
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
+                    entries[k] = v
             for k in entries:
                 if not 1 <= k <= self.dim:
                     raise ValueError(f"bracket target out of range: {k}")
@@ -99,14 +105,18 @@ def from_bracket_list(dim: int, entries: Sequence[tuple[int, int, int, object]])
     """Build a spec from (i, j, k, c) tuples; i > j entries are folded in."""
     acc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, k, c in entries:
-        c = parse_fraction(c) if isinstance(c, str) else Fraction(c)
+        if isinstance(c, str):
+            c = parse_fraction(c)
+        elif type(c) is not Fraction:
+            c = Fraction(c)
         if i == j:
             if c:
                 raise ValueError("[e_i, e_i] must vanish")
             continue
-        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
+        key, c = ((i, j), c) if i < j else ((j, i), -c)
         comp = acc.setdefault(key, {})
-        comp[k] = comp.get(k, Fraction(0)) + sign * c
+        prev = comp.get(k)
+        comp[k] = c if prev is None else prev + c
     return LieAlgebraSpec(dim, acc)
 
 
@@ -120,20 +130,32 @@ class JacobiResult:
         return self.ok
 
 
-def signed_brackets(g: LieAlgebraSpec) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-    """[e_a, e_b] = sum c e_k as (k, c) pairs, for both orders of every a != b
-    with a nonzero bracket."""
-    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+# (a, b) -> the (k, c) int pairs of D [e_a, e_b] = sum c e_k
+IntBracketTable = dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def signed_brackets(g: LieAlgebraSpec) -> tuple[IntBracketTable, int]:
+    """(table, D): [e_a, e_b] = sum (c / D) e_k with table[(a, b)] the (k, c)
+    int pairs, for both orders of every a != b with a nonzero bracket.  D is
+    the lcm of the structure constants' denominators."""
+    den = lcm(*(c.denominator for comp in g.brackets.values() for c in comp.values()))
+    table: IntBracketTable = {}
     for (a, b), comp in g.brackets.items():
-        table[(a, b)] = list(comp.items())
-        table[(b, a)] = [(k, -c) for k, c in comp.items()]
-    return table
+        row = [(k, c.numerator * (den // c.denominator)) for k, c in comp.items()]
+        table[(a, b)] = row
+        table[(b, a)] = [(k, -x) for k, x in row]
+    return table, den
 
 
 def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
-    """Exhaustive Jacobi check; returns the first violating basis triple."""
+    """Exhaustive Jacobi check; returns the first violating basis triple.
+
+    The residuals are summed as ints over the bracket table scaled by D, so
+    they come out scaled by D^2; only a failing triple's residual is divided
+    back into Fractions.
+    """
     n = g.dim
-    table = signed_brackets(g)
+    table, den = signed_brackets(g)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ij = (i, j) in table
@@ -141,13 +163,14 @@ def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
                 # the residual is a sum over the three cyclic brackets
                 if not (ij or (j, k) in table or (k, i) in table):
                     continue
-                acc = [Fraction(0)] * n
+                acc = [0] * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, coeff in table.get((a, b), ()):
                         for t, c2 in table.get((m, c), ()):
                             acc[t - 1] += coeff * c2
                 if any(acc):
-                    return JacobiResult(False, (i, j, k), acc)
+                    den2 = den * den
+                    return JacobiResult(False, (i, j, k), [Fraction(x, den2) for x in acc])
     return JacobiResult(True)
 
 
@@ -164,13 +187,12 @@ def ensure_valid(g: LieAlgebraSpec) -> None:
 
 def coframe_differentials(g: LieAlgebraSpec) -> list[ComplexForm]:
     """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j for each coframe element."""
-    return [
-        ComplexForm(
-            g.dim,
-            {MultiIndex(ij, ()): -comp[k] for ij, comp in g.brackets.items() if comp.get(k)},
-        )
-        for k in range(1, g.dim + 1)
-    ]
+    terms: list[dict[MultiIndex, GaussianRational]] = [{} for _ in range(g.dim)]
+    for ij, comp in g.brackets.items():
+        key = MultiIndex(ij, ())
+        for k, c in comp.items():
+            terms[k - 1][key] = _gr(-c.numerator, 0, c.denominator)
+    return [ComplexForm._wrap(g.dim, t) for t in terms]
 
 
 def ce_differential(g: LieAlgebraSpec, f: ComplexForm) -> ComplexForm:
@@ -218,22 +240,40 @@ def center(g: LieAlgebraSpec) -> list[Vector]:
     return kernel(rows, g.dim)
 
 
-def _span_products(g: LieAlgebraSpec, rows_a: Matrix, rows_b: Matrix) -> Matrix:
+def _int_row(row: Vector) -> dict[int, int]:
+    """A real row as {1-based index: int}, scaled by the lcm of its denominators."""
+    den = lcm(*(x.d for x in row))
+    return {i: x.a * (den // x.d) for i, x in enumerate(row, start=1) if x.a}
+
+
+def _span_products(table: IntBracketTable, dim: int, rows_a: Matrix, rows_b: Matrix) -> Matrix:
+    """Canonical basis of the span of [u, v] over the real rows u, v.
+
+    Each row is scaled to ints and bracketed through the int table of
+    `signed_brackets`: a positive multiple of a product spans the same line,
+    and the RREF of a span is unique.
+    """
     products = []
-    for u in rows_a:
-        for v in rows_b:
-            w = g.bracket([x.re for x in u], [y.re for y in v])
-            if any(w):
-                products.append([gr(c) for c in w])
+    ints_b = [_int_row(v) for v in rows_b]
+    for u in map(_int_row, rows_a):
+        for v in ints_b:
+            w: dict[int, int] = {}
+            for a, x in u.items():
+                for b, y in v.items():
+                    for k, c in table.get((a, b), ()):
+                        w[k] = w.get(k, 0) + x * y * c
+            if any(w.values()):
+                products.append([gr(w.get(k, 0)) for k in range(1, dim + 1)])
     return row_space_rref(products)
 
 
 def lower_central_series(g: LieAlgebraSpec) -> list[Matrix]:
     """g = g_1 >= g_2 = [g, g_1] >= ... until stabilization."""
+    table, _ = signed_brackets(g)
     full = identity(g.dim)
     series = [full]
     while True:
-        nxt = _span_products(g, full, series[-1])
+        nxt = _span_products(table, g.dim, full, series[-1])
         if len(nxt) == len(series[-1]):
             series.append(nxt)
             break
@@ -245,12 +285,14 @@ def lower_central_series(g: LieAlgebraSpec) -> list[Matrix]:
 
 def is_unimodular(g: LieAlgebraSpec) -> bool:
     """tr ad(e_i) = sum_k c^k_{ik} vanishes for every i."""
-    traces = [Fraction(0)] * (g.dim + 1)
+    traces = [0] * (g.dim + 1)
     for (i, j), comp in g.brackets.items():
         # [e_i, e_j] adds its e_j part to tr ad(e_i); [e_j, e_i] = -[e_i, e_j]
-        # adds minus its e_i part to tr ad(e_j)
-        traces[i] += comp.get(j, 0)
-        traces[j] -= comp.get(i, 0)
+        # adds minus its e_i part to tr ad(e_j).  Most brackets have neither.
+        if (c := comp.get(j)) is not None:
+            traces[i] += c
+        if (c := comp.get(i)) is not None:
+            traces[j] -= c
     return not any(traces)
 
 

@@ -15,8 +15,8 @@ takes and gives {column: entry} rows.  Scaling a row keeps its row space and
 the RREF of a row space is unique, so neither the scaling nor the pivot row
 changes a result; pivot columns are found left to right, so reduced echelon
 forms and kernel bases are reproducible.  A matrix of the wrong shape is a
-`ValueError`.  `sparse_columns` and `apply_columns` hold a real matrix by its
-nonzero entries, for products that would mostly multiply zeros.
+`ValueError`.  `apply_columns` multiplies by a real matrix held by the
+nonzero entries of its columns, for products that would mostly multiply zeros.
 """
 
 from __future__ import annotations
@@ -90,20 +90,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def sparse_columns(m: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
-    """Columns of a square real matrix over their nonzero entries, rows
-    1-based: m e_j = sum_i cols[j - 1][i] e_i."""
-    cols: list[dict[int, Fraction]] = [{} for _ in m]
-    for i, row in enumerate(m, start=1):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
-
-
 def apply_columns(cols: Sequence[Mapping[int, Fraction]], v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """m v for the matrix with sparse columns `cols` and a sparse 1-based v;
-    the result holds no zero entries."""
+    """m v for the matrix with m e_j = sum_i cols[j - 1][i] e_i (rows 1-based,
+    zero entries left out) and a sparse 1-based v; the result holds no zero
+    entries.  Int entries give an int result."""
     out: dict[int, Fraction] = {}
     for j, vj in v.items():
         for i, c in cols[j - 1].items():

@@ -93,7 +93,7 @@ def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
 @dataclass
 class ClosedPP:
     p: int
-    coords: list[list[Fraction]]  # kernel basis over the real coordinates
+    coords: list[dict[int, Fraction]]  # kernel basis over the real coordinates, nonzeros only
     forms: list[ComplexForm]
 
 
@@ -152,7 +152,6 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
                 rows.setdefault((key, 1), {})[col] = im * scale
     vectors = sparse_kernel(list(rows.values()), len(images))
     zero = Fraction(0)
-    coords = [[vec.get(j, zero) for j in range(len(images))] for vec in vectors]
     diag = len(combos)
     forms = []
     for vec in vectors:
@@ -178,7 +177,7 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
                 z = GaussianRational(xp, xm)
                 terms[key], terms[MultiIndex(b, a)] = z, z.conjugate()
         forms.append(ComplexForm._wrap(n, terms))
-    return ClosedPP(p, coords, forms)
+    return ClosedPP(p, vectors, forms)
 
 
 def _combine(basis: list[ComplexForm], coords) -> ComplexForm:
@@ -451,7 +450,8 @@ def find_pkahler(
 
     # a positive definite Gram matrix has h_aa > 0 at every monomial witness,
     # so no form with a vanishing diagonal coordinate passes the Gram test
-    if all(any(vec[j] for vec in closed.coords) for j in range(comb(n, p))):
+    support = set().union(*closed.coords)
+    if all(j in support for j in range(comb(n, p))):
         proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
         if proj is not None and any(proj):
             omega = _combine(closed.forms, proj)
@@ -505,8 +505,10 @@ def _real_part(c: GaussianRational) -> int | Fraction:
     return c.a if c.d == 1 else Fraction(c.a, c.d)
 
 
-def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
-    """Exact orthogonal projection coefficients of x0 onto span(basis_vecs).
+def _project_onto_span(x0: list[Fraction], basis_vecs: list[dict[int, Fraction] | list[Fraction]]):
+    """Exact orthogonal projection coefficients of the dense x0 onto the span
+    of basis_vecs, each sparse ({coordinate: entry}, as `ClosedPP.coords`
+    holds them) or a dense list.
 
     The Gram matrix and the right-hand side are summed coordinate by
     coordinate, over the vectors that are nonzero there, so that only
@@ -517,7 +519,7 @@ def _project_onto_span(x0: list[Fraction], basis_vecs: list[list[Fraction]]):
     k = len(basis_vecs)
     buckets: dict[int, list[tuple[int, Fraction]]] = {}
     for i, vec in enumerate(basis_vecs):
-        for j, v in enumerate(vec):
+        for j, v in vec.items() if isinstance(vec, dict) else enumerate(vec):
             if v:
                 buckets.setdefault(j, []).append((i, v))
     zero = Fraction(0)
@@ -572,10 +574,13 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
         if stored_basis != closed.forms:
             if not all(f.bidegrees() <= {(p, p)} and f.is_real() for f in stored_basis):
                 failures.append(f"closed basis holds a form that is not a real ({p},{p})-form")
-            elif len(stored_basis) != len(closed.coords) or not same_row_space(
-                closed.coords, [pp_coordinates(f, p) for f in stored_basis]
-            ):
-                failures.append("closed space mismatch")
+            else:
+                zero, size = Fraction(0), comb(n, p) ** 2
+                dense = [[vec.get(j, zero) for j in range(size)] for vec in closed.coords]
+                if len(stored_basis) != len(dense) or not same_row_space(
+                    dense, [pp_coordinates(f, p) for f in stored_basis]
+                ):
+                    failures.append("closed space mismatch")
     verdict = data["verdict"]
     if verdict == PKVerdict.FOUND.value:
         omega = form_from_json(data["found_form"], n)

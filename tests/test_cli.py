@@ -53,6 +53,25 @@ def test_obstruct_check_family1(capsys):
     assert "a12_b12" in out
 
 
+_TOWER_D4 = {"n": 4, "dalpha": {"a4": "(1-i) a13 + a23"}}
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        # beta's (2,2) part of d beta has off-diagonal terms and no decomposition
+        (["--beta=(1+i) a4_b13 + a4_b23"], "REJECTED: "),
+        ([], "no obstruction found"),
+    ],
+)
+def test_obstruct_without_a_certificate_exits_inconclusive(extra, expected, tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(_TOWER_D4))
+    code, out = run_cli(["obstruct", "--in", str(path), "--p", "2", *extra], capsys)
+    assert code == 2
+    assert out.startswith(expected)
+
+
 def test_obstruct_search_torus_inconclusive(capsys):
     code, out = run_cli(["obstruct", "--catalog", "torus4", "--p", "2"], capsys)
     assert code == 2
@@ -249,8 +268,14 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported only inside the numeric searches
-    code = "import sys, pklie.cli; sys.exit('numpy' in sys.modules)"
+    # numpy is imported only inside the numeric searches: importing it would
+    # cost about as much as the rest of a cold `pkl` start
+    code = (
+        "import sys, pklie\n"
+        "if 'numpy' in sys.modules: sys.exit('import pklie loaded numpy')\n"
+        "import pklie.cli\n"
+        "if 'numpy' in sys.modules: sys.exit('import pklie.cli loaded numpy')\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

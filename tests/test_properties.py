@@ -6,7 +6,7 @@ import json
 import random
 import runpy
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from pklie.cxstruct import (
     _check_j_square,
     _eigen_coframe,
     _real_algebra,
+    _real_image,
     _real_to_complex_images,
     nijenhuis_tensor,
 )
@@ -50,6 +51,7 @@ from pklie.liealg import (
     abelian_codim1_ideal,
     change_basis,
     check_jacobi,
+    coframe_differentials,
     from_bracket_list,
     is_unimodular,
     lower_central_series,
@@ -428,6 +430,12 @@ def test_cached_d_block_is_the_top_part_of_d(case):
         assert struct.d_pp_block(p) is block
 
 
+def _dense_coords(closed, n):
+    """The sparse closed-space vectors expanded over every real (p,p) coordinate."""
+    size = comb(n, closed.p) ** 2
+    return [[vec.get(j, Fraction(0)) for j in range(size)] for vec in closed.coords]
+
+
 def _closed_space_reference(struct, p):
     """The kernel of d on real (p,p)-forms computed from full images of d."""
     basis = real_pp_basis(struct.n, p)
@@ -447,8 +455,8 @@ def test_closed_pp_space_matches_full_image_reference(case):
     struct, p = case
     closed = closed_pp_space(struct, p)
     coords, forms = _closed_space_reference(struct, p)
-    assert closed.coords == coords
-    assert all(type(x) is Fraction for vec in closed.coords for x in vec)
+    assert _dense_coords(closed, struct.n) == coords
+    assert all(type(x) is Fraction and x for vec in closed.coords for x in vec.values())
     assert closed.forms == forms
     assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
 
@@ -485,8 +493,8 @@ def test_closed_pp_space_matches_dense_route_reference(case):
     for q in range(struct.n + 1):
         closed = closed_pp_space(struct, q)
         coords, forms = _closed_space_route_reference(struct, q)
-        assert closed.coords == coords
-        assert all(type(x) is Fraction for vec in closed.coords for x in vec)
+        assert _dense_coords(closed, struct.n) == coords
+        assert all(type(x) is Fraction and x for vec in closed.coords for x in vec.values())
         assert closed.forms == forms
         assert [list(f.terms) for f in closed.forms] == [list(f.terms) for f in forms]
         for f in closed.forms:
@@ -606,12 +614,14 @@ def _dense_projection_reference(x0, basis_vecs):
 @given(structures(), st.data())
 def test_bucketed_projection_matches_dense_reference(case, data):
     struct, p = case
-    coords = closed_pp_space(struct, p).coords
+    closed = closed_pp_space(struct, p)
+    coords = _dense_coords(closed, struct.n)
     size = len(real_pp_basis(struct.n, p))
     drawn = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=size, max_size=size))
     for x0 in (list(_standard_power_coords(struct.n, p)), [Fraction(x) for x in drawn]):
-        proj = _project_onto_span(x0, coords)
+        proj = _project_onto_span(x0, closed.coords)
         assert proj == _dense_projection_reference(x0, coords)
+        assert _project_onto_span(x0, coords) == proj
         if proj is None:
             continue
         residual = list(x0)
@@ -999,6 +1009,136 @@ def test_jacobi_matches_reference_with_one_broken_bracket(case, data):
     broken = LieAlgebraSpec(dim, brackets)
     assert check_jacobi(broken) == _jacobi_reference(broken)
     assert is_unimodular(broken) == _ad_trace_unimodular_reference(broken)
+
+
+def _real_algebra_fraction_reference(equations):
+    """_real_algebra on Fractions: d a^j combined in Gaussian rationals, read
+    through `re` and `im`, and folded by `from_bracket_list`."""
+    n = len(equations)
+    dim = 2 * n
+    entries = []
+    for j, eq in enumerate(equations, start=1):
+        d_alpha = combine(dim, ((c, _real_image(n, key)) for key, c in eq.terms.items()))
+        for k, part in ((2 * j - 1, "re"), (2 * j, "im")):
+            for (holo, _anti), coeff in d_alpha.terms.items():
+                value = getattr(coeff, part)
+                if value:
+                    entries.append((holo[0], holo[1], k, -value))
+    return from_bracket_list(dim, entries)
+
+
+def _coframe_differentials_fraction_reference(g):
+    """coframe_differentials through the checking ComplexForm constructor."""
+    return [
+        ComplexForm(
+            g.dim,
+            {MultiIndex(ij, ()): -comp[k] for ij, comp in g.brackets.items() if comp.get(k)},
+        )
+        for k in range(1, g.dim + 1)
+    ]
+
+
+def _lower_central_series_reference(g):
+    """lower_central_series through `LieAlgebraSpec.bracket` on the Fraction
+    parts of every row."""
+
+    def span_products(rows_a, rows_b):
+        products = []
+        for u in rows_a:
+            for v in rows_b:
+                w = g.bracket([x.re for x in u], [y.re for y in v])
+                if any(w):
+                    products.append([GaussianRational.coerce(c) for c in w])
+        return row_space_rref(products)
+
+    full = identity(g.dim)
+    series = [full]
+    while True:
+        nxt = span_products(full, series[-1])
+        series.append(nxt)
+        if len(nxt) == len(series[-2]) or not nxt:
+            return series
+
+
+_SCALES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(-3, 2)]
+sixths = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([2, 3, 6]))
+
+
+@st.composite
+def non_integral_algebras(draw):
+    """(g, broken): the real algebra of a drawn structure, half of the time in
+    a random integral basis (so that RREF bases of its ideals are dense),
+    rescaled by e_i -> s_i e_i, which keeps Jacobi and gives constants with
+    denominators 2, 3 and 6, and, when broken, one constant shifted by such a
+    fraction."""
+    struct, _ = draw(structures())
+    g = struct.g
+    if draw(st.booleans()):
+        g = change_basis(g, _random_invertible(g.dim, random.Random(draw(st.integers(0, 2**32)))))
+    s = [draw(st.sampled_from(_SCALES)) for _ in range(g.dim)]
+    brackets = {
+        (i, j): {k: c * s[i - 1] * s[j - 1] / s[k - 1] for k, c in comp.items()}
+        for (i, j), comp in g.brackets.items()
+    }
+    broken = draw(st.booleans())
+    if broken:
+        i = draw(st.integers(1, g.dim - 1))
+        j = draw(st.integers(i + 1, g.dim))
+        # k in (i, j) also moves a trace of ad
+        k = draw(st.sampled_from([i, j, *range(1, g.dim + 1)]))
+        comp = brackets.setdefault((i, j), {})
+        comp[k] = comp.get(k, 0) + draw(sixths)
+    return LieAlgebraSpec(g.dim, brackets), broken
+
+
+@settings(max_examples=100, deadline=None)
+@given(non_integral_algebras())
+def test_int_real_side_matches_fraction_references(case):
+    g, broken = case
+    res = check_jacobi(g)
+    assert res == _jacobi_reference(g)
+    assert res.ok or broken
+    assert res.ok or all(type(x) is Fraction for x in res.residual)
+    assert is_unimodular(g) == _ad_trace_unimodular_reference(g)
+    diffs = coframe_differentials(g)
+    ref = _coframe_differentials_fraction_reference(g)
+    assert diffs == ref
+    assert [list(f.terms.items()) for f in diffs] == [list(f.terms.items()) for f in ref]
+    series = lower_central_series(g)
+    assert series == _lower_central_series_reference(g)
+    assert all(type(x) is GaussianRational for step in series for row in step for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integrable_equations(), st.lists(st.sampled_from(_SCALES), min_size=4, max_size=4))
+def test_real_algebra_matches_fraction_reference(equations, scales):
+    # scaled equations give constants with denominators 2, 3 and 6
+    equations = [eq * c for eq, c in zip(equations, scales)]
+    g = _real_algebra(equations)
+    ref = _real_algebra_fraction_reference(equations)
+    assert g == ref
+    assert _nested_items(g) == _nested_items(ref)
+    assert all(type(c) is Fraction for comp in g.brackets.values() for c in comp.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_integral_algebras(), st.data())
+def test_brackets_hold_fractions_from_any_input_kind(case, data):
+    g, _ = case
+    spec, entries = {}, []
+    for (i, j), comp in g.brackets.items():
+        for k, c in comp.items():
+            kinds = [c, str(c)] + ([c.numerator] if c.denominator == 1 else [])
+            value = data.draw(st.sampled_from(kinds))
+            spec.setdefault((i, j), {})[k] = value
+            # from_bracket_list folds an (i > j) entry in with a minus sign
+            if data.draw(st.booleans()):
+                entries.append((i, j, k, value))
+            else:
+                entries.append((j, i, k, str(-c) if isinstance(value, str) else -value))
+    for built in (LieAlgebraSpec(g.dim, spec), from_bracket_list(g.dim, entries)):
+        assert built == g
+        assert all(type(c) is Fraction for comp in built.brackets.values() for c in comp.values())
 
 
 def _abelian_codim1_ideal_reference(g):
@@ -1796,6 +1936,7 @@ def test_sparse_nijenhuis_matches_dense_reference(case):
     (g, J), data = case
     res = nijenhuis_tensor(g, J)
     assert (res.ok, res.witness, res.nijenhuis_value) == _dense_nijenhuis_reference(g, J)
+    assert res.ok or all(type(x) is Fraction for x in res.nijenhuis_value)
     if data is not None:
         assert data.integrable() == _dense_commutes_reference(data)
 
