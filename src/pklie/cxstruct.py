@@ -33,6 +33,7 @@ from .liealg import (
     InvalidAlgebraError,
     LieAlgebraSpec,
     coframe_differentials,
+    _int_row,
     ensure_valid,
     is_nilpotent,
     signed_brackets,
@@ -48,7 +49,6 @@ from .linalg import (
     kernel,
     mat_from_json,
     mat_from_rows,
-    matmul,
     reduce_against,
     row_space_rref,
     transpose,
@@ -519,26 +519,27 @@ def ascending_series(struct: ComplexStructureSpec) -> AscendingSeries:
     if not is_nilpotent(g):
         raise InvalidAlgebraError("ascending series classification needs a nilpotent algebra")
     dim = g.dim
-    jf = _j_fraction_matrix(struct.J)
-    ad_mats = []
-    for i in range(1, dim + 1):
-        b = zeros(dim, dim)
-        for m in range(1, dim + 1):
-            for k, c in g.bracket_basis(m, i).items():
-                b[k - 1][m - 1] = gr(c)
-        ad_mats.append(b)
-    jmat = mat_from_rows(jf)
+    # X lies in a_k iff phi([X, e_i]) = 0 and phi([JX, e_i]) = 0 for every
+    # phi annihilating a_{k-1}: rows m -> phi([e_m, e_i]) and that row times J,
+    # from the int bracket table and int columns of J, each a positive multiple
+    # of the exact row, which leaves the kernel as it is
+    table, _ = signed_brackets(g)
+    jcols, _ = _j_int_columns(struct.J)
 
     chain: list[Matrix] = [[]]
     while True:
         prev = chain[-1]
-        ann = kernel(prev, dim) if prev else identity(dim)
+        ann = [_int_row(phi) for phi in (kernel(prev, dim) if prev else identity(dim))]
         rows = []
-        for b in ad_mats:
-            bj = matmul(b, jmat)
+        for i in range(1, dim + 1):
             for phi in ann:
-                rows.append([sum((phi[k] * b[k][m] for k in range(dim)), ZERO) for m in range(dim)])
-                rows.append([sum((phi[k] * bj[k][m] for k in range(dim)), ZERO) for m in range(dim)])
+                ad = [0] * (dim + 1)
+                for m in range(1, dim + 1):
+                    for k, c in table.get((m, i), ()):
+                        if k in phi:
+                            ad[m] += phi[k] * c
+                rows.append([gr(x) for x in ad[1:]])
+                rows.append([gr(sum(ad[l] * x for l, x in col.items())) for col in jcols])
         nxt = row_space_rref(kernel(rows, dim)) if rows else identity(dim)
         if len(nxt) == len(prev):
             break

@@ -29,6 +29,7 @@ from pklie.cxstruct import (
     _real_algebra,
     _real_image,
     _real_to_complex_images,
+    ascending_series,
     nijenhuis_tensor,
 )
 from pklie.exterior import (
@@ -1121,7 +1122,7 @@ def test_real_algebra_matches_fraction_reference(equations, scales):
     assert all(type(c) is Fraction for comp in g.brackets.values() for c in comp.values())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(non_integral_algebras(), st.data())
 def test_brackets_hold_fractions_from_any_input_kind(case, data):
     g, _ = case
@@ -1139,6 +1140,49 @@ def test_brackets_hold_fractions_from_any_input_kind(case, data):
     for built in (LieAlgebraSpec(g.dim, spec), from_bracket_list(g.dim, entries)):
         assert built == g
         assert all(type(c) is Fraction for comp in built.brackets.values() for c in comp.values())
+
+
+def _ascending_series_reference(struct):
+    """The chain of ascending_series from dense GaussianRational ad matrices
+    and J, every row entry a full sum over k."""
+    g = struct.g
+    dim = g.dim
+    ad_mats = []
+    for i in range(1, dim + 1):
+        b = [[ZERO] * dim for _ in range(dim)]
+        for m in range(1, dim + 1):
+            for k, c in g.bracket_basis(m, i).items():
+                b[k - 1][m - 1] = GaussianRational.coerce(c)
+        ad_mats.append(b)
+    jmat = mat_from_rows([[x.re for x in row] for row in struct.J])
+    chain = [[]]
+    while True:
+        prev = chain[-1]
+        ann = kernel(prev, dim) if prev else identity(dim)
+        rows = []
+        for b in ad_mats:
+            bj = matmul(b, jmat)
+            for phi in ann:
+                rows.append([sum((phi[k] * b[k][m] for k in range(dim)), ZERO) for m in range(dim)])
+                rows.append([sum((phi[k] * bj[k][m] for k in range(dim)), ZERO) for m in range(dim)])
+        nxt = row_space_rref(kernel(rows, dim)) if rows else identity(dim)
+        if len(nxt) == len(prev):
+            return chain
+        chain.append(nxt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32), st.booleans())
+def test_ascending_series_matches_dense_reference(n, seed, conjugate):
+    """Random nilpotent towers, half of them in a random rational basis, so
+    that J and the annihilator rows are dense."""
+    rng = random.Random(seed)
+    struct = random_tower(n, rng)
+    if conjugate:
+        struct = ComplexStructureSpec.from_matrix(*_conjugated_pair(struct, rng))
+    chain = ascending_series(struct).chain
+    assert chain == _ascending_series_reference(struct)
+    assert all(type(x) is GaussianRational for step in chain for row in step for x in row)
 
 
 def _abelian_codim1_ideal_reference(g):
