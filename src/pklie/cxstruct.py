@@ -35,6 +35,7 @@ from .liealg import (
     coframe_differentials,
     _int_row,
     ensure_valid,
+    int_bracket,
     is_nilpotent,
     signed_brackets,
 )
@@ -89,10 +90,6 @@ class IntegrabilityResult:
         return self.ok
 
 
-def _j_fraction_matrix(J: Matrix) -> list[list[Fraction]]:
-    return [[entry.re for entry in row] for row in J]
-
-
 def _j_int_columns(J: Matrix) -> tuple[list[dict[int, int]], int]:
     """(cols, D): J e_j = sum_i (cols[j - 1][i] / D) e_i over the nonzero
     entries of a real J, rows 1-based, with D the lcm of J's denominators."""
@@ -130,21 +127,13 @@ def nijenhuis_tensor(g: LieAlgebraSpec, J: Matrix) -> IntegrabilityResult:
     cols, jden = _j_int_columns(J)
     jden2 = jden * jden
 
-    def bracket(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                for k, c in table.get((a, b), ()):
-                    out[k] = out.get(k, 0) + xa * yb * c
-        return out
-
     for i in range(1, g.dim + 1):
         jx = cols[i - 1]
         for j in range(i + 1, g.dim + 1):
             jy = cols[j - 1]
-            term = bracket(jx, jy)
-            mixed = bracket(jx, {j: 1})
-            for k, c in bracket({i: 1}, jy).items():
+            term = int_bracket(table, jx, jy)
+            mixed = int_bracket(table, jx, {j: 1})
+            for k, c in int_bracket(table, {i: 1}, jy).items():
                 mixed[k] = mixed.get(k, 0) + c
             for k, c in apply_columns(cols, mixed).items():
                 term[k] = term.get(k, 0) - c
@@ -436,9 +425,9 @@ class ComplexStructureSpec:
         return kernel(rows, self.n)
 
     def j_apply(self, v: Sequence[Fraction]) -> list[Fraction]:
-        jf = _j_fraction_matrix(self.J)
-        dim = self.g.dim
-        return [sum((jf[k][m] * Fraction(v[m]) for m in range(dim)), Fraction(0)) for k in range(dim)]
+        cols, den = _j_int_columns(self.J)
+        jv = apply_columns(cols, {m: x for m, x in enumerate(v, start=1) if x})
+        return [Fraction(jv.get(k, 0), den) for k in range(1, self.g.dim + 1)]
 
 
 def struct_to_json(struct: ComplexStructureSpec) -> dict:
@@ -776,6 +765,8 @@ def b_extension_quotient(
     and omega' is returned on the quotient coframe.
     """
     n = struct.n
+    if not 1 <= p <= n:
+        raise ValueError("need 1 <= p <= n")
     series = ascending_series(struct)
     first = series.first_term
     if not first:

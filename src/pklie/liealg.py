@@ -17,10 +17,9 @@ from .exterior import ComplexForm, MultiIndex, apply_antiderivation, monomial, s
 from .linalg import (
     Matrix,
     Vector,
+    apply_columns,
     gr,
     identity,
-    kernel,
-    matvec,
     inverse,
     row_space_rref,
     sparse_kernel,
@@ -65,37 +64,6 @@ class LieAlgebraSpec:
             if entries:
                 clean[(i, j)] = entries
         object.__setattr__(self, "brackets", clean)
-
-    # -- bracket evaluation -----------------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for i in range(1, self.dim + 1):
-            xi = Fraction(x[i - 1])
-            if not xi:
-                continue
-            for j in range(1, self.dim + 1):
-                yj = Fraction(y[j - 1])
-                if not yj:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k - 1] += xi * yj * c
-        return out
-
-    def ad_matrix(self, i: int) -> list[list[Fraction]]:
-        """Matrix of ad(e_i) acting on column vectors."""
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j in range(1, self.dim + 1):
-            for k, c in self.bracket_basis(i, j).items():
-                out[k - 1][j - 1] = c
-        return out
 
     def abelian(self) -> bool:
         return not self.brackets
@@ -145,6 +113,17 @@ def signed_brackets(g: LieAlgebraSpec) -> tuple[IntBracketTable, int]:
         table[(a, b)] = row
         table[(b, a)] = [(k, -x) for k, x in row]
     return table, den
+
+
+def int_bracket(table: IntBracketTable, u: Mapping[int, int], v: Mapping[int, int]) -> dict[int, int]:
+    """D [u, v] for sparse int vectors {1-based index: int}, through the table
+    of `signed_brackets`; only the nonzero entries are kept."""
+    out: dict[int, int] = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            for k, c in table.get((a, b), ()):
+                out[k] = out.get(k, 0) + x * y * c
+    return {k: c for k, c in out.items() if c}
 
 
 def check_jacobi(g: LieAlgebraSpec) -> JacobiResult:
@@ -220,24 +199,23 @@ def d_squared_vanishes(g: LieAlgebraSpec) -> bool:
 
 @dataclass
 class AlgebraInvariants:
-    center_basis: list[Vector]
+    center_basis: list[list[Fraction]]
     lower_central_series_dims: list[int]
     is_nilpotent: bool
     is_unimodular: bool
     abelian_codim1_ideal: list[list[Fraction]] | None
 
 
-def center(g: LieAlgebraSpec) -> list[Vector]:
+def center(g: LieAlgebraSpec) -> list[list[Fraction]]:
     """Exact basis of {x : [x, e_i] = 0 for all i}."""
-    rows: Matrix = []
-    for i in range(1, g.dim + 1):
-        ad = g.ad_matrix(i)
-        # condition [x, e_i] = 0: row per output coordinate, negated ad(e_i) of x
-        for k in range(g.dim):
-            rows.append([gr(-ad[k][m]) for m in range(g.dim)])
-    if not rows:
-        return identity(g.dim)
-    return kernel(rows, g.dim)
+    # condition [x, e_i] = 0: row (i, k) -> {m: c} for [e_m, e_i] = sum (c / D) e_k
+    table, _ = signed_brackets(g)
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (m, i), comp in table.items():
+        for k, c in comp:
+            rows.setdefault((i, k), {})[m - 1] = c
+    zero = Fraction(0)
+    return [[v.get(c, zero) for c in range(g.dim)] for v in sparse_kernel(list(rows.values()), g.dim)]
 
 
 def _int_row(row: Vector) -> dict[int, int]:
@@ -257,12 +235,7 @@ def _span_products(table: IntBracketTable, dim: int, rows_a: Matrix, rows_b: Mat
     ints_b = [_int_row(v) for v in rows_b]
     for u in map(_int_row, rows_a):
         for v in ints_b:
-            w: dict[int, int] = {}
-            for a, x in u.items():
-                for b, y in v.items():
-                    for k, c in table.get((a, b), ()):
-                        w[k] = w.get(k, 0) + x * y * c
-            if any(w.values()):
+            if w := int_bracket(table, u, v):
                 products.append([gr(w.get(k, 0)) for k in range(1, dim + 1)])
     return row_space_rref(products)
 
@@ -346,19 +319,25 @@ def is_nilpotent(g: LieAlgebraSpec) -> bool:
 def change_basis(g: LieAlgebraSpec, s: Matrix) -> LieAlgebraSpec:
     """Structure constants in the new basis f_j = sum_i s[i][j] e_i."""
     n = g.dim
-    sinv = inverse(s)
+    if not all(x.is_real() for row in s for x in row):
+        raise ValueError("change of basis must stay rational")
+    sinv = inverse([[x.re for x in row] for row in s])
+    table, den = signed_brackets(g)
+    # f_j = (int column j) / scales[j], and s^{-1} = (int columns of back) / e
+    cols = [[row[j] for row in s] for j in range(n)]
+    scales = [lcm(*(x.d for x in col)) for col in cols]
+    ints = [_int_row(col) for col in cols]
+    e = lcm(*(x.denominator for row in sinv for x in row))
+    back = [
+        {k: x.numerator * (e // x.denominator) for k, x in enumerate(col, start=1) if x}
+        for col in zip(*sinv)
+    ]
     entries = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            fi = [s[m][i - 1].re for m in range(n)]
-            fj = [s[m][j - 1].re for m in range(n)]
-            w = g.bracket(fi, fj)
-            coords = matvec(sinv, [gr(c) for c in w])
-            for k, c in enumerate(coords, start=1):
-                if not c.is_zero():
-                    if not c.is_real():
-                        raise ValueError("change of basis must stay rational")
-                    entries.append((i, j, k, c.re))
+            coords = apply_columns(back, int_bracket(table, ints[i - 1], ints[j - 1]))
+            scale = e * den * scales[i - 1] * scales[j - 1]
+            entries.extend((i, j, k, Fraction(coords[k], scale)) for k in sorted(coords))
     return from_bracket_list(n, entries)
 
 

@@ -67,10 +67,6 @@ def mat_from_json(data, rows: int, cols: int, what: str) -> Matrix:
     return [[parse_scalar(str(x)) for x in row] for row in data]
 
 
-def matvec(m: Matrix, v: Sequence) -> Vector:
-    return [sum((row[j] * gr(v[j]) for j in range(len(v))), ZERO) for row in m]
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if not a:
         return []

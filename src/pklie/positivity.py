@@ -69,6 +69,8 @@ class SearchBudget:
             raise ValueError(
                 f"search budget restarts and steps must be >= 0, got {self.restarts} and {self.steps}"
             )
+        if self.seed < 0:
+            raise ValueError(f"search seed must be >= 0, got {self.seed}")
         if self.witness_cap < 1:
             raise ValueError(f"witness cap must be >= 1, got {self.witness_cap}")
 

@@ -546,6 +546,7 @@ def test_malformed_catalog_name_rejected(capsys, name, message):
         ["--witness-cap", "0"],
         ["--budget-steps", "-5"],
         ["--budget-restarts", "-1"],
+        ["--seed", "-1"],
     ],
 )
 def test_find_rejects_malformed_budget(capsys, budget):
@@ -561,6 +562,14 @@ def test_find_accepts_zero_restarts(capsys):
 def test_obstruct_search_rejects_p_out_of_range(capsys, p):
     # the search used to report "no obstruction found" and exit 2
     _assert_input_error(["obstruct", "--catalog", "torus3", "--p", p], capsys)
+
+
+@pytest.mark.parametrize("p", ["0", "-1", "3"])
+def test_quotient_rejects_p_out_of_range(capsys, p):
+    # a zero omega used to descend at any p, with exit 0
+    assert main(["quotient", "--catalog", "kt", "--p", p, "--omega", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "need 1 <= p <= n" in err
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from pklie.liealg import (
     is_unimodular,
 )
 from pklie.linalg import gr, identity
+from pklie.scalars import GaussianRational
 
 
 def heisenberg3():
@@ -136,6 +137,14 @@ def test_abelian_codim1_ideal_detection():
     assert algebra_invariants(sl2).abelian_codim1_ideal is None
 
 
+@pytest.mark.parametrize("g", [h3_plus_line(), LieAlgebraSpec(4)], ids=["h3_plus_line", "abelian"])
+def test_change_basis_rejects_non_real_matrix(g):
+    s = identity(4)
+    s[1][2] = GaussianRational(0, 1)
+    with pytest.raises(ValueError, match="change of basis must stay rational"):
+        change_basis(g, s)
+
+
 def test_unimodularity_basis_invariance():
     rng = random.Random(9)
     g = h3_plus_line()
@@ -157,7 +166,6 @@ def test_coframe_json():
     g = algebra_from_json({"d": {"e3": "e1^e2"}})
     assert g.dim == 3
     # d e^3 = e^1 ^ e^2 means [e1, e2] = -e3
-    assert g.bracket_basis(1, 2) == {3: Fraction(-1)}
+    assert g.brackets == {(1, 2): {3: Fraction(-1)}}
     g2 = algebra_from_json({"dim": 4, "d": {"e3": "2 e1^e2 - 1/2 e1^e4"}})
-    assert g2.bracket_basis(1, 2) == {3: Fraction(-2)}
-    assert g2.bracket_basis(1, 4) == {3: Fraction(1, 2)}
+    assert g2.brackets == {(1, 2): {3: Fraction(-2)}, (1, 4): {3: Fraction(1, 2)}}

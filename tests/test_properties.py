@@ -50,6 +50,7 @@ from pklie.liealg import (
     JacobiResult,
     LieAlgebraSpec,
     abelian_codim1_ideal,
+    center,
     change_basis,
     check_jacobi,
     coframe_differentials,
@@ -882,25 +883,59 @@ def _complex_images_reference(coframe, dim, n):
     return images
 
 
+def _bracket_basis(g, i, j):
+    """[e_i, e_j] as {k: c} for any i, j, read off the stored i < j brackets."""
+    if i == j:
+        return {}
+    if i < j:
+        return dict(g.brackets.get((i, j), {}))
+    return {k: -c for k, c in g.brackets.get((j, i), {}).items()}
+
+
+def _bracket(g, x, y):
+    """[x, y] of dense Fraction vectors, a full sum over basis pairs."""
+    out = [Fraction(0)] * g.dim
+    for i in range(1, g.dim + 1):
+        xi = Fraction(x[i - 1])
+        if not xi:
+            continue
+        for j in range(1, g.dim + 1):
+            yj = Fraction(y[j - 1])
+            if not yj:
+                continue
+            for k, c in _bracket_basis(g, i, j).items():
+                out[k - 1] += xi * yj * c
+    return out
+
+
+def _ad_matrix(g, i):
+    """Matrix of ad(e_i) acting on column vectors."""
+    out = [[Fraction(0)] * g.dim for _ in range(g.dim)]
+    for j in range(1, g.dim + 1):
+        for k, c in _bracket_basis(g, i, j).items():
+            out[k - 1][j - 1] = c
+    return out
+
+
 def _ad_trace_unimodular_reference(g):
     """tr ad(e_i) = 0 for every i, from the full ad matrices."""
     for i in range(1, g.dim + 1):
-        ad = g.ad_matrix(i)
+        ad = _ad_matrix(g, i)
         if sum((ad[k][k] for k in range(g.dim)), Fraction(0)):
             return False
     return True
 
 
 def _jacobi_reference(g):
-    """check_jacobi as first written, through `bracket_basis` on every lookup."""
+    """check_jacobi as first written, through `_bracket_basis` on every lookup."""
     n = g.dim
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 acc = [Fraction(0)] * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, coeff in g.bracket_basis(a, b).items():
-                        for t, c2 in g.bracket_basis(m, c).items():
+                    for m, coeff in _bracket_basis(g, a, b).items():
+                        for t, c2 in _bracket_basis(g, m, c).items():
                             acc[t - 1] += coeff * c2
                 if any(acc):
                     return JacobiResult(False, (i, j, k), acc)
@@ -978,7 +1013,7 @@ def bracket_tables(draw):
         # cancel tr ad(e_i) through the e_j part of [e_i, e_j], which is
         # stored with a minus sign when j < i
         for i in range(1, dim + 1):
-            trace = sum(g.ad_matrix(i)[k][k] for k in range(dim))
+            trace = sum(_ad_matrix(g, i)[k][k] for k in range(dim))
             j = draw(st.sampled_from([x for x in range(1, dim + 1) if x != i]))
             comp = table.setdefault((min(i, j), max(i, j)), {})
             comp[j] = comp.get(j, 0) + (trace if j < i else -trace)
@@ -1040,14 +1075,14 @@ def _coframe_differentials_fraction_reference(g):
 
 
 def _lower_central_series_reference(g):
-    """lower_central_series through `LieAlgebraSpec.bracket` on the Fraction
+    """lower_central_series through the dense `_bracket` on the Fraction
     parts of every row."""
 
     def span_products(rows_a, rows_b):
         products = []
         for u in rows_a:
             for v in rows_b:
-                w = g.bracket([x.re for x in u], [y.re for y in v])
+                w = _bracket(g, [x.re for x in u], [y.re for y in v])
                 if any(w):
                     products.append([GaussianRational.coerce(c) for c in w])
         return row_space_rref(products)
@@ -1059,6 +1094,39 @@ def _lower_central_series_reference(g):
         series.append(nxt)
         if len(nxt) == len(series[-2]) or not nxt:
             return series
+
+
+def _center_reference(g):
+    """center from the dense ad matrices, a GaussianRational row per output
+    coordinate of [x, e_i]."""
+    rows = []
+    for i in range(1, g.dim + 1):
+        ad = _ad_matrix(g, i)
+        for k in range(g.dim):
+            rows.append([GaussianRational.coerce(-ad[k][m]) for m in range(g.dim)])
+    if not rows:
+        return identity(g.dim)
+    return kernel(rows, g.dim)
+
+
+def _change_basis_reference(g, s):
+    """change_basis through dense Fraction brackets of the columns of s,
+    mapped back by the Gaussian inverse of s."""
+    n = g.dim
+    sinv = inverse(s)
+    entries = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            fi = [s[m][i - 1].re for m in range(n)]
+            fj = [s[m][j - 1].re for m in range(n)]
+            w = _bracket(g, fi, fj)
+            coords = [sum((row[m] * GaussianRational.coerce(w[m]) for m in range(n)), ZERO) for row in sinv]
+            for k, c in enumerate(coords, start=1):
+                if not c.is_zero():
+                    if not c.is_real():
+                        raise ValueError("change of basis must stay rational")
+                    entries.append((i, j, k, c.re))
+    return from_bracket_list(n, entries)
 
 
 _SCALES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(-3, 2)]
@@ -1108,6 +1176,24 @@ def test_int_real_side_matches_fraction_references(case):
     series = lower_central_series(g)
     assert series == _lower_central_series_reference(g)
     assert all(type(x) is GaussianRational for step in series for row in step for x in row)
+    basis = center(g)
+    assert [[GaussianRational.coerce(x) for x in row] for row in basis] == _center_reference(g)
+    assert all(type(x) is Fraction for row in basis for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_integral_algebras(), st.data())
+def test_change_basis_matches_dense_reference(case, data):
+    """Same constants in the same (i, j, k) item order; an integral basis
+    with its columns rescaled, so that both s and s^{-1} have denominators."""
+    g, _ = case
+    s = _random_invertible(g.dim, random.Random(data.draw(st.integers(0, 2**32))))
+    scales = [data.draw(st.sampled_from(_SCALES)) for _ in range(g.dim)]
+    s = [[x * c for x, c in zip(row, scales)] for row in s]
+    moved = change_basis(g, s)
+    ref = _change_basis_reference(g, s)
+    assert moved == ref
+    assert _nested_items(moved) == _nested_items(ref)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1151,7 +1237,7 @@ def _ascending_series_reference(struct):
     for i in range(1, dim + 1):
         b = [[ZERO] * dim for _ in range(dim)]
         for m in range(1, dim + 1):
-            for k, c in g.bracket_basis(m, i).items():
+            for k, c in _bracket_basis(g, m, i).items():
                 b[k - 1][m - 1] = GaussianRational.coerce(c)
         ad_mats.append(b)
     jmat = mat_from_rows([[x.re for x in row] for row in struct.J])
@@ -1203,7 +1289,7 @@ def _abelian_codim1_ideal_reference(g):
     # [D, D] must vanish on any abelian subspace containing D
     for u in derived:
         for v in derived:
-            if any(g.bracket([x.re for x in u], [y.re for y in v])):
+            if any(_bracket(g, [x.re for x in u], [y.re for y in v])):
                 return None
 
     # complement U of D inside g (coordinates of V = g/D)
@@ -1224,7 +1310,7 @@ def _abelian_codim1_ideal_reference(g):
         for u in comp:
             row_block = []
             for dvec in derived:
-                row_block.extend(g.bracket([x.re for x in dvec], u))
+                row_block.extend(_bracket(g, [x.re for x in dvec], u))
             rows.append(row_block)
         cols = len(rows[0])
         mat = [[GaussianRational(rows[i][j]) for i in range(q)] for j in range(cols)]
@@ -1242,7 +1328,7 @@ def _abelian_codim1_ideal_reference(g):
     def abelian_span(rows_vecs):
         for u in rows_vecs:
             for v in rows_vecs:
-                if any(g.bracket([x.re for x in u], [y.re for y in v])):
+                if any(_bracket(g, [x.re for x in u], [y.re for y in v])):
                     return False
         return True
 
@@ -1261,7 +1347,7 @@ def _abelian_codim1_ideal_reference(g):
     gamma = {}
     for a in range(q):
         for b in range(a + 1, q):
-            gamma[(a, b)] = g.bracket(comp[a], comp[b])
+            gamma[(a, b)] = _bracket(g, comp[a], comp[b])
     if all(not any(w) for w in gamma.values()):
         candidate = list(derived) + [lift(v) for v in identity(q)[:-1]]
         return row_space_rref(candidate)
@@ -1344,10 +1430,10 @@ def test_abelian_codim1_ideal_matches_case_analysis_reference(case):
     assert len(ideal) == g.dim - 1 and row_space_rref(ideal) == ideal
     (phi,) = kernel(ideal, g.dim)
     for u in ideal:
-        assert all(not any(g.bracket(u, v)) for v in ideal)
+        assert all(not any(_bracket(g, u, v)) for v in ideal)
         for i in range(g.dim):
             e = [Fraction(int(i == j)) for j in range(g.dim)]
-            assert sum(a * b for a, b in zip(phi, g.bracket(e, u))) == 0
+            assert sum(a * b for a, b in zip(phi, _bracket(g, e, u))) == 0
 
 
 def _sparse_gram_reference(grams, coords):
@@ -1924,10 +2010,10 @@ def _dense_nijenhuis_reference(g, J):
         for j in range(i + 1, dim + 1):
             x, y = basis[i - 1], basis[j - 1]
             jx, jy = jcol(i), jcol(j)
-            term = g.bracket(jx, jy)
-            term = [a - b for a, b in zip(term, japply(g.bracket(jx, y)))]
-            term = [a - b for a, b in zip(term, japply(g.bracket(x, jy)))]
-            term = [a - b for a, b in zip(term, g.bracket(x, y))]
+            term = _bracket(g, jx, jy)
+            term = [a - b for a, b in zip(term, japply(_bracket(g, jx, y)))]
+            term = [a - b for a, b in zip(term, japply(_bracket(g, x, jy)))]
+            term = [a - b for a, b in zip(term, _bracket(g, x, y))]
             if any(term):
                 return False, (i, j), term
     return True, None, None
