@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -19,7 +19,6 @@ from typing import Sequence
 from .exterior import (
     ComplexForm,
     MultiIndex,
-    _merge,
     apply_antiderivation,
     combine,
     conjugate,
@@ -55,7 +54,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .scalars import GaussianRational, I, ONE, ZERO, _reduced
+from .scalars import I, ONE, ZERO, _reduced
 
 
 class NonIntegrableError(ValueError):
@@ -265,6 +264,8 @@ class ComplexStructureSpec:
     J: Matrix
     coframe: Matrix
     equations: list[ComplexForm]
+    # pp_system(p) per p, built on first use
+    _pp_systems: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -360,61 +361,84 @@ class ComplexStructureSpec:
     def _conj_equations(self) -> list[ComplexForm]:
         return [conjugate(eq) for eq in self.equations]
 
-    @functools.cached_property
-    def _d_pp_blocks(self) -> dict[int, dict[MultiIndex, ComplexForm]]:
-        return {}
-
-    def d_pp_block(self, p: int) -> dict[MultiIndex, ComplexForm]:
-        """The (p+1,p) part of d(a^A ^ conj a^B) for every |A| = |B| = p.
-
-        Keyed by MultiIndex(A, B) and built once per p by the Leibniz rule:
-        (d(a^A ^ conj a^B))^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ (d conj a^B)^{1,p},
-        where del a^A is the antiderivation of a^A over the (2,0) parts of
-        the d a^j and (d conj a^B)^{1,p} the one of conj a^B over the (1,1)
-        parts of the d conj a^j.  Integrability leaves no other bidegree that
-        ends in (p+1,p).  That is 2 C(n,p) antiderivations, and one index
-        merge per term of each block entry.
+    def pp_system(self, p: int) -> dict[tuple[int, int], dict[int, int]]:
+        """The (p+1,p) part of d on real (p,p)-forms as sparse int rows over the
+        columns of `pkahler.pp_coordinates`: row (m, part) holds D times the
+        nonzero real (part 0) or imaginary parts at the monomial m, D the lcm of
+        the equations' denominators.  A monomial is a bitmask, a^j at bit j-1
+        and conj a^j at bit n+j-1, so reordering signs are popcounts.  Built
+        once per p by the Leibniz rule from the (2,0) parts of the d a^j and the
+        (1,1) parts of the d conj a^j, the only ones integrability leaves:
+        (d(a^A ^ conj a^B))^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ (d conj a^B)^{1,p}.
         """
-        block = self._d_pp_blocks.get(p)
-        if block is not None:
-            return block
+        if p in self._pp_systems:
+            return self._pp_systems[p]
         n = self.n
-        holo_parts = [
-            ComplexForm._wrap(n, {k: c for k, c in eq.terms.items() if k.bidegree == (2, 0)})
-            for eq in self.equations
-        ]
-        anti_parts = [
-            ComplexForm._wrap(n, {k: c for k, c in eq.terms.items() if k.bidegree == (1, 1)})
-            for eq in self._conj_equations
-        ]
+        den = lcm(*(c.d for eq in self.equations for c in eq.terms.values()))
+        # per generator bit, its 2-form terms c e_u ^ e_v, u < v, as (u, v, x, y)
+        # with x + iy = i^{p^2} D c: the basis unit is folded in
+        parts: list[list[tuple[int, int, int, int]]] = [[] for _ in range(2 * n)]
+        for j, eq in enumerate(self.equations):
+            for (h, a), c in eq.terms.items():
+                x, y = c.a * (den // c.d), c.b * (den // c.d)
+                # a (1,1) term: conj(c a^i ^ conj a^k) = -conj(c) a^k ^ conj a^i
+                b, u, v, x = (n + j, a[0] - 1, n + h[0] - 1, -x) if a else (j, h[0] - 1, h[1] - 1, x)
+                parts[b].append((u, v, -y, x) if p % 2 else (u, v, x, y))
 
-        def part(key: MultiIndex) -> dict[MultiIndex, GaussianRational]:
-            return apply_antiderivation(ComplexForm._wrap(n, {key: ONE}), holo_parts, anti_parts).terms
+        def antiderivation(m: int):
+            # d(x_1 ^ ... ^ x_r) = sum_t (-1)^t d x_t ^ (the x without x_t)
+            out: dict[int, tuple[int, int]] = {}
+            for t, b in enumerate(b for b in range(2 * n) if m >> b & 1):
+                rest = m ^ 1 << b
+                for u, v, x, y in parts[b]:
+                    if not rest & (1 << u | 1 << v):
+                        # e_u ^ e_v ^ rest passes u and v over the bits of rest below them
+                        if t + (rest & (1 << u) - 1).bit_count() + (rest & (1 << v) - 1).bit_count() & 1:
+                            x, y = -x, -y
+                        key = rest | 1 << u | 1 << v
+                        prev = out.get(key, (0, 0))
+                        out[key] = (prev[0] + x, prev[1] + y)
+            return out.items()
 
-        combos = list(itertools.combinations(range(1, n + 1), p))
-        dels = [part(MultiIndex(a, ())) for a in combos]
-        dbars = [part(MultiIndex((), b)) for b in combos]
-        odd = p % 2 == 1
-        block = {}
-        for a, del_a in zip(combos, dels):
-            for b, dbar_b in zip(combos, dbars):
-                terms = {MultiIndex(h, b): c for (h, _), c in del_a.items()}
-                for (h, anti), c in dbar_b.items():
-                    merged, sign = _merge(a, h)
-                    if merged is None:
-                        continue
-                    value = -c if (sign < 0) != odd else c
-                    key = MultiIndex(merged, anti)
-                    prev = terms.get(key)
-                    if prev is None:
-                        terms[key] = value
-                    elif total := prev + value:
-                        terms[key] = total
-                    else:
-                        del terms[key]
-                block[MultiIndex(a, b)] = ComplexForm._wrap(n, terms)
-        self._d_pp_blocks[p] = block
-        return block
+        combos = [sum(1 << j - 1 for j in c) for c in itertools.combinations(range(1, n + 1), p)]
+        dels, dbars = [antiderivation(m) for m in combos], [antiderivation(m << n) for m in combos]
+
+        def image(ia: int, ib: int) -> dict[int, tuple[int, int]]:
+            ma, mb = combos[ia], combos[ib] << n
+            img = {key | mb: xy for key, xy in dels[ia]}
+            for key, (x, y) in dbars[ib]:
+                if not ma & key:
+                    # (-1)^p a^A ^ a^k passes a^k over the indices of A above k
+                    if p + (ma >> (key & (1 << n) - 1).bit_length()).bit_count() & 1:
+                        x, y = -x, -y
+                    key |= ma
+                    prev = img.get(key, (0, 0))
+                    img[key] = (prev[0] + x, prev[1] + y)
+            return img
+
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+
+        def put(key: int, col: int, x: int, y: int) -> None:
+            if x:
+                rows.setdefault((key, 0), {})[col] = x
+            if y:
+                rows.setdefault((key, 1), {})[col] = y
+
+        col = len(combos)
+        for ia in range(len(combos)):
+            for key, xy in image(ia, ia).items():
+                put(key, ia, *xy)
+            for ib in range(ia + 1, len(combos)):
+                # the pair's columns u(X + Y) and iu(X - Y), u inside X and Y
+                x_img, y_img = image(ia, ib), image(ib, ia)
+                for key in {**x_img, **y_img}:
+                    sx, sy = x_img.get(key, (0, 0))
+                    tx, ty = y_img.get(key, (0, 0))
+                    put(key, col, sx + tx, sy + ty)
+                    put(key, col + 1, ty - sy, sx - tx)
+                col += 2
+        self._pp_systems[p] = rows
+        return rows
 
     def closed_10_forms(self) -> list[Vector]:
         """Coefficient vectors x with d(sum x_j a^j) = 0, RREF-canonical."""

@@ -125,8 +125,15 @@ class ComplexForm:
         return degs.pop() if len(degs) == 1 else None
 
     def bidegree(self) -> tuple[int, int] | None:
-        bids = self.bidegrees()
-        return bids.pop() if len(bids) == 1 else None
+        keys = iter(self.terms)
+        first = next(keys, None)
+        if first is None:
+            return None
+        h, a = len(first.holo), len(first.anti)
+        for key in keys:
+            if len(key.holo) != h or len(key.anti) != a:
+                return None
+        return (h, a)
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .cxstruct import ComplexStructureSpec, ascending_series, JClass
 from .exterior import (
@@ -39,6 +39,7 @@ from .positivity import (
     gram_basis,
     gram_matrix,
     gram_positive_definite,
+    _gram_units,
     is_simple,
     pairing_functional,
     verify_verdict,
@@ -100,57 +101,19 @@ class ClosedPP:
 def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     """Exact kernel of d on real (p,p)-forms, deterministic RREF basis.
 
-    Coordinates are those of `pp_coordinates`.  Only the (p+1,p) part of d
-    is used: for real omega the (p,p+1) part is its conjugate, so its rows
-    add nothing to the row space.  A basis column's image is read off
-    `struct.d_pp_block(p)`: u X for a diagonal monomial, and u(X + Y),
-    iu(X - Y) for the pair of a^{A,B} and a^{B,A}, with X, Y their blocks
-    and u = i^{p^2}.  Each (key, real or imaginary part) of the images is one
-    sparse int row, cleared of the denominators by their common lcm, and the
-    kernel is taken over them.  Each closed form is written straight from
-    its kernel vector: x on a diagonal column is u x at (A,A), and the pair
-    (x+, x-) is u(x+ + i x-) at (A,B) and u(x+ - i x-) at (B,A).
+    Coordinates are those of `pp_coordinates`.  The kernel is `sparse_kernel`
+    of the int rows of `struct.pp_system(p)`, the (p+1,p) part of d (for real
+    omega the (p,p+1) part is its conjugate).  Each closed form is written
+    from its kernel vector: with u = i^{p^2}, x on a diagonal column is u x at
+    (A,A), and the pair (x+, x-) is u(x+ + i x-) at (A,B), u(x+ - i x-) at (B,A).
     """
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    block = struct.d_pp_block(p)
     combos = list(itertools.combinations(range(1, n + 1), p))
     pairs = [(a, b) for ia, a in enumerate(combos) for b in combos[ia + 1 :]]
     turns = p % 2  # the basis unit i^{p^2} is i^turns
-    # each column's image as (key, coefficient, quarter turns it is rotated by)
-    images = [
-        [(key, c, turns) for key, c in block[MultiIndex(a, a)].terms.items()] for a in combos
-    ]
-    for a, b in pairs:
-        # the +- pair of columns is u(X + Y) and iu(X - Y), built in one pass
-        x, y = block[MultiIndex(a, b)].terms, block[MultiIndex(b, a)].terms
-        plus, minus = [], []
-        for key in {**x, **y}:
-            s, t = x.get(key), y.get(key)
-            if t is None:
-                plus.append((key, s, turns))
-                minus.append((key, s, turns + 1))
-            elif s is None:
-                plus.append((key, t, turns))
-                minus.append((key, t, (turns + 3) % 4))  # iu(-t)
-            else:
-                if c := s + t:
-                    plus.append((key, c, turns))
-                if c := s - t:
-                    minus.append((key, c, turns + 1))
-        images += (plus, minus)
-    den = lcm(*(c.d for img in images for _, c, _ in img))
-    rows: dict[tuple[MultiIndex, int], dict[int, int]] = {}
-    for col, img in enumerate(images):
-        for key, c, k in img:
-            scale = den // c.d
-            re, im = ((c.a, c.b), (-c.b, c.a), (-c.a, -c.b), (c.b, -c.a))[k]  # c * i^k
-            if re:
-                rows.setdefault((key, 0), {})[col] = re * scale
-            if im:
-                rows.setdefault((key, 1), {})[col] = im * scale
-    vectors = sparse_kernel(list(rows.values()), len(images))
+    vectors = sparse_kernel(list(struct.pp_system(p).values()), len(combos) ** 2)
     zero = Fraction(0)
     diag = len(combos)
     forms = []
@@ -352,12 +315,11 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
     if not is_unimodular(struct.g):
         return None
     closed = closed_pp_space(struct, p)
-    keys = gram_basis(n, q)
-    rows = _witness_rows(closed.forms, [monomial(n, key) for key in keys], q)
+    rows = _monomial_rows(closed.forms, n, q)
     res = feasibility(rows, [Fraction(1)] * len(rows))
     if res.feasible:
         return None
-    target = {MultiIndex(key, key): gr(y) for key, y in zip(keys, res.farkas_ge) if y}
+    target = {MultiIndex(key, key): gr(y) for key, y in zip(gram_basis(n, q), res.farkas_ge) if y}
     ansatz = [
         MultiIndex(holo, anti)
         for a, b in ((q - 1, q), (q, q - 1))
@@ -411,12 +373,12 @@ def find_pkahler(
        pass the Gram test, and that monomial's LP row is all zero, so
        round 1 of step 2 refutes;
     2. witness rounds, at most `budget.witness_cap`.  Each solves the LP over
-       the witnesses (the coframe monomials, then harvested simple forms);
-       infeasible means REFUTED.  Otherwise `check_transverse` on the LP point
-       decides: TRANSVERSE is FOUND, NOT_TRANSVERSE adds its simple witness
-       to the LP, INCONCLUSIVE ends the rounds.  Round 1 also runs the
-       diagonal obstruction search, the dual of its LP, which finds nothing
-       once that LP is feasible.
+       the witnesses (coframe monomials, rows read off the closed forms'
+       diagonals, then harvested simple forms); infeasible means REFUTED.
+       Otherwise `check_transverse` on the LP point decides: TRANSVERSE is
+       FOUND, NOT_TRANSVERSE adds its simple witness to the LP, INCONCLUSIVE
+       ends the rounds.  Round 1 also runs the diagonal obstruction search,
+       the dual of its LP, which finds nothing once that LP is feasible.
     The LP points never repeat: each harvested row cuts off the point that
     produced it.  Only the harvest's numeric search (at 1 < p < n-1) reads
     the budget's seed, restarts and steps.
@@ -461,7 +423,7 @@ def find_pkahler(
 
     # witness family: all coframe monomials, then harvested simple forms
     witnesses: list[ComplexForm] = [monomial(n, idx) for idx in gram_basis(n, n - p)]
-    rows = _witness_rows(closed.forms, witnesses, n - p)
+    rows = _monomial_rows(closed.forms, n, n - p)
     harvest_budget = SearchBudget(
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
@@ -498,6 +460,13 @@ def _witness_rows(forms: list[ComplexForm], witnesses: list[ComplexForm], k: int
     of psi with each form, from one pairing functional per witness."""
     functionals = [pairing_functional(psi, psi, k) for psi in witnesses]
     return [[_real_part(apply_functional(fn, f)) for f in forms] for fn in functionals]
+
+
+def _monomial_rows(forms: list[ComplexForm], n: int, k: int) -> list[list[int | Fraction]]:
+    """`_witness_rows` of the coframe monomials a^K, K in `gram_basis(n, k)`: a^K pairs
+    with an (n-k,n-k)-form through its one coefficient at (K^c, K^c) and a `_gram_units` unit."""
+    diagonal = [row[a] for a, row in enumerate(_gram_units(n, k))]
+    return [[_real_part(f.terms[key] * unit) if key in f.terms else 0 for f in forms] for key, unit in diagonal]
 
 
 def _real_part(c: GaussianRational) -> int | Fraction:

@@ -220,6 +220,18 @@ def test_json_round_trip():
         assert form_from_json(form_to_json(f), f.n) == f
 
 
+def test_bidegree_is_the_one_element_of_bidegrees():
+    rng = random.Random(31)
+    cases = [ComplexForm.zero(3)]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        p, q = rng.randint(0, n), rng.randint(0, n)
+        cases += [random_form(n, rng), random_homogeneous(n, p, q, rng)]
+    for f in cases:
+        bids = f.bidegrees()
+        assert f.bidegree() == (bids.pop() if len(bids) == 1 else None)
+
+
 def test_homogeneity_flags():
     n = 3
     f = monomial(n, (1,), (2,)) + monomial(n, (1, 2), ())

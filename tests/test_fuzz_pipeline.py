@@ -2,6 +2,7 @@
 definitive verdict re-verified from its serialized certificate."""
 
 import itertools
+import json
 import random
 
 from pklie.cxstruct import ComplexStructureSpec, JClass, ascending_series
@@ -67,3 +68,20 @@ def test_random_towers_all_verdicts_reverify():
             if obstruction.forbidden_p == p:
                 assert rep.verdict != PKVerdict.FOUND, (trial, p)
     assert definitive >= 40
+
+
+def test_tower_census_n4_p2():
+    """Draws 0-49 of one random_tower(4, Random(5)) stream at p = 2 with the
+    default budget: every FOUND and REFUTED verifies after a JSON round
+    trip.  Draws 43 and 44 end INCONCLUSIVE (ROADMAP item 5); the bound pins
+    that count until they are decided."""
+    rng = random.Random(5)
+    inconclusive = []
+    for draw in range(50):
+        struct = random_tower(4, rng)
+        rep = find_pkahler(struct, 2)
+        if rep.verdict == PKVerdict.INCONCLUSIVE:
+            inconclusive.append(draw)
+            continue
+        assert verify_report(struct, json.loads(json.dumps(rep.to_json()))) == [], draw
+    assert len(inconclusive) <= 2, inconclusive

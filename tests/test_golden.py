@@ -41,7 +41,7 @@ from pklie.exterior import (
 )
 from pklie.pkahler import verify_report
 from pklie.positivity import gram_basis
-from test_properties import _antiderivation_reference, _wedge_pairing_reference
+from test_properties import _antiderivation_reference, _pp_system_from_block, _wedge_pairing_reference
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -201,13 +201,17 @@ def _d_pp_block_reference(struct, p):
 
 @pytest.mark.parametrize("name,p", _cases())
 def test_golden_report_passes_verification_on_wedge_references(name, p, monkeypatch):
-    # find_pkahler and verify_report read the same pairing and d-block tables,
+    # find_pkahler and verify_report read the same pairing and d-system tables,
     # so a wrong table entry could pass both; here verify reads none of them
     monkeypatch.setattr(positivity, "pairing_coefficient", _wedge_pairing_reference)
     monkeypatch.setattr(positivity, "gram_matrix", _wedge_gram_reference)
     monkeypatch.setattr(pkahler, "gram_matrix", _wedge_gram_reference)
     monkeypatch.setattr(ComplexStructureSpec, "d", _d_reference)
-    monkeypatch.setattr(ComplexStructureSpec, "d_pp_block", _d_pp_block_reference)
+    monkeypatch.setattr(
+        ComplexStructureSpec,
+        "pp_system",
+        lambda struct, p: _pp_system_from_block(struct, p, _d_pp_block_reference(struct, p)),
+    )
     assert verify_report(named_example(name), _report(name, p)) == []
 
 

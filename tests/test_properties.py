@@ -79,6 +79,7 @@ from pklie.pkahler import (
     PKVerdict,
     WitnessRefutation,
     _combine,
+    _monomial_rows,
     _project_onto_span,
     _real_part,
     _standard_power_coords,
@@ -410,10 +411,33 @@ def _aab_structures():
     return [build_almost_abelian(data) for data in gen["aab_set"]()]
 
 
+def _pp_system_from_block(struct, p, block):
+    """`ComplexStructureSpec.pp_system` written from a (p+1,p) block
+    {MultiIndex(A, B): image of a^A ^ conj a^B}: each real-basis column's
+    image combined from the block, and each nonzero real or imaginary part of
+    its coefficients, times the lcm D of the equations' denominators, put in
+    the row of (monomial bitmask, part): a^j at bit j-1, conj a^j at bit n+j-1."""
+    n = struct.n
+    den = lcm(*(c.d for eq in struct.equations for c in eq.terms.values()))
+
+    def mask(idx):
+        return sum(1 << j - 1 for j in idx)
+
+    system = {}
+    for col, f in enumerate(real_pp_basis(n, p)):
+        image = combine(n, ((c, block[key]) for key, c in f.terms.items()))
+        for key, c in image.terms.items():
+            assert den % c.d == 0
+            for part, x in ((0, c.a), (1, c.b)):
+                if x:
+                    system.setdefault((mask(key.holo) | mask(key.anti) << n, part), {})[col] = x * (den // c.d)
+    return system
+
+
 def test_leibniz_d_block_matches_the_per_monomial_reference_on_the_registry_and_aab_set():
     for struct in [*map(named_example, registry()), *_aab_structures()]:
         for p in range(struct.n + 1):
-            assert struct.d_pp_block(p) == _d_pp_block_reference(struct, p)
+            assert struct.pp_system(p) == _pp_system_from_block(struct, p, _d_pp_block_reference(struct, p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -422,14 +446,14 @@ def test_cached_d_block_is_the_top_part_of_d(case):
     struct, _ = case
     n = struct.n
     for p in range(n + 1):
-        block = struct.d_pp_block(p)
-        combos = list(itertools.combinations(range(1, n + 1), p))
-        assert list(block) == [MultiIndex(a, b) for a in combos for b in combos]
-        assert block == _d_pp_block_reference(struct, p)
+        system = struct.pp_system(p)
+        block = _d_pp_block_reference(struct, p)
+        assert system == _pp_system_from_block(struct, p, block)
+        assert all(row and all(type(x) is int and x for x in row.values()) for row in system.values())
         for (a, b), image in block.items():
             full = struct.d(monomial(n, a, b))  # zero at p = n
             assert image == (bidegree_component(full, p + 1, p) if p < n else full)
-        assert struct.d_pp_block(p) is block
+        assert struct.pp_system(p) is system
 
 
 def _dense_coords(closed, n):
@@ -464,12 +488,13 @@ def test_closed_pp_space_matches_full_image_reference(case):
 
 
 def _closed_space_route_reference(struct, p):
-    """closed_pp_space as first written over the d-block: a combined image per
-    column, dense int rows cleared by the lcm of their denominators, the dense
-    kernel, and each form combined over all of its coordinates."""
+    """closed_pp_space as first written over the (p+1,p) block of d: a
+    combined image per column, dense int rows cleared by the lcm of their
+    denominators, the dense kernel, and each form combined over all of its
+    coordinates."""
     n = struct.n
     basis = real_pp_basis(n, p)
-    block = struct.d_pp_block(p)
+    block = _d_pp_block_reference(struct, p)
     images = [combine(n, ((c, block[key]) for key, c in f.terms.items())) for f in basis]
     sparse_rows = {}
     for col, img in enumerate(images):
@@ -486,6 +511,16 @@ def _closed_space_route_reference(struct, p):
         rows.append(row)
     coords = kernel(rows, len(basis)) if rows else identity(len(basis), Fraction(1))
     return coords, [_combine(basis, vec) for vec in coords]
+
+
+def test_closed_pp_space_matches_full_image_reference_on_n5_towers():
+    for s in range(10):
+        struct = random_tower(5, random.Random(s))
+        for p in range(1, 5):
+            closed = closed_pp_space(struct, p)
+            coords, forms = _closed_space_reference(struct, p)
+            assert _dense_coords(closed, 5) == coords, (s, p)
+            assert closed.forms == forms, (s, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1500,6 +1535,26 @@ def test_functional_witness_rows_match_gram_diagonal_and_volume_pairing(case, da
     psi = ComplexForm(n, {MultiIndex(idx, ()): data.draw(gaussians) for idx in support})
     expected = [[_real_part(volume_coefficient(f, psi)) for f in forms]]
     assert _typed(_witness_rows(forms, [psi], k)) == _typed(expected)
+
+
+def _assert_monomial_rows_are_witness_rows(struct):
+    n = struct.n
+    for p in range(1, n):
+        forms = closed_pp_space(struct, p).forms
+        monomials = [monomial(n, idx) for idx in gram_basis(n, n - p)]
+        expected = _witness_rows(forms, monomials, n - p)
+        assert _typed(_monomial_rows(forms, n, n - p)) == _typed(expected), p
+
+
+def test_monomial_rows_are_witness_rows_on_the_registry():
+    for name in registry():
+        _assert_monomial_rows_are_witness_rows(named_example(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures())
+def test_monomial_rows_are_witness_rows(case):
+    _assert_monomial_rows_are_witness_rows(case[0])
 
 
 @settings(max_examples=60, deadline=None)
