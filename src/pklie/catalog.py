@@ -7,36 +7,28 @@ families enforce exactly the admissible parameter tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
+# The almost-abelian data, the Kahler decision and the exception live in the
+# light module `almost_abelian`; they are re-exported here.
+from .almost_abelian import (
+    AlmostAbelianData,
+    InadmissibleParameters,
+    KahlerDecision,
+    kahler_decision_almost_abelian,
+)
 from .cxstruct import ComplexStructureSpec
 from .exterior import ComplexForm, monomial, parse_form
 from .liealg import LieAlgebraSpec, from_bracket_list
-from .linalg import Matrix, gr, solve, zeros
-from .polynomials import (
-    all_roots_purely_imaginary,
-    char_poly,
-    is_squarefree,
-    minimal_poly,
-)
-from .scalars import GaussianRational, I, ONE, parse_fraction
-
-
-class InadmissibleParameters(ValueError):
-    pass
+from .linalg import Matrix, gr, zeros
+from .scalars import GaussianRational, I, ONE, as_fraction
 
 
 # -- strongly non-nilpotent families in real dimension 8 ---------------------------
 
 
-def _f(x) -> Fraction:
-    return parse_fraction(x) if isinstance(x, str) else Fraction(x)
-
-
 def snn8_family1_equations(eps, nu, a, b, delta) -> list[ComplexForm]:
-    eps, nu, a, b, delta = _f(eps), _f(nu), _f(a), _f(b), _f(delta)
+    eps, nu, a, b, delta = map(as_fraction, (eps, nu, a, b, delta))
     n = 4
     d1 = ComplexForm.zero(n)
     d2 = monomial(n, (1,), (1,), eps)
@@ -56,7 +48,7 @@ def snn8_family1_equations(eps, nu, a, b, delta) -> list[ComplexForm]:
 
 
 def snn8_family2_equations(eps, mu, nu, a, b) -> list[ComplexForm]:
-    eps, mu, nu, a, b = _f(eps), _f(mu), _f(nu), _f(a), _f(b)
+    eps, mu, nu, a, b = map(as_fraction, (eps, mu, nu, a, b))
     n = 4
     d1 = ComplexForm.zero(n)
     d2 = monomial(n, (1, 4)) + monomial(n, (1,), (4,))
@@ -119,12 +111,12 @@ def build_snn8(family: int, params: Sequence, delta=1) -> ComplexStructureSpec:
     names = _SNN8_PARAMS.get(family)
     if names is None:
         raise InadmissibleParameters("family must be 1 or 2")
-    values = [_f(x) for x in params]
+    values = [as_fraction(x) for x in params]
     if len(values) != len(names):
         raise InadmissibleParameters(
             f"family {family} takes the parameters {','.join(names)}, got {len(values)} values"
         )
-    delta = _f(delta)
+    delta = as_fraction(delta)
     if family == 1:
         if delta not in (1, -1):
             raise InadmissibleParameters("delta must be +1 or -1")
@@ -137,63 +129,6 @@ def build_snn8(family: int, params: Sequence, delta=1) -> ComplexStructureSpec:
 
 
 # -- almost abelian structures -------------------------------------------------------
-
-
-@dataclass
-class AlmostAbelianData:
-    """One transverse direction acting on an abelian ideal.
-
-    Real dimension 2n; the abelian ideal is spanned by e_1..e_{2n-1}; the
-    matrix of the action of e_{2n} splits as lambda on e_1, a vector v into
-    the J-invariant part, and A on span(e_2..e_{2n-1}).  J pairs e_j with
-    e_{2n+1-j}.
-    """
-
-    n: int
-    lam: Fraction
-    v: list[Fraction]  # length 2n-2, indexed by e_2..e_{2n-1}
-    A: list[list[Fraction]]  # (2n-2) x (2n-2), same indexing
-
-    def __post_init__(self):
-        self.lam = _f(self.lam)
-        self.v = [_f(x) for x in self.v]
-        self.A = [[_f(x) for x in row] for row in self.A]
-        size = 2 * self.n - 2
-        if len(self.v) != size or len(self.A) != size or any(len(r) != size for r in self.A):
-            raise ValueError("v must have length 2n-2 and A must be (2n-2)x(2n-2)")
-
-    def j1_matrix(self) -> list[list[Fraction]]:
-        size = 2 * self.n - 2
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for j in range(2, self.n + 1):
-            out[(2 * self.n + 1 - j) - 2][j - 2] = Fraction(1)
-            out[j - 2][(2 * self.n + 1 - j) - 2] = Fraction(-1)
-        return out
-
-    def integrable(self) -> bool:
-        """A J1 = J1 A, compared entry by entry with no products.
-
-        Over 0-based indices of size m = 2n-2, J1 e_c = s_c e_{m-1-c} with
-        s_c = 1 on the first half and -1 on the second, so the (r, c) entries
-        read A[r][m-1-c] s_c = -s_r A[m-1-r][c]; the (m-1-r, m-1-c) entries
-        give the same condition, so r runs over the first half only.
-        """
-        a = self.A
-        m = len(a)
-        half = m // 2
-        for r in range(half):
-            row, mirror = a[r], a[m - 1 - r]
-            for c in range(m):
-                x, y = row[m - 1 - c], mirror[c]
-                if c < half:  # s_r s_c = 1: x = -y
-                    if x.numerator != -y.numerator or x.denominator != y.denominator:
-                        return False
-                elif x != y:
-                    return False
-        return True
-
-    def unimodular(self) -> bool:
-        return self.lam == -sum(self.A[i][i] for i in range(len(self.A)))
 
 
 def almost_abelian_algebra(data: AlmostAbelianData) -> tuple[LieAlgebraSpec, Matrix]:
@@ -264,74 +199,6 @@ def almost_abelian_equations(data: AlmostAbelianData) -> list[ComplexForm]:
         form = form + (lead ^ tail)
         out.append(form)
     return out
-
-
-@dataclass
-class KahlerDecision:
-    value: bool
-    adapted: bool
-    reason: str
-    absorb: list[Fraction] | None = None
-    min_poly: list[str] | None = None
-    char_poly_a: list[str] | None = None
-
-    def __bool__(self):
-        return self.value
-
-
-def kahler_decision_almost_abelian(data: AlmostAbelianData) -> KahlerDecision:
-    """Decide whether the structure admits a compatible Kahler metric.
-
-    Fast path: the given basis is already adapted (A antisymmetric,
-    J-commuting, with v absorbed by the rank condition).  Otherwise the full
-    action matrix C = (lam 0 // v A) is compared against the antisymmetric
-    block model by rational canonical data: C similar to lam + antisymmetric
-    iff its minimal polynomial is squarefree and the spectrum of A is purely
-    imaginary; both are decided without radicals.
-    """
-    if not data.integrable():
-        raise InadmissibleParameters("A does not commute with the restricted J")
-    if not data.unimodular():
-        raise InadmissibleParameters("decision requires a unimodular algebra")
-    size = 2 * data.n - 2
-    a = data.A
-    antisym = all(a[i][j] == -a[j][i] for i in range(size) for j in range(size))
-    if antisym:
-        # try to absorb v: (A - lam) u = -v
-        shifted = [
-            [a[i][j] - (data.lam if i == j else 0) for j in range(size)] for i in range(size)
-        ]
-        u = solve(shifted, [-x for x in data.v])
-        if u is not None:
-            return KahlerDecision(
-                True,
-                adapted=True,
-                reason="A antisymmetric and J-commuting; v absorbed",
-                absorb=u,
-            )
-    c_full = [[Fraction(0)] * (size + 1) for _ in range(size + 1)]
-    c_full[0][0] = data.lam
-    for i in range(size):
-        c_full[i + 1][0] = data.v[i]
-        for j in range(size):
-            c_full[i + 1][j + 1] = a[i][j]
-    mp = minimal_poly(c_full)
-    cp_a = char_poly(a)
-    semisimple = is_squarefree(mp)
-    imag = all_roots_purely_imaginary(cp_a)
-    value = semisimple and imag
-    reason = (
-        "action matrix similar to lam + antisymmetric block"
-        if value
-        else ("minimal polynomial not squarefree" if not semisimple else "spectrum of A leaves the imaginary axis")
-    )
-    return KahlerDecision(
-        value,
-        adapted=False,
-        reason=reason,
-        min_poly=[str(c) for c in mp],
-        char_poly_a=[str(c) for c in cp_a],
-    )
 
 
 # -- named examples -------------------------------------------------------------------

@@ -4,7 +4,8 @@ Subcommands: validate, classify, find, obstruct, restrict, quotient,
 aab-kahler, verify, catalog.  Exit codes: 0 for a definitive verdict
 (FOUND / REFUTED / true / false / valid certificate), 2 for INCONCLUSIVE,
 1 for input errors.  JSON reports embed full certificates so `pkl verify`
-can re-check them with exact arithmetic only.
+can re-check them with exact arithmetic only.  Each command imports the
+engine modules it runs in its own body, so a cold start loads no others.
 """
 
 from __future__ import annotations
@@ -14,43 +15,14 @@ import json
 import os
 import re
 import sys
-from .catalog import (
-    AlmostAbelianData,
-    InadmissibleParameters,
-    kahler_decision_almost_abelian,
-    named_example,
-    registry,
-)
-from .cxstruct import (
-    ComplexStructureSpec,
-    ascending_series,
-    b_extension_quotient,
-    restrict_to_jinvariant_ideal,
-    struct_from_json,
-    struct_to_json,
-)
-from .exterior import (
-    ComplexForm,
-    form_from_json,
-    form_to_json,
-    form_to_literal,
-    one_form,
-    parse_form,
-)
-from .liealg import algebra_from_json, algebra_invariants
-from .linalg import mat_from_json
-from .pkahler import (
-    ObstructionRejected,
-    PKVerdict,
-    find_pkahler,
-    obstruction_check,
-    obstruction_search,
-    closed_coframe_obstruction,
-    verify_obstruction,
-    verify_report,
-)
-from .positivity import SearchBudget
+from typing import TYPE_CHECKING
+
 from .scalars import json_int, parse_fraction
+
+if TYPE_CHECKING:
+    from .cxstruct import ComplexStructureSpec
+    from .exterior import ComplexForm
+    from .positivity import SearchBudget
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,13 +46,17 @@ def _load_json(path: str):
 
 def load_structure(args) -> ComplexStructureSpec:
     if args.catalog:
+        from .catalog import named_example
+
         try:
             return named_example(args.catalog)
-        except (KeyError, InadmissibleParameters) as exc:
+        except KeyError as exc:
             raise InputError(str(exc)) from exc
     if not args.infile:
         raise InputError("need --catalog NAME or --in FILE")
     data = _load_json(args.infile)
+    from . import cxstruct, exterior, liealg, linalg
+
     try:
         if "dalpha" in data and isinstance(data["dalpha"], dict):
             raw_params = data.get("params", {})
@@ -101,49 +77,23 @@ def load_structure(args) -> ComplexStructureSpec:
             beyond = sorted(j for j in literals if j > n)
             if beyond:
                 raise InputError(f"dalpha key a{beyond[0]} is out of range 1..{n}")
-            equations = [parse_form(literals.get(j, "0"), n, params) for j in range(1, n + 1)]
-            return ComplexStructureSpec.from_equations(equations)
+            texts = [literals.get(j, "0") for j in range(1, n + 1)]
+            equations = [exterior.parse_form(text, n, params) for text in texts]
+            return cxstruct.ComplexStructureSpec.from_equations(equations)
         if "algebra" in data:
-            return struct_from_json(data)
+            return cxstruct.struct_from_json(data)
         if "J" in data:
-            g = algebra_from_json(data)
-            J = mat_from_json(data["J"], g.dim, g.dim, "J")
-            return ComplexStructureSpec.from_matrix(g, J)
+            g = liealg.algebra_from_json(data)
+            J = linalg.mat_from_json(data["J"], g.dim, g.dim, "J")
+            return cxstruct.ComplexStructureSpec.from_matrix(g, J)
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     raise InputError("unrecognized input format")
 
 
-def load_almost_abelian(args) -> AlmostAbelianData:
-    if not args.infile:
-        raise InputError("aab-kahler needs --in FILE with almost_abelian data")
-    data = _load_json(args.infile)
-    return almost_abelian_from_json(data.get("almost_abelian", data))
-
-
-def almost_abelian_from_json(body) -> AlmostAbelianData:
-    """The {n, lambda, v, A} object that aab-kahler reads and writes."""
-    if not isinstance(body, dict):
-        raise InputError("almost_abelian data must be an object with n, lambda, v and A")
-    n, v, a = body.get("n"), body.get("v"), body.get("A")
-    if type(n) is not int or n < 1:
-        raise InputError(f"almost_abelian n must be a positive integer, got {n!r}")
-    if not isinstance(v, list):
-        raise InputError("almost_abelian v must be a list of rationals")
-    if not isinstance(a, list) or not all(isinstance(row, list) for row in a):
-        raise InputError("almost_abelian A must be a list of rows of rationals")
-    try:
-        return AlmostAbelianData(
-            n,
-            parse_fraction(body.get("lambda", body.get("lam", 0))),
-            [parse_fraction(x) for x in v],
-            [[parse_fraction(x) for x in row] for row in a],
-        )
-    except ValueError as exc:
-        raise InputError(f"bad almost_abelian payload: {exc}") from exc
-
-
 def budget_from(args) -> SearchBudget:
+    from .positivity import SearchBudget
+
     seed = args.seed
     env_seed = os.environ.get("PKL_SEED")
     if env_seed is not None:
@@ -163,6 +113,8 @@ def emit(
     if args.format == "json":
         report = {"tool": "pkl", "command": args.command, **report}
         if struct is not None:
+            from .cxstruct import struct_to_json
+
             report["input"] = struct_to_json(struct)
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     else:
@@ -177,6 +129,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .cxstruct import ascending_series
+    from .liealg import algebra_invariants
+
     struct = load_structure(args)
     inv = algebra_invariants(struct.g)
     lines = [
@@ -201,6 +156,8 @@ def cmd_classify(args) -> int:
             f"structure class: {series.classification.value}; series dims {series.dims}"
         )
         if series.classification.value == "NILPOTENT":
+            from .pkahler import closed_coframe_obstruction
+
             res = closed_coframe_obstruction(struct)
             report["closed_coframe_count"] = res.t
             report["forbidden_p"] = res.forbidden_p
@@ -214,6 +171,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_find(args) -> int:
+    from .exterior import form_to_literal
+    from .pkahler import PKVerdict, find_pkahler
+
     struct = load_structure(args)
     budget = budget_from(args)
     rep = find_pkahler(struct, args.p, budget)
@@ -232,6 +192,9 @@ def cmd_find(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
+    from .exterior import form_to_literal, parse_form
+    from .pkahler import ObstructionRejected, obstruction_check, obstruction_search
+
     struct = load_structure(args)
     if args.beta:
         beta = parse_form(args.beta, struct.n)
@@ -265,10 +228,15 @@ def cmd_obstruct(args) -> int:
 def _load_omega(args, struct) -> ComplexForm:
     if not args.omega:
         raise InputError("need --omega FORM (compact literal syntax)")
+    from .exterior import parse_form
+
     return parse_form(args.omega, struct.n)
 
 
 def cmd_restrict(args) -> int:
+    from .cxstruct import restrict_to_jinvariant_ideal, struct_to_json
+    from .exterior import form_to_json, form_to_literal, one_form, parse_form
+
     struct = load_structure(args)
     omega = _load_omega(args, struct)
     if args.alpha:
@@ -302,6 +270,9 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .cxstruct import b_extension_quotient, struct_to_json
+    from .exterior import form_to_json, form_to_literal
+
     struct = load_structure(args)
     omega = _load_omega(args, struct)
     res = b_extension_quotient(struct, omega, args.p)
@@ -327,28 +298,13 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_aab_kahler(args) -> int:
-    data = load_almost_abelian(args)
-    try:
-        dec = kahler_decision_almost_abelian(data)
-    except InadmissibleParameters as exc:
-        raise InputError(str(exc)) from exc
-    report = {
-        "almost_abelian": {
-            "n": data.n,
-            "lambda": str(data.lam),
-            "v": [str(x) for x in data.v],
-            "A": [[str(x) for x in row] for row in data.A],
-        },
-        "kahler": dec.value,
-        "adapted": dec.adapted,
-        "reason": dec.reason,
-    }
-    if dec.absorb is not None:
-        report["absorb"] = [str(x) for x in dec.absorb]
-    if dec.min_poly is not None:
-        report["min_poly"] = dec.min_poly
-        report["char_poly_A"] = dec.char_poly_a
-    emit(args, report, [f"kahler: {dec.value}", f"reason: {dec.reason}"])
+    from .almost_abelian import almost_abelian_from_json, decision_report
+
+    if not args.infile:
+        raise InputError("aab-kahler needs --in FILE with almost_abelian data")
+    data = _load_json(args.infile)
+    report = decision_report(almost_abelian_from_json(data.get("almost_abelian", data)))
+    emit(args, report, [f"kahler: {report['kahler']}", f"reason: {report['reason']}"])
     return EXIT_OK
 
 
@@ -365,14 +321,26 @@ def cmd_verify(args) -> int:
 def _verify(data: dict) -> int:
     command = data.get("command")
     if command == "aab-kahler":
-        recomputed = kahler_decision_almost_abelian(
-            almost_abelian_from_json(data["almost_abelian"])
+        from .almost_abelian import almost_abelian_from_json, decision_report
+
+        body = decision_report(almost_abelian_from_json(data["almost_abelian"]))
+        want = {key: json.dumps(value, sort_keys=True) for key, value in body.items()}
+        got = {
+            key: json.dumps(value, sort_keys=True)
+            for key, value in data.items()
+            if key not in ("tool", "command")
+        }
+        return _outcome(
+            [
+                f"stored {key} does not match the recomputation"
+                for key in sorted(want.keys() | got.keys())
+                if want.get(key) != got.get(key)
+            ]
         )
-        if recomputed.value != data.get("kahler"):
-            sys.stdout.write("FAIL: stored verdict does not match the recomputation\n")
-            return EXIT_INPUT
-        sys.stdout.write("certificate verified (exact arithmetic)\n")
-        return EXIT_OK
+    from .cxstruct import b_extension_quotient, restrict_to_jinvariant_ideal, struct_from_json
+    from .exterior import form_from_json, form_to_json
+    from .pkahler import verify_obstruction, verify_report
+
     try:
         struct = struct_from_json(data["input"])
     except (KeyError, ValueError) as exc:
@@ -399,15 +367,21 @@ def _verify(data: dict) -> int:
         pass  # reconstruction above already re-validated everything
     else:
         raise InputError(f"no verifier for command {command!r}")
+    return _outcome(failures)
+
+
+def _outcome(failures: list[str]) -> int:
+    for f in failures:
+        sys.stdout.write(f"FAIL: {f}\n")
     if failures:
-        for f in failures:
-            sys.stdout.write(f"FAIL: {f}\n")
         return EXIT_INPUT
     sys.stdout.write("certificate verified (exact arithmetic)\n")
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import registry
+
     entries = registry()
     report = {"entries": entries}
     lines = [f"{name}: {desc}" for name, desc in entries.items()]

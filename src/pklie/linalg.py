@@ -317,7 +317,9 @@ def inverse(m: Matrix) -> Matrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("only a square matrix has an inverse")
-    unit = identity(n, _one_like(m))
+    # an int matrix gets an int identity, so [m | I] stays on the int path
+    ints = all(type(x) is int for x in chain.from_iterable(m))
+    unit = identity(n, 1 if ints else _one_like(m))
     aug = [list(m[i]) + unit[i] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

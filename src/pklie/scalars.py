@@ -396,6 +396,11 @@ def parse_fraction(text) -> Fraction:
     return value.re
 
 
+def as_fraction(x) -> Fraction:
+    """A Fraction from a number, or from a rational literal such as '-3/2'."""
+    return parse_fraction(x) if isinstance(x, str) else Fraction(x)
+
+
 # -- JSON scalars --------------------------------------------------------------
 
 

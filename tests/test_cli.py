@@ -720,6 +720,81 @@ def test_malformed_almost_abelian_input_rejected(tmp_path, capsys, edit):
     _assert_input_error(["verify", str(path)], capsys)
 
 
+# A = diag(1, -1, -1, 1) commutes with J and has trace 0 but is not
+# antisymmetric: decided by the minimal and characteristic polynomials.
+_AAB_POLY = {
+    "n": 3,
+    "lambda": "0",
+    "v": ["1", "0", "0", "2"],
+    "A": [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "1"]],
+}
+
+
+def _without_lambda(**extra):
+    return {**{k: v for k, v in _AAB.items() if k != "lambda"}, **extra}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [_without_lambda(lamda="1"), _without_lambda(), {**_AAB, "J": []}, _without_lambda(lam="0")],
+    ids=["misspelled_lambda", "missing_lambda", "extra_key", "lam_alias"],
+)
+def test_almost_abelian_payload_keys_are_exact(tmp_path, capsys, payload):
+    path = tmp_path / "aab.json"
+    path.write_text(json.dumps({"almost_abelian": payload}))
+    _assert_input_error(["aab-kahler", "--in", str(path)], capsys)
+    path.write_text(json.dumps({"almost_abelian": _AAB}))
+    assert main(["aab-kahler", "--in", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["almost_abelian"] = payload
+    path.write_text(json.dumps(report))
+    _assert_input_error(["verify", str(path)], capsys)
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "payload, field, value",
+    [
+        (_AAB, "absorb", ["9", "0", "0", "0"]),
+        (_AAB, "reason", "minimal polynomial not squarefree"),
+        (_AAB, "adapted", False),
+        (_AAB, "kahler", 1),
+        (_AAB, "min_poly", ["0", "1"]),
+        (_AAB, "absorb", _DROP),
+        (_AAB_POLY, "min_poly", ["0", "1"]),
+        (_AAB_POLY, "char_poly_A", ["1", "0", "1"]),
+        (_AAB_POLY, "reason", "action matrix similar to lam + antisymmetric block"),
+        (_AAB_POLY, "adapted", True),
+        (_AAB_POLY, "kahler", True),
+        (_AAB_POLY, "absorb", ["0", "0", "0", "0"]),
+        (_AAB_POLY, "char_poly_A", _DROP),
+    ],
+    ids=[
+        "adapted-absorb", "adapted-reason", "adapted-adapted", "adapted-kahler_as_int",
+        "adapted-min_poly_added", "adapted-absorb_dropped", "poly-min_poly", "poly-char_poly_A",
+        "poly-reason", "poly-adapted", "poly-kahler", "poly-absorb_added", "poly-char_poly_A_dropped",
+    ],
+)
+def test_verify_checks_every_aab_kahler_field(tmp_path, capsys, payload, field, value):
+    path = tmp_path / "aab.json"
+    path.write_text(json.dumps({"almost_abelian": payload}))
+    assert main(["aab-kahler", "--in", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert ("absorb" in report) is (payload is _AAB)
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    if value is _DROP:
+        del report[field]
+    else:
+        report[field] = value
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL: stored {field} does not match the recomputation\n"
+
+
 _KT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "kt.p1.json")
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from pklie.linalg import inverse, kernel, rref, solve
+from pklie import linalg
+from pklie.linalg import identity, inverse, kernel, rref, solve
 from pklie.scalars import GaussianRational, I
 
 
@@ -62,3 +63,35 @@ def test_a_gaussian_entry_after_an_int_gives_gaussian_results():
     (vec,) = kernel(m)
     assert vec == [Fraction(-1, 2), GaussianRational(0, Fraction(-1, 2)), 1]
     assert all(type(x) is GaussianRational for x in vec)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[2, 1, 0], [1, 3, -1], [0, -1, 4]],
+        [[Fraction(1, 2), 1], [3, Fraction(-2, 3)]],
+        [[I, 1], [GaussianRational(2, 1), Fraction(1, 3)]],
+    ],
+    ids=["int", "fraction", "gaussian"],
+)
+def test_inverse_equals_the_reduction_against_an_identity_in_the_field(m):
+    n = len(m)
+    unit = identity(n, linalg._one_like(m))
+    red, _ = rref([row + unit[i] for i, row in enumerate(m)])
+    expected = [row[n:] for row in red]
+    inv = inverse(m)
+    assert inv == expected
+    assert [list(map(type, row)) for row in inv] == [list(map(type, row)) for row in expected]
+
+
+def test_inverse_of_an_int_matrix_clears_only_int_rows(monkeypatch):
+    kinds = []
+    clear = linalg._integers
+
+    def spy(row):
+        kinds.append(set(map(type, row.values())))
+        return clear(row)
+
+    monkeypatch.setattr(linalg, "_integers", spy)
+    assert inverse([[2, 1], [1, 3]]) == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
+    assert kinds and all(k == {int} for k in kinds)
