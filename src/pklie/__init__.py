@@ -33,6 +33,7 @@ _EXPORTS = {
         "ascending_series",
         "b_extension_quotient",
         "check_integrability",
+        "closed_coframe_obstruction",
         "restrict_to_jinvariant_ideal",
         "triangular_coframe",
     ),
@@ -50,7 +51,6 @@ _EXPORTS = {
         "ObstructionCertificate",
         "PKVerdict",
         "PKahlerReport",
-        "closed_coframe_obstruction",
         "closed_pp_space",
         "find_pkahler",
         "obstruction_check",

@@ -7,7 +7,7 @@ families enforce exactly the admissible parameter tuples.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 # The almost-abelian data, the Kahler decision and the exception live in the
 # light module `almost_abelian`; they are re-exported here.
@@ -17,8 +17,8 @@ from .almost_abelian import (
     KahlerDecision,
     kahler_decision_almost_abelian,
 )
-from .cxstruct import ComplexStructureSpec
-from .exterior import ComplexForm, monomial, parse_form
+from .cxstruct import ComplexStructureSpec, equations_from_literals
+from .exterior import ComplexForm, monomial
 from .liealg import LieAlgebraSpec, from_bracket_list
 from .linalg import Matrix, gr, zeros
 from .scalars import GaussianRational, I, ONE, as_fraction
@@ -204,87 +204,43 @@ def almost_abelian_equations(data: AlmostAbelianData) -> list[ComplexForm]:
 # -- named examples -------------------------------------------------------------------
 
 
-def _torus(n: int) -> ComplexStructureSpec:
-    return ComplexStructureSpec.from_equations([ComplexForm.zero(n)] * n)
-
-
-def _equations(n: int, texts: Mapping[int, str]) -> list[ComplexForm]:
-    return [parse_form(texts.get(j, "0"), n) for j in range(1, n + 1)]
-
-
-_REGISTRY: dict[str, tuple[str, callable]] = {}
-
-
-def _register(name: str, description: str):
-    def wrap(fn):
-        _REGISTRY[name] = (description, fn)
-        return fn
-
-    return wrap
-
-
-@_register("torus2", "abelian R^4 with the standard structure")
-def _torus2():
-    return _torus(2)
-
-
-@_register("torus3", "abelian R^6 with the standard structure")
-def _torus3():
-    return _torus(3)
-
-
-@_register("torus4", "abelian R^8 with the standard structure")
-def _torus4():
-    return _torus(4)
-
-
-@_register("kt", "Kodaira-Thurston: d a^2 = a^{1,1b} (nilpotent structure on h3 + R)")
-def _kt():
-    return ComplexStructureSpec.from_equations(_equations(2, {2: "a1_b1"}))
-
-
-@_register("iwasawa", "complex Heisenberg: d a^3 = a^{12}")
-def _iwasawa():
-    return ComplexStructureSpec.from_equations(_equations(3, {3: "a12"}))
-
-
-@_register("h5r", "d a^3 = a^{1,1b} + a^{2,2b} on six real dimensions")
-def _h5r():
-    return ComplexStructureSpec.from_equations(_equations(3, {3: "a1_b1 + a2_b2"}))
-
-
-@_register("qn8a", "central plane extension of C^3 with d a^4 = a^{12}")
-def _qn8a():
-    return ComplexStructureSpec.from_equations(_equations(4, {4: "a12"}))
-
-
-@_register("qn8b", "central plane extension of C^3 with d a^4 = a^{1,1b} + a^{2,2b}")
-def _qn8b():
-    return ComplexStructureSpec.from_equations(_equations(4, {4: "a1_b1 + a2_b2"}))
-
-
-@_register("qn8c", "central plane extension of C^3 with d a^4 = a^{1,2b}")
-def _qn8c():
-    return ComplexStructureSpec.from_equations(_equations(4, {4: "a1_b2"}))
-
-
-@_register("iwasawa_x_c", "complex Heisenberg times C")
-def _iwasawa_x_c():
-    return ComplexStructureSpec.from_equations(_equations(4, {3: "a12"}))
+# name -> (description, n, structure equations as {"aN": literal}; a missing
+# key is d a^N = 0)
+_NAMED: dict[str, tuple[str, int, dict[str, str]]] = {
+    "torus2": ("abelian R^4 with the standard structure", 2, {}),
+    "torus3": ("abelian R^6 with the standard structure", 3, {}),
+    "torus4": ("abelian R^8 with the standard structure", 4, {}),
+    "kt": (
+        "Kodaira-Thurston: d a^2 = a^{1,1b} (nilpotent structure on h3 + R)",
+        2,
+        {"a2": "a1_b1"},
+    ),
+    "iwasawa": ("complex Heisenberg: d a^3 = a^{12}", 3, {"a3": "a12"}),
+    "h5r": ("d a^3 = a^{1,1b} + a^{2,2b} on six real dimensions", 3, {"a3": "a1_b1 + a2_b2"}),
+    "qn8a": ("central plane extension of C^3 with d a^4 = a^{12}", 4, {"a4": "a12"}),
+    "qn8b": (
+        "central plane extension of C^3 with d a^4 = a^{1,1b} + a^{2,2b}",
+        4,
+        {"a4": "a1_b1 + a2_b2"},
+    ),
+    "qn8c": ("central plane extension of C^3 with d a^4 = a^{1,2b}", 4, {"a4": "a1_b2"}),
+    "iwasawa_x_c": ("complex Heisenberg times C", 4, {"a3": "a12"}),
+}
 
 
 def named_example(name: str) -> ComplexStructureSpec:
-    entry = _REGISTRY.get(name)
+    entry = _NAMED.get(name)
     if entry is None:
         parsed = parse_catalog_name(name)
         if parsed is None:
             raise KeyError(f"unknown catalog name {name!r}")
         return parsed
-    return entry[1]()
+    _, n, literals = entry
+    return ComplexStructureSpec.from_equations(equations_from_literals(literals, n))
 
 
 def registry() -> dict[str, str]:
-    return {name: desc for name, (desc, _) in sorted(_REGISTRY.items())}
+    return {name: desc for name, (desc, _, _) in sorted(_NAMED.items())}
 
 
 def parse_catalog_name(name: str) -> ComplexStructureSpec | None:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from typing import TYPE_CHECKING
 
-from .scalars import json_int, parse_fraction
+from .scalars import json_int
 
 if TYPE_CHECKING:
     from .cxstruct import ComplexStructureSpec
@@ -55,40 +54,12 @@ def load_structure(args) -> ComplexStructureSpec:
     if not args.infile:
         raise InputError("need --catalog NAME or --in FILE")
     data = _load_json(args.infile)
-    from . import cxstruct, exterior, liealg, linalg
+    from .cxstruct import struct_from_payload
 
     try:
-        if "dalpha" in data and isinstance(data["dalpha"], dict):
-            raw_params = data.get("params", {})
-            if not isinstance(raw_params, dict):
-                raise InputError("params must be an object of name: value pairs")
-            params = {name: parse_fraction(value) for name, value in raw_params.items()}
-            literals = {}
-            for key, text in data["dalpha"].items():
-                match = re.fullmatch(r"a([1-9][0-9]*)", key)
-                if match is None:
-                    raise InputError(f"bad dalpha key {key!r}; expected a1, a2, ...")
-                if not isinstance(text, str):
-                    raise InputError(f"dalpha {key} must be a form literal string")
-                literals[int(match.group(1))] = text
-            n = data.get("n", max(literals, default=0))
-            if type(n) is not int or n < 1:
-                raise InputError(f"n must be a positive integer, got {n!r}")
-            beyond = sorted(j for j in literals if j > n)
-            if beyond:
-                raise InputError(f"dalpha key a{beyond[0]} is out of range 1..{n}")
-            texts = [literals.get(j, "0") for j in range(1, n + 1)]
-            equations = [exterior.parse_form(text, n, params) for text in texts]
-            return cxstruct.ComplexStructureSpec.from_equations(equations)
-        if "algebra" in data:
-            return cxstruct.struct_from_json(data)
-        if "J" in data:
-            g = liealg.algebra_from_json(data)
-            J = linalg.mat_from_json(data["J"], g.dim, g.dim, "J")
-            return cxstruct.ComplexStructureSpec.from_matrix(g, J)
+        return struct_from_payload(data)
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
-    raise InputError("unrecognized input format")
 
 
 def budget_from(args) -> SearchBudget:
@@ -129,7 +100,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .cxstruct import ascending_series
+    from .cxstruct import ascending_series, closed_coframe_obstruction
     from .liealg import algebra_invariants
 
     struct = load_structure(args)
@@ -156,8 +127,6 @@ def cmd_classify(args) -> int:
             f"structure class: {series.classification.value}; series dims {series.dims}"
         )
         if series.classification.value == "NILPOTENT":
-            from .pkahler import closed_coframe_obstruction
-
             res = closed_coframe_obstruction(struct)
             report["closed_coframe_count"] = res.t
             report["forbidden_p"] = res.forbidden_p

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -25,12 +26,14 @@ from .exterior import (
     generator,
     monomial,
     one_form,
+    parse_form,
     substitute,
     wedge,
 )
 from .liealg import (
     InvalidAlgebraError,
     LieAlgebraSpec,
+    algebra_from_json,
     coframe_differentials,
     _int_row,
     ensure_valid,
@@ -54,7 +57,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .scalars import I, ONE, ZERO, _reduced
+from .scalars import I, ONE, ZERO, _reduced, parse_fraction
 
 
 class NonIntegrableError(ValueError):
@@ -469,7 +472,6 @@ def struct_to_json(struct: ComplexStructureSpec) -> dict:
 def struct_from_json(data) -> ComplexStructureSpec:
     """Rebuild and revalidate a serialized structure; equations must agree."""
     from .exterior import form_from_json
-    from .liealg import algebra_from_json
 
     if not isinstance(data, dict):
         raise ValueError("a structure must be a JSON object")
@@ -484,6 +486,54 @@ def struct_from_json(data) -> ComplexStructureSpec:
     if stored != struct.equations:
         raise ValueError("stored structure equations do not match the algebra")
     return struct
+
+
+def equations_from_literals(literals, n=None, params=None) -> list[ComplexForm]:
+    """Structure equations from form literals keyed "a1", "a2", ...
+
+    A missing key up to n is d a^j = 0; n defaults to the largest key.
+    `params` maps parameter names to the rational values the literals use.
+    """
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError("params must be an object of name: value pairs")
+    for name in params:
+        if name == "i":
+            raise ValueError("a parameter may not be named i, the imaginary unit")
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            raise ValueError(f"bad parameter name {name!r}; expected an identifier")
+    values = {name: parse_fraction(value) for name, value in params.items()}
+    texts = {}
+    for key, text in literals.items():
+        match = re.fullmatch(r"a([1-9][0-9]*)", key)
+        if match is None:
+            raise ValueError(f"bad dalpha key {key!r}; expected a1, a2, ...")
+        if not isinstance(text, str):
+            raise ValueError(f"dalpha {key} must be a form literal string")
+        texts[int(match.group(1))] = text
+    if n is None:
+        n = max(texts, default=0)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    beyond = sorted(j for j in texts if j > n)
+    if beyond:
+        raise ValueError(f"dalpha key a{beyond[0]} is out of range 1..{n}")
+    return [parse_form(texts.get(j, "0"), n, values) for j in range(1, n + 1)]
+
+
+def struct_from_payload(data: dict) -> ComplexStructureSpec:
+    """A structure from an input payload, in the first format it matches:
+    a `dalpha` object of literals (with optional `n` and `params`), a
+    serialized structure (`algebra`), or an algebra with a matrix `J`."""
+    if isinstance(data.get("dalpha"), dict):
+        equations = equations_from_literals(data["dalpha"], data.get("n"), data.get("params"))
+        return ComplexStructureSpec.from_equations(equations)
+    if "algebra" in data:
+        return struct_from_json(data)
+    if "J" in data:
+        g = algebra_from_json(data)
+        return ComplexStructureSpec.from_matrix(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
+    raise ValueError("unrecognized input format")
 
 
 def check_integrability(g: LieAlgebraSpec, J: Sequence[Sequence]) -> IntegrabilityResult:
@@ -566,6 +616,24 @@ def ascending_series(struct: ComplexStructureSpec) -> AscendingSeries:
     else:
         classification = JClass.WEAKLY_NON_NILPOTENT
     return AscendingSeries(chain, dims, stab, classification)
+
+
+@dataclass
+class CoframeClosureResult:
+    t: int
+    forbidden_p: int | None
+
+
+def closed_coframe_obstruction(struct: ComplexStructureSpec) -> CoframeClosureResult:
+    """Count of closed coframe elements t; degree n-t admits no structure.
+
+    Defined for nilpotent complex structures on nilpotent algebras.
+    """
+    if ascending_series(struct).classification != JClass.NILPOTENT:
+        raise InvalidAlgebraError("closure obstruction needs a nilpotent complex structure")
+    t = len(struct.closed_10_forms())
+    forbidden = struct.n - t
+    return CoframeClosureResult(t, forbidden if forbidden >= 1 else None)
 
 
 # -- triangular coframe (closed forms first) --------------------------------------
@@ -655,9 +723,6 @@ def in_coframe_ideal(form: ComplexForm, first: int) -> bool:
 class Restriction:
     sub: ComplexStructureSpec
     omega_h: ComplexForm
-    eta: ComplexForm
-    theta: ComplexForm
-    transform: Matrix
 
 
 def _complete_row_to_basis(row: Vector, n: int) -> Matrix:
@@ -689,44 +754,21 @@ def _transform_struct_forms(struct: ComplexStructureSpec, transform: Matrix):
     return equations, to_new
 
 
-def _strip_index(f: ComplexForm, idx: int, n_new: int, relabel) -> ComplexForm:
-    """Drop terms containing idx and relabel the rest via `relabel`."""
-    out = ComplexForm.zero(n_new)
-    for (holo, anti), c in f.terms.items():
-        if idx in holo or idx in anti:
-            continue
-        out = out + monomial(
-            n_new, tuple(relabel(j) for j in holo), tuple(relabel(j) for j in anti), c
-        )
-    return out
+def _strip_index(f: ComplexForm, idx: int) -> ComplexForm:
+    """Drop the terms containing a^idx or its conjugate; a^j for j > idx
+    becomes a^(j-1)."""
 
+    def relabel(js):
+        return tuple(j - (j > idx) for j in js)
 
-def _extract_factor(f: ComplexForm, idx: int, holo_side: bool, anti_side: bool, left: bool):
-    """Write the idx-carrying part of f as factor ^ rest (or rest ^ factor).
-
-    Returns the coefficient form `rest` such that wedging it with the fixed
-    factor (a^idx, conj, or i a^{idx,idxb}) reproduces exactly those terms.
-    """
-    n = f.n
-    if holo_side and anti_side:
-        factor = monomial(n, (idx,), (idx,), I)
-    elif holo_side:
-        factor = monomial(n, (idx,))
-    else:
-        factor = monomial(n, anti=(idx,))
-    rest = ComplexForm.zero(n)
-    for (holo, anti), c in f.terms.items():
-        if (idx in holo) != holo_side or (idx in anti) != anti_side:
-            continue
-        reduced = MultiIndex(
-            tuple(j for j in holo if not (holo_side and j == idx)),
-            tuple(j for j in anti if not (anti_side and j == idx)),
-        )
-        mono = ComplexForm(n, {reduced: ONE})
-        probe = wedge(factor, mono) if left else wedge(mono, factor)
-        scale = probe.terms[MultiIndex(holo, anti)]
-        rest = rest + mono * (c / scale)
-    return rest
+    return ComplexForm(
+        f.n - 1,
+        {
+            MultiIndex(relabel(holo), relabel(anti)): c
+            for (holo, anti), c in f.terms.items()
+            if idx not in holo and idx not in anti
+        },
+    )
 
 
 def restrict_to_jinvariant_ideal(
@@ -735,8 +777,8 @@ def restrict_to_jinvariant_ideal(
     """Restriction to the J-invariant codimension-2 ideal dual to a closed a^1.
 
     The closed (1,0)-form alpha becomes the first coframe element; the ideal
-    h annihilates alpha and its conjugate, and omega splits as
-    omega_h + a^1 ^ eta + conj + i a^{1,1b} ^ theta.
+    h annihilates alpha and its conjugate, and omega_h is the part of omega
+    free of a^1 and its conjugate, on the coframe of h.
     """
     n = struct.n
     if alpha.is_zero():
@@ -748,34 +790,15 @@ def restrict_to_jinvariant_ideal(
     if not omega.is_real():
         raise ValueError("omega must be real")
     row = [alpha.terms.get(MultiIndex((j,), ()), ZERO) for j in range(1, n + 1)]
-    transform = _complete_row_to_basis(row, n)
-    equations, to_new = _transform_struct_forms(struct, transform)
-
-    def relabel(j: int) -> int:
-        return j - 1
-
-    sub_equations = [
-        _strip_index(equations[j], 1, n - 1, relabel) for j in range(1, n)
-    ]
-    sub = ComplexStructureSpec.from_equations(sub_equations)
-
-    omega_new = to_new(omega)
-    omega_h = _strip_index(omega_new, 1, n - 1, relabel)
-    eta_full = _extract_factor(omega_new, 1, True, False, left=True)
-    theta_full = _extract_factor(omega_new, 1, True, True, left=True)
-    eta = _strip_index(eta_full, 1, n - 1, relabel)
-    theta = _strip_index(theta_full, 1, n - 1, relabel)
-    return Restriction(sub, omega_h, eta, theta, transform)
+    equations, to_new = _transform_struct_forms(struct, _complete_row_to_basis(row, n))
+    sub = ComplexStructureSpec.from_equations([_strip_index(eq, 1) for eq in equations[1:]])
+    return Restriction(sub, _strip_index(to_new(omega), 1))
 
 
 @dataclass
 class BExtension:
     quotient: ComplexStructureSpec
     omega: ComplexForm  # coefficient of i a^{n,nb}; the (p-1,p-1) descent
-    omega_k: ComplexForm
-    eta: ComplexForm
-    plane: Matrix  # real basis of the central J-invariant plane
-    transform: Matrix
 
 
 def b_extension_quotient(
@@ -784,9 +807,9 @@ def b_extension_quotient(
     """Quotient by a central J-invariant plane inside the first series term.
 
     Requires a quasi-nilpotent structure.  The last coframe element spans the
-    plane's (1,0)-dual; omega decomposes as
-    omega_k + eta ^ a^n + conj(eta) ^ conj(a^n) + omega' ^ i a^{n,nb}
-    and omega' is returned on the quotient coframe.
+    plane's (1,0)-dual; omega' is the form on the quotient coframe with
+    omega' ^ i a^{n,nb} equal to the terms of omega that hold both a^n and
+    conj a^n.
     """
     n = struct.n
     if not 1 <= p <= n:
@@ -800,8 +823,6 @@ def b_extension_quotient(
     if omega.bidegrees() not in ({(p, p)}, set()):
         raise ValueError(f"omega must be a real ({p},{p})-form")
     x = [c.re for c in first[0]]
-    jx = struct.j_apply(x)
-    plane = mat_from_rows([x, jx])
 
     # (1,0)-forms vanishing on the plane: single linear condition
     u = [
@@ -814,25 +835,17 @@ def b_extension_quotient(
     pivot = next(j for j, c in enumerate(u) if not c.is_zero())
     last = [ZERO] * n
     last[pivot] = ONE / u[pivot]
-    transform = [list(v) for v in vanish] + [last]
-    equations, to_new = _transform_struct_forms(struct, transform)
-
-    def relabel(j: int) -> int:
-        return j
-
-    sub_equations = []
-    for j in range(n - 1):
-        eq = equations[j]
+    equations, to_new = _transform_struct_forms(struct, [list(v) for v in vanish] + [last])
+    for eq in equations[:-1]:
         for key in eq.terms:
             if n in key.holo or n in key.anti:
                 raise AssertionError("quotient equations must not touch the plane dual")
-        sub_equations.append(_strip_index(eq, n, n - 1, relabel))
-    quotient = ComplexStructureSpec.from_equations(sub_equations)
+    quotient = ComplexStructureSpec.from_equations([_strip_index(eq, n) for eq in equations[:-1]])
 
-    omega_new = to_new(omega)
-    omega_k = _strip_index(omega_new, n, n - 1, relabel)
-    eta_full = _extract_factor(omega_new, n, True, False, left=False)
-    omega_prime_full = _extract_factor(omega_new, n, True, True, left=False)
-    eta = _strip_index(eta_full, n, n - 1, relabel)
-    omega_prime = _strip_index(omega_prime_full, n, n - 1, relabel)
-    return BExtension(quotient, omega_prime, omega_k, eta, plane, transform)
+    # a^H ^ conj a^A ^ i a^{n,nb} = i (-1)^{|A|} a^{Hn, An}, n being the last index
+    omega_prime = {
+        MultiIndex(holo[:-1], anti[:-1]): c * (-I if len(anti) % 2 else I)
+        for (holo, anti), c in to_new(omega).terms.items()
+        if n in holo and n in anti
+    }
+    return BExtension(quotient, ComplexForm(n - 1, omega_prime))

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .cxstruct import ComplexStructureSpec, ascending_series, JClass
+from .cxstruct import ComplexStructureSpec
 from .exterior import (
     ComplexForm,
     MultiIndex,
@@ -28,7 +28,7 @@ from .exterior import (
     monomial,
     wedge,
 )
-from .liealg import InvalidAlgebraError, is_nilpotent, is_unimodular
+from .liealg import is_unimodular
 from .linalg import gr, same_row_space, solve, sparse_kernel
 from .positivity import (
     SearchBudget,
@@ -335,27 +335,6 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
     if x is None:
         raise AssertionError("no beta reaches the Farkas target; internal error")
     return obstruction_check(struct, p, ComplexForm(n, {key: c for key, c in zip(ansatz, x) if c}))
-
-
-@dataclass
-class CoframeClosureResult:
-    t: int
-    forbidden_p: int | None
-
-
-def closed_coframe_obstruction(struct: ComplexStructureSpec) -> CoframeClosureResult:
-    """Count of closed coframe elements t; degree n-t admits no structure.
-
-    Defined for nilpotent complex structures on nilpotent algebras.
-    """
-    if not is_nilpotent(struct.g):
-        raise InvalidAlgebraError("closure obstruction needs a nilpotent algebra")
-    series = ascending_series(struct)
-    if series.classification != JClass.NILPOTENT:
-        raise InvalidAlgebraError("closure obstruction needs a nilpotent complex structure")
-    t = len(struct.closed_10_forms())
-    forbidden = struct.n - t
-    return CoframeClosureResult(t, forbidden if forbidden >= 1 else None)
 
 
 # -- the main search ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pklie.cxstruct import (
     ComplexStructureSpec,
     ascending_series,
     b_extension_quotient,
+    closed_coframe_obstruction,
     restrict_to_jinvariant_ideal,
 )
 from pklie.exterior import ComplexForm, monomial, parse_form, substitute, wedge
@@ -29,7 +30,6 @@ from pklie.liealg import check_jacobi, d_squared_vanishes, from_bracket_list
 from pklie.linalg import gr, rank
 from pklie.pkahler import (
     PKVerdict,
-    closed_coframe_obstruction,
     find_pkahler,
     obstruction_check,
     verify_report,

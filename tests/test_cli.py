@@ -455,6 +455,8 @@ def _assert_input_error(argv, capsys):
         {"n": -1, "dalpha": {}},
         {"n": 2.5, "dalpha": {"a2": "a1_b1"}},
         {"n": 2, "dalpha": {"a2": "eps a1_b1"}, "params": ["eps"]},
+        {"n": 2, "dalpha": {"a2": "i a1_b1"}, "params": {"i": "2"}},  # used to read i as the imaginary unit
+        {"n": 2, "dalpha": {"a2": "a1_b1"}, "params": {"e ps": "2"}},
         5,
         {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}], "J": _J4[:2]},
         {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}], "J": 5},
@@ -487,6 +489,8 @@ def _assert_input_error(argv, capsys):
         "negative_n",
         "fractional_n",
         "params_not_an_object",
+        "param_named_i",
+        "param_not_an_identifier",
         "input_not_an_object",
         "J_two_rows",
         "J_not_a_list",

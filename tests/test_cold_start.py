@@ -112,9 +112,11 @@ def test_aab_kahler_and_its_verify_load_only_the_light_modules(tmp_path, aab_fil
 
 
 def test_validate_loads_no_pkahler_pipeline(tmp_path):
-    modules = loaded_modules(tmp_path, "validate", "--catalog", "iwasawa")
-    assert "pklie.cxstruct" in modules
-    assert not {"pklie.pkahler", "pklie.positivity", "pklie.simplex"} & set(modules)
+    # classify on a nilpotent structure runs the closed-coframe obstruction too
+    for argv in (["validate", "--catalog", "iwasawa"], ["classify", "--catalog", "kt"]):
+        modules = loaded_modules(tmp_path, *argv)
+        assert "pklie.cxstruct" in modules
+        assert not {"pklie.pkahler", "pklie.positivity", "pklie.simplex"} & set(modules)
 
 
 @pytest.mark.parametrize(

@@ -287,6 +287,8 @@ def test_b_extension_torus():
     assert ext.quotient.n == 2
     assert all(eq.is_zero() for eq in ext.quotient.equations)
     assert ext.omega == std_omega(2)
+    # at p = 1 the Kahler form descends to the scalar 1 on the quotient
+    assert b_extension_quotient(t3, omega, 1).omega == monomial(2)
 
 
 def test_b_extension_one_dim_derived():

@@ -5,15 +5,15 @@ import itertools
 import json
 import random
 
-from pklie.cxstruct import ComplexStructureSpec, JClass, ascending_series
+from pklie.cxstruct import (
+    ComplexStructureSpec,
+    JClass,
+    ascending_series,
+    closed_coframe_obstruction,
+)
 from pklie.exterior import ComplexForm, MultiIndex, apply_antiderivation
 from pklie.linalg import kernel
-from pklie.pkahler import (
-    PKVerdict,
-    closed_coframe_obstruction,
-    find_pkahler,
-    verify_report,
-)
+from pklie.pkahler import PKVerdict, find_pkahler, verify_report
 from pklie.positivity import SearchBudget
 from pklie.scalars import GaussianRational, ZERO
 

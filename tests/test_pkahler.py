@@ -7,7 +7,7 @@ import pytest
 
 import pklie.pkahler as pkahler
 from pklie.catalog import build_almost_abelian, build_snn8, named_example
-from pklie.cxstruct import ComplexStructureSpec
+from pklie.cxstruct import ComplexStructureSpec, closed_coframe_obstruction
 from pklie.exterior import ComplexForm, form_to_json, form_to_literal, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError
 from pklie.pkahler import (
@@ -18,7 +18,6 @@ from pklie.pkahler import (
     obstruction_check,
     obstruction_search,
     pp_coordinates,
-    closed_coframe_obstruction,
     verify_report,
     _combine,
 )
