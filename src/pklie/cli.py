@@ -127,7 +127,7 @@ def cmd_classify(args) -> int:
             f"structure class: {series.classification.value}; series dims {series.dims}"
         )
         if series.classification.value == "NILPOTENT":
-            res = closed_coframe_obstruction(struct)
+            res = closed_coframe_obstruction(struct, series)
             report["closed_coframe_count"] = res.t
             report["forbidden_p"] = res.forbidden_p
             lines.append(

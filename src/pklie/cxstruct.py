@@ -19,15 +19,19 @@ from typing import Sequence
 
 from .exterior import (
     ComplexForm,
-    MultiIndex,
+    antiderivation_terms,
     apply_antiderivation,
     combine,
     conjugate,
     generator,
+    index_mask,
+    indices,
+    key_bidegree,
     monomial,
     one_form,
     parse_form,
     substitute,
+    term_order,
     wedge,
 )
 from .liealg import (
@@ -69,7 +73,7 @@ class NonIntegrableError(ValueError):
 
 
 def _has_02_part(eq: ComplexForm) -> bool:
-    return any(key.bidegree == (0, 2) for key in eq.terms)
+    return any(key_bidegree(m, eq.n) == (0, 2) for m in eq.terms)
 
 
 class JClass(str, Enum):
@@ -183,14 +187,14 @@ def _real_to_complex_images(coframe: Matrix) -> list[ComplexForm]:
                 # (x - i y) s / 2, over the denominator 2 q r of x = p/q, y = t/r
                 q, r = x.denominator, y.denominator
                 c1 = _reduced(x.numerator * r * s, -y.numerator * q * s, 2 * q * r)
-                terms[MultiIndex((j + 1,), ())] = c1
-                terms[MultiIndex((), (j + 1,))] = c1.conjugate()
+                terms[1 << j] = c1
+                terms[1 << n + j] = c1.conjugate()
         images.append(ComplexForm._wrap(n, terms))
     return images
 
 
 @functools.lru_cache(maxsize=None)
-def _real_image(n: int, key: MultiIndex) -> ComplexForm:
+def _real_image(n: int, key: int) -> ComplexForm:
     """The monomial a^key over the real coframe e^{2j-1} = Re a^j, e^{2j} = Im a^j.
 
     Conjugation must act on the image coefficientwise; then the real and
@@ -224,11 +228,11 @@ def _real_algebra(equations: Sequence[ComplexForm]) -> LieAlgebraSpec:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for j, eq in enumerate(equations, start=1):
         # keys that cancel are dropped as they cancel, as `combine` drops them
-        acc: dict[tuple[int, ...], tuple[int, int]] = {}
+        acc: dict[int, tuple[int, int]] = {}
         for key, c in eq.terms.items():
             scale = den // c.d
             a, b = c.a * scale, c.b * scale
-            for (holo, _anti), e in _real_image(n, key).terms.items():
+            for holo, e in _real_image(n, key).terms.items():
                 x, y = a * e.a - b * e.b, a * e.b + b * e.a
                 prev = acc.get(holo)
                 if prev is not None:
@@ -240,7 +244,7 @@ def _real_algebra(equations: Sequence[ComplexForm]) -> LieAlgebraSpec:
         for k, part in ((2 * j - 1, 0), (2 * j, 1)):
             for holo, value in acc.items():
                 if value[part]:
-                    brackets.setdefault(holo, {})[k] = Fraction(-value[part], den)
+                    brackets.setdefault(indices(holo), {})[k] = Fraction(-value[part], den)
     return LieAlgebraSpec(dim, brackets)
 
 
@@ -366,59 +370,37 @@ class ComplexStructureSpec:
 
     def pp_system(self, p: int) -> dict[tuple[int, int], dict[int, int]]:
         """The (p+1,p) part of d on real (p,p)-forms as sparse int rows over the
-        columns of `pkahler.pp_coordinates`: row (m, part) holds D times the
-        nonzero real (part 0) or imaginary parts at the monomial m, D the lcm of
-        the equations' denominators.  A monomial is a bitmask, a^j at bit j-1
-        and conj a^j at bit n+j-1, so reordering signs are popcounts.  Built
-        once per p by the Leibniz rule from the (2,0) parts of the d a^j and the
-        (1,1) parts of the d conj a^j, the only ones integrability leaves:
+        columns of `pkahler.pp_coordinates`: row (m, part), m a monomial mask of
+        `exterior`, holds D times the nonzero real (part 0) or imaginary parts
+        at m, D the lcm of the equations' denominators.  Built once per p by
+        the Leibniz rule of `exterior.antiderivation_terms` from the (2,0) parts
+        of the d a^j and the (1,1) parts of the d conj a^j, the only ones
+        integrability leaves:
         (d(a^A ^ conj a^B))^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ (d conj a^B)^{1,p}.
         """
         if p in self._pp_systems:
             return self._pp_systems[p]
         n = self.n
         den = lcm(*(c.d for eq in self.equations for c in eq.terms.values()))
-        # per generator bit, its 2-form terms c e_u ^ e_v, u < v, as (u, v, x, y)
-        # with x + iy = i^{p^2} D c: the basis unit is folded in
-        parts: list[list[tuple[int, int, int, int]]] = [[] for _ in range(2 * n)]
+        # per generator bit, its 2-form terms c a^u as (u, (x, y)) with
+        # x + iy = i^{p^2} D c: the basis unit is folded in
+        parts: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(2 * n)]
         for j, eq in enumerate(self.equations):
-            for (h, a), c in eq.terms.items():
-                x, y = c.a * (den // c.d), c.b * (den // c.d)
-                # a (1,1) term: conj(c a^i ^ conj a^k) = -conj(c) a^k ^ conj a^i
-                b, u, v, x = (n + j, a[0] - 1, n + h[0] - 1, -x) if a else (j, h[0] - 1, h[1] - 1, x)
-                parts[b].append((u, v, -y, x) if p % 2 else (u, v, x, y))
+            for u, c in eq.terms.items():
+                x, y, b = c.a * (den // c.d), c.b * (den // c.d), j
+                if u >> n:
+                    # a (1,1) term: conj(c a^i ^ conj a^k) = -conj(c) a^k ^ conj a^i
+                    b, u, x = n + j, u >> n | (u & (1 << n) - 1) << n, -x
+                parts[b].append((u, (-y, x) if p % 2 else (x, y)))
 
-        def antiderivation(m: int):
-            # d(x_1 ^ ... ^ x_r) = sum_t (-1)^t d x_t ^ (the x without x_t)
-            out: dict[int, tuple[int, int]] = {}
-            for t, b in enumerate(b for b in range(2 * n) if m >> b & 1):
-                rest = m ^ 1 << b
-                for u, v, x, y in parts[b]:
-                    if not rest & (1 << u | 1 << v):
-                        # e_u ^ e_v ^ rest passes u and v over the bits of rest below them
-                        if t + (rest & (1 << u) - 1).bit_count() + (rest & (1 << v) - 1).bit_count() & 1:
-                            x, y = -x, -y
-                        key = rest | 1 << u | 1 << v
-                        prev = out.get(key, (0, 0))
-                        out[key] = (prev[0] + x, prev[1] + y)
-            return out.items()
-
-        combos = [sum(1 << j - 1 for j in c) for c in itertools.combinations(range(1, n + 1), p)]
-        dels, dbars = [antiderivation(m) for m in combos], [antiderivation(m << n) for m in combos]
-
-        def image(ia: int, ib: int) -> dict[int, tuple[int, int]]:
-            ma, mb = combos[ia], combos[ib] << n
-            img = {key | mb: xy for key, xy in dels[ia]}
-            for key, (x, y) in dbars[ib]:
-                if not ma & key:
-                    # (-1)^p a^A ^ a^k passes a^k over the indices of A above k
-                    if p + (ma >> (key & (1 << n) - 1).bit_length()).bit_count() & 1:
-                        x, y = -x, -y
-                    key |= ma
-                    prev = img.get(key, (0, 0))
-                    img[key] = (prev[0] + x, prev[1] + y)
+        def image(m: int) -> dict[int, tuple[int, int]]:
+            img: dict[int, tuple[int, int]] = {}
+            for key, odd, (x, y) in antiderivation_terms(m, parts):
+                prev = img.get(key, (0, 0))
+                img[key] = (prev[0] - x, prev[1] - y) if odd else (prev[0] + x, prev[1] + y)
             return img
 
+        combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
         rows: dict[tuple[int, int], dict[int, int]] = {}
 
         def put(key: int, col: int, x: int, y: int) -> None:
@@ -428,12 +410,12 @@ class ComplexStructureSpec:
                 rows.setdefault((key, 1), {})[col] = y
 
         col = len(combos)
-        for ia in range(len(combos)):
-            for key, xy in image(ia, ia).items():
+        for ia, ma in enumerate(combos):
+            for key, xy in image(ma | ma << n).items():
                 put(key, ia, *xy)
-            for ib in range(ia + 1, len(combos)):
+            for mb in combos[ia + 1 :]:
                 # the pair's columns u(X + Y) and iu(X - Y), u inside X and Y
-                x_img, y_img = image(ia, ib), image(ib, ia)
+                x_img, y_img = image(ma | mb << n), image(mb | ma << n)
                 for key in {**x_img, **y_img}:
                     sx, sy = x_img.get(key, (0, 0))
                     tx, ty = y_img.get(key, (0, 0))
@@ -445,7 +427,7 @@ class ComplexStructureSpec:
 
     def closed_10_forms(self) -> list[Vector]:
         """Coefficient vectors x with d(sum x_j a^j) = 0, RREF-canonical."""
-        keys = sorted({key for eq in self.equations for key in eq.terms})
+        keys = sorted({key for eq in self.equations for key in eq.terms}, key=term_order(self.n))
         rows = [[eq.terms.get(key, ZERO) for eq in self.equations] for key in keys]
         if not rows:
             return identity(self.n)
@@ -624,12 +606,15 @@ class CoframeClosureResult:
     forbidden_p: int | None
 
 
-def closed_coframe_obstruction(struct: ComplexStructureSpec) -> CoframeClosureResult:
+def closed_coframe_obstruction(
+    struct: ComplexStructureSpec, series: AscendingSeries | None = None
+) -> CoframeClosureResult:
     """Count of closed coframe elements t; degree n-t admits no structure.
 
-    Defined for nilpotent complex structures on nilpotent algebras.
+    Defined for nilpotent complex structures on nilpotent algebras; `series`
+    is `ascending_series(struct)` when the caller has it already.
     """
-    if ascending_series(struct).classification != JClass.NILPOTENT:
+    if (series or ascending_series(struct)).classification != JClass.NILPOTENT:
         raise InvalidAlgebraError("closure obstruction needs a nilpotent complex structure")
     t = len(struct.closed_10_forms())
     forbidden = struct.n - t
@@ -646,20 +631,20 @@ class TriangularCoframe:
     closed_count: int  # leading coframe elements with d = 0
 
 
-def _two_form_keys(n: int) -> list[MultiIndex]:
+def _two_form_keys(n: int) -> list[int]:
     keys = []
     for p, q in ((2, 0), (1, 1), (0, 2)):
         for holo in itertools.combinations(range(1, n + 1), p):
             for anti in itertools.combinations(range(1, n + 1), q):
-                keys.append(MultiIndex(holo, anti))
+                keys.append(index_mask(holo) | index_mask(anti) << n)
     return keys
 
 
-def _form_vector(f: ComplexForm, keys: list[MultiIndex]) -> Vector:
+def _form_vector(f: ComplexForm, keys: list[int]) -> Vector:
     return [f.terms.get(key, ZERO) for key in keys]
 
 
-def ideal_two_form_span(struct_n: int, rows: Matrix, keys: list[MultiIndex]) -> Matrix:
+def ideal_two_form_span(struct_n: int, rows: Matrix, keys: list[int]) -> Matrix:
     """Span of {s ^ gamma : s in the row span, gamma any coframe 1-form}."""
     gens = []
     for row in rows:
@@ -711,9 +696,7 @@ def triangular_coframe(struct: ComplexStructureSpec) -> TriangularCoframe:
 
 def in_coframe_ideal(form: ComplexForm, first: int) -> bool:
     """True when every term of `form` contains one of a^1..a^first."""
-    return all(
-        any(j <= first for j in key.holo) for key in form.terms
-    )
+    return all(m & (1 << first) - 1 for m in form.terms)
 
 
 # -- reductions -------------------------------------------------------------------
@@ -758,15 +741,17 @@ def _strip_index(f: ComplexForm, idx: int) -> ComplexForm:
     """Drop the terms containing a^idx or its conjugate; a^j for j > idx
     becomes a^(j-1)."""
 
-    def relabel(js):
-        return tuple(j - (j > idx) for j in js)
+    n, below = f.n, (1 << idx - 1) - 1
 
-    return ComplexForm(
-        f.n - 1,
+    def squeeze(half: int) -> int:
+        return half & below | half >> 1 & ~below
+
+    return ComplexForm._wrap(
+        n - 1,
         {
-            MultiIndex(relabel(holo), relabel(anti)): c
-            for (holo, anti), c in f.terms.items()
-            if idx not in holo and idx not in anti
+            squeeze(m & (1 << n) - 1) | squeeze(m >> n) << n - 1: c
+            for m, c in f.terms.items()
+            if not m & (1 << idx - 1 | 1 << n + idx - 1)
         },
     )
 
@@ -789,7 +774,7 @@ def restrict_to_jinvariant_ideal(
         raise ValueError("alpha must be closed")
     if not omega.is_real():
         raise ValueError("omega must be real")
-    row = [alpha.terms.get(MultiIndex((j,), ()), ZERO) for j in range(1, n + 1)]
+    row = [alpha.coeff((j,)) for j in range(1, n + 1)]
     equations, to_new = _transform_struct_forms(struct, _complete_row_to_basis(row, n))
     sub = ComplexStructureSpec.from_equations([_strip_index(eq, 1) for eq in equations[1:]])
     return Restriction(sub, _strip_index(to_new(omega), 1))
@@ -836,16 +821,18 @@ def b_extension_quotient(
     last = [ZERO] * n
     last[pivot] = ONE / u[pivot]
     equations, to_new = _transform_struct_forms(struct, [list(v) for v in vanish] + [last])
+    plane_dual = 1 << n - 1 | 1 << 2 * n - 1  # a^n and conj a^n
     for eq in equations[:-1]:
-        for key in eq.terms:
-            if n in key.holo or n in key.anti:
+        for m in eq.terms:
+            if m & plane_dual:
                 raise AssertionError("quotient equations must not touch the plane dual")
     quotient = ComplexStructureSpec.from_equations([_strip_index(eq, n) for eq in equations[:-1]])
 
     # a^H ^ conj a^A ^ i a^{n,nb} = i (-1)^{|A|} a^{Hn, An}, n being the last index
+    low = (1 << n - 1) - 1  # a^1..a^{n-1}
     omega_prime = {
-        MultiIndex(holo[:-1], anti[:-1]): c * (-I if len(anti) % 2 else I)
-        for (holo, anti), c in to_new(omega).terms.items()
-        if n in holo and n in anti
+        m & low | (m >> n & low) << n - 1: c * (-I if (m >> n).bit_count() % 2 else I)
+        for m, c in to_new(omega).terms.items()
+        if m & plane_dual == plane_dual
     }
-    return BExtension(quotient, ComplexForm(n - 1, omega_prime))
+    return BExtension(quotient, ComplexForm._wrap(n - 1, omega_prime))

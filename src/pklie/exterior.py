@@ -1,13 +1,17 @@
 """Sparse complex exterior algebra over a fixed (1,0)-coframe a^1..a^n.
 
-Monomials are stored in the canonical order: holomorphic indices first
+A monomial is keyed by a bitmask: a^j is bit j-1 and conj(a^j) bit n+j-1,
+so ascending bits are the canonical order, holomorphic indices first
 (ascending), then antiholomorphic indices (ascending).  All Koszul signs are
 normalized to that order at insertion time, so term keys are unique.
+Index tuples (`MultiIndex`) appear only at the edges: the constructor,
+`coeff`, and the literal and JSON encodings.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+import functools
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, ratio_str, i_power, json_rational, parse_scalar
 
@@ -17,14 +21,6 @@ class MultiIndex(NamedTuple):
 
     holo: tuple[int, ...]
     anti: tuple[int, ...]
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (len(self.holo), len(self.anti))
-
-    @property
-    def degree(self) -> int:
-        return len(self.holo) + len(self.anti)
 
 
 def _check_index_tuple(idx: Sequence[int], n: int, what: str) -> tuple[int, ...]:
@@ -37,31 +33,61 @@ def _check_index_tuple(idx: Sequence[int], n: int, what: str) -> tuple[int, ...]
     return t
 
 
-def _merge(u: tuple[int, ...], v: tuple[int, ...]):
-    """Merge two strictly increasing tuples; return (merged, sign) or (None, 0)."""
-    if not u:
-        return v, 1
-    if not v:
-        return u, 1
-    out = []
-    sign = 1
-    i = j = 0
-    lu, lv = len(u), len(v)
-    while i < lu and j < lv:
-        a, b = u[i], v[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (lu - i) % 2:
-                sign = -sign
-    out.extend(u[i:])
-    out.extend(v[j:])
-    return tuple(out), sign
+def index_mask(idx: Iterable[int]) -> int:
+    """The bits j-1 for the indices j: a holomorphic index tuple as a mask."""
+    return sum(1 << j - 1 for j in idx)
+
+
+def indices(bits: int) -> tuple[int, ...]:
+    """The 1-based positions of the set bits, ascending: inverse of `index_mask`."""
+    return tuple(j for j in range(1, bits.bit_length() + 1) if bits >> j - 1 & 1)
+
+
+def _key(n: int, holo: Sequence[int], anti: Sequence[int]) -> int:
+    """The mask of a^holo ^ conj(a)^anti, after the index checks."""
+    holo, anti = _check_index_tuple(holo, n, "holo"), _check_index_tuple(anti, n, "anti")
+    return index_mask(holo) | index_mask(anti) << n
+
+
+@functools.lru_cache(maxsize=None)
+def multi_index(m: int, n: int) -> MultiIndex:
+    return MultiIndex(indices(m & (1 << n) - 1), indices(m >> n))
+
+
+def key_bidegree(m: int, n: int) -> tuple[int, int]:
+    return ((m & (1 << n) - 1).bit_count(), (m >> n).bit_count())
+
+
+@functools.lru_cache(maxsize=None)
+def _term_key(m: int, n: int) -> tuple:
+    return (m.bit_count(), *multi_index(m, n))
+
+
+def term_order(n: int):
+    """Sort key of masks in the canonical term order of reports: degree, then
+    the holomorphic index tuple, then the antiholomorphic one."""
+    return lambda m: _term_key(m, n)
+
+
+def _add_term(acc: dict[int, GaussianRational], key: int, value: GaussianRational) -> None:
+    """acc[key] += value; a key whose sum cancels is dropped, so it moves to
+    the end if it comes back, as with repeated `+`."""
+    total = acc[key] + value if key in acc else value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def _swaps(u: int, v: int) -> int:
+    """Parity of the pairs (bit of u, bit of v) with the bit of u the higher:
+    the sign exponent of a^u ^ a^v against the mask order of u | v."""
+    s = 0
+    while v:
+        low = v & -v
+        s += (u & -(low << 1)).bit_count()
+        v ^= low
+    return s & 1
 
 
 class ComplexForm:
@@ -69,28 +95,26 @@ class ComplexForm:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[MultiIndex, GaussianRational] | None = None):
+    def __init__(self, n: int, terms: Mapping[tuple, GaussianRational] | None = None):
+        """`terms` maps (holo, anti) index tuples, each strictly increasing in
+        1..n, to coefficients; zero coefficients are dropped."""
         if n < 0:
             raise ValueError("coframe dimension must be nonnegative")
         self.n = n
-        clean: dict[MultiIndex, GaussianRational] = {}
+        clean: dict[int, GaussianRational] = {}
         if terms:
-            for key, value in terms.items():
-                if not isinstance(key, MultiIndex):
-                    key = MultiIndex(tuple(key[0]), tuple(key[1]))
+            for (holo, anti), value in terms.items():
                 value = GaussianRational.coerce(value)
                 if value.is_zero():
                     continue
-                _check_index_tuple(key.holo, n, "holo")
-                _check_index_tuple(key.anti, n, "anti")
-                clean[key] = value
+                clean[_key(n, holo, anti)] = value
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, n: int, terms: dict[MultiIndex, GaussianRational]) -> "ComplexForm":
-        """Adopt terms that are canonical already: MultiIndex keys valid for n,
+    def _wrap(cls, n: int, terms: dict[int, GaussianRational]) -> "ComplexForm":
+        """Adopt terms that are canonical already: masks valid for n,
         nonzero GaussianRational values.  For results of operations on forms."""
         out = object.__new__(cls)
         out.n = n
@@ -103,7 +127,7 @@ class ComplexForm:
 
     @staticmethod
     def scalar(n: int, value) -> "ComplexForm":
-        return ComplexForm(n, {MultiIndex((), ()): GaussianRational.coerce(value)})
+        return ComplexForm(n, {((), ()): value})
 
     # -- inspection -------------------------------------------------------------
 
@@ -111,13 +135,13 @@ class ComplexForm:
         return not self.terms
 
     def coeff(self, holo: Sequence[int], anti: Sequence[int] = ()) -> GaussianRational:
-        return self.terms.get(MultiIndex(tuple(holo), tuple(anti)), ZERO)
+        return self.terms.get(_key(self.n, holo, anti), ZERO)
 
     def bidegrees(self) -> set[tuple[int, int]]:
-        return {key.bidegree for key in self.terms}
+        return {key_bidegree(m, self.n) for m in self.terms}
 
     def degrees(self) -> set[int]:
-        return {key.degree for key in self.terms}
+        return {m.bit_count() for m in self.terms}
 
     def degree(self) -> int | None:
         """Total degree if homogeneous (zero form has degree None)."""
@@ -129,9 +153,10 @@ class ComplexForm:
         first = next(keys, None)
         if first is None:
             return None
-        h, a = len(first.holo), len(first.anti)
-        for key in keys:
-            if len(key.holo) != h or len(key.anti) != a:
+        n, low = self.n, (1 << self.n) - 1
+        h, a = (first & low).bit_count(), (first >> n).bit_count()
+        for m in keys:
+            if (m & low).bit_count() != h or (m >> n).bit_count() != a:
                 return None
         return (h, a)
 
@@ -141,8 +166,10 @@ class ComplexForm:
     def is_real(self) -> bool:
         return conjugate(self) == self
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].degree, kv[0]))
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], GaussianRational]]:
+        """(holo, anti, coefficient) per term, in the canonical order of `term_order`."""
+        ordered = sorted((_term_key(m, self.n), c) for m, c in self.terms.items())
+        return [(holo, anti, c) for (_, holo, anti), c in ordered]
 
     # -- linear structure ---------------------------------------------------------
 
@@ -151,11 +178,7 @@ class ComplexForm:
             raise ValueError("coframe dimension mismatch")
         out = dict(self.terms)
         for key, value in other.terms.items():
-            acc = out.get(key, ZERO) + value
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _add_term(out, key, value)
         return ComplexForm._wrap(self.n, out)
 
     def __sub__(self, other: "ComplexForm") -> "ComplexForm":
@@ -200,7 +223,7 @@ class ComplexForm:
 
 
 def monomial(n: int, holo: Sequence[int] = (), anti: Sequence[int] = (), coeff=1) -> ComplexForm:
-    return ComplexForm(n, {MultiIndex(tuple(holo), tuple(anti)): GaussianRational.coerce(coeff)})
+    return ComplexForm(n, {(tuple(holo), tuple(anti)): coeff})
 
 
 def generator(n: int, j: int, anti: bool = False) -> ComplexForm:
@@ -212,31 +235,11 @@ def wedge(f: ComplexForm, g: ComplexForm) -> ComplexForm:
     """Graded-anticommutative exterior product with exact Koszul signs."""
     if f.n != g.n:
         raise ValueError("coframe dimension mismatch")
-    acc: dict[MultiIndex, GaussianRational] = {}
-    for (h1, a1), c1 in f.terms.items():
-        la1 = len(a1)
-        for (h2, a2), c2 in g.terms.items():
-            holo, sh = _merge(h1, h2)
-            if holo is None:
-                continue
-            anti, sa = _merge(a1, a2)
-            if anti is None:
-                continue
-            value = c1 * c2
-            # move the anti block of the first factor across the holo block
-            # of the second factor
-            if sh * sa * (-1 if (la1 * len(h2)) % 2 else 1) < 0:
-                value = -value
-            key = MultiIndex(holo, anti)
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = value
-            else:
-                total = prev + value
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
+    acc: dict[int, GaussianRational] = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            if not m1 & m2:
+                _add_term(acc, m1 | m2, -(c1 * c2) if _swaps(m1, m2) else c1 * c2)
     return ComplexForm._wrap(f.n, acc)
 
 
@@ -258,38 +261,37 @@ def combine(n: int, pairs: Iterable[tuple[object, ComplexForm]]) -> ComplexForm:
     Keys that cancel are dropped as they cancel, so the terms come out in the
     same order as from repeated `+`.
     """
-    acc: dict[MultiIndex, GaussianRational] = {}
+    acc: dict[int, GaussianRational] = {}
     for c, f in pairs:
         if f.n != n:
             raise ValueError("coframe dimension mismatch")
         c = GaussianRational.coerce(c)
         for key, value in f.terms.items():
-            total = acc.get(key, ZERO) + value * c
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
+            _add_term(acc, key, value * c)
     return ComplexForm._wrap(n, acc)
 
 
 def one_form(n: int, coeffs: Sequence) -> ComplexForm:
     """The 1-form sum_j coeffs[j-1] a^j over a^1..a^n."""
-    return ComplexForm(n, {MultiIndex((j,), ()): c for j, c in enumerate(coeffs, start=1) if c})
+    return ComplexForm(n, {((j,), ()): c for j, c in enumerate(coeffs, start=1) if c})
 
 
 def conjugate(f: ComplexForm) -> ComplexForm:
-    """Complex conjugation: swaps index roles and applies the reordering sign."""
-    out: dict[MultiIndex, GaussianRational] = {}
-    for (holo, anti), c in f.terms.items():
-        sign = -1 if (len(holo) * len(anti)) % 2 else 1
-        out[MultiIndex(anti, holo)] = c.conjugate() * sign
-    return ComplexForm._wrap(f.n, out)
+    """Complex conjugation: swaps the two halves of each mask and applies the
+    reordering sign (-1)^{|holo| |anti|}."""
+    n = f.n
+    out: dict[int, GaussianRational] = {}
+    for m, c in f.terms.items():
+        holo, anti = m & (1 << n) - 1, m >> n
+        c = c.conjugate()
+        out[anti | holo << n] = -c if holo.bit_count() * anti.bit_count() % 2 else c
+    return ComplexForm._wrap(n, out)
 
 
 def bidegree_component(f: ComplexForm, p: int, q: int) -> ComplexForm:
     if not (0 <= p <= f.n and 0 <= q <= f.n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={f.n}")
-    return ComplexForm._wrap(f.n, {k: v for k, v in f.terms.items() if k.bidegree == (p, q)})
+    return ComplexForm._wrap(f.n, {m: v for m, v in f.terms.items() if key_bidegree(m, f.n) == (p, q)})
 
 
 def substitute(
@@ -312,11 +314,33 @@ def substitute(
         raise ValueError("need one image per antiholomorphic generator")
     if n_target is None:
         n_target = holo_images[0].n if holo_images else f.n
-    pairs = []
-    for (holo, anti), c in f.terms.items():
-        factors = [holo_images[j - 1] for j in holo] + [anti_images[j - 1] for j in anti]
-        pairs.append((c, wedge_all(factors, n_target)))
+    images = [*holo_images, *anti_images]  # per bit of a mask
+    pairs = [(c, wedge_all([images[j - 1] for j in indices(m)], n_target)) for m, c in f.terms.items()]
     return combine(n_target, pairs)
+
+
+def antiderivation_terms(
+    m: int, parts: Sequence[Sequence[tuple[int, object]]]
+) -> Iterator[tuple[int, int, object]]:
+    """The terms of d(a^m) for the antiderivation of degree +1 whose generator
+    at bit b has d = sum of c a^u over the (u, c) in parts[b], every u of even
+    degree: yields (mask, odd, c) with the term (-1)^odd c a^mask, unsummed.
+
+    Since each generator differential is even it commutes with everything, so
+    d(x_1^...^x_k) = sum_t (-1)^t d(x_t) ^ (x_1^...without t...^x_k), in
+    ascending bit order.  The coefficients are opaque: the caller scales,
+    signs and sums them.
+    """
+    t = 0
+    bits = m
+    while bits:
+        low = bits & -bits
+        rest = m ^ low
+        for u, c in parts[low.bit_length() - 1]:
+            if not u & rest:
+                yield u | rest, t + _swaps(u, rest) & 1, c
+        bits ^= low
+        t += 1
 
 
 def apply_antiderivation(
@@ -324,50 +348,22 @@ def apply_antiderivation(
     d_holo: Sequence[ComplexForm],
     d_anti: Sequence[ComplexForm] | None = None,
 ) -> ComplexForm:
-    """Extend generator differentials to f as an antiderivation of degree +1.
-
-    d_holo[j-1] is d(a^j); d_anti defaults to the conjugates.  Since each
-    generator differential is a 2-form it commutes with everything, so
-    d(x_1^...^x_k) = sum_t (-1)^t d(x_t) ^ (x_1^...without t...^x_k),
-    accumulated term by term with the signs of `wedge`.
-    """
+    """Extend generator differentials (2-forms) to f as an antiderivation of
+    degree +1, through `antiderivation_terms`.  d_holo[j-1] is d(a^j); d_anti
+    defaults to the conjugates."""
     if len(d_holo) != f.n:
         raise ValueError("need one differential per generator")
     if d_anti is None:
         d_anti = [conjugate(g) for g in d_holo]
     if any(g.n != f.n for g in d_holo) or any(g.n != f.n for g in d_anti):
         raise ValueError("coframe dimension mismatch")
-    acc: dict[MultiIndex, GaussianRational] = {}
-    for (holo, anti), c in f.terms.items():
+    parts = [list(g.terms.items()) for g in (*d_holo, *d_anti)]
+    acc: dict[int, GaussianRational] = {}
+    for m, c in f.terms.items():
         unit = c.a == 1 and c.d == 1 and not c.b
-        # (position t, d x_t, the holo and anti slots without x_t)
-        slots = [(t, d_holo[j - 1], holo[:t] + holo[t + 1 :], anti) for t, j in enumerate(holo)]
-        slots += [
-            (len(holo) + t, d_anti[j - 1], holo, anti[:t] + anti[t + 1 :])
-            for t, j in enumerate(anti)
-        ]
-        for t, dgen, rest_h, rest_a in slots:
-            for (h2, a2), c2 in dgen.terms.items():
-                merged_h, sh = _merge(h2, rest_h)
-                if merged_h is None:
-                    continue
-                merged_a, sa = _merge(a2, rest_a)
-                if merged_a is None:
-                    continue
-                value = c2 if unit else c * c2
-                # d x_t's anti block crosses the holo block of the rest
-                if sh * sa * (-1 if (t + len(a2) * len(rest_h)) % 2 else 1) < 0:
-                    value = -value
-                key = MultiIndex(merged_h, merged_a)
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = value
-                else:
-                    total = prev + value
-                    if total:
-                        acc[key] = total
-                    else:
-                        del acc[key]
+        for key, odd, c2 in antiderivation_terms(m, parts):
+            value = c2 if unit else c * c2
+            _add_term(acc, key, -value if odd else value)
     return ComplexForm._wrap(f.n, acc)
 
 
@@ -377,11 +373,6 @@ def reference_volume_coefficient(n: int) -> GaussianRational:
     return i_power(n) * sign
 
 
-def reference_volume(n: int) -> ComplexForm:
-    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    return ComplexForm(n, {top: reference_volume_coefficient(n)})
-
-
 # -- literal and JSON encodings -----------------------------------------------
 #
 # Compact literal: terms like "(3/2+1/2i) a12_b1" meaning (3/2+i/2) a^1^a^2^conj(a^1).
@@ -389,14 +380,14 @@ def reference_volume(n: int) -> ComplexForm:
 # Single-digit indices only; use the JSON encoding beyond n = 9.
 
 
-def _monomial_token(key: MultiIndex) -> str:
-    if not key.holo and not key.anti:
+def _monomial_token(holo: tuple[int, ...], anti: tuple[int, ...]) -> str:
+    if not holo and not anti:
         return "1"
     parts = []
-    if key.holo:
-        parts.append("a" + "".join(str(j) for j in key.holo))
-    if key.anti:
-        parts.append("b" + "".join(str(j) for j in key.anti))
+    if holo:
+        parts.append("a" + "".join(str(j) for j in holo))
+    if anti:
+        parts.append("b" + "".join(str(j) for j in anti))
     return "_".join(parts)
 
 
@@ -415,8 +406,8 @@ def form_to_literal(f: ComplexForm) -> str:
     if f.is_zero():
         return "0"
     chunks = []
-    for key, value in f.sorted_terms():
-        token = _coeff_token(value) + _monomial_token(key)
+    for holo, anti, value in f.sorted_terms():
+        token = _coeff_token(value) + _monomial_token(holo, anti)
         if chunks:
             if token.startswith("-"):
                 chunks.append("- " + token[1:].lstrip())
@@ -505,10 +496,10 @@ def form_to_json(f: ComplexForm) -> list[dict]:
         {
             "re": ratio_str(value.a, value.d),
             "im": ratio_str(value.b, value.d),
-            "holo": list(key.holo),
-            "anti": list(key.anti),
+            "holo": list(holo),
+            "anti": list(anti),
         }
-        for key, value in f.sorted_terms()
+        for holo, anti, value in f.sorted_terms()
     ]
 
 
@@ -524,18 +515,11 @@ def form_from_json(data: list[Mapping], n: int) -> ComplexForm:
     if not isinstance(data, list) or not all(isinstance(item, Mapping) for item in data):
         raise ValueError("a form must be a JSON list of term objects")
     # summed in one dict, with the term order of adding the terms one by one
-    acc: dict[MultiIndex, GaussianRational] = {}
+    acc: dict[int, GaussianRational] = {}
     for item in data:
         coeff = GaussianRational(
             json_rational(item.get("re"), "term 're'"), json_rational(item.get("im"), "term 'im'")
         )
-        holo = _check_index_tuple(_json_indices(item, "holo"), n, "holo")
-        key = MultiIndex(holo, _check_index_tuple(_json_indices(item, "anti"), n, "anti"))
-        if not coeff:
-            continue
-        total = acc.get(key, ZERO) + coeff
-        if total:
-            acc[key] = total
-        else:
-            del acc[key]
+        key = _key(n, _json_indices(item, "holo"), _json_indices(item, "anti"))
+        _add_term(acc, key, coeff)
     return ComplexForm._wrap(n, acc)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .exterior import ComplexForm, MultiIndex, apply_antiderivation, monomial, split_terms
+from .exterior import ComplexForm, apply_antiderivation, index_mask, indices, monomial, split_terms
 from .linalg import (
     Matrix,
     Vector,
@@ -166,9 +166,9 @@ def ensure_valid(g: LieAlgebraSpec) -> None:
 
 def coframe_differentials(g: LieAlgebraSpec) -> list[ComplexForm]:
     """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j for each coframe element."""
-    terms: list[dict[MultiIndex, GaussianRational]] = [{} for _ in range(g.dim)]
+    terms: list[dict[int, GaussianRational]] = [{} for _ in range(g.dim)]
     for ij, comp in g.brackets.items():
-        key = MultiIndex(ij, ())
+        key = index_mask(ij)
         for k, c in comp.items():
             terms[k - 1][key] = _gr(-c.numerator, 0, c.denominator)
     return [ComplexForm._wrap(g.dim, t) for t in terms]
@@ -182,7 +182,7 @@ def ce_differential(g: LieAlgebraSpec, f: ComplexForm) -> ComplexForm:
     """
     if f.n != g.dim:
         raise ValueError("form does not live over this algebra's coframe")
-    if any(key.anti for key in f.terms):
+    if any(m >> g.dim for m in f.terms):
         raise ValueError("real-coframe forms must not use conjugate indices")
     diffs = coframe_differentials(g)
     return apply_antiderivation(f, diffs, [ComplexForm.zero(g.dim)] * g.dim)
@@ -395,7 +395,8 @@ def algebra_from_coframe_json(data: Mapping) -> LieAlgebraSpec:
         diffs[k] = _parse_real_two_form(str(text), dim)
     entries = []
     for k, form in diffs.items():
-        for (holo, _), coeff in form.terms.items():
+        for m, coeff in form.terms.items():
+            holo = indices(m)
             if len(holo) != 2:
                 raise ValueError("coframe differentials must be 2-forms")
             if not coeff.is_real():

@@ -19,13 +19,14 @@ from math import comb
 from .cxstruct import ComplexStructureSpec
 from .exterior import (
     ComplexForm,
-    MultiIndex,
     bidegree_component,
     combine,
     conjugate,
     form_from_json,
     form_to_json,
+    index_mask,
     monomial,
+    term_order,
     wedge,
 )
 from .liealg import is_unimodular
@@ -67,7 +68,8 @@ def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
     `closed_pp_space` coordinatizes: u a^{A,A} for each |A| = p, then for
     each A < B the pair u(a^{A,B} + a^{B,A}), iu(a^{A,B} - a^{B,A}), with
     u = i^{p^2} and the p-subsets A, B in lexicographic order."""
-    combos = list(itertools.combinations(range(1, omega.n + 1), p))
+    n = omega.n
+    combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
     terms = omega.terms
     zero = Fraction(0)
     odd = p % 2
@@ -79,14 +81,14 @@ def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
 
     coords: list[Fraction] = []
     for a in combos:
-        c = terms.get(MultiIndex(a, a))
+        c = terms.get(a | a << n)
         re, im = parts(c) if c is not None else (zero, zero)
         if im:
             raise ValueError("omega is not real in these coordinates")
         coords.append(re)
     for ia, a in enumerate(combos):
         for b in combos[ia + 1 :]:
-            c = terms.get(MultiIndex(a, b))
+            c = terms.get(a | b << n)
             coords.extend(parts(c) if c is not None else (zero, zero))
     return coords
 
@@ -110,7 +112,7 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    combos = list(itertools.combinations(range(1, n + 1), p))
+    combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
     pairs = [(a, b) for ia, a in enumerate(combos) for b in combos[ia + 1 :]]
     turns = p % 2  # the basis unit i^{p^2} is i^turns
     vectors = sparse_kernel(list(struct.pp_system(p).values()), len(combos) ** 2)
@@ -118,16 +120,16 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     diag = len(combos)
     forms = []
     for vec in vectors:
-        terms: dict[MultiIndex, GaussianRational] = {}
+        terms: dict[int, GaussianRational] = {}
         for j, x in vec.items():
             if j < diag:
                 # u x, with u = 1 for even p and i for odd p
-                key = MultiIndex(combos[j], combos[j])
+                key = combos[j] | combos[j] << n
                 terms[key] = GaussianRational(zero, x) if turns else GaussianRational.coerce(x)
                 continue
             k = (j - diag) // 2
             a, b = pairs[k]
-            key = MultiIndex(a, b)
+            key = a | b << n
             if key in terms:  # written from the pair's other column
                 continue
             xp, xm = vec.get(diag + 2 * k, zero), vec.get(diag + 2 * k + 1, zero)
@@ -135,10 +137,10 @@ def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
             # u = 1, and -conj z and z for u = i with z = x- + i x+
             if turns:
                 z = GaussianRational(xm, xp)
-                terms[key], terms[MultiIndex(b, a)] = -z.conjugate(), z
+                terms[key], terms[b | a << n] = -z.conjugate(), z
             else:
                 z = GaussianRational(xp, xm)
-                terms[key], terms[MultiIndex(b, a)] = z, z.conjugate()
+                terms[key], terms[b | a << n] = z, z.conjugate()
         forms.append(ComplexForm._wrap(n, terms))
     return ClosedPP(p, vectors, forms)
 
@@ -285,12 +287,13 @@ def verify_obstruction(struct: ComplexStructureSpec, p: int, data: dict) -> list
 def _diagonal_decomposition(component: ComplexForm):
     n = component.n
     terms = []
-    for (holo, anti), c in sorted(component.terms.items()):
-        if holo != anti:
+    for m in sorted(component.terms, key=term_order(n)):
+        holo = m & (1 << n) - 1
+        if holo != m >> n:
             raise ObstructionRejected(
                 "component has off-diagonal terms; supply an explicit decomposition"
             )
-        terms.append((c, monomial(n, holo)))
+        terms.append((component.terms[m], ComplexForm._wrap(n, {holo: ONE})))
     return terms
 
 
@@ -319,22 +322,22 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
     res = feasibility(rows, [Fraction(1)] * len(rows))
     if res.feasible:
         return None
-    target = {MultiIndex(key, key): gr(y) for key, y in zip(gram_basis(n, q), res.farkas_ge) if y}
+    target = {m | m << n: gr(y) for m, y in zip(map(index_mask, gram_basis(n, q)), res.farkas_ge) if y}
     ansatz = [
-        MultiIndex(holo, anti)
+        index_mask(holo) | index_mask(anti) << n
         for a, b in ((q - 1, q), (q, q - 1))
         for holo in gram_basis(n, a)
         for anti in gram_basis(n, b)
     ]
-    images = [bidegree_component(struct.d(ComplexForm(n, {key: ONE})), q, q).terms for key in ansatz]
-    image_keys = sorted({*target, *(key for img in images for key in img)})
+    images = [bidegree_component(struct.d(ComplexForm._wrap(n, {key: ONE})), q, q).terms for key in ansatz]
+    image_keys = sorted({*target, *(key for img in images for key in img)}, key=term_order(n))
     x = solve(
         [[img.get(key, ZERO) for img in images] for key in image_keys],
         [target.get(key, ZERO) for key in image_keys],
     )
     if x is None:
         raise AssertionError("no beta reaches the Farkas target; internal error")
-    return obstruction_check(struct, p, ComplexForm(n, {key: c for key, c in zip(ansatz, x) if c}))
+    return obstruction_check(struct, p, ComplexForm._wrap(n, {key: c for key, c in zip(ansatz, x) if c}))
 
 
 # -- the main search ------------------------------------------------------------------

@@ -18,12 +18,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exterior import (
     ComplexForm,
-    MultiIndex,
     conjugate,
+    index_mask,
     monomial,
     one_form,
     reference_volume_coefficient,
     substitute,
+    term_order,
     wedge,
     wedge_all,
 )
@@ -150,7 +151,7 @@ def pairing_coefficient(
     return apply_functional(pairing_functional(psi, phi, omega.n - bid[0]), omega)
 
 
-def pairing_functional(psi: ComplexForm, phi: ComplexForm, k: int) -> dict[MultiIndex, GaussianRational]:
+def pairing_functional(psi: ComplexForm, phi: ComplexForm, k: int) -> dict[int, GaussianRational]:
     """The pairing with (k,0)-forms psi and phi as {key: coefficient} on (n-k,n-k)-forms.
 
     Sesquilinear in (psi, phi): with psi = sum x_a a^{I_a} and phi = sum y_b a^{I_b}
@@ -167,15 +168,15 @@ def pairing_functional(psi: ComplexForm, phi: ComplexForm, k: int) -> dict[Multi
     units = _gram_units(n, k)
     position = _gram_position(n, k)
     out = {}
-    for (holo_a, _), x in psi.terms.items():
+    for holo_a, x in psi.terms.items():
         row = units[position[holo_a]]
-        for (holo_b, _), y in phi.terms.items():
+        for holo_b, y in phi.terms.items():
             key, unit = row[position[holo_b]]
             out[key] = x * y.conjugate() * unit
     return out
 
 
-def apply_functional(functional: dict[MultiIndex, GaussianRational], omega: ComplexForm) -> GaussianRational:
+def apply_functional(functional: dict[int, GaussianRational], omega: ComplexForm) -> GaussianRational:
     """The sum over the functional's keys of omega's coefficient there times the functional's."""
     return sum((omega.terms[key] * c for key, c in functional.items() if key in omega.terms), ZERO)
 
@@ -185,13 +186,13 @@ def gram_basis(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_position(n: int, k: int) -> dict[tuple[int, ...], int]:
-    """Row of each (k,0) coframe monomial in the Gram matrix."""
-    return {idx: a for a, idx in enumerate(gram_basis(n, k))}
+def _gram_position(n: int, k: int) -> dict[int, int]:
+    """Row of each (k,0) coframe monomial, by its mask, in the Gram matrix."""
+    return {index_mask(idx): a for a, idx in enumerate(gram_basis(n, k))}
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_units(n: int, k: int) -> tuple[tuple[tuple[MultiIndex, GaussianRational], ...], ...]:
+def _gram_units(n: int, k: int) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
     """Per Gram entry (a, b): the one key of omega it reads, and its factor.
 
     Only omega's term at (complement of I_a, complement of I_b) survives the
@@ -200,15 +201,16 @@ def _gram_units(n: int, k: int) -> tuple[tuple[tuple[MultiIndex, GaussianRationa
     coefficient there times it.
     """
     basis = gram_basis(n, k)
-    comp = [tuple(j for j in range(1, n + 1) if j not in idx) for idx in basis]
-    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    full = (1 << n) - 1
+    comp = [full ^ index_mask(idx) for idx in basis]
+    top = full | full << n
     scale = i_power(k * k) / reference_volume_coefficient(n)
     rows = []
     for a, ca in enumerate(comp):
         row = []
         for b, cb in enumerate(comp):
-            key = MultiIndex(ca, cb)
-            w = wedge(ComplexForm(n, {key: ONE}), monomial(n, basis[a]))
+            key = ca | cb << n
+            w = wedge(ComplexForm._wrap(n, {key: ONE}), monomial(n, basis[a]))
             w = wedge(w, monomial(n, (), basis[b]))
             row.append((key, w.terms.get(top, ZERO) * scale))
         rows.append(tuple(row))
@@ -251,7 +253,7 @@ def divisor_space(psi: ComplexForm) -> list[Vector]:
     """(1,0)-forms phi with phi ^ psi = 0; dimension equals deg(psi) iff simple."""
     n = psi.n
     products = [wedge(monomial(n, (j,)), psi) for j in range(1, n + 1)]
-    keys = sorted({key for w in products for key in w.terms})
+    keys = sorted({key for w in products for key in w.terms}, key=term_order(n))
     if not keys:
         return identity(n)
     rows = [[w.terms.get(key, ZERO) for w in products] for key in keys]
@@ -357,7 +359,7 @@ def _unit_column(n: int, j: int) -> Vector:
 
 
 def _vector_form(vec: Sequence, basis, n: int) -> ComplexForm:
-    return ComplexForm(n, {MultiIndex(idx, ()): c for c, idx in zip(vec, basis) if c})
+    return ComplexForm._wrap(n, {index_mask(idx): c for c, idx in zip(vec, basis) if c})
 
 
 # -- numeric search over decomposable directions -------------------------------------

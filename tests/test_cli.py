@@ -472,6 +472,9 @@ def _assert_input_error(argv, capsys):
         _kt_input(lambda d: d["dalpha"][1][0].update(re=[1])),
         _kt_input(lambda d: d["dalpha"][1][0].update(im="1/0")),
         _kt_input(lambda d: d["dalpha"][1][0].pop("anti")),
+        _kt_input(lambda d: d["dalpha"][1][0].update(holo=[2, 1])),  # not read as holo [1, 2]
+        _kt_input(lambda d: d["dalpha"][1][0].update(holo=[1, 1])),
+        _kt_input(lambda d: d["dalpha"][1][0].update(holo=[0])),
         {"dim": 4, "d": 5, "J": _J4},
         {"dim": [4], "brackets": [], "J": _J4},
         {"dim": True, "brackets": [], "J": _J4},
@@ -506,6 +509,9 @@ def _assert_input_error(argv, capsys):
         "term_re_a_list",
         "term_im_zero_denominator",
         "term_without_anti",
+        "term_holo_descending",
+        "term_holo_repeated",
+        "term_holo_zero",
         "d_not_an_object",
         "dim_a_list",
         "dim_a_bool",
@@ -519,6 +525,24 @@ def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
     path = tmp_path / "eqs.json"
     path.write_text(json.dumps(payload))
     _assert_input_error(["validate", "--in", str(path)], capsys)
+
+
+@pytest.mark.parametrize("beta", ["a21", "a11", "a15", "b0", "a1_b11"])
+def test_malformed_beta_monomial_rejected(capsys, beta):
+    # index lists out of order, repeated or out of range are input errors,
+    # never read as another monomial (a21 as a12, or a1_b11 as a1_b1)
+    _assert_input_error(["obstruct", "--catalog", "torus4", "--p", "2", "--beta", beta], capsys)
+
+
+def test_classify_computes_the_ascending_series_once(capsys, monkeypatch):
+    from pklie import cxstruct
+
+    calls = []
+    series = cxstruct.ascending_series
+    monkeypatch.setattr(cxstruct, "ascending_series", lambda struct: calls.append(struct) or series(struct))
+    assert main(["classify", "--catalog", "qn8a"]) == 0
+    assert "closed coframe elements" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_zero_denominator_in_literal_rejected(capsys):

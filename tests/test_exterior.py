@@ -5,7 +5,6 @@ import pytest
 from pklie.exterior import (
     ComplexForm,
     FormParseError,
-    MultiIndex,
     apply_antiderivation,
     bidegree_component,
     conjugate,
@@ -15,7 +14,6 @@ from pklie.exterior import (
     generator,
     monomial,
     parse_form,
-    reference_volume,
     reference_volume_coefficient,
     substitute,
     wedge,
@@ -158,9 +156,8 @@ def test_bidegree_projection_is_direct_sum():
 def test_reference_volume_coefficient():
     for n in range(1, 6):
         vol = wedge_all([monomial(n, (j,), (j,), I) for j in range(1, n + 1)])
-        top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-        assert vol.terms == {top: reference_volume_coefficient(n)}
-        assert vol == reference_volume(n)
+        full = tuple(range(1, n + 1))
+        assert vol == monomial(n, full, full, reference_volume_coefficient(n))
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         assert reference_volume_coefficient(n) == i_power(n) * sign
 

@@ -32,11 +32,11 @@ from pklie.catalog import named_example, registry
 from pklie.cli import main
 from pklie.cxstruct import ComplexStructureSpec
 from pklie.exterior import (
-    MultiIndex,
     bidegree_component,
     form_from_json,
     form_to_json,
     form_to_literal,
+    index_mask,
     monomial,
 )
 from pklie.pkahler import verify_report
@@ -193,7 +193,9 @@ def _d_pp_block_reference(struct, p):
     n = struct.n
     combos = list(itertools.combinations(range(1, n + 1), p))
     return {
-        MultiIndex(a, b): bidegree_component(_d_reference(struct, monomial(n, a, b)), p + 1, p)
+        index_mask(a) | index_mask(b) << n: bidegree_component(
+            _d_reference(struct, monomial(n, a, b)), p + 1, p
+        )
         for a in combos
         for b in combos
     }

@@ -215,7 +215,8 @@ def test_obstruction_check_rejects_mixed_signs():
 
     comp = bidegree_component(s.d(beta), 2, 2)
     if not comp.is_zero():
-        diag = {k: v for k, v in comp.terms.items() if k.holo == k.anti}
+        # a^{A,Ab}: equal holomorphic and antiholomorphic halves of the mask
+        diag = {k: v for k, v in comp.terms.items() if k & 0b1111 == k >> 4}
         signs = {v.re > 0 for v in diag.values() if v.is_real() and not v.is_zero()}
         if len(signs) > 1:
             with pytest.raises(ObstructionRejected):

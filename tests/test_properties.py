@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import runpy
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -41,9 +42,14 @@ from pklie.exterior import (
     conjugate,
     form_from_json,
     form_to_json,
+    form_to_literal,
+    index_mask,
+    indices,
     monomial,
+    multi_index,
     reference_volume_coefficient,
     substitute,
+    term_order,
     wedge,
 )
 from pklie.liealg import (
@@ -399,7 +405,7 @@ def _d_pp_block_reference(struct, p):
     anti_parts = [bidegree_component(conjugate(eq), 1, 1) for eq in struct.equations]
     combos = list(itertools.combinations(range(1, n + 1), p))
     return {
-        MultiIndex(a, b): apply_antiderivation(monomial(n, a, b), holo_parts, anti_parts)
+        index_mask(a) | index_mask(b) << n: apply_antiderivation(monomial(n, a, b), holo_parts, anti_parts)
         for a in combos
         for b in combos
     }
@@ -413,16 +419,12 @@ def _aab_structures():
 
 def _pp_system_from_block(struct, p, block):
     """`ComplexStructureSpec.pp_system` written from a (p+1,p) block
-    {MultiIndex(A, B): image of a^A ^ conj a^B}: each real-basis column's
-    image combined from the block, and each nonzero real or imaginary part of
-    its coefficients, times the lcm D of the equations' denominators, put in
-    the row of (monomial bitmask, part): a^j at bit j-1, conj a^j at bit n+j-1."""
+    {mask of a^A ^ conj a^B: its image}: each real-basis column's image
+    combined from the block, and each nonzero real or imaginary part of its
+    coefficients, times the lcm D of the equations' denominators, put in the
+    row of (monomial mask, part)."""
     n = struct.n
     den = lcm(*(c.d for eq in struct.equations for c in eq.terms.values()))
-
-    def mask(idx):
-        return sum(1 << j - 1 for j in idx)
-
     system = {}
     for col, f in enumerate(real_pp_basis(n, p)):
         image = combine(n, ((c, block[key]) for key, c in f.terms.items()))
@@ -430,7 +432,7 @@ def _pp_system_from_block(struct, p, block):
             assert den % c.d == 0
             for part, x in ((0, c.a), (1, c.b)):
                 if x:
-                    system.setdefault((mask(key.holo) | mask(key.anti) << n, part), {})[col] = x * (den // c.d)
+                    system.setdefault((key, part), {})[col] = x * (den // c.d)
     return system
 
 
@@ -450,8 +452,8 @@ def test_cached_d_block_is_the_top_part_of_d(case):
         block = _d_pp_block_reference(struct, p)
         assert system == _pp_system_from_block(struct, p, block)
         assert all(row and all(type(x) is int and x for x in row.values()) for row in system.values())
-        for (a, b), image in block.items():
-            full = struct.d(monomial(n, a, b))  # zero at p = n
+        for key, image in block.items():
+            full = struct.d(monomial(n, *multi_index(key, n)))  # zero at p = n
             assert image == (bidegree_component(full, p + 1, p) if p < n else full)
         assert struct.pp_system(p) is system
 
@@ -466,7 +468,7 @@ def _closed_space_reference(struct, p):
     """The kernel of d on real (p,p)-forms computed from full images of d."""
     basis = real_pp_basis(struct.n, p)
     images = [struct.d(f) for f in basis]
-    keys = sorted({key for img in images for key in img.terms})
+    keys = sorted({key for img in images for key in img.terms}, key=term_order(struct.n))
     rows = []
     for key in keys:
         rows.append([img.terms.get(key, ZERO).re for img in images])
@@ -687,9 +689,9 @@ def _wedge_pairing_reference(omega, psi, phi):
         if not test.is_zero() and test.bidegrees() != {(k, 0)}:
             raise ValueError(f"test form must be a ({k},0)-form")
     w = wedge(wedge(omega, psi), conjugate(phi)) * i_power(k * k)
-    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    assert set(w.terms) <= {top}
-    return w.terms.get(top, ZERO) / reference_volume_coefficient(n)
+    full = tuple(range(1, n + 1))
+    assert w.bidegrees() <= {(n, n)}
+    return w.coeff(full, full) / reference_volume_coefficient(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -745,14 +747,14 @@ def test_pairing_rejects_wrong_bidegree(case, where, data):
     n, p = omega.n, omega.bidegree()[0]
     if where == "omega_mixed":
         # a second bidegree next to (p,p)
-        key = data.draw(st.sampled_from([k for k in _keys(n) if k.bidegree != (p, p)]))
+        key = data.draw(st.sampled_from([k for k in _keys(n) if (len(k.holo), len(k.anti)) != (p, p)]))
         omega = omega + ComplexForm(n, {key: ONE})
     elif where == "omega_pq":
         # one bidegree, but not of type (p,p)
         key = data.draw(st.sampled_from([k for k in _keys(n) if len(k.holo) != len(k.anti)]))
         omega = ComplexForm(n, {key: ONE})
     else:
-        key = data.draw(st.sampled_from([k for k in _keys(n) if k.bidegree != (n - p, 0)]))
+        key = data.draw(st.sampled_from([k for k in _keys(n) if (len(k.holo), len(k.anti)) != (n - p, 0)]))
         wrong = ComplexForm(n, {key: ONE})
         psi, phi = (psi + wrong, phi) if where == "psi" else (psi, phi + wrong)
     with pytest.raises(ValueError):
@@ -811,9 +813,13 @@ def _keys(n, degree=None):
     ]
 
 
+def term_dicts(n, degree=None, coefficients=gaussians):
+    """{(holo, anti): c} over a^1..a^n, the terms of a form."""
+    return st.dictionaries(st.sampled_from(_keys(n, degree)), coefficients, max_size=4)
+
+
 def forms_over(n, degree=None):
-    keys = st.sampled_from(_keys(n, degree))
-    return st.dictionaries(keys, gaussians, max_size=4).map(lambda t: ComplexForm(n, t))
+    return term_dicts(n, degree).map(lambda t: ComplexForm(n, t))
 
 
 def _antiderivation_reference(f, d_holo, d_anti=None):
@@ -821,7 +827,8 @@ def _antiderivation_reference(f, d_holo, d_anti=None):
     if d_anti is None:
         d_anti = [conjugate(g) for g in d_holo]
     pairs = []
-    for (holo, anti), c in f.terms.items():
+    for m, c in f.terms.items():
+        holo, anti = multi_index(m, f.n)
         word = [(j, False) for j in holo] + [(j, True) for j in anti]
         for pos, (j, is_anti) in enumerate(word):
             dgen = d_anti[j - 1] if is_anti else d_holo[j - 1]
@@ -860,6 +867,55 @@ def test_antiderivation_matches_wedge_reference(case):
     assert list(out.terms) == list(ref.terms)
 
 
+def _wedge_word_reference(n, f_terms, g_terms):
+    """wedge of the forms with the {(holo, anti): c} terms, with neither masks
+    nor merged index tuples: the product of two monomials is the concatenation
+    of their generator words, zero when a generator repeats, and its sign is
+    the parity of the inversions against the canonical word order (a^1..a^n,
+    then conj a^1..conj a^n)."""
+    acc = {}
+    for (h1, a1), c1 in f_terms.items():
+        for (h2, a2), c2 in g_terms.items():
+            word = [(0, j) for j in h1] + [(1, j) for j in a1] + [(0, j) for j in h2] + [(1, j) for j in a2]
+            if len(set(word)) < len(word):
+                continue
+            inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
+            ordered = sorted(word)
+            key = (tuple(j for kind, j in ordered if kind == 0), tuple(j for kind, j in ordered if kind == 1))
+            acc[key] = acc.get(key, ZERO) + c1 * c2 * (-1) ** inversions
+    return ComplexForm(n, acc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), term_dicts(n), term_dicts(n))))
+def test_wedge_matches_word_reference(case):
+    n, f_terms, g_terms = case
+    out = wedge(ComplexForm(n, f_terms), ComplexForm(n, g_terms))
+    assert out == _wedge_word_reference(n, f_terms, g_terms)
+
+
+nonzero_gaussians = gaussians.filter(bool)
+
+
+def _monomial_literal(holo, anti):
+    parts = ["a" + "".join(map(str, holo))] * bool(holo) + ["b" + "".join(map(str, anti))] * bool(anti)
+    return "_".join(parts) or "1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), term_dicts(n, coefficients=nonzero_gaussians))))
+def test_encodings_emit_terms_in_degree_holo_anti_order(case):
+    n, terms = case
+    f = ComplexForm(n, terms)
+    order = [(h, a) for _, h, a in sorted((len(h) + len(a), h, a) for h, a in terms)]
+    assert [(tuple(t["holo"]), tuple(t["anti"])) for t in form_to_json(f)] == order
+    # the literal's monomial tokens, between the coefficient tokens and signs;
+    # a leading coefficient -1 is written as a bare sign before the first one
+    words = [word.lstrip("-") for word in form_to_literal(f).split()]
+    tokens = [word for word in words if re.fullmatch(r"a\d+(?:_b\d+)?|b\d+|1", word)]
+    assert tokens == [_monomial_literal(h, a) for h, a in order]
+
+
 @settings(max_examples=40, deadline=None)
 @given(structures(), st.data())
 def test_struct_d_is_a_graded_derivation_with_square_zero(case, data):
@@ -896,7 +952,8 @@ def _real_structure_reference(equations):
         d_re = (d_alpha + d_alpha_bar) / two
         d_im = (d_alpha - d_alpha_bar) / (two * I)
         for k, dform in ((2 * j - 1, d_re), (2 * j, d_im)):
-            for (pair, _), coeff in dform.terms.items():
+            for m, coeff in dform.terms.items():
+                pair = indices(m)
                 assert coeff.is_real()
                 entries.append((pair[0], pair[1], k, -coeff.re))
     return from_bracket_list(dim, entries)
@@ -991,7 +1048,7 @@ def integrable_equations(draw):
         data = _random_integrable_data(n, rng, rng.random() < 0.5)
         data.lam += draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
         return almost_abelian_equations(data)
-    keys = [k for k in _keys(n, 2) if k.bidegree != (0, 2)]
+    keys = [k for k in _keys(n, 2) if (len(k.holo), len(k.anti)) != (0, 2)]
     if not keys:
         return [ComplexForm.zero(n)] * n
     two_forms = st.dictionaries(st.sampled_from(keys), gaussians, max_size=3)
@@ -1091,7 +1148,8 @@ def _real_algebra_fraction_reference(equations):
     for j, eq in enumerate(equations, start=1):
         d_alpha = combine(dim, ((c, _real_image(n, key)) for key, c in eq.terms.items()))
         for k, part in ((2 * j - 1, "re"), (2 * j, "im")):
-            for (holo, _anti), coeff in d_alpha.terms.items():
+            for m, coeff in d_alpha.terms.items():
+                holo = indices(m)
                 value = getattr(coeff, part)
                 if value:
                     entries.append((holo[0], holo[1], k, -value))
@@ -1606,7 +1664,7 @@ def test_vanishing_diagonal_zeroes_an_lp_row_and_rules_out_the_projection(case):
         vanishing = [
             a
             for a in itertools.combinations(range(1, n + 1), p)
-            if all(MultiIndex(a, a) not in f.terms for f in closed.forms)
+            if all(f.coeff(a, a).is_zero() for f in closed.forms)
         ]
         if not closed.coords or not vanishing:
             continue
@@ -1763,13 +1821,13 @@ def _obstruction_lp_reference(struct, p):
     images = [
         bidegree_component(struct.d(ComplexForm(n, {key: ONE})), q, q) for key in ansatz
     ]
-    target_keys = sorted({key for img in images for key in img.terms})
-    diag_keys = [key for key in target_keys if key.holo == key.anti]
+    target_keys = sorted({key for img in images for key in img.terms}, key=term_order(n))
+    diag_keys = [key for key in target_keys if multi_index(key, n).holo == multi_index(key, n).anti]
     if not diag_keys:
         return None
-    off_keys = [key for key in target_keys if key.holo != key.anti]
+    off_keys = [key for key in target_keys if key not in diag_keys]
 
-    def row_for(key: MultiIndex, part: str) -> list[Fraction]:
+    def row_for(key: int, part: str) -> list[Fraction]:
         row = []
         for img in images:
             c = img.terms.get(key, ZERO)
