@@ -35,7 +35,6 @@ _EXPORTS = {
         "check_integrability",
         "closed_coframe_obstruction",
         "restrict_to_jinvariant_ideal",
-        "triangular_coframe",
     ),
     "positivity": (
         "SearchBudget",

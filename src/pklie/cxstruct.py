@@ -23,7 +23,6 @@ from .exterior import (
     apply_antiderivation,
     combine,
     conjugate,
-    generator,
     index_mask,
     indices,
     key_bidegree,
@@ -32,7 +31,6 @@ from .exterior import (
     parse_form,
     substitute,
     term_order,
-    wedge,
 )
 from .liealg import (
     InvalidAlgebraError,
@@ -52,11 +50,9 @@ from .linalg import (
     gr,
     identity,
     inverse,
-    is_zero_vec,
     kernel,
     mat_from_json,
     mat_from_rows,
-    reduce_against,
     row_space_rref,
     transpose,
     zeros,
@@ -87,8 +83,8 @@ class IntegrabilityResult:
     ok: bool
     witness: tuple[int, int] | None = None
     nijenhuis_value: list[Fraction] | None = None
-    # the canonical (1,0)-coframe of J and its structure equations, which
-    # `check_integrability` computes for the bidegree test
+    # the (1,0)-coframe whose structure equations `check_integrability`
+    # read for the bidegree test, and those equations
     coframe: Matrix | None = None
     equations: list[ComplexForm] | None = None
 
@@ -281,44 +277,25 @@ class ComplexStructureSpec:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def from_matrix(g: LieAlgebraSpec, J: Sequence[Sequence]) -> "ComplexStructureSpec":
+    def from_coframe(
+        g: LieAlgebraSpec, J: Sequence[Sequence], coframe: Sequence[Sequence] | None = None
+    ) -> "ComplexStructureSpec":
+        """Validate (g, J) and keep the given (1,0)-coframe of J, or J's
+        canonical one when none is given, with its structure equations."""
         J = mat_from_rows(J)
         if g.dim % 2:
             raise ValueError("complex structures need even real dimension")
-        integ = check_integrability(g, J)
+        if coframe is not None and (
+            len(coframe) != g.dim // 2 or any(len(row) != g.dim for row in coframe)
+        ):
+            raise ValueError(f"coframe must have {g.dim // 2} rows of {g.dim} entries")
+        integ = check_integrability(g, J, coframe)
         if not integ.ok:
             raise NonIntegrableError(
                 f"Nijenhuis tensor nonzero on basis pair {integ.witness}",
                 witness=integ,
             )
         return ComplexStructureSpec(g, J, integ.coframe, integ.equations)
-
-    @staticmethod
-    def from_coframe(g: LieAlgebraSpec, J: Sequence[Sequence], coframe: Sequence[Sequence]) -> "ComplexStructureSpec":
-        """Use a caller-supplied adapted coframe instead of the canonical one."""
-        J = mat_from_rows(J)
-        coframe = mat_from_rows(coframe)
-        if g.dim % 2:
-            raise ValueError("complex structures need even real dimension")
-        if len(coframe) != g.dim // 2 or any(len(row) != g.dim for row in coframe):
-            raise ValueError(f"coframe must have {g.dim // 2} rows of {g.dim} entries")
-        integ = check_integrability(g, J)
-        if not integ.ok:
-            raise NonIntegrableError(
-                f"Nijenhuis tensor nonzero on basis pair {integ.witness}",
-                witness=integ,
-            )
-        # a (1,0)-form a = sum_k row[k] e^k has (J^T a)_m = sum_k J_km row[k] = i row[m]
-        cols, den = _j_int_columns(J)
-        for row in coframe:
-            for col, entry in zip(cols, row):
-                if sum((row[k - 1] * c for k, c in col.items()), ZERO) != I * entry * den:
-                    raise ValueError("coframe row is not a (1,0)-form for J")
-        if coframe == integ.coframe:
-            equations = integ.equations
-        else:
-            equations = structure_equations(g, coframe)
-        return ComplexStructureSpec(g, J, coframe, equations)
 
     @staticmethod
     def from_equations(equations: Sequence[ComplexForm]) -> "ComplexStructureSpec":
@@ -514,22 +491,35 @@ def struct_from_payload(data: dict) -> ComplexStructureSpec:
         return struct_from_json(data)
     if "J" in data:
         g = algebra_from_json(data)
-        return ComplexStructureSpec.from_matrix(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
+        return ComplexStructureSpec.from_coframe(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
     raise ValueError("unrecognized input format")
 
 
-def check_integrability(g: LieAlgebraSpec, J: Sequence[Sequence]) -> IntegrabilityResult:
+def check_integrability(
+    g: LieAlgebraSpec, J: Sequence[Sequence], coframe: Sequence[Sequence] | None = None
+) -> IntegrabilityResult:
     """Nijenhuis test cross-checked against the bidegree test on d(Lambda^{1,0}).
 
-    Disagreement between the two tests is an internal error, not a verdict.
-    The result carries the canonical (1,0)-coframe of J and the structure
-    equations the bidegree test read, for the constructors to reuse.
+    The bidegree test reads the structure equations of `coframe`, whose rows
+    must be (1,0)-forms of J, or of J's canonical (1,0)-coframe when none is
+    given; the result carries that coframe and its equations for the
+    constructor to keep.  Disagreement between the two tests is an internal
+    error, not a verdict.
     """
     J = mat_from_rows(J)
     _check_j_square(J, g.dim)
     ensure_valid(g)
+    if coframe is None:
+        coframe = _eigen_coframe(g, J)
+    else:
+        coframe = mat_from_rows(coframe)
+        # a (1,0)-form a = sum_k row[k] e^k has (J^T a)_m = sum_k J_km row[k] = i row[m]
+        cols, den = _j_int_columns(J)
+        for row in coframe:
+            for col, entry in zip(cols, row):
+                if sum((row[k - 1] * c for k, c in col.items()), ZERO) != I * entry * den:
+                    raise ValueError("coframe row is not a (1,0)-form for J")
     nij = nijenhuis_tensor(g, J)
-    coframe = _eigen_coframe(g, J)
     equations = structure_equations(g, coframe)
     bidegree_ok = not any(_has_02_part(eq) for eq in equations)
     if bidegree_ok != nij.ok:
@@ -619,84 +609,6 @@ def closed_coframe_obstruction(
     t = len(struct.closed_10_forms())
     forbidden = struct.n - t
     return CoframeClosureResult(t, forbidden if forbidden >= 1 else None)
-
-
-# -- triangular coframe (closed forms first) --------------------------------------
-
-
-@dataclass
-class TriangularCoframe:
-    transform: Matrix  # rows: new coframe in terms of the old one
-    equations: list[ComplexForm]
-    closed_count: int  # leading coframe elements with d = 0
-
-
-def _two_form_keys(n: int) -> list[int]:
-    keys = []
-    for p, q in ((2, 0), (1, 1), (0, 2)):
-        for holo in itertools.combinations(range(1, n + 1), p):
-            for anti in itertools.combinations(range(1, n + 1), q):
-                keys.append(index_mask(holo) | index_mask(anti) << n)
-    return keys
-
-
-def _form_vector(f: ComplexForm, keys: list[int]) -> Vector:
-    return [f.terms.get(key, ZERO) for key in keys]
-
-
-def ideal_two_form_span(struct_n: int, rows: Matrix, keys: list[int]) -> Matrix:
-    """Span of {s ^ gamma : s in the row span, gamma any coframe 1-form}."""
-    gens = []
-    for row in rows:
-        s = one_form(struct_n, row)
-        for j in range(1, struct_n + 1):
-            for anti in (False, True):
-                w = wedge(s, generator(struct_n, j, anti))
-                if not w.is_zero():
-                    gens.append(_form_vector(w, keys))
-    return row_space_rref(gens)
-
-
-def triangular_coframe(struct: ComplexStructureSpec) -> TriangularCoframe:
-    """Reorder/retriangulate the coframe so each d a^{j+1} lies in the ideal
-    generated by a^1..a^j; closed elements come first.
-
-    Exists for every complex structure on a nilpotent algebra; raises when
-    the extraction stalls (non-nilpotent input).
-    """
-    g = struct.g
-    if not is_nilpotent(g):
-        raise InvalidAlgebraError("triangular coframe extraction needs a nilpotent algebra")
-    n = struct.n
-    keys = _two_form_keys(n)
-    eq_vectors = [_form_vector(eq, keys) for eq in struct.equations]
-
-    chosen: Matrix = []
-    closed_count = None
-    while len(chosen) < n:
-        span = ideal_two_form_span(n, chosen, keys)
-        rows = []
-        reduced = [reduce_against(span, v) for v in eq_vectors]
-        for coord in range(len(keys)):
-            rows.append([reduced[j][coord] for j in range(n)])
-        sols = row_space_rref(kernel(rows, n))
-        if closed_count is None:
-            closed_count = len(sols)
-        if len(sols) <= len(chosen):
-            raise InvalidAlgebraError("triangular extraction stalled; input not nilpotent?")
-        new_rows = list(chosen)
-        for cand in sols:
-            span_now = row_space_rref(new_rows) if new_rows else []
-            if not is_zero_vec(reduce_against(span_now, cand)):
-                new_rows.append(cand)
-        chosen = new_rows
-    equations, _ = _transform_struct_forms(struct, chosen)
-    return TriangularCoframe(chosen, equations, closed_count)
-
-
-def in_coframe_ideal(form: ComplexForm, first: int) -> bool:
-    """True when every term of `form` contains one of a^1..a^first."""
-    return all(m & (1 << first) - 1 for m in form.terms)
 
 
 # -- reductions -------------------------------------------------------------------

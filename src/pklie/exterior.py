@@ -97,17 +97,18 @@ class ComplexForm:
 
     def __init__(self, n: int, terms: Mapping[tuple, GaussianRational] | None = None):
         """`terms` maps (holo, anti) index tuples, each strictly increasing in
-        1..n, to coefficients; zero coefficients are dropped."""
+        1..n, to coefficients; zero coefficients are dropped after their
+        index tuples are checked."""
         if n < 0:
             raise ValueError("coframe dimension must be nonnegative")
         self.n = n
         clean: dict[int, GaussianRational] = {}
         if terms:
             for (holo, anti), value in terms.items():
+                key = _key(n, holo, anti)
                 value = GaussianRational.coerce(value)
-                if value.is_zero():
-                    continue
-                clean[_key(n, holo, anti)] = value
+                if not value.is_zero():
+                    clean[key] = value
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------

@@ -103,10 +103,6 @@ def transpose(m: Matrix) -> Matrix:
     return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
 
 
-def is_zero_vec(v: Sequence) -> bool:
-    return not any(v)
-
-
 def _width(m: Sequence[Sequence]) -> int:
     """The common row length of m (0 when m has no rows)."""
     cols = len(m[0]) if m else 0
@@ -333,19 +329,6 @@ def row_space_rref(rows: Sequence[Sequence]) -> Matrix:
         return []
     red, pivots = rref(rows)
     return red[: len(pivots)]
-
-
-def reduce_against(rows_rref: Matrix, v: Sequence) -> Vector:
-    """Residual of v after eliminating the pivots of an RREF row basis."""
-    out = [gr(x) for x in v]
-    for row in rows_rref:
-        pc = next((j for j, x in enumerate(row) if not x.is_zero()), None)
-        if pc is None:
-            continue
-        factor = out[pc] / row[pc]
-        if not factor.is_zero():
-            out = [x - factor * y for x, y in zip(out, row)]
-    return out
 
 
 def same_row_space(a: Matrix, b: Matrix) -> bool:

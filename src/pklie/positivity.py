@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exterior import (
     ComplexForm,
-    conjugate,
     index_mask,
     monomial,
     one_form,
@@ -518,24 +517,6 @@ def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
     elif status != TransStatus.INCONCLUSIVE.value:
         failures.append(f"unknown status {status!r}")
     return failures
-
-
-def verify_strongly_positive(omega: ComplexForm, factors: Sequence[ComplexForm]) -> bool:
-    """Constructive strong-positivity check: omega = i^{p^2} sum psi_j ^ conj(psi_j).
-
-    Only verifies a supplied decomposition; there is no general decision
-    procedure here.
-    """
-    bid = omega.bidegree()
-    if bid is None or bid[0] != bid[1]:
-        return False
-    p = bid[0]
-    total = ComplexForm.zero(omega.n)
-    for psi in factors:
-        if not is_simple(psi):
-            return False
-        total = total + wedge(psi, conjugate(psi)) * i_power(p * p)
-    return total == omega
 
 
 # -- root extraction for top-codimension positive forms ------------------------------

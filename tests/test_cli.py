@@ -451,6 +451,7 @@ def _assert_input_error(argv, capsys):
         {"n": 2, "dalpha": {"aa2": "a1_b1"}},
         {"n": 2, "dalpha": {"2": "a1_b1"}},
         {"n": 2, "dalpha": {"a2": "a1_b1 +"}},  # used to parse as a1_b1
+        {"n": 2, "dalpha": {"a2": "0 a21 + a1_b1"}},  # used to parse as a1_b1
         {"n": 2, "dalpha": {"a2": 1}},
         {"n": -1, "dalpha": {}},
         {"n": 2.5, "dalpha": {"a2": "a1_b1"}},
@@ -488,6 +489,7 @@ def _assert_input_error(argv, capsys):
         "key_aa2",
         "key_without_a",
         "dangling_operator",
+        "zero_coefficient_descending",
         "literal_not_a_string",
         "negative_n",
         "fractional_n",
@@ -527,10 +529,11 @@ def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
     _assert_input_error(["validate", "--in", str(path)], capsys)
 
 
-@pytest.mark.parametrize("beta", ["a21", "a11", "a15", "b0", "a1_b11"])
+@pytest.mark.parametrize("beta", ["a21", "a11", "a15", "b0", "a1_b11", "0 a21 + a123"])
 def test_malformed_beta_monomial_rejected(capsys, beta):
     # index lists out of order, repeated or out of range are input errors,
-    # never read as another monomial (a21 as a12, or a1_b11 as a1_b1)
+    # never read as another monomial (a21 as a12, or a1_b11 as a1_b1), nor
+    # dropped for a zero coefficient
     _assert_input_error(["obstruct", "--catalog", "torus4", "--p", "2", "--beta", beta], capsys)
 
 

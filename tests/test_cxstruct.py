@@ -7,7 +7,7 @@ from pklie import cxstruct
 from pklie.catalog import AlmostAbelianData, almost_abelian_algebra, almost_abelian_coframe
 from pklie.exterior import ComplexForm, conjugate, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError, LieAlgebraSpec, change_basis, from_bracket_list
-from pklie.linalg import gr, identity, inverse, matmul, mat_from_rows, rank
+from pklie.linalg import gr, inverse, matmul, mat_from_rows, rank, row_space_rref
 from pklie.cxstruct import (
     AscendingSeries,
     ComplexStructureSpec,
@@ -16,10 +16,8 @@ from pklie.cxstruct import (
     ascending_series,
     b_extension_quotient,
     check_integrability,
-    in_coframe_ideal,
     restrict_to_jinvariant_ideal,
     structure_equations,
-    triangular_coframe,
 )
 from pklie.scalars import GaussianRational, I, ONE
 
@@ -73,7 +71,7 @@ def test_from_equations_builds_real_side():
 def test_kt_from_real_matrix_recovers_equations():
     g = from_bracket_list(4, [(1, 2, 3, 1)])
     J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    struct = ComplexStructureSpec.from_matrix(g, J)
+    struct = ComplexStructureSpec.from_coframe(g, J)
     assert struct.equations[0].is_zero()
     expected = monomial(2, (1,), (1,), GaussianRational(0, "-1/2"))
     assert struct.equations[1] == expected
@@ -82,7 +80,7 @@ def test_kt_from_real_matrix_recovers_equations():
 def test_standard_j_on_abelian_gives_closed_coframe():
     g = LieAlgebraSpec(4)
     J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    struct = ComplexStructureSpec.from_matrix(g, J)
+    struct = ComplexStructureSpec.from_coframe(g, J)
     assert all(eq.is_zero() for eq in struct.equations)
 
 
@@ -105,7 +103,26 @@ def test_non_integrable_witness():
     assert res.witness == (1, 2)
     assert any(res.nijenhuis_value)
     with pytest.raises(NonIntegrableError):
-        ComplexStructureSpec.from_matrix(g, J)
+        ComplexStructureSpec.from_coframe(g, J)
+    # the bidegree test on a (1,0)-coframe other than the canonical one agrees
+    # with the Nijenhuis test, so the verdict is a NonIntegrableError
+    a, b = res.coframe
+    for coframe in ([b, a], [a, [x + 3 * y for x, y in zip(b, a)]]):
+        assert not check_integrability(g, J, coframe).ok
+        with pytest.raises(NonIntegrableError):
+            ComplexStructureSpec.from_coframe(g, J, coframe)
+    # a coframe that is not (1,0) for J is reported before integrability
+    with pytest.raises(ValueError, match="not a \\(1,0\\)-form"):
+        ComplexStructureSpec.from_coframe(g, J, kodaira_thurston().coframe)
+
+
+def _recombined(coframe, rng):
+    """The rows of a random invertible complex combination of the rows."""
+    n = len(coframe)
+    while True:
+        m = [[gr(rng.randint(-2, 2)) + I * rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if rank(m) == n:
+            return matmul(m, coframe)
 
 
 def test_integrability_tests_agree_on_random_pairs():
@@ -115,7 +132,9 @@ def test_integrability_tests_agree_on_random_pairs():
     for _ in range(100):
         base = rng.choice(bases)
         g2, j2 = _conjugated_pair(base, rng)
-        assert check_integrability(g2, j2).ok
+        res = check_integrability(g2, j2)
+        assert res.ok
+        assert check_integrability(g2, j2, _recombined(res.coframe, rng)).ok
         count += 1
     assert count == 100
 
@@ -182,43 +201,15 @@ def test_ascending_series_chain_j_invariant():
             span = [list(v) for v in step]
             for v in step:
                 jv = struct.j_apply([c.re for c in v])
-                from pklie.linalg import reduce_against, row_space_rref, is_zero_vec
-
-                assert is_zero_vec(reduce_against(row_space_rref(span), [gr(c) for c in jv]))
+                assert row_space_rref(span + [[gr(c) for c in jv]]) == row_space_rref(span)
 
 
 def test_ascending_series_requires_nilpotent():
     g = from_bracket_list(2, [(1, 2, 1, 1)])
     J = [[0, -1], [1, 0]]
-    struct = ComplexStructureSpec.from_matrix(g, J)
+    struct = ComplexStructureSpec.from_coframe(g, J)
     with pytest.raises(InvalidAlgebraError):
         ascending_series(struct)
-
-
-def test_triangular_coframe_iwasawa():
-    tri = triangular_coframe(iwasawa())
-    assert tri.closed_count == 2
-    for j, eq in enumerate(tri.equations):
-        assert eq.is_zero() or in_coframe_ideal(eq, j)
-    assert tri.transform == identity(3)
-
-
-def test_triangular_coframe_permuted():
-    # same algebra with the non-closed element listed first
-    struct = ComplexStructureSpec.from_equations(
-        [monomial(3, (2, 3)), ComplexForm.zero(3), ComplexForm.zero(3)]
-    )
-    tri = triangular_coframe(struct)
-    assert tri.closed_count == 2
-    assert tri.equations[0].is_zero() and tri.equations[1].is_zero()
-    assert not tri.equations[2].is_zero()
-    for j, eq in enumerate(tri.equations):
-        assert eq.is_zero() or in_coframe_ideal(eq, j)
-
-
-def test_triangular_coframe_abelian():
-    tri = triangular_coframe(torus(4))
-    assert tri.closed_count == 4
 
 
 def test_restriction_torus():
@@ -311,7 +302,7 @@ def test_b_extension_one_dim_derived():
 def test_b_extension_rejects_snn():
     # solvable algebras are rejected before the series is even classified
     g = from_bracket_list(2, [(1, 2, 1, 1)])
-    struct = ComplexStructureSpec.from_matrix(g, [[0, -1], [1, 0]])
+    struct = ComplexStructureSpec.from_coframe(g, [[0, -1], [1, 0]])
     omega = monomial(1, (1,), (1,), I)
     with pytest.raises(InvalidAlgebraError):
         b_extension_quotient(struct, omega, 1)
@@ -344,7 +335,7 @@ def test_classification_is_isomorphism_invariant():
             s = _random_invertible(struct.g.dim, rng)
             g2 = change_basis(struct.g, s)
             j2 = matmul(matmul(inverse(s), struct.J), s)
-            struct2 = ComplexStructureSpec.from_matrix(g2, j2)
+            struct2 = ComplexStructureSpec.from_coframe(g2, j2)
             assert ascending_series(struct2).classification == base_class
 
 
@@ -371,14 +362,16 @@ def test_wrongly_shaped_coframe_rejected():
         ComplexStructureSpec.from_coframe(LieAlgebraSpec(4), _J_STD4, coframe)
 
 
-def _count_structure_equations(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The argument lists of every call to cxstruct.<name> from here on."""
     calls = []
+    f = getattr(cxstruct, name)
 
-    def counted(g, coframe):
-        calls.append(coframe)
-        return structure_equations(g, coframe)
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
 
-    monkeypatch.setattr(cxstruct, "structure_equations", counted)
+    monkeypatch.setattr(cxstruct, name, counted)
     return calls
 
 
@@ -388,11 +381,14 @@ def _aab_data():
 
 
 def test_from_matrix_computes_structure_equations_once(monkeypatch):
+    # J alone: its canonical coframe and that coframe's equations, once each
     g = from_bracket_list(4, [(1, 2, 3, 1)])
-    calls = _count_structure_equations(monkeypatch)
-    struct = ComplexStructureSpec.from_matrix(g, _J_STD4)
+    calls = _count_calls(monkeypatch, "structure_equations")
+    eigen = _count_calls(monkeypatch, "_eigen_coframe")
+    struct = ComplexStructureSpec.from_coframe(g, _J_STD4)
+    assert len(eigen) == 1
     assert len(calls) == 1
-    assert struct.coframe == calls[0]
+    assert struct.coframe == calls[0][1]
     assert struct.equations == structure_equations(g, struct.coframe)
 
 
@@ -404,8 +400,10 @@ def test_from_coframe_on_canonical_coframe_computes_structure_equations_once(mon
     else:
         g, J = almost_abelian_algebra(_aab_data())
         coframe = almost_abelian_coframe(_aab_data())
-    calls = _count_structure_equations(monkeypatch)
+    calls = _count_calls(monkeypatch, "structure_equations")
+    eigen = _count_calls(monkeypatch, "_eigen_coframe")
     struct = ComplexStructureSpec.from_coframe(g, J, coframe)
+    assert not eigen
     assert len(calls) == 1
     assert struct.coframe == coframe
     assert struct.equations == structure_equations(g, coframe)
@@ -419,9 +417,11 @@ def test_from_coframe_on_other_coframe_uses_its_own_equations(monkeypatch, edit)
         coframe = coframe[::-1]
     else:
         coframe = [[x * 2 for x in coframe[0]]] + coframe[1:]
-    calls = _count_structure_equations(monkeypatch)
+    calls = _count_calls(monkeypatch, "structure_equations")
+    eigen = _count_calls(monkeypatch, "_eigen_coframe")
     struct = ComplexStructureSpec.from_coframe(g, J, coframe)
-    assert len(calls) == 2 and calls[1] == coframe
+    assert not eigen
+    assert len(calls) == 1 and calls[0][1] == coframe
     assert struct.coframe == coframe
     assert struct.equations == structure_equations(g, coframe)
-    assert struct.equations != ComplexStructureSpec.from_matrix(g, J).equations
+    assert struct.equations != ComplexStructureSpec.from_coframe(g, J).equations

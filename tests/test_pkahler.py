@@ -470,7 +470,7 @@ def test_refutation_survives_random_change_of_basis():
             break
     g2 = change_basis(s.g, m)
     j2 = matmul(matmul(inverse(m), s.J), m)
-    s2 = ComplexStructureSpec.from_matrix(g2, j2)
+    s2 = ComplexStructureSpec.from_coframe(g2, j2)
     from pklie.cxstruct import ascending_series, JClass
 
     assert ascending_series(s2).classification == JClass.SNN

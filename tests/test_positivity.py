@@ -394,23 +394,3 @@ def test_verdict_json_round_trip_verification():
     # swapping certificates across forms must fail
     assert verify_verdict(bad, verdict.to_json()) != []
     assert verify_verdict(omega, verdict2.to_json()) != []
-
-
-def test_strong_positivity_constructive():
-    from pklie.positivity import verify_strongly_positive
-
-    n = 3
-    psi1 = monomial(n, (1, 2))
-    psi2 = monomial(n, (1, 3)) + monomial(n, (2, 3))
-    omega = (wedge(psi1, psi1.conjugate()) + wedge(psi2, psi2.conjugate())) * gr(1)
-    from pklie.scalars import i_power
-
-    omega = omega * i_power(4)  # p = 2: i^{p^2} = i^4 = 1
-    assert verify_strongly_positive(omega, [psi1, psi2])
-    assert not verify_strongly_positive(omega, [psi1])
-    mixed = monomial(n, (1, 2)) + monomial(n, (1, 3))
-    # decomposable sum still fine; a genuinely non-simple factor must fail
-    not_simple = monomial(4, (1, 2)) + monomial(4, (3, 4))
-    assert not verify_strongly_positive(
-        wedge(not_simple, not_simple.conjugate()), [not_simple]
-    )
