@@ -68,7 +68,10 @@ def budget_from(args) -> SearchBudget:
     seed = args.seed
     env_seed = os.environ.get("PKL_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise InputError(f"PKL_SEED must be an integer, got {env_seed!r}") from None
     return SearchBudget(
         restarts=args.budget_restarts,
         steps=args.budget_steps,

@@ -173,7 +173,10 @@ def _real_to_complex_images(coframe: Matrix) -> list[ComplexForm]:
     scales = [lcm(*(c.d for c in row)) for row in coframe]
     real = [[c.a * (s // c.d) for c in row] for row, s in zip(coframe, scales)]
     real += [[c.b * (s // c.d) for c in row] for row, s in zip(coframe, scales)]
-    rinv = inverse(real)
+    try:
+        rinv = inverse(real)
+    except ValueError:
+        raise ValueError("coframe rows are linearly dependent") from None
     images = []
     for row in rinv:
         terms = {}
@@ -257,6 +260,26 @@ def structure_equations(g: LieAlgebraSpec, coframe: Matrix) -> list[ComplexForm]
         real_two_form = combine(dim, ((c, df) for c, df in zip(row, diffs) if c))
         out.append(substitute(real_two_form, images, zero_anti, n_target=n))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def pp_basis(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The real basis of real (p,p)-forms that every (p,p) coordinate refers to.
+
+    One column per basis form, each a tuple of (mask, k) terms, the term
+    i^k a^mask with k mod 4 and mask an `exterior` monomial mask.  With
+    u = i^{p^2} and the p-subsets A, B in lexicographic order, the columns
+    are u a^{A,A} for each A, then for each A < B the pair u(a^{A,B} + a^{B,A})
+    and iu(a^{A,B} - a^{B,A}).
+    """
+    combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
+    u = p * p % 4
+    cols = [((a | a << n, u),) for a in combos]
+    for ia, a in enumerate(combos):
+        for b in combos[ia + 1 :]:
+            cols.append(((a | b << n, u), (b | a << n, u)))
+            cols.append(((a | b << n, (u + 1) % 4), (b | a << n, (u + 3) % 4)))
+    return tuple(cols)
 
 
 @dataclass
@@ -347,20 +370,20 @@ class ComplexStructureSpec:
 
     def pp_system(self, p: int) -> dict[tuple[int, int], dict[int, int]]:
         """The (p+1,p) part of d on real (p,p)-forms as sparse int rows over the
-        columns of `pkahler.pp_coordinates`: row (m, part), m a monomial mask of
+        columns of `pp_basis(n, p)`: row (m, part), m a monomial mask of
         `exterior`, holds D times the nonzero real (part 0) or imaginary parts
         at m, D the lcm of the equations' denominators.  Built once per p by
         the Leibniz rule of `exterior.antiderivation_terms` from the (2,0) parts
         of the d a^j and the (1,1) parts of the d conj a^j, the only ones
         integrability leaves:
-        (d(a^A ^ conj a^B))^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ (d conj a^B)^{1,p}.
+        (d(a^A ^ conj a^B))^{p+1,p} = del a^A ^ conj a^B + (-1)^p a^A ^ (d conj a^B)^{1,p},
+        once per mask; a column's image is the sum of i^k (image of a^mask) over its terms.
         """
         if p in self._pp_systems:
             return self._pp_systems[p]
         n = self.n
         den = lcm(*(c.d for eq in self.equations for c in eq.terms.values()))
-        # per generator bit, its 2-form terms c a^u as (u, (x, y)) with
-        # x + iy = i^{p^2} D c: the basis unit is folded in
+        # per generator bit, its 2-form terms c a^u as (u, (x, y)) with x + iy = D c
         parts: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(2 * n)]
         for j, eq in enumerate(self.equations):
             for u, c in eq.terms.items():
@@ -368,37 +391,31 @@ class ComplexStructureSpec:
                 if u >> n:
                     # a (1,1) term: conj(c a^i ^ conj a^k) = -conj(c) a^k ^ conj a^i
                     b, u, x = n + j, u >> n | (u & (1 << n) - 1) << n, -x
-                parts[b].append((u, (-y, x) if p % 2 else (x, y)))
+                parts[b].append((u, (x, y)))
 
-        def image(m: int) -> dict[int, tuple[int, int]]:
-            img: dict[int, tuple[int, int]] = {}
-            for key, odd, (x, y) in antiderivation_terms(m, parts):
-                prev = img.get(key, (0, 0))
-                img[key] = (prev[0] - x, prev[1] - y) if odd else (prev[0] + x, prev[1] + y)
-            return img
-
-        combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
+        images: dict[int, dict[int, tuple[int, int]]] = {}
         rows: dict[tuple[int, int], dict[int, int]] = {}
-
-        def put(key: int, col: int, x: int, y: int) -> None:
-            if x:
-                rows.setdefault((key, 0), {})[col] = x
-            if y:
-                rows.setdefault((key, 1), {})[col] = y
-
-        col = len(combos)
-        for ia, ma in enumerate(combos):
-            for key, xy in image(ma | ma << n).items():
-                put(key, ia, *xy)
-            for mb in combos[ia + 1 :]:
-                # the pair's columns u(X + Y) and iu(X - Y), u inside X and Y
-                x_img, y_img = image(ma | mb << n), image(mb | ma << n)
-                for key in {**x_img, **y_img}:
-                    sx, sy = x_img.get(key, (0, 0))
-                    tx, ty = y_img.get(key, (0, 0))
-                    put(key, col, sx + tx, sy + ty)
-                    put(key, col + 1, ty - sy, sx - tx)
-                col += 2
+        for col, terms in enumerate(pp_basis(n, p)):
+            acc: dict[int, tuple[int, int]] = {}
+            for mask, k in terms:
+                img = images.get(mask)
+                if img is None:
+                    img = images[mask] = {}
+                    for key, odd, (x, y) in antiderivation_terms(mask, parts):
+                        prev = img.get(key, (0, 0))
+                        img[key] = (prev[0] - x, prev[1] - y) if odd else (prev[0] + x, prev[1] + y)
+                for key, (x, y) in img.items():
+                    if k & 1:
+                        x, y = -y, x
+                    if k & 2:
+                        x, y = -x, -y
+                    px, py = acc.get(key, (0, 0))
+                    acc[key] = (px + x, py + y)
+            for key, (x, y) in acc.items():
+                if x:
+                    rows.setdefault((key, 0), {})[col] = x
+                if y:
+                    rows.setdefault((key, 1), {})[col] = y
         self._pp_systems[p] = rows
         return rows
 

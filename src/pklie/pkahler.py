@@ -10,13 +10,12 @@ empty closed cone.  INCONCLUSIVE is a first-class outcome.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb
 
-from .cxstruct import ComplexStructureSpec
+from .cxstruct import ComplexStructureSpec, pp_basis
 from .exterior import (
     ComplexForm,
     bidegree_component,
@@ -40,13 +39,12 @@ from .positivity import (
     gram_basis,
     gram_matrix,
     gram_positive_definite,
-    _gram_units,
     is_simple,
     pairing_functional,
     verify_verdict,
     volume_coefficient,
 )
-from .scalars import GaussianRational, ONE, ZERO, json_int, json_rational
+from .scalars import GaussianRational, ONE, ZERO, _gr, json_int, json_rational
 from .simplex import feasibility, verify_farkas
 
 
@@ -64,85 +62,58 @@ class ObstructionRejected(ValueError):
 
 
 def pp_coordinates(omega: ComplexForm, p: int) -> list[Fraction]:
-    """Exact coordinates of a real (p,p)-form over the real basis that
-    `closed_pp_space` coordinatizes: u a^{A,A} for each |A| = p, then for
-    each A < B the pair u(a^{A,B} + a^{B,A}), iu(a^{A,B} - a^{B,A}), with
-    u = i^{p^2} and the p-subsets A, B in lexicographic order."""
+    """Exact coordinates of a real (p,p)-form over the columns of `pp_basis`.
+
+    Each coordinate is read at its column's first term i^k a^mask as the real
+    part of i^-k times omega's coefficient there; ValueError unless the
+    coordinates rebuild omega, that is unless omega is a real (p,p)-form.
+    """
     n = omega.n
-    combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
-    terms = omega.terms
-    zero = Fraction(0)
-    odd = p % 2
-
-    def parts(c: GaussianRational) -> tuple[Fraction, Fraction]:
-        # c times conj(i^{p^2}), which is 1 for even p and -i for odd p
-        x, y = (c.b, -c.a) if odd else (c.a, c.b)
-        return (Fraction(x, c.d) if x else zero, Fraction(y, c.d) if y else zero)
-
     coords: list[Fraction] = []
-    for a in combos:
-        c = terms.get(a | a << n)
-        re, im = parts(c) if c is not None else (zero, zero)
-        if im:
-            raise ValueError("omega is not real in these coordinates")
-        coords.append(re)
-    for ia, a in enumerate(combos):
-        for b in combos[ia + 1 :]:
-            c = terms.get(a | b << n)
-            coords.extend(parts(c) if c is not None else (zero, zero))
+    for (mask, k), *_ in pp_basis(n, p):
+        c = omega.terms.get(mask, ZERO)
+        x = c.b if k & 1 else c.a
+        coords.append(Fraction(-x if k & 2 else x, c.d))
+    if _pp_form(n, p, {j: x for j, x in enumerate(coords) if x}) != omega:
+        raise ValueError(f"omega is not a real ({p},{p})-form")
     return coords
+
+
+def _pp_form(n: int, p: int, vec: dict[int, Fraction]) -> ComplexForm:
+    """sum_j x_j times column j of `pp_basis(n, p)`, for the sparse vec {j: x_j}."""
+    basis = pp_basis(n, p)
+    acc: dict[int, GaussianRational] = {}
+    for j, x in vec.items():
+        num, den = x.numerator, x.denominator
+        for mask, k in basis[j]:
+            # i^k x: x on the real (even k) or imaginary (odd k) part, negated for k >= 2
+            s = -num if k & 2 else num
+            z = _gr(0, s, den) if k & 1 else _gr(s, 0, den)
+            prev = acc.get(mask)
+            acc[mask] = z if prev is None else prev + z
+    return ComplexForm._wrap(n, {m: z for m, z in acc.items() if z})
 
 
 @dataclass
 class ClosedPP:
     p: int
-    coords: list[dict[int, Fraction]]  # kernel basis over the real coordinates, nonzeros only
+    coords: list[dict[int, Fraction]]  # kernel basis over the `pp_basis` columns, nonzeros only
     forms: list[ComplexForm]
 
 
 def closed_pp_space(struct: ComplexStructureSpec, p: int) -> ClosedPP:
     """Exact kernel of d on real (p,p)-forms, deterministic RREF basis.
 
-    Coordinates are those of `pp_coordinates`.  The kernel is `sparse_kernel`
-    of the int rows of `struct.pp_system(p)`, the (p+1,p) part of d (for real
-    omega the (p,p+1) part is its conjugate).  Each closed form is written
-    from its kernel vector: with u = i^{p^2}, x on a diagonal column is u x at
-    (A,A), and the pair (x+, x-) is u(x+ + i x-) at (A,B), u(x+ - i x-) at (B,A).
+    Coordinates are over the columns of `pp_basis(n, p)`.  The kernel is
+    `sparse_kernel` of the int rows of `struct.pp_system(p)`, the (p+1,p) part
+    of d (for real omega the (p,p+1) part is its conjugate), and each closed
+    form is sum_j x_j (column j) over its kernel vector x.
     """
     n = struct.n
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    combos = [index_mask(c) for c in itertools.combinations(range(1, n + 1), p)]
-    pairs = [(a, b) for ia, a in enumerate(combos) for b in combos[ia + 1 :]]
-    turns = p % 2  # the basis unit i^{p^2} is i^turns
-    vectors = sparse_kernel(list(struct.pp_system(p).values()), len(combos) ** 2)
-    zero = Fraction(0)
-    diag = len(combos)
-    forms = []
-    for vec in vectors:
-        terms: dict[int, GaussianRational] = {}
-        for j, x in vec.items():
-            if j < diag:
-                # u x, with u = 1 for even p and i for odd p
-                key = combos[j] | combos[j] << n
-                terms[key] = GaussianRational(zero, x) if turns else GaussianRational.coerce(x)
-                continue
-            k = (j - diag) // 2
-            a, b = pairs[k]
-            key = a | b << n
-            if key in terms:  # written from the pair's other column
-                continue
-            xp, xm = vec.get(diag + 2 * k, zero), vec.get(diag + 2 * k + 1, zero)
-            # u(x+ + i x-) at (A,B) and u(x+ - i x-) at (B,A): z and conj z for
-            # u = 1, and -conj z and z for u = i with z = x- + i x+
-            if turns:
-                z = GaussianRational(xm, xp)
-                terms[key], terms[b | a << n] = -z.conjugate(), z
-            else:
-                z = GaussianRational(xp, xm)
-                terms[key], terms[b | a << n] = z, z.conjugate()
-        forms.append(ComplexForm._wrap(n, terms))
-    return ClosedPP(p, vectors, forms)
+    vectors = sparse_kernel(list(struct.pp_system(p).values()), len(pp_basis(n, p)))
+    return ClosedPP(p, vectors, [_pp_form(n, p, vec) for vec in vectors])
 
 
 def _combine(basis: list[ComplexForm], coords) -> ComplexForm:
@@ -317,8 +288,7 @@ def obstruction_search(struct: ComplexStructureSpec, p: int) -> ObstructionCerti
         raise ValueError("need 1 <= p < n")
     if not is_unimodular(struct.g):
         return None
-    closed = closed_pp_space(struct, p)
-    rows = _monomial_rows(closed.forms, n, q)
+    rows = _monomial_rows(closed_pp_space(struct, p).coords, n, q)
     res = feasibility(rows, [Fraction(1)] * len(rows))
     if res.feasible:
         return None
@@ -350,13 +320,12 @@ def find_pkahler(
 
     Decision order, after the exact closed-space kernel:
     1. the projection of the standard power, tested by the exact Gram
-       reduction, unless one of the first C(n,p) coordinates (the diagonal
-       monomials) is zero on the whole closed space: no closed form can then
-       pass the Gram test, and that monomial's LP row is all zero, so
-       round 1 of step 2 refutes;
+       reduction, unless a coframe monomial's LP row (a diagonal coordinate)
+       is zero on the whole closed space: no closed form can then pass the
+       Gram test, and round 1 of step 2 refutes;
     2. witness rounds, at most `budget.witness_cap`.  Each solves the LP over
-       the witnesses (coframe monomials, rows read off the closed forms'
-       diagonals, then harvested simple forms); infeasible means REFUTED.
+       the witnesses (coframe monomials, rows read off the closed vectors'
+       diagonal coordinates, then harvested simple forms); infeasible means REFUTED.
        Otherwise `check_transverse` on the LP point decides: TRANSVERSE is
        FOUND, NOT_TRANSVERSE adds its simple witness to the LP, INCONCLUSIVE
        ends the rounds.  Round 1 also runs the diagonal obstruction search,
@@ -393,9 +362,9 @@ def find_pkahler(
         return report
 
     # a positive definite Gram matrix has h_aa > 0 at every monomial witness,
-    # so no form with a vanishing diagonal coordinate passes the Gram test
-    support = set().union(*closed.coords)
-    if all(j in support for j in range(comb(n, p))):
+    # so no form passes the Gram test while a monomial's row is all zero
+    rows = _monomial_rows(closed.coords, n, n - p)
+    if all(any(row) for row in rows):
         proj = _project_onto_span(_standard_power_coords(n, p), closed.coords)
         if proj is not None and any(proj):
             omega = _combine(closed.forms, proj)
@@ -405,7 +374,6 @@ def find_pkahler(
 
     # witness family: all coframe monomials, then harvested simple forms
     witnesses: list[ComplexForm] = [monomial(n, idx) for idx in gram_basis(n, n - p)]
-    rows = _monomial_rows(closed.forms, n, n - p)
     harvest_budget = SearchBudget(
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
@@ -432,9 +400,8 @@ def find_pkahler(
 
 def _standard_power_coords(n: int, p: int) -> tuple[Fraction, ...]:
     """pp_coordinates of omega^p / p! for omega = sum_j i a^{j,jb}: that power
-    is i^{p^2} sum_A a^{A,Ab}, so 1 on each diagonal column, 0 elsewhere."""
-    diag = comb(n, p)
-    return (Fraction(1),) * diag + (Fraction(0),) * (diag * (diag - 1))
+    is i^{p^2} sum_A a^{A,Ab}, the sum of the one-term (diagonal) columns."""
+    return tuple(Fraction(int(len(terms) == 1)) for terms in pp_basis(n, p))
 
 
 def _witness_rows(forms: list[ComplexForm], witnesses: list[ComplexForm], k: int) -> list[list[int | Fraction]]:
@@ -444,11 +411,23 @@ def _witness_rows(forms: list[ComplexForm], witnesses: list[ComplexForm], k: int
     return [[_real_part(apply_functional(fn, f)) for f in forms] for fn in functionals]
 
 
-def _monomial_rows(forms: list[ComplexForm], n: int, k: int) -> list[list[int | Fraction]]:
-    """`_witness_rows` of the coframe monomials a^K, K in `gram_basis(n, k)`: a^K pairs
-    with an (n-k,n-k)-form through its one coefficient at (K^c, K^c) and a `_gram_units` unit."""
-    diagonal = [row[a] for a, row in enumerate(_gram_units(n, k))]
-    return [[_real_part(f.terms[key] * unit) if key in f.terms else 0 for f in forms] for key, unit in diagonal]
+def _monomial_rows(coords: list[dict[int, Fraction]], n: int, k: int) -> list[list[int | Fraction]]:
+    """`_witness_rows` of the coframe monomials a^K, K in `gram_basis(n, k)`, over the closed
+    forms with these `pp_basis(n, n - k)` coordinates: a^K pairs to 1 with the column
+    i^{(n-k)^2} a^{K^c,K^c} and to 0 with every other, so its row is the (int when integral)
+    coordinates there."""
+    return [
+        [(vec[j].numerator if vec[j].denominator == 1 else vec[j]) if j in vec else 0 for vec in coords]
+        for j in _monomial_columns(n, k)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_columns(n: int, k: int) -> tuple[int, ...]:
+    """The `pp_basis(n, n - k)` column of i^{(n-k)^2} a^{K^c,K^c} for each K in `gram_basis(n, k)`."""
+    full = (1 << n) - 1
+    column = {terms[0][0] & full: j for j, terms in enumerate(pp_basis(n, n - k)) if len(terms) == 1}
+    return tuple(column[full ^ index_mask(idx)] for idx in gram_basis(n, k))
 
 
 def _real_part(c: GaussianRational) -> int | Fraction:
@@ -526,7 +505,7 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
             if not all(f.bidegrees() <= {(p, p)} and f.is_real() for f in stored_basis):
                 failures.append(f"closed basis holds a form that is not a real ({p},{p})-form")
             else:
-                zero, size = Fraction(0), comb(n, p) ** 2
+                zero, size = Fraction(0), len(pp_basis(n, p))
                 dense = [[vec.get(j, zero) for j in range(size)] for vec in closed.coords]
                 if len(stored_basis) != len(dense) or not same_row_space(
                     dense, [pp_coordinates(f, p) for f in stored_basis]

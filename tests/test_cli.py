@@ -259,6 +259,13 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["seed"] == 7
 
 
+def test_env_seed_that_is_not_an_integer_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("PKL_SEED", "abc")
+    code = main(["find", "--catalog", "torus2", "--p", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "input error: PKL_SEED must be an integer, got 'abc'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         PKL + ["catalog"], capture_output=True, text=True, timeout=120
@@ -436,6 +443,13 @@ def _kt_input(edit):
     data = struct_to_json(named_example("kt"))
     edit(data)
     return data
+
+
+def test_validate_dependent_coframe_rows(tmp_path, capsys):
+    path = tmp_path / "kt.json"
+    path.write_text(json.dumps(_kt_input(lambda d: d["coframe"].__setitem__(1, list(d["coframe"][0])))))
+    assert main(["validate", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == "input error: coframe rows are linearly dependent\n"
 
 
 def _assert_input_error(argv, capsys):
@@ -836,8 +850,8 @@ def _negate(x):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda s: s["coframe"].__setitem__(1, list(s["coframe"][0])), "matrix is singular"),
-        (lambda s: s["coframe"].__setitem__(1, ["0"] * 4), "matrix is singular"),
+        (lambda s: s["coframe"].__setitem__(1, list(s["coframe"][0])), "coframe rows are linearly dependent"),
+        (lambda s: s["coframe"].__setitem__(1, ["0"] * 4), "coframe rows are linearly dependent"),
         (lambda s: s["coframe"].reverse(), "stored structure equations do not match the algebra"),
         (
             lambda s: s.update(J=[[_negate(x) for x in row] for row in s["J"]]),

@@ -59,6 +59,20 @@ def test_real_pp_basis_spans_real_forms():
         assert pp_coordinates(omega, p) == coords
 
 
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "a1_b2",  # read as a1_b2 - a2_b1 by its first-term coordinates
+        "a1_b1",  # real forms carry i a1_b1 at p = 1
+        "i a1_b1 + a1",  # a (1,0) term
+        "i a1_b1 + a12_b12",  # a (2,2) term
+    ],
+)
+def test_pp_coordinates_rejects_forms_outside_the_real_basis(literal):
+    with pytest.raises(ValueError, match="not a real"):
+        pp_coordinates(parse_form(literal, 2), 1)
+
+
 def test_closed_pp_space_torus_full():
     t3 = named_example("torus3")
     for p in (1, 2):

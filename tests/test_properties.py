@@ -32,6 +32,7 @@ from pklie.cxstruct import (
     _real_to_complex_images,
     ascending_series,
     nijenhuis_tensor,
+    pp_basis,
 )
 from pklie.exterior import (
     ComplexForm,
@@ -393,6 +394,16 @@ def _real_pp_basis(n, p):
             out.append(monomial(n, a, b, unit) + monomial(n, b, a, unit))
             out.append(monomial(n, a, b, unit * I) - monomial(n, b, a, unit * I))
     return tuple(out)
+
+
+def test_pp_basis_is_the_reference_real_basis():
+    for n in range(1, 6):
+        for p in range(n + 1):
+            table = [
+                sum((ComplexForm._wrap(n, {mask: I**k}) for mask, k in terms), ComplexForm.zero(n))
+                for terms in pp_basis(n, p)
+            ]
+            assert table == real_pp_basis(n, p), (n, p)
 
 
 def _d_pp_block_reference(struct, p):
@@ -1597,10 +1608,10 @@ def test_functional_witness_rows_match_gram_diagonal_and_volume_pairing(case, da
 def _assert_monomial_rows_are_witness_rows(struct):
     n = struct.n
     for p in range(1, n):
-        forms = closed_pp_space(struct, p).forms
+        closed = closed_pp_space(struct, p)
         monomials = [monomial(n, idx) for idx in gram_basis(n, n - p)]
-        expected = _witness_rows(forms, monomials, n - p)
-        assert _typed(_monomial_rows(forms, n, n - p)) == _typed(expected), p
+        expected = _witness_rows(closed.forms, monomials, n - p)
+        assert _typed(_monomial_rows(closed.coords, n, n - p)) == _typed(expected), p
 
 
 def test_monomial_rows_are_witness_rows_on_the_registry():
