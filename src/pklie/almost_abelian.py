@@ -18,7 +18,7 @@ from .polynomials import (
     is_squarefree,
     minimal_poly,
 )
-from .scalars import as_fraction, parse_fraction
+from .scalars import as_fraction, json_literal, parse_fraction
 
 
 class InadmissibleParameters(ValueError):
@@ -105,9 +105,9 @@ def almost_abelian_from_json(body) -> AlmostAbelianData:
     try:
         return AlmostAbelianData(
             n,
-            parse_fraction(body["lambda"]),
-            [parse_fraction(x) for x in v],
-            [[parse_fraction(x) for x in row] for row in a],
+            parse_fraction(json_literal(body["lambda"], "lambda")),
+            [parse_fraction(json_literal(x, "v entry")) for x in v],
+            [[parse_fraction(json_literal(x, "A entry")) for x in row] for row in a],
         )
     except ValueError as exc:
         raise ValueError(f"bad almost_abelian payload: {exc}") from exc

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, classify, find, obstruct, restrict, quotient,
-aab-kahler, verify, catalog.  Exit codes: 0 for a definitive verdict
-(FOUND / REFUTED / true / false / valid certificate), 2 for INCONCLUSIVE,
-1 for input errors.  JSON reports embed full certificates so `pkl verify`
-can re-check them with exact arithmetic only.  Each command imports the
-engine modules it runs in its own body, so a cold start loads no others.
+aab-kahler, verify, catalog.  Exit codes: 0 for a definitive verdict, 2 for
+INCONCLUSIVE, 1 for input errors.  `pkl verify` re-checks the certificate of
+a `find` or certifying `obstruct` report exactly, and rebuilds every other
+report from its stored inputs with the command's own body function.  Each
+command imports only the engine modules it runs, in its own body.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ if TYPE_CHECKING:
     from .cxstruct import ComplexStructureSpec
     from .exterior import ComplexForm
     from .positivity import SearchBudget
+
+    Body = tuple[dict, list[str]]  # a report body and its text lines
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -96,17 +98,14 @@ def emit(
             sys.stdout.write(line + "\n")
 
 
-def cmd_validate(args) -> int:
-    struct = load_structure(args)
-    emit(args, {"valid": True}, ["VALID: Jacobi, J^2 = -Id and integrability all hold"], struct)
-    return EXIT_OK
+def validate_body(struct: ComplexStructureSpec) -> Body:
+    return {"valid": True}, ["VALID: Jacobi, J^2 = -Id and integrability all hold"]
 
 
-def cmd_classify(args) -> int:
+def classify_body(struct: ComplexStructureSpec) -> Body:
     from .cxstruct import ascending_series, closed_coframe_obstruction
     from .liealg import algebra_invariants
 
-    struct = load_structure(args)
     inv = algebra_invariants(struct.g)
     lines = [
         f"real dimension {struct.g.dim}, complex dimension {struct.n}",
@@ -124,21 +123,95 @@ def cmd_classify(args) -> int:
     }
     if inv.is_nilpotent:
         series = ascending_series(struct)
-        report["structure_class"] = series.classification.value
-        report["series_dims"] = series.dims
-        lines.append(
-            f"structure class: {series.classification.value}; series dims {series.dims}"
-        )
+        report.update(structure_class=series.classification.value, series_dims=series.dims)
+        lines.append(f"structure class: {series.classification.value}; series dims {series.dims}")
         if series.classification.value == "NILPOTENT":
             res = closed_coframe_obstruction(struct, series)
-            report["closed_coframe_count"] = res.t
-            report["forbidden_p"] = res.forbidden_p
-            lines.append(
-                f"closed coframe elements: {res.t}; no ({res.forbidden_p})-Kahler structure"
-                if res.forbidden_p
-                else f"closed coframe elements: {res.t}"
-            )
-    emit(args, report, lines, struct)
+            report.update(closed_coframe_count=res.t, forbidden_p=res.forbidden_p)
+            forbidden = f"; no ({res.forbidden_p})-Kahler structure" if res.forbidden_p else ""
+            lines.append(f"closed coframe elements: {res.t}{forbidden}")
+    return report, lines
+
+
+def obstruct_body(struct: ComplexStructureSpec, p: int, beta: ComplexForm | None) -> Body:
+    """Check the candidate beta, or search for one when beta is None."""
+    from .exterior import form_to_json, form_to_literal
+    from .pkahler import ObstructionRejected, obstruction_check, obstruction_search
+
+    if beta is not None:
+        try:
+            cert = obstruction_check(struct, p, beta)
+        except ObstructionRejected as exc:
+            report = {"p": p, "obstructed": False, "beta": form_to_json(beta), "reason": str(exc)}
+            return report, [f"REJECTED: {exc}"]
+    else:
+        cert = obstruction_search(struct, p)
+        if cert is None:
+            return {"p": p, "obstructed": None}, ["no obstruction found in the monomial ansatz"]
+    return {"p": p, "obstructed": True, "certificate": cert.to_json()}, [
+        "OBSTRUCTED: no p-Kahler structure exists",
+        f"beta: {form_to_literal(cert.beta)}",
+        f"(n-p,n-p) part of d beta: {form_to_literal(cert.component)}",
+    ]
+
+
+def restrict_body(struct: ComplexStructureSpec, omega: ComplexForm, alpha: ComplexForm) -> Body:
+    from .cxstruct import restrict_to_jinvariant_ideal, struct_to_json
+    from .exterior import form_to_json, form_to_literal
+
+    res = restrict_to_jinvariant_ideal(struct, omega, alpha)
+    closed_ok = res.sub.d(res.omega_h).is_zero()
+    report = {
+        "alpha": form_to_json(alpha),
+        "omega": form_to_json(omega),
+        "ideal": struct_to_json(res.sub),
+        "omega_h": form_to_json(res.omega_h),
+        "omega_h_closed": closed_ok,
+        "omega_h_zero": res.omega_h.is_zero(),
+    }
+    return report, [
+        f"codimension-2 ideal has complex dimension {res.sub.n}",
+        f"omega_h: {form_to_literal(res.omega_h)}",
+        f"omega_h closed: {closed_ok}",
+    ]
+
+
+def quotient_body(struct: ComplexStructureSpec, p: int, omega: ComplexForm) -> Body:
+    from .cxstruct import b_extension_quotient, struct_to_json
+    from .exterior import form_to_json, form_to_literal
+
+    res = b_extension_quotient(struct, omega, p)
+    closed_ok = res.quotient.d(res.omega).is_zero()
+    report = {
+        "p": p,
+        "omega": form_to_json(omega),
+        "quotient": struct_to_json(res.quotient),
+        "descended_form": form_to_json(res.omega),
+        "descended_closed": closed_ok,
+    }
+    return report, [
+        f"quotient has complex dimension {res.quotient.n}",
+        f"descended form: {form_to_literal(res.omega)}",
+        f"descended form closed: {closed_ok}",
+    ]
+
+
+def aab_kahler_body(payload) -> Body:
+    from .almost_abelian import almost_abelian_from_json, decision_report
+
+    report = decision_report(almost_abelian_from_json(payload))
+    return report, [f"kahler: {report['kahler']}", f"reason: {report['reason']}"]
+
+
+def cmd_validate(args) -> int:
+    struct = load_structure(args)
+    emit(args, *validate_body(struct), struct)
+    return EXIT_OK
+
+
+def cmd_classify(args) -> int:
+    struct = load_structure(args)
+    emit(args, *classify_body(struct), struct)
     return EXIT_OK
 
 
@@ -164,37 +237,14 @@ def cmd_find(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    from .exterior import form_to_literal, parse_form
-    from .pkahler import ObstructionRejected, obstruction_check, obstruction_search
+    from .exterior import parse_form
 
     struct = load_structure(args)
-    if args.beta:
-        beta = parse_form(args.beta, struct.n)
-        try:
-            cert = obstruction_check(struct, args.p, beta)
-        except ObstructionRejected as exc:
-            report = {"p": args.p, "obstructed": False, "reason": str(exc)}
-            emit(args, report, [f"REJECTED: {exc}"], struct)
-            # a rejected candidate decides nothing about the structure
-            return EXIT_INCONCLUSIVE
-    else:
-        cert = obstruction_search(struct, args.p)
-        if cert is None:
-            report = {"p": args.p, "obstructed": None}
-            emit(args, report, ["no obstruction found in the monomial ansatz"], struct)
-            return EXIT_INCONCLUSIVE
-    report = {"p": args.p, "obstructed": True, "certificate": cert.to_json()}
-    emit(
-        args,
-        report,
-        [
-            "OBSTRUCTED: no p-Kahler structure exists",
-            f"beta: {form_to_literal(cert.beta)}",
-            f"(n-p,n-p) part of d beta: {form_to_literal(cert.component)}",
-        ],
-        struct,
-    )
-    return EXIT_OK
+    beta = None if args.beta is None else parse_form(args.beta, struct.n)
+    report, lines = obstruct_body(struct, args.p, beta)
+    emit(args, report, lines, struct)
+    # a rejected candidate decides nothing about the structure
+    return EXIT_OK if report["obstructed"] else EXIT_INCONCLUSIVE
 
 
 def _load_omega(args, struct) -> ComplexForm:
@@ -206,8 +256,7 @@ def _load_omega(args, struct) -> ComplexForm:
 
 
 def cmd_restrict(args) -> int:
-    from .cxstruct import restrict_to_jinvariant_ideal, struct_to_json
-    from .exterior import form_to_json, form_to_literal, one_form, parse_form
+    from .exterior import one_form, parse_form
 
     struct = load_structure(args)
     omega = _load_omega(args, struct)
@@ -218,65 +267,21 @@ def cmd_restrict(args) -> int:
         if not closed:
             raise InputError("no closed (1,0)-form exists; supply --alpha")
         alpha = one_form(struct.n, closed[0])
-    res = restrict_to_jinvariant_ideal(struct, omega, alpha)
-    closed_ok = res.sub.d(res.omega_h).is_zero()
-    report = {
-        "alpha": form_to_json(alpha),
-        "omega": form_to_json(omega),
-        "ideal": struct_to_json(res.sub),
-        "omega_h": form_to_json(res.omega_h),
-        "omega_h_closed": closed_ok,
-        "omega_h_zero": res.omega_h.is_zero(),
-    }
-    emit(
-        args,
-        report,
-        [
-            f"codimension-2 ideal has complex dimension {res.sub.n}",
-            f"omega_h: {form_to_literal(res.omega_h)}",
-            f"omega_h closed: {closed_ok}",
-        ],
-        struct,
-    )
+    emit(args, *restrict_body(struct, omega, alpha), struct)
     return EXIT_OK
 
 
 def cmd_quotient(args) -> int:
-    from .cxstruct import b_extension_quotient, struct_to_json
-    from .exterior import form_to_json, form_to_literal
-
     struct = load_structure(args)
-    omega = _load_omega(args, struct)
-    res = b_extension_quotient(struct, omega, args.p)
-    closed_ok = res.quotient.d(res.omega).is_zero()
-    report = {
-        "p": args.p,
-        "omega": form_to_json(omega),
-        "quotient": struct_to_json(res.quotient),
-        "descended_form": form_to_json(res.omega),
-        "descended_closed": closed_ok,
-    }
-    emit(
-        args,
-        report,
-        [
-            f"quotient has complex dimension {res.quotient.n}",
-            f"descended form: {form_to_literal(res.omega)}",
-            f"descended form closed: {closed_ok}",
-        ],
-        struct,
-    )
+    emit(args, *quotient_body(struct, args.p, _load_omega(args, struct)), struct)
     return EXIT_OK
 
 
 def cmd_aab_kahler(args) -> int:
-    from .almost_abelian import almost_abelian_from_json, decision_report
-
     if not args.infile:
         raise InputError("aab-kahler needs --in FILE with almost_abelian data")
     data = _load_json(args.infile)
-    report = decision_report(almost_abelian_from_json(data.get("almost_abelian", data)))
-    emit(args, report, [f"kahler: {report['kahler']}", f"reason: {report['reason']}"])
+    emit(args, *aab_kahler_body(data.get("almost_abelian", data)))
     return EXIT_OK
 
 
@@ -290,56 +295,61 @@ def cmd_verify(args) -> int:
         raise InputError(f"report lacks the key {exc}") from exc
 
 
+# the body of each report without a certificate, and the report fields that hold its other inputs
+_REBUILT = {
+    "validate": (validate_body, ()),
+    "classify": (classify_body, ()),
+    "obstruct": (obstruct_body, ("p", "beta")),
+    "restrict": (restrict_body, ("omega", "alpha")),
+    "quotient": (quotient_body, ("p", "omega")),
+}
+
+
+def _stored_input(data: dict, key: str, n: int):
+    if key == "p":
+        return json_int(data["p"], "p")
+    from .exterior import form_from_json
+
+    # a search report stores no candidate beta
+    return None if key == "beta" and key not in data else form_from_json(data[key], n)
+
+
 def _verify(data: dict) -> int:
+    """Re-check a certificate, or rebuild the report body from its stored
+    inputs and compare every field outside the tool/command/input envelope."""
     command = data.get("command")
     if command == "aab-kahler":
-        from .almost_abelian import almost_abelian_from_json, decision_report
-
-        body = decision_report(almost_abelian_from_json(data["almost_abelian"]))
-        want = {key: json.dumps(value, sort_keys=True) for key, value in body.items()}
-        got = {
-            key: json.dumps(value, sort_keys=True)
-            for key, value in data.items()
-            if key not in ("tool", "command")
-        }
-        return _outcome(
-            [
-                f"stored {key} does not match the recomputation"
-                for key in sorted(want.keys() | got.keys())
-                if want.get(key) != got.get(key)
-            ]
-        )
-    from .cxstruct import b_extension_quotient, restrict_to_jinvariant_ideal, struct_from_json
-    from .exterior import form_from_json, form_to_json
-    from .pkahler import verify_obstruction, verify_report
-
-    try:
-        struct = struct_from_json(data["input"])
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"report does not embed a valid structure: {exc}") from exc
-    failures: list[str] = []
-    if command == "find":
-        failures = verify_report(struct, data["report"])
-    elif command == "obstruct" and data.get("obstructed"):
-        failures = verify_obstruction(struct, json_int(data["p"], "p"), data["certificate"])
-    elif command == "restrict":
-        omega = form_from_json(data["omega"], struct.n)
-        alpha = form_from_json(data["alpha"], struct.n)
-        res = restrict_to_jinvariant_ideal(struct, omega, alpha)
-        if form_to_json(res.omega_h) != data["omega_h"]:
-            failures.append("restricted form does not match")
-        if res.sub.d(res.omega_h).is_zero() != data.get("omega_h_closed"):
-            failures.append("closedness flag does not match")
-    elif command == "quotient":
-        omega = form_from_json(data["omega"], struct.n)
-        res = b_extension_quotient(struct, omega, json_int(data["p"], "p"))
-        if form_to_json(res.omega) != data["descended_form"]:
-            failures.append("descended form does not match")
-    elif command == "validate":
-        pass  # reconstruction above already re-validated everything
+        body = aab_kahler_body(data["almost_abelian"])[0]
     else:
-        raise InputError(f"no verifier for command {command!r}")
-    return _outcome(failures)
+        from .cxstruct import struct_from_json
+
+        try:
+            struct = struct_from_json(data["input"])
+        except (KeyError, ValueError) as exc:
+            raise InputError(f"report does not embed a valid structure: {exc}") from exc
+        if command == "find":
+            from .pkahler import verify_report
+
+            return _outcome(verify_report(struct, data["report"]))
+        if command == "obstruct" and data.get("obstructed") is True:
+            from .pkahler import verify_obstruction
+
+            p = json_int(data["p"], "p")
+            return _outcome(verify_obstruction(struct, p, data["certificate"]))
+        if not isinstance(command, str) or command not in _REBUILT:
+            raise InputError(f"no verifier for command {command!r}")
+        make, keys = _REBUILT[command]
+        body = make(struct, *(_stored_input(data, key, struct.n) for key in keys))[0]
+    want, got = (
+        {key: json.dumps(value, sort_keys=True) for key, value in fields.items()
+         if key not in ("tool", "command", "input")}
+        for fields in (body, data)
+    )
+    return _outcome([
+        f"stored {key} does not match the recomputation"
+        for key in sorted(want.keys() | got.keys())
+        if want.get(key) != got.get(key)
+    ])
 
 
 def _outcome(failures: list[str]) -> int:
@@ -355,10 +365,9 @@ def cmd_catalog(args) -> int:
     from .catalog import registry
 
     entries = registry()
-    report = {"entries": entries}
     lines = [f"{name}: {desc}" for name, desc in entries.items()]
     lines.append("parametrized: snn8f1:eps,nu,a,b[:delta] and snn8f2:eps,mu,nu,a,b")
-    emit(args, report, lines)
+    emit(args, {"entries": entries}, lines)
     return EXIT_OK
 
 
@@ -376,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, needs_p=False):
+    def command(name, run, help, needs_p=False):
         """A subcommand that reads a structure (--catalog or --in) and emits a report."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--catalog", help="catalog instance name")
         p.add_argument("--in", dest="infile", help="JSON input file")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -386,47 +396,37 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=int, required=True)
         return p
 
-    command("validate", "parse and validate an input")
-    command("classify", "structural invariants and class")
-    p_find = command("find", "search or refute a p-Kahler structure", needs_p=True)
+    command("validate", cmd_validate, "parse and validate an input")
+    command("classify", cmd_classify, "structural invariants and class")
+    p_find = command("find", cmd_find, "search or refute a p-Kahler structure", needs_p=True)
     p_find.add_argument("--seed", type=int, default=0, help="overridden by PKL_SEED")
     p_find.add_argument("--budget-restarts", type=int, default=200)
     p_find.add_argument("--budget-steps", type=int, default=500)
     p_find.add_argument("--witness-cap", type=int, default=24)
-    p_obs = command("obstruct", "check or search a same-sign obstruction", needs_p=True)
+    p_obs = command("obstruct", cmd_obstruct, "check or search a same-sign obstruction", needs_p=True)
     p_obs.add_argument("--beta", help="candidate form in compact literal syntax")
-    p_res = command("restrict", "restrict to the codimension-2 ideal")
+    p_res = command("restrict", cmd_restrict, "restrict to the codimension-2 ideal")
     p_res.add_argument("--omega", help="real (p,p)-form literal", required=False)
     p_res.add_argument("--alpha", help="closed (1,0)-form literal (default: first closed)")
-    p_quo = command("quotient", "quotient by a central J-invariant plane", needs_p=True)
+    p_quo = command("quotient", cmd_quotient, "quotient by a central J-invariant plane", needs_p=True)
     p_quo.add_argument("--omega", help="real (p,p)-form literal", required=False)
     p_aab = sub.add_parser("aab-kahler", help="almost-abelian Kahler decision")
     p_aab.add_argument("--in", dest="infile", help="JSON file with almost_abelian data")
     p_aab.add_argument("--format", choices=("text", "json"), default="text")
+    p_aab.set_defaults(run=cmd_aab_kahler)
     p_ver = sub.add_parser("verify", help="re-verify a JSON report")
     p_ver.add_argument("report", help="path to a report emitted with --format json")
+    p_ver.set_defaults(run=cmd_verify)
     p_cat = sub.add_parser("catalog", help="list named instances")
     p_cat.add_argument("--format", choices=("text", "json"), default="text")
+    p_cat.set_defaults(run=cmd_catalog)
     return parser
-
-
-_DISPATCH = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "find": cmd_find,
-    "obstruct": cmd_obstruct,
-    "restrict": cmd_restrict,
-    "quotient": cmd_quotient,
-    "aab-kahler": cmd_aab_kahler,
-    "verify": cmd_verify,
-    "catalog": cmd_catalog,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -57,7 +57,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .scalars import I, ONE, ZERO, _reduced, parse_fraction
+from .scalars import I, ONE, ZERO, _reduced, json_literal, parse_fraction
 
 
 class NonIntegrableError(ValueError):
@@ -478,7 +478,7 @@ def equations_from_literals(literals, n=None, params=None) -> list[ComplexForm]:
             raise ValueError("a parameter may not be named i, the imaginary unit")
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise ValueError(f"bad parameter name {name!r}; expected an identifier")
-    values = {name: parse_fraction(value) for name, value in params.items()}
+    values = {k: parse_fraction(json_literal(v, f"param {k!r}")) for k, v in params.items()}
     texts = {}
     for key, text in literals.items():
         match = re.fullmatch(r"a([1-9][0-9]*)", key)

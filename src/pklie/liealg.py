@@ -24,7 +24,7 @@ from .linalg import (
     row_space_rref,
     sparse_kernel,
 )
-from .scalars import GaussianRational, _gr, json_int, parse_fraction
+from .scalars import GaussianRational, _gr, as_fraction, json_int, json_literal, parse_fraction
 
 
 class InvalidAlgebraError(ValueError):
@@ -73,10 +73,7 @@ def from_bracket_list(dim: int, entries: Sequence[tuple[int, int, int, object]])
     """Build a spec from (i, j, k, c) tuples; i > j entries are folded in."""
     acc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, k, c in entries:
-        if isinstance(c, str):
-            c = parse_fraction(c)
-        elif type(c) is not Fraction:
-            c = Fraction(c)
+        c = as_fraction(c)
         if i == j:
             if c:
                 raise ValueError("[e_i, e_i] must vanish")
@@ -364,7 +361,7 @@ def algebra_from_json(data: Mapping) -> LieAlgebraSpec:
     entries = []
     for item in brackets:
         i, j, k = (json_int(item[x], f"bracket {x!r}") for x in "ijk")
-        entries.append((i, j, k, parse_fraction(item["c"])))
+        entries.append((i, j, k, parse_fraction(json_literal(item["c"], "bracket 'c'"))))
     return from_bracket_list(dim, entries)
 
 

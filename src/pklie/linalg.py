@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import truediv
 from typing import Mapping, Sequence
 
-from .scalars import GaussianRational, ZERO, ONE, parse_scalar
+from .scalars import GaussianRational, ZERO, ONE, json_literal, parse_scalar
 
 Vector = list[GaussianRational]
 Matrix = list[Vector]
@@ -64,7 +64,7 @@ def mat_from_json(data, rows: int, cols: int, what: str) -> Matrix:
         and all(isinstance(row, list) and len(row) == cols for row in data)
     ):
         raise ValueError(f"{what} must be a list of {rows} rows of {cols} entries")
-    return [[parse_scalar(str(x)) for x in row] for row in data]
+    return [[parse_scalar(json_literal(x, f"{what} entry")) for x in row] for row in data]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

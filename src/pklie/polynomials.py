@@ -193,8 +193,4 @@ def all_roots_purely_imaginary(p: Poly) -> bool:
     deg = degree(s_hat)
     if deg == 0:
         return True
-    bound = cauchy_bound(s_hat)
-    negative = count_real_roots_in(s_hat, -bound, Fraction(0))
-    if evaluate(s_hat, Fraction(0)) == 0:
-        return False  # s(0) = 0 was already stripped with x^a
-    return negative == deg
+    return count_real_roots_in(s_hat, -cauchy_bound(s_hat), Fraction(0)) == deg

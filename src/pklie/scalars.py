@@ -388,9 +388,9 @@ def parse_scalar(text: str, params=None) -> GaussianRational:
         raise ScalarParseError(f"division by zero in {text!r}") from exc
 
 
-def parse_fraction(text) -> Fraction:
+def parse_fraction(text: str) -> Fraction:
     """Parse a plain rational; rejects anything with an imaginary part."""
-    value = parse_scalar(str(text))
+    value = parse_scalar(text)
     if not value.is_real():
         raise ScalarParseError(f"expected a real rational, got {value}")
     return value.re
@@ -409,6 +409,13 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an int, got {value!r}")
     return value
+
+
+def json_literal(value, what: str) -> str:
+    """The text of a scalar literal read from JSON: a string, or an int (not a bool)."""
+    if type(value) is int or isinstance(value, str):
+        return str(value)
+    raise ValueError(f"{what} must be a string or an int, got {value!r}")
 
 
 def json_rational(value, what: str) -> int | Fraction:

@@ -77,6 +77,12 @@ def test_obstruct_search_torus_inconclusive(capsys):
     assert code == 2
 
 
+def test_obstruct_checks_the_empty_candidate(capsys):
+    # an empty --beta is the zero form, not a request to search
+    code, out = run_cli(["obstruct", "--catalog", "kt", "--p", "1", "--beta", ""], capsys)
+    assert (code, out) == (2, "REJECTED: beta must be a nonzero (1)-form\n")
+
+
 def test_classify_kt(capsys):
     code, out = run_cli(["classify", "--catalog", "kt"], capsys)
     assert code == 0
@@ -356,6 +362,35 @@ def test_verify_restrict_and_quotient(tmp_path, capsys):
     assert code == 0, out2
 
 
+@pytest.mark.parametrize("name", ["kt", "iwasawa", "h5r", "qn8a", "torus3"])
+def test_every_json_report_verifies(name, tmp_path, capsys):
+    omega = " + ".join(f"i a{j}_b{j}" for j in range(1, named_example(name).n + 1))
+    runs = [
+        ["validate"],
+        ["classify"],
+        ["find", "--p", "1"],
+        ["restrict", "--omega", omega],
+        ["quotient", "--p", "1", "--omega", omega],
+        ["obstruct", "--p", "1"],
+        ["obstruct", "--p", "1", "--beta=a1"],
+        ["obstruct", "--p", "1", "--beta="],
+    ]
+    path = tmp_path / "report.json"
+    obstructed = []
+    for argv in runs:
+        code, out = run_cli([*argv, "--catalog", name, "--format", "json"], capsys)
+        report = json.loads(out)
+        # only an obstruct run that certifies nothing is INCONCLUSIVE
+        assert code == (0 if report.get("obstructed", True) else 2), argv
+        path.write_text(out)
+        verified = run_cli(["verify", str(path)], capsys)
+        assert verified == (0, "certificate verified (exact arithmetic)\n"), argv
+        if argv[0] == "obstruct":
+            obstructed.append(report["obstructed"])
+    # a certificate (none on the torus), then two rejected candidates
+    assert obstructed == [None if name == "torus3" else True, False, False]
+
+
 def test_equation_mode_input_with_params(tmp_path, capsys):
     payload = {"n": 2, "dalpha": {"a2": "eps a1_b1"}, "params": {"eps": "1"}}
     path = tmp_path / "kt.json"
@@ -458,6 +493,33 @@ def _assert_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+def _bracket_c(c):
+    return {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": 3, "c": c}], "J": _J4}
+
+
+# JSON scalars that are neither a string nor an int, and the error naming the field
+_WRONG_SCALARS = {
+    "bracket_c_a_bool": (_bracket_c(True), "bracket 'c' must be a string or an int, got True"),
+    "bracket_c_a_float": (_bracket_c(1.5), "bracket 'c' must be a string or an int, got 1.5"),
+    "J_entry_a_bool": (
+        {**_bracket_c("1"), "J": [[True, "-1", "0", "0"], *_J4[1:]]},
+        "J entry must be a string or an int, got True",
+    ),
+    "coframe_entry_a_float": (
+        _kt_input(lambda d: d["coframe"][0].__setitem__(0, 1.5)),
+        "coframe entry must be a string or an int, got 1.5",
+    ),
+    "param_a_bool": (
+        {"n": 2, "dalpha": {"a2": "eps a1_b1"}, "params": {"eps": True}},
+        "param 'eps' must be a string or an int, got True",
+    ),
+    "param_a_float": (
+        {"n": 2, "dalpha": {"a2": "eps a1_b1"}, "params": {"eps": 1.5}},
+        "param 'eps' must be a string or an int, got 1.5",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -497,6 +559,7 @@ def _assert_input_error(argv, capsys):
         {"dim": 4, "brackets": [{"i": 1, "j": 2.0, "k": 3, "c": "1"}], "J": _J4},
         {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": [3], "c": "1"}], "J": _J4},
         {"dim": "4", "d": {"e3": "e1^e2"}, "J": _J4},
+        *(payload for payload, _ in _WRONG_SCALARS.values()),
     ],
     ids=[
         "key_out_of_range",
@@ -535,12 +598,23 @@ def _assert_input_error(argv, capsys):
         "bracket_j_a_float",
         "bracket_k_a_list",
         "coframe_dim_a_string",
+        *_WRONG_SCALARS,
     ],
 )
 def test_malformed_equation_input_rejected(tmp_path, capsys, payload):
     path = tmp_path / "eqs.json"
     path.write_text(json.dumps(payload))
     _assert_input_error(["validate", "--in", str(path)], capsys)
+
+
+@pytest.mark.parametrize("payload, message", _WRONG_SCALARS.values(), ids=list(_WRONG_SCALARS))
+def test_json_scalar_of_another_type_names_its_field(tmp_path, capsys, payload, message):
+    # a bool or a float used to be read through str(): True as the parameter
+    # 'True', 1.5 as a literal with an unexpected '.'
+    path = tmp_path / "eqs.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("beta", ["a21", "a11", "a15", "b0", "a1_b11", "0 a21 + a123"])
@@ -748,8 +822,14 @@ _AAB = {
         {"v": ["0", "0", "0"]},
         {"n": "3"},
         {"n": [3]},
+        {"lambda": True},
+        {"v": ["0", 1.5, "0", "0"]},
+        {"A": [[True, "0", "0", "-1"], *_AAB["A"][1:]]},
     ],
-    ids=["v_not_a_list", "A_not_a_list", "A_rows_not_lists", "v_short", "n_a_string", "n_a_list"],
+    ids=[
+        "v_not_a_list", "A_not_a_list", "A_rows_not_lists", "v_short", "n_a_string", "n_a_list",
+        "lambda_a_bool", "v_entry_a_float", "A_entry_a_bool",
+    ],
 )
 def test_malformed_almost_abelian_input_rejected(tmp_path, capsys, edit):
     path = tmp_path / "aab.json"
@@ -763,6 +843,22 @@ def test_malformed_almost_abelian_input_rejected(tmp_path, capsys, edit):
     report["almost_abelian"].update(edit)
     path.write_text(json.dumps(report))
     _assert_input_error(["verify", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"lambda": True}, "lambda must be a string or an int, got True"),
+        ({"v": ["0", 1.5, "0", "0"]}, "v entry must be a string or an int, got 1.5"),
+        ({"A": [[True, "0", "0", "-1"], *_AAB["A"][1:]]}, "A entry must be a string or an int, got True"),
+    ],
+    ids=["lambda_a_bool", "v_entry_a_float", "A_entry_a_bool"],
+)
+def test_almost_abelian_scalar_of_another_type_names_its_field(tmp_path, capsys, edit, message):
+    path = tmp_path / "aab.json"
+    path.write_text(json.dumps({"almost_abelian": {**_AAB, **edit}}))
+    assert main(["aab-kahler", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"input error: bad almost_abelian payload: {message}\n"
 
 
 # A = diag(1, -1, -1, 1) commutes with J and has trace 0 but is not
@@ -828,16 +924,57 @@ def test_verify_checks_every_aab_kahler_field(tmp_path, capsys, payload, field, 
     assert main(["aab-kahler", "--in", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert ("absorb" in report) is (payload is _AAB)
+    _assert_one_field_fails(tmp_path, capsys, report, field, lambda _: value)
+
+
+def _assert_one_field_fails(tmp_path, capsys, report, field, edit):
+    """`report` verifies, and after report[field] = edit(report) (or its
+    deletion, for _DROP) verify prints exactly the FAIL line naming field."""
+    path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
-    assert main(["verify", str(path)]) == 0
-    capsys.readouterr()
+    assert run_cli(["verify", str(path)], capsys) == (0, "certificate verified (exact arithmetic)\n")
+    value = edit(report)
     if value is _DROP:
         del report[field]
     else:
         report[field] = value
     path.write_text(json.dumps(report))
-    assert main(["verify", str(path)]) == 1
-    assert capsys.readouterr().out == f"FAIL: stored {field} does not match the recomputation\n"
+    code, out = run_cli(["verify", str(path)], capsys)
+    assert (code, out) == (1, f"FAIL: stored {field} does not match the recomputation\n")
+
+
+_KAHLER_KT = ["--omega", "i a1_b1 + i a2_b2"]
+
+
+@pytest.mark.parametrize(
+    "argv, field, edit",
+    [
+        (["validate", "--catalog", "kt"], "valid", lambda d: False),
+        (["classify", "--catalog", "kt"], "nilpotent", lambda d: 1),
+        (["classify", "--catalog", "qn8a"], "forbidden_p", lambda d: 2),
+        (["classify", "--catalog", "qn8a"], "series_dims", lambda d: [0, 2, 8]),
+        (["classify", "--catalog", "iwasawa"], "closed_coframe_count", lambda d: _DROP),
+        (["restrict", "--catalog", "kt", *_KAHLER_KT], "omega_h_zero", lambda d: not d["omega_h_zero"]),
+        (["restrict", "--catalog", "kt", *_KAHLER_KT], "ideal", lambda d: d["input"]),
+        (["restrict", "--catalog", "kt", *_KAHLER_KT], "omega_h", lambda d: _DROP),
+        (_T3_QUOTIENT, "descended_closed", lambda d: not d["descended_closed"]),
+        (_T3_QUOTIENT, "quotient", lambda d: {"junk": 1}),
+        (_T3_QUOTIENT, "junk", lambda d: 1),
+        (["obstruct", "--catalog", "iwasawa", "--p", "2"], "obstructed", lambda d: False),
+        (["obstruct", "--catalog", "torus3", "--p", "1", "--beta=a1"], "reason", lambda d: "no reason"),
+        (["obstruct", "--catalog", "torus3", "--p", "1", "--beta=a1"], "obstructed", lambda d: None),
+    ],
+    ids=[
+        "validate-valid", "classify-nilpotent_as_int", "classify-forbidden_p", "classify-series_dims",
+        "classify-closed_coframe_count_dropped", "restrict-omega_h_zero", "restrict-ideal_is_input",
+        "restrict-omega_h_dropped", "quotient-descended_closed", "quotient-quotient_junk",
+        "quotient-junk_added", "obstruct-search_obstructed", "obstruct-rejected_reason",
+        "obstruct-rejected_obstructed",
+    ],
+)
+def test_verify_rebuilds_every_report_field(tmp_path, capsys, argv, field, edit):
+    code, out = run_cli([*argv, "--format", "json"], capsys)
+    _assert_one_field_fails(tmp_path, capsys, json.loads(out), field, edit)
 
 
 _KT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "kt.p1.json")

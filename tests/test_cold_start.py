@@ -111,12 +111,17 @@ def test_aab_kahler_and_its_verify_load_only_the_light_modules(tmp_path, aab_fil
     assert loaded_modules(tmp_path, "verify", str(report)) == light
 
 
-def test_validate_loads_no_pkahler_pipeline(tmp_path):
-    # classify on a nilpotent structure runs the closed-coframe obstruction too
+def test_validate_loads_no_pkahler_pipeline(tmp_path, capsys):
+    # classify on a nilpotent structure runs the closed-coframe obstruction
+    # too; verify rebuilds both reports through the same bodies
     for argv in (["validate", "--catalog", "iwasawa"], ["classify", "--catalog", "kt"]):
-        modules = loaded_modules(tmp_path, *argv)
-        assert "pklie.cxstruct" in modules
-        assert not {"pklie.pkahler", "pklie.positivity", "pklie.simplex"} & set(modules)
+        assert main([*argv, "--format", "json"]) == 0
+        report = tmp_path / f"{argv[0]}.json"
+        report.write_text(capsys.readouterr().out)
+        for run in (argv, ["verify", str(report)]):
+            modules = loaded_modules(tmp_path, *run)
+            assert "pklie.cxstruct" in modules
+            assert not {"pklie.pkahler", "pklie.positivity", "pklie.simplex"} & set(modules)
 
 
 @pytest.mark.parametrize(

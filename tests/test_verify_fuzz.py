@@ -3,7 +3,8 @@
 Each example takes one report, replaces or deletes one field anywhere in it
 (numbers, lists, strings, missing keys) and runs the CLI in-process.  The
 reports are golden `find` and `obstruct` reports and `restrict`,
-`quotient`, `validate` and `aab-kahler` reports made here through the CLI.
+`quotient`, `validate`, `classify`, `aab-kahler` and certificate-free
+`obstruct` reports made here through the CLI.
 A report that still verifies, a `FAIL:` line and an `input error:` are all
 fine; any other exception is a defect.
 """
@@ -58,13 +59,19 @@ CLI_RUNS = {
     "quotient iwasawa": ["quotient", "--catalog", "iwasawa", "--p", "1", "--omega", KAHLER_11],
     "quotient h5r": ["quotient", "--catalog", "h5r", "--p", "2", "--omega", "a12_b12"],
     **{f"validate {c}": ["validate", "--catalog", c] for c in ("kt", "iwasawa", "h5r")},
+    **{f"classify {c}": ["classify", "--catalog", c] for c in ("kt", "iwasawa", "qn8a")},
+    # no obstruction found, and two rejected candidates
+    "obstruct iwasawa p2": ["obstruct", "--catalog", "iwasawa", "--p", "2"],
+    "obstruct kt rejected": ["obstruct", "--catalog", "kt", "--p", "1", "--beta=a1"],
+    "obstruct h5r rejected": ["obstruct", "--catalog", "h5r", "--p", "2", "--beta=a1_b1"],
 }
 
 
 def _cli_report(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main([*argv, "--format", "json"]) == 0, argv
+        # 2 is an obstruct run that certifies nothing
+        assert main([*argv, "--format", "json"]) in (0, 2), argv
     return json.loads(out.getvalue())
 
 
