@@ -21,18 +21,20 @@ _EXPORTS = {
     ),
     "liealg": (
         "LieAlgebraSpec",
-        "algebra_invariants",
         "ce_differential",
         "check_jacobi",
         "from_bracket_list",
     ),
     "cxstruct": (
-        "AscendingSeries",
         "ComplexStructureSpec",
+        "check_integrability",
+    ),
+    "reductions": (
+        "AscendingSeries",
         "JClass",
+        "algebra_invariants",
         "ascending_series",
         "b_extension_quotient",
-        "check_integrability",
         "closed_coframe_obstruction",
         "restrict_to_jinvariant_ideal",
     ),
@@ -46,13 +48,12 @@ _EXPORTS = {
         "metric_power_root",
         "volume_coefficient",
     ),
+    "obstruction": ("ObstructionCertificate", "obstruction_check"),
     "pkahler": (
-        "ObstructionCertificate",
         "PKVerdict",
         "PKahlerReport",
         "closed_pp_space",
         "find_pkahler",
-        "obstruction_check",
         "obstruction_search",
     ),
     "almost_abelian": ("AlmostAbelianData", "kahler_decision_almost_abelian"),

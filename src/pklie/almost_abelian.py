@@ -18,11 +18,7 @@ from .polynomials import (
     is_squarefree,
     minimal_poly,
 )
-from .scalars import as_fraction, json_literal, parse_fraction
-
-
-class InadmissibleParameters(ValueError):
-    pass
+from .scalars import InadmissibleParameters, as_fraction, json_literal, parse_fraction
 
 
 @dataclass

@@ -7,21 +7,29 @@ families enforce exactly the admissible parameter tuples.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-# The almost-abelian data, the Kahler decision and the exception live in the
-# light module `almost_abelian`; they are re-exported here.
-from .almost_abelian import (
-    AlmostAbelianData,
-    InadmissibleParameters,
-    KahlerDecision,
-    kahler_decision_almost_abelian,
-)
 from .cxstruct import ComplexStructureSpec, equations_from_literals
 from .exterior import ComplexForm, monomial
 from .liealg import LieAlgebraSpec, from_bracket_list
 from .linalg import Matrix, gr, zeros
-from .scalars import GaussianRational, I, ONE, as_fraction
+from .scalars import GaussianRational, I, InadmissibleParameters, ONE, as_fraction
+
+if TYPE_CHECKING:
+    from .almost_abelian import AlmostAbelianData
+
+# Names of `almost_abelian`, re-exported on first access (PEP 562) and then kept in
+# this module's globals, so building a structure loads neither it nor `polynomials`.
+_ALMOST_ABELIAN = ("AlmostAbelianData", "KahlerDecision", "kahler_decision_almost_abelian")
+
+
+def __getattr__(name):
+    if name not in _ALMOST_ABELIAN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import almost_abelian
+
+    value = globals()[name] = getattr(almost_abelian, name)
+    return value
 
 
 # -- strongly non-nilpotent families in real dimension 8 ---------------------------

@@ -103,8 +103,7 @@ def validate_body(struct: ComplexStructureSpec) -> Body:
 
 
 def classify_body(struct: ComplexStructureSpec) -> Body:
-    from .cxstruct import ascending_series, closed_coframe_obstruction
-    from .liealg import algebra_invariants
+    from .reductions import algebra_invariants, ascending_series, closed_coframe_obstruction
 
     inv = algebra_invariants(struct.g)
     lines = [
@@ -136,7 +135,7 @@ def classify_body(struct: ComplexStructureSpec) -> Body:
 def obstruct_body(struct: ComplexStructureSpec, p: int, beta: ComplexForm | None) -> Body:
     """Check the candidate beta, or search for one when beta is None."""
     from .exterior import form_to_json, form_to_literal
-    from .pkahler import ObstructionRejected, obstruction_check, obstruction_search
+    from .obstruction import ObstructionRejected, obstruction_check
 
     if beta is not None:
         try:
@@ -145,6 +144,8 @@ def obstruct_body(struct: ComplexStructureSpec, p: int, beta: ComplexForm | None
             report = {"p": p, "obstructed": False, "beta": form_to_json(beta), "reason": str(exc)}
             return report, [f"REJECTED: {exc}"]
     else:
+        from .pkahler import obstruction_search
+
         cert = obstruction_search(struct, p)
         if cert is None:
             return {"p": p, "obstructed": None}, ["no obstruction found in the monomial ansatz"]
@@ -156,8 +157,9 @@ def obstruct_body(struct: ComplexStructureSpec, p: int, beta: ComplexForm | None
 
 
 def restrict_body(struct: ComplexStructureSpec, omega: ComplexForm, alpha: ComplexForm) -> Body:
-    from .cxstruct import restrict_to_jinvariant_ideal, struct_to_json
+    from .cxstruct import struct_to_json
     from .exterior import form_to_json, form_to_literal
+    from .reductions import restrict_to_jinvariant_ideal
 
     res = restrict_to_jinvariant_ideal(struct, omega, alpha)
     closed_ok = res.sub.d(res.omega_h).is_zero()
@@ -177,8 +179,9 @@ def restrict_body(struct: ComplexStructureSpec, omega: ComplexForm, alpha: Compl
 
 
 def quotient_body(struct: ComplexStructureSpec, p: int, omega: ComplexForm) -> Body:
-    from .cxstruct import b_extension_quotient, struct_to_json
+    from .cxstruct import struct_to_json
     from .exterior import form_to_json, form_to_literal
+    from .reductions import b_extension_quotient
 
     res = b_extension_quotient(struct, omega, p)
     closed_ok = res.quotient.d(res.omega).is_zero()
@@ -303,6 +306,9 @@ _REBUILT = {
     "restrict": (restrict_body, ("omega", "alpha")),
     "quotient": (quotient_body, ("p", "omega")),
 }
+_ENVELOPE = {"tool", "command", "input"}
+# the fields besides the envelope of a report with a certificate; verify rejects any other
+_CERTIFIED = {"find": {"seed", "report"}, "obstruct": {"p", "obstructed", "certificate"}}
 
 
 def _stored_input(data: dict, key: str, n: int):
@@ -315,8 +321,8 @@ def _stored_input(data: dict, key: str, n: int):
 
 
 def _verify(data: dict) -> int:
-    """Re-check a certificate, or rebuild the report body from its stored
-    inputs and compare every field outside the tool/command/input envelope."""
+    """Re-check a certificate and reject a field its command never writes, or
+    rebuild the report body from its stored inputs and compare each field outside the envelope."""
     command = data.get("command")
     if command == "aab-kahler":
         body = aab_kahler_body(data["almost_abelian"])[0]
@@ -327,37 +333,41 @@ def _verify(data: dict) -> int:
             struct = struct_from_json(data["input"])
         except (KeyError, ValueError) as exc:
             raise InputError(f"report does not embed a valid structure: {exc}") from exc
-        if command == "find":
-            from .pkahler import verify_report
+        if command == "find" or command == "obstruct" and data.get("obstructed") is True:
+            extra = data.keys() - _ENVELOPE - _CERTIFIED[command]
+            failures = [f"unexpected field {key!r}" for key in sorted(extra)]
+            if command == "find":
+                from .pkahler import verify_report
 
-            return _outcome(verify_report(struct, data["report"]))
-        if command == "obstruct" and data.get("obstructed") is True:
-            from .pkahler import verify_obstruction
+                failures += verify_report(struct, data["report"])
+            else:
+                from .obstruction import verify_obstruction
 
-            p = json_int(data["p"], "p")
-            return _outcome(verify_obstruction(struct, p, data["certificate"]))
+                failures += verify_obstruction(struct, json_int(data["p"], "p"), data["certificate"])
+            return _outcome(failures, "certificate verified (exact arithmetic)")
         if not isinstance(command, str) or command not in _REBUILT:
             raise InputError(f"no verifier for command {command!r}")
         make, keys = _REBUILT[command]
         body = make(struct, *(_stored_input(data, key, struct.n) for key in keys))[0]
     want, got = (
         {key: json.dumps(value, sort_keys=True) for key, value in fields.items()
-         if key not in ("tool", "command", "input")}
+         if key not in _ENVELOPE}
         for fields in (body, data)
     )
-    return _outcome([
+    failures = [
         f"stored {key} does not match the recomputation"
         for key in sorted(want.keys() | got.keys())
         if want.get(key) != got.get(key)
-    ])
+    ]
+    return _outcome(failures, "report rebuilt and matched (exact arithmetic)")
 
 
-def _outcome(failures: list[str]) -> int:
+def _outcome(failures: list[str], verified: str) -> int:
     for f in failures:
         sys.stdout.write(f"FAIL: {f}\n")
     if failures:
         return EXIT_INPUT
-    sys.stdout.write("certificate verified (exact arithmetic)\n")
+    sys.stdout.write(verified + "\n")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -27,27 +26,22 @@ from .exterior import (
     indices,
     key_bidegree,
     monomial,
-    one_form,
     parse_form,
     substitute,
     term_order,
 )
 from .liealg import (
-    InvalidAlgebraError,
     LieAlgebraSpec,
     algebra_from_json,
     coframe_differentials,
-    _int_row,
     ensure_valid,
     int_bracket,
-    is_nilpotent,
     signed_brackets,
 )
 from .linalg import (
     Matrix,
     Vector,
     apply_columns,
-    gr,
     identity,
     inverse,
     kernel,
@@ -70,12 +64,6 @@ class NonIntegrableError(ValueError):
 
 def _has_02_part(eq: ComplexForm) -> bool:
     return any(key_bidegree(m, eq.n) == (0, 2) for m in eq.terms)
-
-
-class JClass(str, Enum):
-    SNN = "SNN"
-    WEAKLY_NON_NILPOTENT = "WEAKLY_NON_NILPOTENT"
-    NILPOTENT = "NILPOTENT"
 
 
 @dataclass
@@ -545,223 +533,3 @@ def check_integrability(
         )
     nij.coframe, nij.equations = coframe, equations
     return nij
-
-
-# -- ascending series adapted to J ----------------------------------------------
-
-
-@dataclass
-class AscendingSeries:
-    chain: list[Matrix]
-    dims: list[int]
-    stabilization: int
-    classification: JClass
-
-    @property
-    def first_term(self) -> Matrix:
-        return self.chain[1] if len(self.chain) > 1 else []
-
-
-def ascending_series(struct: ComplexStructureSpec) -> AscendingSeries:
-    """Chain a_0 = 0, a_k = {X : [X,g] and [JX,g] both land in a_{k-1}}.
-
-    Defined (and classified) for nilpotent algebras only.
-    """
-    g = struct.g
-    if not is_nilpotent(g):
-        raise InvalidAlgebraError("ascending series classification needs a nilpotent algebra")
-    dim = g.dim
-    # X lies in a_k iff phi([X, e_i]) = 0 and phi([JX, e_i]) = 0 for every
-    # phi annihilating a_{k-1}: rows m -> phi([e_m, e_i]) and that row times J,
-    # from the int bracket table and int columns of J, each a positive multiple
-    # of the exact row, which leaves the kernel as it is
-    table, _ = signed_brackets(g)
-    jcols, _ = _j_int_columns(struct.J)
-
-    chain: list[Matrix] = [[]]
-    while True:
-        prev = chain[-1]
-        ann = [_int_row(phi) for phi in (kernel(prev, dim) if prev else identity(dim))]
-        rows = []
-        for i in range(1, dim + 1):
-            for phi in ann:
-                ad = [0] * (dim + 1)
-                for m in range(1, dim + 1):
-                    for k, c in table.get((m, i), ()):
-                        if k in phi:
-                            ad[m] += phi[k] * c
-                rows.append([gr(x) for x in ad[1:]])
-                rows.append([gr(sum(ad[l] * x for l, x in col.items())) for col in jcols])
-        nxt = row_space_rref(kernel(rows, dim)) if rows else identity(dim)
-        if len(nxt) == len(prev):
-            break
-        chain.append(nxt)
-    dims = [len(step) for step in chain]
-    stab = len(chain) - 1
-    if len(dims) == 1:
-        classification = JClass.SNN
-    elif dims[-1] == dim:
-        classification = JClass.NILPOTENT
-    else:
-        classification = JClass.WEAKLY_NON_NILPOTENT
-    return AscendingSeries(chain, dims, stab, classification)
-
-
-@dataclass
-class CoframeClosureResult:
-    t: int
-    forbidden_p: int | None
-
-
-def closed_coframe_obstruction(
-    struct: ComplexStructureSpec, series: AscendingSeries | None = None
-) -> CoframeClosureResult:
-    """Count of closed coframe elements t; degree n-t admits no structure.
-
-    Defined for nilpotent complex structures on nilpotent algebras; `series`
-    is `ascending_series(struct)` when the caller has it already.
-    """
-    if (series or ascending_series(struct)).classification != JClass.NILPOTENT:
-        raise InvalidAlgebraError("closure obstruction needs a nilpotent complex structure")
-    t = len(struct.closed_10_forms())
-    forbidden = struct.n - t
-    return CoframeClosureResult(t, forbidden if forbidden >= 1 else None)
-
-
-# -- reductions -------------------------------------------------------------------
-
-
-@dataclass
-class Restriction:
-    sub: ComplexStructureSpec
-    omega_h: ComplexForm
-
-
-def _complete_row_to_basis(row: Vector, n: int) -> Matrix:
-    pivot = next((j for j, c in enumerate(row) if not c.is_zero()), None)
-    if pivot is None:
-        raise ValueError("cannot complete the zero row")
-    rows = [list(row)]
-    for j in range(n):
-        if j != pivot:
-            unit = [ZERO] * n
-            unit[j] = ONE
-            rows.append(unit)
-    return rows
-
-
-def _transform_struct_forms(struct: ComplexStructureSpec, transform: Matrix):
-    """Structure equations in the coframe a'^j = sum transform[j][k] a^k."""
-    n = struct.n
-    tinv = inverse([row[:] for row in transform])
-    old_in_new = [one_form(n, row) for row in tinv]
-    equations = []
-    for row in transform:
-        d_old = combine(n, ((c, eq) for c, eq in zip(row, struct.equations) if c))
-        equations.append(substitute(d_old, old_in_new, n_target=n))
-
-    def to_new(f: ComplexForm) -> ComplexForm:
-        return substitute(f, old_in_new, n_target=n)
-
-    return equations, to_new
-
-
-def _strip_index(f: ComplexForm, idx: int) -> ComplexForm:
-    """Drop the terms containing a^idx or its conjugate; a^j for j > idx
-    becomes a^(j-1)."""
-
-    n, below = f.n, (1 << idx - 1) - 1
-
-    def squeeze(half: int) -> int:
-        return half & below | half >> 1 & ~below
-
-    return ComplexForm._wrap(
-        n - 1,
-        {
-            squeeze(m & (1 << n) - 1) | squeeze(m >> n) << n - 1: c
-            for m, c in f.terms.items()
-            if not m & (1 << idx - 1 | 1 << n + idx - 1)
-        },
-    )
-
-
-def restrict_to_jinvariant_ideal(
-    struct: ComplexStructureSpec, omega: ComplexForm, alpha: ComplexForm
-) -> Restriction:
-    """Restriction to the J-invariant codimension-2 ideal dual to a closed a^1.
-
-    The closed (1,0)-form alpha becomes the first coframe element; the ideal
-    h annihilates alpha and its conjugate, and omega_h is the part of omega
-    free of a^1 and its conjugate, on the coframe of h.
-    """
-    n = struct.n
-    if alpha.is_zero():
-        raise ValueError("alpha must be nonzero")
-    if alpha.bidegrees() != {(1, 0)}:
-        raise ValueError("alpha must be a (1,0)-form")
-    if not struct.d(alpha).is_zero():
-        raise ValueError("alpha must be closed")
-    if not omega.is_real():
-        raise ValueError("omega must be real")
-    row = [alpha.coeff((j,)) for j in range(1, n + 1)]
-    equations, to_new = _transform_struct_forms(struct, _complete_row_to_basis(row, n))
-    sub = ComplexStructureSpec.from_equations([_strip_index(eq, 1) for eq in equations[1:]])
-    return Restriction(sub, _strip_index(to_new(omega), 1))
-
-
-@dataclass
-class BExtension:
-    quotient: ComplexStructureSpec
-    omega: ComplexForm  # coefficient of i a^{n,nb}; the (p-1,p-1) descent
-
-
-def b_extension_quotient(
-    struct: ComplexStructureSpec, omega: ComplexForm, p: int
-) -> BExtension:
-    """Quotient by a central J-invariant plane inside the first series term.
-
-    Requires a quasi-nilpotent structure.  The last coframe element spans the
-    plane's (1,0)-dual; omega' is the form on the quotient coframe with
-    omega' ^ i a^{n,nb} equal to the terms of omega that hold both a^n and
-    conj a^n.
-    """
-    n = struct.n
-    if not 1 <= p <= n:
-        raise ValueError("need 1 <= p <= n")
-    series = ascending_series(struct)
-    first = series.first_term
-    if not first:
-        raise InvalidAlgebraError("no central J-invariant plane: structure is SnN")
-    if not omega.is_real():
-        raise ValueError("omega must be real")
-    if omega.bidegrees() not in ({(p, p)}, set()):
-        raise ValueError(f"omega must be a real ({p},{p})-form")
-    x = [c.re for c in first[0]]
-
-    # (1,0)-forms vanishing on the plane: single linear condition
-    u = [
-        sum((struct.coframe[j][m] * gr(x[m]) for m in range(struct.g.dim)), ZERO)
-        for j in range(n)
-    ]
-    vanish = kernel([u], n)
-    if len(vanish) != n - 1:
-        raise AssertionError("expected a corank-one condition on the coframe")
-    pivot = next(j for j, c in enumerate(u) if not c.is_zero())
-    last = [ZERO] * n
-    last[pivot] = ONE / u[pivot]
-    equations, to_new = _transform_struct_forms(struct, [list(v) for v in vanish] + [last])
-    plane_dual = 1 << n - 1 | 1 << 2 * n - 1  # a^n and conj a^n
-    for eq in equations[:-1]:
-        for m in eq.terms:
-            if m & plane_dual:
-                raise AssertionError("quotient equations must not touch the plane dual")
-    quotient = ComplexStructureSpec.from_equations([_strip_index(eq, n) for eq in equations[:-1]])
-
-    # a^H ^ conj a^A ^ i a^{n,nb} = i (-1)^{|A|} a^{Hn, An}, n being the last index
-    low = (1 << n - 1) - 1  # a^1..a^{n-1}
-    omega_prime = {
-        m & low | (m >> n & low) << n - 1: c * (-I if (m >> n).bit_count() % 2 else I)
-        for m, c in to_new(omega).terms.items()
-        if m & plane_dual == plane_dual
-    }
-    return BExtension(quotient, ComplexForm._wrap(n - 1, omega_prime))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .linalg import Vector, identity, kernel
 from .scalars import GaussianRational, ZERO, ONE, ratio_str, i_power, json_rational, parse_scalar
 
 
@@ -372,6 +373,64 @@ def reference_volume_coefficient(n: int) -> GaussianRational:
     """Coefficient c with i a^{1,1b} ^ ... ^ i a^{n,nb} = c * a^{1..n, 1b..nb}."""
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return i_power(n) * sign
+
+
+# -- simple (decomposable) forms ----------------------------------------------------
+
+
+def divisor_space(psi: ComplexForm) -> list[Vector]:
+    """(1,0)-forms phi with phi ^ psi = 0; dimension equals deg(psi) iff simple."""
+    n = psi.n
+    products = [wedge(monomial(n, (j,)), psi) for j in range(1, n + 1)]
+    keys = sorted({key for w in products for key in w.terms}, key=term_order(n))
+    if not keys:
+        return identity(n)
+    rows = [[w.terms.get(key, ZERO) for w in products] for key in keys]
+    return kernel(rows, n)
+
+
+def is_simple(psi: ComplexForm) -> bool:
+    if psi.is_zero():
+        return False
+    bid = psi.bidegree()
+    if bid is None or bid[1] != 0:
+        return False
+    k = bid[0]
+    if len(psi.terms) == 1 or k in (0, 1, psi.n - 1, psi.n):
+        return True
+    return len(divisor_space(psi)) == k
+
+
+def simple_factors(psi: ComplexForm) -> list[Vector] | None:
+    """Columns mu_1..mu_k with mu_1 ^ ... ^ mu_k = psi exactly, or None."""
+    if psi.is_zero():
+        return None
+    bid = psi.bidegree()
+    if bid is None or bid[1] != 0:
+        return None
+    k = bid[0]
+    if k == 0:
+        return None
+    cols = divisor_space(psi)
+    if len(cols) != k:
+        return None
+    candidate = _columns_form(cols, psi.n)
+    if candidate.is_zero():
+        return None
+    key = next(iter(psi.terms))
+    cand_coeff = candidate.terms.get(key)
+    if cand_coeff is None:
+        return None
+    scale = psi.terms[key] / cand_coeff
+    if candidate * scale != psi:
+        return None
+    cols = [list(c) for c in cols]
+    cols[0] = [x * scale for x in cols[0]]
+    return cols
+
+
+def _columns_form(cols: Sequence[Vector], n: int) -> ComplexForm:
+    return wedge_all([one_form(n, col) for col in cols], n)
 
 
 # -- literal and JSON encodings -----------------------------------------------

@@ -14,16 +14,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .exterior import ComplexForm, apply_antiderivation, index_mask, indices, monomial, split_terms
-from .linalg import (
-    Matrix,
-    Vector,
-    apply_columns,
-    gr,
-    identity,
-    inverse,
-    row_space_rref,
-    sparse_kernel,
-)
+from .linalg import Matrix, Vector, apply_columns, inverse
 from .scalars import GaussianRational, _gr, as_fraction, json_int, json_literal, parse_fraction
 
 
@@ -191,66 +182,13 @@ def d_squared_vanishes(g: LieAlgebraSpec) -> bool:
     return all(apply_antiderivation(df, diffs, zero_anti).is_zero() for df in diffs)
 
 
-# -- structural invariants ------------------------------------------------------
-
-
-@dataclass
-class AlgebraInvariants:
-    center_basis: list[list[Fraction]]
-    lower_central_series_dims: list[int]
-    is_nilpotent: bool
-    is_unimodular: bool
-    abelian_codim1_ideal: list[list[Fraction]] | None
-
-
-def center(g: LieAlgebraSpec) -> list[list[Fraction]]:
-    """Exact basis of {x : [x, e_i] = 0 for all i}."""
-    # condition [x, e_i] = 0: row (i, k) -> {m: c} for [e_m, e_i] = sum (c / D) e_k
-    table, _ = signed_brackets(g)
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for (m, i), comp in table.items():
-        for k, c in comp:
-            rows.setdefault((i, k), {})[m - 1] = c
-    zero = Fraction(0)
-    return [[v.get(c, zero) for c in range(g.dim)] for v in sparse_kernel(list(rows.values()), g.dim)]
+# -- unimodularity and change of basis ------------------------------------------
 
 
 def _int_row(row: Vector) -> dict[int, int]:
     """A real row as {1-based index: int}, scaled by the lcm of its denominators."""
     den = lcm(*(x.d for x in row))
     return {i: x.a * (den // x.d) for i, x in enumerate(row, start=1) if x.a}
-
-
-def _span_products(table: IntBracketTable, dim: int, rows_a: Matrix, rows_b: Matrix) -> Matrix:
-    """Canonical basis of the span of [u, v] over the real rows u, v.
-
-    Each row is scaled to ints and bracketed through the int table of
-    `signed_brackets`: a positive multiple of a product spans the same line,
-    and the RREF of a span is unique.
-    """
-    products = []
-    ints_b = [_int_row(v) for v in rows_b]
-    for u in map(_int_row, rows_a):
-        for v in ints_b:
-            if w := int_bracket(table, u, v):
-                products.append([gr(w.get(k, 0)) for k in range(1, dim + 1)])
-    return row_space_rref(products)
-
-
-def lower_central_series(g: LieAlgebraSpec) -> list[Matrix]:
-    """g = g_1 >= g_2 = [g, g_1] >= ... until stabilization."""
-    table, _ = signed_brackets(g)
-    full = identity(g.dim)
-    series = [full]
-    while True:
-        nxt = _span_products(table, g.dim, full, series[-1])
-        if len(nxt) == len(series[-1]):
-            series.append(nxt)
-            break
-        series.append(nxt)
-        if not nxt:
-            break
-    return series
 
 
 def is_unimodular(g: LieAlgebraSpec) -> bool:
@@ -264,53 +202,6 @@ def is_unimodular(g: LieAlgebraSpec) -> bool:
         if (c := comp.get(i)) is not None:
             traces[j] -= c
     return not any(traces)
-
-
-def abelian_codim1_ideal(g: LieAlgebraSpec) -> list[list[Fraction]] | None:
-    """Exact decision: the RREF basis of a codimension-one abelian ideal, or
-    None when there is none (always for dim < 2).
-
-    With c^k(x, y) = e^k([x, y]), the hyperplane h = ker phi is abelian iff
-    every c^k vanishes on it, that is iff phi ^ c^k = 0.  Then [g, g] = [g, h],
-    so h is an ideal iff phi vanishes on [g, g]: sum_k phi_k c^k = 0.  Both
-    conditions are linear in phi, so every nonzero phi in the kernel of the
-    stacked rows gives such an ideal.
-    """
-    n = g.dim
-    if n < 2:
-        return None
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for (i, j), comp in g.brackets.items():
-        rows[(i, j)] = {k - 1: c for k, c in comp.items()}
-        # phi_m c^k_ij e^m ^ e^i ^ e^j, with e^m moved into ascending place
-        for m in range(1, n + 1):
-            if m != i and m != j:
-                sign = -1 if (i < m) != (j < m) else 1
-                for k, c in comp.items():
-                    rows.setdefault((*sorted((i, j, m)), k), {})[m - 1] = sign * c
-    phis = sparse_kernel(list(rows.values()), n)
-    if not phis:
-        return None
-    zero = Fraction(0)
-    return row_space_rref([[v.get(c, zero) for c in range(n)] for v in sparse_kernel(phis[:1], n)])
-
-
-def algebra_invariants(g: LieAlgebraSpec) -> AlgebraInvariants:
-    ensure_valid(g)
-    series = lower_central_series(g)
-    dims = [len(step) for step in series]
-    nilpotent = dims[-1] == 0
-    return AlgebraInvariants(
-        center_basis=center(g),
-        lower_central_series_dims=dims,
-        is_nilpotent=nilpotent,
-        is_unimodular=is_unimodular(g),
-        abelian_codim1_ideal=abelian_codim1_ideal(g),
-    )
-
-
-def is_nilpotent(g: LieAlgebraSpec) -> bool:
-    return len(lower_central_series(g)[-1]) == 0
 
 
 def change_basis(g: LieAlgebraSpec, s: Matrix) -> LieAlgebraSpec:

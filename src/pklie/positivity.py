@@ -18,24 +18,16 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exterior import (
     ComplexForm,
+    _columns_form,
     index_mask,
     monomial,
     one_form,
     reference_volume_coefficient,
+    simple_factors,
     substitute,
-    term_order,
     wedge,
-    wedge_all,
 )
-from .linalg import (
-    Matrix,
-    Vector,
-    gr,
-    hermitian_pivots,
-    identity,
-    kernel,
-    leading_minors,
-)
+from .linalg import Matrix, Vector, gr, hermitian_pivots, leading_minors
 from .scalars import GaussianRational, I, ONE, ZERO, i_power
 
 if TYPE_CHECKING:
@@ -243,64 +235,6 @@ def gram_positive_definite(h: Matrix):
     if ok:
         return True, GramCertificate(pivots, leading_minors(pivots))
     return False, bad
-
-
-# -- simple (decomposable) forms ----------------------------------------------------
-
-
-def divisor_space(psi: ComplexForm) -> list[Vector]:
-    """(1,0)-forms phi with phi ^ psi = 0; dimension equals deg(psi) iff simple."""
-    n = psi.n
-    products = [wedge(monomial(n, (j,)), psi) for j in range(1, n + 1)]
-    keys = sorted({key for w in products for key in w.terms}, key=term_order(n))
-    if not keys:
-        return identity(n)
-    rows = [[w.terms.get(key, ZERO) for w in products] for key in keys]
-    return kernel(rows, n)
-
-
-def is_simple(psi: ComplexForm) -> bool:
-    if psi.is_zero():
-        return False
-    bid = psi.bidegree()
-    if bid is None or bid[1] != 0:
-        return False
-    k = bid[0]
-    if len(psi.terms) == 1 or k in (0, 1, psi.n - 1, psi.n):
-        return True
-    return len(divisor_space(psi)) == k
-
-
-def simple_factors(psi: ComplexForm) -> list[Vector] | None:
-    """Columns mu_1..mu_k with mu_1 ^ ... ^ mu_k = psi exactly, or None."""
-    if psi.is_zero():
-        return None
-    bid = psi.bidegree()
-    if bid is None or bid[1] != 0:
-        return None
-    k = bid[0]
-    if k == 0:
-        return None
-    cols = divisor_space(psi)
-    if len(cols) != k:
-        return None
-    candidate = _columns_form(cols, psi.n)
-    if candidate.is_zero():
-        return None
-    key = next(iter(psi.terms))
-    cand_coeff = candidate.terms.get(key)
-    if cand_coeff is None:
-        return None
-    scale = psi.terms[key] / cand_coeff
-    if candidate * scale != psi:
-        return None
-    cols = [list(c) for c in cols]
-    cols[0] = [x * scale for x in cols[0]]
-    return cols
-
-
-def _columns_form(cols: Sequence[Vector], n: int) -> ComplexForm:
-    return wedge_all([one_form(n, col) for col in cols], n)
 
 
 # -- transversality decision --------------------------------------------------------

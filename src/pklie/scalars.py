@@ -268,6 +268,10 @@ class ScalarParseError(ValueError):
     pass
 
 
+class InadmissibleParameters(ValueError):
+    """Parameters outside a family's admissible set (`catalog`, `almost_abelian`)."""
+
+
 def _tokenize(text: str):
     tokens = []
     k, m = 0, len(text)

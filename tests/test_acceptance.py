@@ -18,28 +18,24 @@ from pklie.catalog import (
     kahler_decision_almost_abelian,
     named_example,
 )
-from pklie.cxstruct import (
-    ComplexStructureSpec,
-    ascending_series,
-    b_extension_quotient,
-    closed_coframe_obstruction,
-    restrict_to_jinvariant_ideal,
-)
+from pklie.cxstruct import ComplexStructureSpec
 from pklie.exterior import ComplexForm, monomial, parse_form, substitute, wedge
 from pklie.liealg import check_jacobi, d_squared_vanishes, from_bracket_list
 from pklie.linalg import gr, rank
-from pklie.pkahler import (
-    PKVerdict,
-    find_pkahler,
-    obstruction_check,
-    verify_report,
-)
+from pklie.obstruction import obstruction_check
+from pklie.pkahler import PKVerdict, find_pkahler, verify_report
 from pklie.positivity import (
     SearchBudget,
     TransStatus,
     check_transverse,
     metric_power_root,
     volume_coefficient,
+)
+from pklie.reductions import (
+    ascending_series,
+    b_extension_quotient,
+    closed_coframe_obstruction,
+    restrict_to_jinvariant_ideal,
 )
 from pklie.scalars import GaussianRational, I, ONE
 from test_positivity import random_decomposable

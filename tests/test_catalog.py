@@ -15,10 +15,11 @@ from pklie.catalog import (
     parse_catalog_name,
     registry,
 )
-from pklie.cxstruct import JClass, ascending_series, check_integrability
+from pklie.cxstruct import check_integrability
 from pklie.liealg import check_jacobi, is_unimodular
 from pklie.pkahler import PKVerdict, find_pkahler
 from pklie.positivity import SearchBudget
+from pklie.reductions import JClass, ascending_series
 
 
 F1_SAMPLES = [

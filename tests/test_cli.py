@@ -362,6 +362,10 @@ def test_verify_restrict_and_quotient(tmp_path, capsys):
     assert code == 0, out2
 
 
+_CERTIFIED = "certificate verified (exact arithmetic)\n"
+_REBUILT = "report rebuilt and matched (exact arithmetic)\n"
+
+
 @pytest.mark.parametrize("name", ["kt", "iwasawa", "h5r", "qn8a", "torus3"])
 def test_every_json_report_verifies(name, tmp_path, capsys):
     omega = " + ".join(f"i a{j}_b{j}" for j in range(1, named_example(name).n + 1))
@@ -384,7 +388,9 @@ def test_every_json_report_verifies(name, tmp_path, capsys):
         assert code == (0 if report.get("obstructed", True) else 2), argv
         path.write_text(out)
         verified = run_cli(["verify", str(path)], capsys)
-        assert verified == (0, "certificate verified (exact arithmetic)\n"), argv
+        # only find and a certifying obstruct carry a certificate
+        line = _CERTIFIED if argv[0] == "find" or report.get("obstructed") else _REBUILT
+        assert verified == (0, line), argv
         if argv[0] == "obstruct":
             obstructed.append(report["obstructed"])
     # a certificate (none on the torus), then two rejected candidates
@@ -626,11 +632,11 @@ def test_malformed_beta_monomial_rejected(capsys, beta):
 
 
 def test_classify_computes_the_ascending_series_once(capsys, monkeypatch):
-    from pklie import cxstruct
+    from pklie import reductions
 
     calls = []
-    series = cxstruct.ascending_series
-    monkeypatch.setattr(cxstruct, "ascending_series", lambda struct: calls.append(struct) or series(struct))
+    series = reductions.ascending_series
+    monkeypatch.setattr(reductions, "ascending_series", lambda struct: calls.append(struct) or series(struct))
     assert main(["classify", "--catalog", "qn8a"]) == 0
     assert "closed coframe elements" in capsys.readouterr().out
     assert len(calls) == 1
@@ -932,7 +938,7 @@ def _assert_one_field_fails(tmp_path, capsys, report, field, edit):
     deletion, for _DROP) verify prints exactly the FAIL line naming field."""
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
-    assert run_cli(["verify", str(path)], capsys) == (0, "certificate verified (exact arithmetic)\n")
+    assert run_cli(["verify", str(path)], capsys) == (0, _REBUILT)
     value = edit(report)
     if value is _DROP:
         del report[field]
@@ -975,6 +981,26 @@ _KAHLER_KT = ["--omega", "i a1_b1 + i a2_b2"]
 def test_verify_rebuilds_every_report_field(tmp_path, capsys, argv, field, edit):
     code, out = run_cli([*argv, "--format", "json"], capsys)
     _assert_one_field_fails(tmp_path, capsys, json.loads(out), field, edit)
+
+
+@pytest.mark.parametrize(
+    "argv, edit, field",
+    [
+        (_KT_FIND, lambda d: d.update(seed=99, junk=[1]), "field 'junk'"),
+        (_KT_FIND, lambda d: d["report"].update(junk=1), "report field 'junk'"),
+        (["obstruct", "--catalog", "kt", "--p", "1"], lambda d: d.update(junk=1), "field 'junk'"),
+    ],
+    ids=["find-junk_added", "find-report_junk_added", "obstruct-junk_added"],
+)
+def test_verify_rejects_a_field_a_certificate_report_never_holds(tmp_path, capsys, argv, edit, field):
+    code, out = run_cli([*argv, "--format", "json"], capsys)
+    report = json.loads(out)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run_cli(["verify", str(path)], capsys) == (0, _CERTIFIED)
+    edit(report)
+    path.write_text(json.dumps(report))
+    assert run_cli(["verify", str(path)], capsys) == (1, f"FAIL: unexpected {field}\n")
 
 
 _KT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "kt.p1.json")

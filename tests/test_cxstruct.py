@@ -9,15 +9,17 @@ from pklie.exterior import ComplexForm, conjugate, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError, LieAlgebraSpec, change_basis, from_bracket_list
 from pklie.linalg import gr, inverse, matmul, mat_from_rows, rank, row_space_rref
 from pklie.cxstruct import (
-    AscendingSeries,
     ComplexStructureSpec,
-    JClass,
     NonIntegrableError,
+    check_integrability,
+    structure_equations,
+)
+from pklie.reductions import (
+    AscendingSeries,
+    JClass,
     ascending_series,
     b_extension_quotient,
-    check_integrability,
     restrict_to_jinvariant_ideal,
-    structure_equations,
 )
 from pklie.scalars import GaussianRational, I, ONE
 

@@ -5,16 +5,12 @@ import itertools
 import json
 import random
 
-from pklie.cxstruct import (
-    ComplexStructureSpec,
-    JClass,
-    ascending_series,
-    closed_coframe_obstruction,
-)
+from pklie.cxstruct import ComplexStructureSpec
 from pklie.exterior import ComplexForm, MultiIndex, apply_antiderivation
 from pklie.linalg import kernel
 from pklie.pkahler import PKVerdict, find_pkahler, verify_report
 from pklie.positivity import SearchBudget
+from pklie.reductions import JClass, ascending_series, closed_coframe_obstruction
 from pklie.scalars import GaussianRational, ZERO
 
 

@@ -7,7 +7,6 @@ from pklie.exterior import ComplexForm, monomial
 from pklie.liealg import (
     LieAlgebraSpec,
     algebra_from_json,
-    algebra_invariants,
     algebra_to_json,
     ce_differential,
     change_basis,
@@ -17,6 +16,7 @@ from pklie.liealg import (
     is_unimodular,
 )
 from pklie.linalg import gr, identity
+from pklie.reductions import algebra_invariants
 from pklie.scalars import GaussianRational
 
 

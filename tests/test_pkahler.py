@@ -7,21 +7,21 @@ import pytest
 
 import pklie.pkahler as pkahler
 from pklie.catalog import build_almost_abelian, build_snn8, named_example
-from pklie.cxstruct import ComplexStructureSpec, closed_coframe_obstruction
+from pklie.cxstruct import ComplexStructureSpec
 from pklie.exterior import ComplexForm, form_to_json, form_to_literal, monomial, parse_form, wedge
 from pklie.liealg import InvalidAlgebraError
+from pklie.obstruction import ObstructionRejected, obstruction_check
 from pklie.pkahler import (
-    ObstructionRejected,
     PKVerdict,
     closed_pp_space,
     find_pkahler,
-    obstruction_check,
     obstruction_search,
     pp_coordinates,
     verify_report,
     _combine,
 )
 from pklie.positivity import SearchBudget, TransStatus, volume_coefficient
+from pklie.reductions import closed_coframe_obstruction
 from pklie.scalars import GaussianRational, I, ONE
 from test_acceptance import _random_integrable_data
 from test_properties import real_pp_basis
@@ -459,7 +459,7 @@ def test_balanced_found_on_snn_family_and_descends():
 
 
 def test_quasi_nilpotent_balanced_descends_through_quotient():
-    from pklie.cxstruct import b_extension_quotient
+    from pklie.reductions import b_extension_quotient
     from pklie.positivity import check_transverse
 
     s = named_example("qn8a")
@@ -485,7 +485,7 @@ def test_refutation_survives_random_change_of_basis():
     g2 = change_basis(s.g, m)
     j2 = matmul(matmul(inverse(m), s.J), m)
     s2 = ComplexStructureSpec.from_coframe(g2, j2)
-    from pklie.cxstruct import ascending_series, JClass
+    from pklie.reductions import ascending_series, JClass
 
     assert ascending_series(s2).classification == JClass.SNN
     rep = find_pkahler(s2, 2, SearchBudget(restarts=10, steps=80, witness_cap=6))

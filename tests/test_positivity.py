@@ -6,8 +6,11 @@ import pytest
 
 from pklie.exterior import (
     ComplexForm,
+    _columns_form,
     conjugate,
+    is_simple,
     monomial,
+    simple_factors,
     substitute,
     wedge,
     wedge_all,
@@ -16,14 +19,11 @@ from pklie.linalg import gr, rank
 from pklie.positivity import (
     SearchBudget,
     TransStatus,
-    _columns_form,
     check_transverse,
     gram_matrix,
     gram_positive_definite,
-    is_simple,
     metric_power_root,
     pairing_coefficient,
-    simple_factors,
     volume_coefficient,
 )
 from pklie.scalars import GaussianRational, I, ONE

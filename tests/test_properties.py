@@ -30,7 +30,6 @@ from pklie.cxstruct import (
     _real_algebra,
     _real_image,
     _real_to_complex_images,
-    ascending_series,
     nijenhuis_tensor,
     pp_basis,
 )
@@ -56,14 +55,11 @@ from pklie.exterior import (
 from pklie.liealg import (
     JacobiResult,
     LieAlgebraSpec,
-    abelian_codim1_ideal,
-    center,
     change_basis,
     check_jacobi,
     coframe_differentials,
     from_bracket_list,
     is_unimodular,
-    lower_central_series,
 )
 from pklie.linalg import (
     _kernel_vectors,
@@ -79,6 +75,7 @@ from pklie.linalg import (
     solve,
     sparse_kernel,
 )
+from pklie.obstruction import verify_obstruction
 from pklie.pkahler import (
     EmptyConeRefutation,
     PKahlerReport,
@@ -94,7 +91,6 @@ from pklie.pkahler import (
     find_pkahler,
     obstruction_search,
     pp_coordinates,
-    verify_obstruction,
 )
 from pklie.positivity import (
     SearchBudget,
@@ -108,6 +104,7 @@ from pklie.positivity import (
     volume_coefficient,
 )
 from pklie.polynomials import char_poly, divmod_poly, minimal_poly, trim
+from pklie.reductions import abelian_codim1_ideal, ascending_series, center, lower_central_series
 from pklie.scalars import GaussianRational, I, ONE, ZERO, i_power, json_rational, parse_scalar
 from pklie.simplex import LPResult, feasibility, verify_farkas
 from test_acceptance import _random_integrable_data
