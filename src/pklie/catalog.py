@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from .catalog_names import _NAMED, registry
 from .cxstruct import ComplexStructureSpec, equations_from_literals
 from .exterior import ComplexForm, monomial
 from .liealg import LieAlgebraSpec, from_bracket_list
@@ -212,30 +213,6 @@ def almost_abelian_equations(data: AlmostAbelianData) -> list[ComplexForm]:
 # -- named examples -------------------------------------------------------------------
 
 
-# name -> (description, n, structure equations as {"aN": literal}; a missing
-# key is d a^N = 0)
-_NAMED: dict[str, tuple[str, int, dict[str, str]]] = {
-    "torus2": ("abelian R^4 with the standard structure", 2, {}),
-    "torus3": ("abelian R^6 with the standard structure", 3, {}),
-    "torus4": ("abelian R^8 with the standard structure", 4, {}),
-    "kt": (
-        "Kodaira-Thurston: d a^2 = a^{1,1b} (nilpotent structure on h3 + R)",
-        2,
-        {"a2": "a1_b1"},
-    ),
-    "iwasawa": ("complex Heisenberg: d a^3 = a^{12}", 3, {"a3": "a12"}),
-    "h5r": ("d a^3 = a^{1,1b} + a^{2,2b} on six real dimensions", 3, {"a3": "a1_b1 + a2_b2"}),
-    "qn8a": ("central plane extension of C^3 with d a^4 = a^{12}", 4, {"a4": "a12"}),
-    "qn8b": (
-        "central plane extension of C^3 with d a^4 = a^{1,1b} + a^{2,2b}",
-        4,
-        {"a4": "a1_b1 + a2_b2"},
-    ),
-    "qn8c": ("central plane extension of C^3 with d a^4 = a^{1,2b}", 4, {"a4": "a1_b2"}),
-    "iwasawa_x_c": ("complex Heisenberg times C", 4, {"a3": "a12"}),
-}
-
-
 def named_example(name: str) -> ComplexStructureSpec:
     entry = _NAMED.get(name)
     if entry is None:
@@ -245,10 +222,6 @@ def named_example(name: str) -> ComplexStructureSpec:
         return parsed
     _, n, literals = entry
     return ComplexStructureSpec.from_equations(equations_from_literals(literals, n))
-
-
-def registry() -> dict[str, str]:
-    return {name: desc for name, (desc, _, _) in sorted(_NAMED.items())}
 
 
 def parse_catalog_name(name: str) -> ComplexStructureSpec | None:

@@ -340,6 +340,8 @@ def _verify(data: dict) -> int:
                 from .pkahler import verify_report
 
                 failures += verify_report(struct, data["report"])
+                if type(data.get("seed")) is not int:
+                    failures.append("seed is not an int")
             else:
                 from .obstruction import verify_obstruction
 
@@ -372,11 +374,11 @@ def _outcome(failures: list[str], verified: str) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from .catalog import registry
+    from .catalog_names import PARAMETRIZED, registry
 
     entries = registry()
     lines = [f"{name}: {desc}" for name, desc in entries.items()]
-    lines.append("parametrized: snn8f1:eps,nu,a,b[:delta] and snn8f2:eps,mu,nu,a,b")
+    lines.append(f"parametrized: {PARAMETRIZED}")
     emit(args, {"entries": entries}, lines)
     return EXIT_OK
 

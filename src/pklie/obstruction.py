@@ -19,7 +19,7 @@ from .exterior import (
 )
 from .liealg import is_unimodular
 from .linalg import gr
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, ONE, unexpected_fields
 
 
 class ObstructionRejected(ValueError):
@@ -94,6 +94,11 @@ def verify_obstruction(struct: ComplexStructureSpec, p: int, data: dict) -> list
         raise ValueError("an obstruction certificate must be a JSON object")
     if not isinstance(data["terms"], list) or not all(isinstance(t, dict) for t in data["terms"]):
         raise ValueError("obstruction terms must be a list of {c, psi} objects")
+    failures = unexpected_fields(data, {"kind", "beta", "component", "terms"}, "certificate")
+    if data.get("kind") != "obstruction":
+        failures.append(f"certificate kind {data.get('kind')!r} is not 'obstruction'")
+    for item in data["terms"]:
+        failures += unexpected_fields(item, {"c", "psi"}, "certificate term")
     beta = form_from_json(data["beta"], n)
     terms = [
         (GaussianRational.parse(item["c"]), form_from_json(item["psi"], n))
@@ -102,10 +107,10 @@ def verify_obstruction(struct: ComplexStructureSpec, p: int, data: dict) -> list
     try:
         cert = obstruction_check(struct, p, beta, terms)
     except ObstructionRejected as exc:
-        return [f"obstruction invalid: {exc}"]
+        return failures + [f"obstruction invalid: {exc}"]
     if cert.component != form_from_json(data["component"], n):
-        return ["stored obstruction component mismatch"]
-    return []
+        failures.append("stored obstruction component mismatch")
+    return failures
 
 
 def _diagonal_decomposition(component: ComplexForm):

@@ -24,7 +24,6 @@ from .exterior import (
     form_to_json,
     index_mask,
     is_simple,
-    monomial,
     term_order,
 )
 from .liealg import is_unimodular
@@ -43,7 +42,7 @@ from .positivity import (
     verify_verdict,
     volume_coefficient,
 )
-from .scalars import GaussianRational, ONE, ZERO, _gr, json_int, json_rational
+from .scalars import GaussianRational, ONE, ZERO, _gr, json_int, json_rational, unexpected_fields
 from .simplex import feasibility, verify_farkas
 
 
@@ -273,7 +272,7 @@ def find_pkahler(
                 return found(omega, TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert))
 
     # witness family: all coframe monomials, then harvested simple forms
-    witnesses: list[ComplexForm] = [monomial(n, idx) for idx in gram_basis(n, n - p)]
+    witnesses = [ComplexForm._wrap(n, {index_mask(idx): ONE}) for idx in gram_basis(n, n - p)]
     harvest_budget = SearchBudget(
         restarts=max(2, budget.restarts // 20),
         steps=max(50, budget.steps // 5),
@@ -373,6 +372,10 @@ def _project_onto_span(x0: list[Fraction], basis_vecs: list[dict[int, Fraction] 
 # -- re-verification of serialized reports -------------------------------------------
 
 
+# the keys each refutation kind's check reads; `verify_obstruction` checks its own
+_REFUTATION_FIELDS = {"empty_cone": {"kind"}, "witness_family": {"kind", "witnesses", "farkas"}}
+
+
 def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
     """Exact re-verification of a serialized PKahlerReport; returns failures.
 
@@ -384,13 +387,19 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
     if not isinstance(data, dict):
         raise ValueError("a report must be a JSON object")
     # the JSON keys of a report are the names of the PKahlerReport fields
-    known = {f.name for f in fields(PKahlerReport)}
-    failures = [f"unexpected report field {key!r}" for key in sorted(data.keys() - known)]
+    failures = unexpected_fields(data, {f.name for f in fields(PKahlerReport)}, "report")
     p = json_int(data["p"], "p")
     n = struct.n
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
     closed = closed_pp_space(struct, p)
+    stats = data.get("stats", {})
+    if not isinstance(stats, dict):
+        raise ValueError("stats must be a JSON object")
+    not_int = sorted(key for key, value in stats.items() if type(value) is not int)
+    failures += [f"stats value {key!r} is not an int" for key in not_int]
+    if "closed_dim" not in not_int and stats.get("closed_dim") != len(closed.coords):
+        failures.append(f"stats closed_dim is not {len(closed.coords)}, the dimension of the closed space")
     stored = data.get("closed_basis", [])
     if not isinstance(stored, list):
         raise ValueError("closed_basis must be a list of forms")
@@ -438,6 +447,8 @@ def verify_report(struct: ComplexStructureSpec, data: dict) -> list[str]:
         if not isinstance(ref, dict):
             raise ValueError("a refutation must be a JSON object")
         kind = ref.get("kind")
+        if kind in _REFUTATION_FIELDS:
+            failures += unexpected_fields(ref, _REFUTATION_FIELDS[kind], "refutation")
         if kind == "empty_cone":
             if closed.coords:
                 failures.append("closed space is nonzero; empty-cone claim false")

@@ -28,7 +28,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import Matrix, Vector, gr, hermitian_pivots, leading_minors
-from .scalars import GaussianRational, I, ONE, ZERO, i_power
+from .scalars import GaussianRational, I, ONE, ZERO, i_power, unexpected_fields
 
 if TYPE_CHECKING:
     import numpy as np
@@ -430,14 +430,14 @@ def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
         raise ValueError("a found certificate must be a JSON object")
     status = data.get("status")
     if status == TransStatus.TRANSVERSE.value:
+        failures += unexpected_fields(data, {"status", "gram"}, "found certificate")
         ok, cert = gram_positive_definite(gram_matrix(omega)[1])
         if not ok:
             failures.append("Gram pairing is not positive definite")
-        else:
-            gram = data.get("gram", {})
-            if not isinstance(gram, dict) or cert.to_json()["minors"] != gram.get("minors"):
-                failures.append("stored minors do not match the recomputation")
+        elif cert.to_json() != data.get("gram"):
+            failures.append("stored Gram certificate does not match the recomputation")
     elif status == TransStatus.NOT_TRANSVERSE.value:
+        failures += unexpected_fields(data, {"status", "witness"}, "found certificate")
         witness = witness_from_json(data["witness"])
         psi = witness.to_form(omega.n)
         if psi.is_zero():

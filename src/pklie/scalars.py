@@ -422,6 +422,11 @@ def json_literal(value, what: str) -> str:
     raise ValueError(f"{what} must be a string or an int, got {value!r}")
 
 
+def unexpected_fields(data: dict, read: set[str], what: str) -> list[str]:
+    """One failure per key of a JSON object that its checker, which reads `read`, never reads."""
+    return [f"unexpected {what} field {key!r}" for key in sorted(data.keys() - read)]
+
+
 def json_rational(value, what: str) -> int | Fraction:
     """A rational read from JSON as an int or a string such as '-3/2'; a
     string of decimal digits, with or without a '-', is read by `int`."""

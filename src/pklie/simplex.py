@@ -12,9 +12,14 @@ pivot subtract only the pivot row's nonzero entries.  Every row holds the
 same rationals as the Fraction tableau, and a positive row scale changes no
 sign and no ratio (the ratio test compares by cross-multiplication), so the
 Bland pivot sequence, the point and the Farkas multipliers are those of the
-Fraction tableau.  The system is  A x >= b  with x free; an equality is
-the pair of rows a x >= b, -a x >= -b.  Infeasibility returns multipliers
-y >= 0 with y A = 0 and y b > 0, verified before being handed out.
+Fraction tableau.  The tableau spans only the columns some row uses, and
+only their entries are converted, once: a column zero in every row stays
+zero through every pivot, so Bland's rule never enters it, and dropping it
+keeps the order of the others, hence the pivots; its variable is 0 in the
+point.  The system is  A x >= b  with x free; an equality is the pair of
+rows a x >= b, -a x >= -b.  Infeasibility returns multipliers y >= 0 with
+y A = 0 and y b > 0, verified before being handed out; the check sums
+y_i a_ij over the nonzero entries only.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
-
-Row = list[int | Fraction]
 
 
 @dataclass
@@ -43,11 +46,7 @@ def _rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _to_rows(rows: Sequence[Sequence]) -> list[Row]:
-    return [[_rational(x) for x in row] for row in rows]
-
-
-def _width(rows: Sequence[Row]) -> int:
+def _width(rows: Sequence[Sequence]) -> int:
     """The common length of the rows (0 when there are none)."""
     widths = {len(row) for row in rows}
     if len(widths) > 1:
@@ -56,14 +55,16 @@ def _width(rows: Sequence[Row]) -> int:
 
 
 def feasibility(a_ge: Sequence[Sequence], b_ge: Sequence) -> LPResult:
-    rows = _to_rows(a_ge)
     rhs = [_rational(x) for x in b_ge]
-    if len(rows) != len(rhs):
+    if len(a_ge) != len(rhs):
         raise ValueError("row/rhs count mismatch")
-    nv = _width(rows)
-    if not rows:
+    width = _width(a_ge)
+    if not rhs:
         return LPResult(True, [])
-    m = len(rows)
+    m = len(rhs)
+    used = sorted({j for row in a_ge for j, c in enumerate(row) if c})
+    rows = [[_rational(row[j]) for j in used] for row in a_ge]
+    nv = len(used)
 
     # columns: x+ (nv), x- (nv), slacks (m), artificials (m), rhs; a row
     # whose rhs is negative is negated, and its denominator is the lcm of
@@ -71,8 +72,8 @@ def feasibility(a_ge: Sequence[Sequence], b_ge: Sequence) -> LPResult:
     n_cols = 2 * nv + 2 * m
     tableau: list[list[int]] = []
     dens: list[int] = []
-    for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
+    signs = [-1 if b.numerator < 0 else 1 for b in rhs]
+    for i, sign in enumerate(signs):
         den = lcm(rhs[i].denominator, *(c.denominator for c in rows[i]))
         row = [0] * (n_cols + 1)
         for j, c in enumerate(rows[i]):
@@ -171,14 +172,16 @@ def feasibility(a_ge: Sequence[Sequence], b_ge: Sequence) -> LPResult:
         for row, b in zip(rows, rhs):
             if sum(c * v for c, v in zip(row, point)) < b:
                 raise LPError("claimed feasible point violates a >= row")
-        return LPResult(True, point)
+        full = [Fraction(0)] * width
+        for j, v in zip(used, point):
+            full[j] = v
+        return LPResult(True, full)
 
     # infeasible: read the dual off the artificial columns; the objective row
     # stores z_j - c_j, and an artificial column has A_col = e_i, c = 1, so
     # obj[col] = y_i - 1
     den = dens[m]
-    y_flip = [Fraction(obj[2 * nv + m + i] + den, den) for i in range(m)]
-    y = [-v if b < 0 else v for v, b in zip(y_flip, rhs)]
+    y = [Fraction(obj[2 * nv + m + i] + den, sign * den) for i, sign in enumerate(signs)]
     if not verify_farkas(rows, rhs, y):
         raise LPError("Farkas certificate failed exact verification")
     return LPResult(False, None, y)
@@ -186,17 +189,15 @@ def feasibility(a_ge: Sequence[Sequence], b_ge: Sequence) -> LPResult:
 
 def verify_farkas(a_ge: Sequence[Sequence], b_ge: Sequence, y_ge: Sequence) -> bool:
     """Re-check an infeasibility certificate with exact arithmetic only."""
-    a_ge = _to_rows(a_ge)
+    combo = [0] * _width(a_ge)
     y_ge = [_rational(x) for x in y_ge]
-    nv = _width(a_ge)
-    if any(y < 0 for y in y_ge):
+    if any(y.numerator < 0 for y in y_ge):
         return False
-    combo = [Fraction(0)] * nv
     for yi, row in zip(y_ge, a_ge):
         if yi:
             for j, c in enumerate(row):
                 if c:
-                    combo[j] += yi * c
+                    combo[j] += yi * _rational(c)
     if any(combo):
         return False
-    return sum(yi * _rational(bi) for yi, bi in zip(y_ge, b_ge)) > 0
+    return sum(yi * _rational(bi) for yi, bi in zip(y_ge, b_ge) if yi) > 0

@@ -1003,6 +1003,52 @@ def test_verify_rejects_a_field_a_certificate_report_never_holds(tmp_path, capsy
     assert run_cli(["verify", str(path)], capsys) == (1, f"FAIL: unexpected {field}\n")
 
 
+_KT_OBSTRUCT = ["obstruct", "--catalog", "kt", "--p", "1"]
+_T3_FIND = ["find", "--catalog", "torus3", "--p", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, edit, line",
+    [
+        (_KT_FIND, lambda d: d["report"]["stats"].update(closed_dim=999),
+         "stats closed_dim is not 3, the dimension of the closed space"),
+        (_KT_FIND, lambda d: d["report"]["stats"].update({"pkl.search.seed": "junk"}),
+         "stats value 'pkl.search.seed' is not an int"),
+        (_KT_FIND, lambda d: d["report"]["stats"].update(witness_rounds=True),
+         "stats value 'witness_rounds' is not an int"),
+        (_KT_FIND, lambda d: d.update(seed=[1]), "seed is not an int"),
+        (_KT_FIND, lambda d: d["report"]["refutation"].update(junk=1), "unexpected refutation field 'junk'"),
+        (_T3_FIND, lambda d: d["report"]["found_certificate"].update(junk=1),
+         "unexpected found certificate field 'junk'"),
+        (_T3_FIND, lambda d: d["report"]["found_certificate"]["gram"].update(junk=1),
+         "stored Gram certificate does not match the recomputation"),
+        (_T3_FIND, lambda d: d["report"]["found_certificate"]["gram"]["pivots"].__setitem__(0, "2"),
+         "stored Gram certificate does not match the recomputation"),
+        (_KT_OBSTRUCT, lambda d: d["certificate"].update(junk=1), "unexpected certificate field 'junk'"),
+        (_KT_OBSTRUCT, lambda d: d["certificate"].update(kind="empty_cone"),
+         "certificate kind 'empty_cone' is not 'obstruction'"),
+        (_KT_OBSTRUCT, lambda d: d["certificate"]["terms"][0].update(junk=1),
+         "unexpected certificate term field 'junk'"),
+    ],
+    ids=[
+        "find-closed_dim_999", "find-stats_seed_junk", "find-stats_rounds_bool", "find-seed_list",
+        "find-refutation_junk", "find-found_certificate_junk", "find-gram_junk", "find-gram_pivot_changed",
+        "obstruct-certificate_junk", "obstruct-certificate_kind", "obstruct-term_junk",
+    ],
+)
+def test_verify_rejects_a_certificate_value_its_checker_never_reads(tmp_path, capsys, argv, edit, line):
+    """Each edit leaves what the checker reads intact and adds or changes a
+    value it must not accept; verify prints exactly one FAIL line for it."""
+    code, out = run_cli([*argv, "--format", "json"], capsys)
+    report = json.loads(out)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run_cli(["verify", str(path)], capsys) == (0, _CERTIFIED)
+    edit(report)
+    path.write_text(json.dumps(report))
+    assert run_cli(["verify", str(path)], capsys) == (1, f"FAIL: {line}\n")
+
+
 _KT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "kt.p1.json")
 
 

@@ -114,6 +114,11 @@ def test_aab_kahler_and_its_verify_load_only_the_light_modules(tmp_path, aab_fil
     assert loaded_modules(tmp_path, "verify", str(report)) == light
 
 
+def test_catalog_listing_loads_only_the_name_table(tmp_path):
+    assert loaded_modules(tmp_path, "catalog") == ["pklie", "pklie.catalog_names", "pklie.cli", "pklie.scalars"]
+    assert loaded_modules(tmp_path, "catalog", "--format", "json") == loaded_modules(tmp_path, "catalog")
+
+
 _PIPELINE = {"pklie.pkahler", "pklie.positivity", "pklie.simplex"}
 _ALMOST_ABELIAN = {"pklie.almost_abelian", "pklie.polynomials"}
 _SNN8_BETA = ["--catalog", "snn8f1:0,0,1,0", "--p", "2", "--beta=-1 a13_b2"]

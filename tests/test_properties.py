@@ -1994,6 +1994,29 @@ def test_sparse_simplex_matches_dense_reference(system, data):
         assert verify_farkas(a_ge, b_ge, y) == _dense_farkas_reference(a_ge, b_ge, y)
 
 
+@settings(max_examples=120, deadline=None)
+@given(lp_systems(), st.data())
+def test_simplex_ignores_all_zero_columns(system, data):
+    """A column zero in every row never enters under Bland's rule, so
+    inserting such columns anywhere changes no pivot: the same flag and
+    Farkas vector, and the same point with 0 on the inserted columns.  The
+    integral entries are passed as ints, as find_pkahler passes them."""
+    a_ge, b_ge = system
+    a_ge = [[x.numerator if x.denominator == 1 else x for x in row] for row in a_ge]
+    nv = len(a_ge[0]) if a_ge else 0
+    before = data.draw(st.lists(st.integers(0, nv), max_size=4))
+    # the original column of each padded column, None for an inserted one
+    layout = []
+    for j in range(nv + 1):
+        layout += [None] * before.count(j) + [j] * (j < nv)
+    wide = [[0 if k is None else row[k] for k in layout] for row in a_ge]
+    res, padded = feasibility(a_ge, b_ge), feasibility(wide, b_ge)
+    assert padded == _dense_feasibility_reference(wide, b_ge)
+    assert (padded.feasible, padded.farkas_ge) == (res.feasible, res.farkas_ge)
+    if res.feasible and a_ge:
+        assert padded.point == [0 if k is None else res.point[k] for k in layout]
+
+
 def _fraction_simplex_reference(a_ge, b_ge):
     """Phase-one simplex with Bland's rule on a Fraction tableau, each pivot
     scaling the pivot row and subtracting its nonzero entries from the rows
