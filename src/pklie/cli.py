@@ -340,8 +340,12 @@ def _verify(data: dict) -> int:
                 from .pkahler import verify_report
 
                 failures += verify_report(struct, data["report"])
-                if type(data.get("seed")) is not int:
+                seed = data.get("seed")
+                recorded = data["report"].get("stats", {}).get("pkl.search.seed")
+                if type(seed) is not int:
                     failures.append("seed is not an int")
+                elif type(recorded) is int and seed != recorded:
+                    failures.append(f"seed {seed} is not the recorded pkl.search.seed {recorded}")
             else:
                 from .obstruction import verify_obstruction
 

@@ -230,8 +230,8 @@ def find_pkahler(
        ends the rounds.  Round 1 also runs the diagonal obstruction search,
        the dual of its LP, which finds nothing once that LP is feasible.
     The LP points never repeat: each harvested row cuts off the point that
-    produced it.  Only the harvest's numeric search (at 1 < p < n-1) reads
-    the budget's seed, restarts and steps.
+    produced it.  Every step is exact; the budget's seed, restarts and steps
+    are only recorded in the stats.
     """
     budget = budget or SearchBudget()
     n = struct.n
@@ -273,11 +273,6 @@ def find_pkahler(
 
     # witness family: all coframe monomials, then harvested simple forms
     witnesses = [ComplexForm._wrap(n, {index_mask(idx): ONE}) for idx in gram_basis(n, n - p)]
-    harvest_budget = SearchBudget(
-        restarts=max(2, budget.restarts // 20),
-        steps=max(50, budget.steps // 5),
-        seed=budget.seed,
-    )
     for round_idx in range(budget.witness_cap):
         res = feasibility(rows, [Fraction(1)] * len(rows))
         if not res.feasible:
@@ -285,7 +280,7 @@ def find_pkahler(
         if round_idx == 0 and (obstruction := obstruction_search(struct, p)) is not None:
             return refuted(obstruction, 1)
         omega = _combine(closed.forms, res.point)
-        verdict = check_transverse(omega, harvest_budget)
+        verdict = check_transverse(omega, budget)
         if verdict.status == TransStatus.TRANSVERSE:
             return found(omega, verdict)
         if verdict.status == TransStatus.INCONCLUSIVE:

@@ -2,9 +2,9 @@
 
 Verdicts are three-valued.  TRANSVERSE and NOT_TRANSVERSE always carry exact
 certificates (a positive-definite Gram reduction, or a simple test form with
-nonpositive volume coefficient); INCONCLUSIVE reports search statistics.
-Floating point appears only inside the candidate search; every candidate is
-re-verified in exact arithmetic before it can appear in a certificate.
+nonpositive volume coefficient); INCONCLUSIVE records the search budget.
+Every decision is made in exact arithmetic; floating point appears only in
+the irrational fallback of `metric_power_root`, which decides nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .exterior import (
     ComplexForm,
@@ -30,9 +30,6 @@ from .exterior import (
 from .linalg import Matrix, Vector, gr, hermitian_pivots, leading_minors
 from .scalars import GaussianRational, I, ONE, ZERO, i_power, unexpected_fields
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 class TransStatus(str, Enum):
     TRANSVERSE = "TRANSVERSE"
@@ -42,12 +39,10 @@ class TransStatus(str, Enum):
 
 @dataclass
 class SearchBudget:
-    """Knobs of the numeric search in `check_transverse`; exact paths ignore them.
+    """Search settings: `witness_cap` bounds the LP rounds of `find_pkahler`.
 
-    `seed`, `restarts` and `steps` drive that search, which runs
-    only at 1 < p < n-1.  In `find_pkahler` it is the harvest on each LP
-    point, with a fraction of `restarts` and `steps`; `witness_cap` bounds
-    the LP rounds there.
+    `seed`, `restarts` and `steps` are validated and recorded (`config_json`)
+    but read by no search: every step of `check_transverse` is exact.
     """
 
     restarts: int = 200
@@ -56,7 +51,6 @@ class SearchBudget:
     witness_cap: int = 24
 
     def __post_init__(self):
-        # restarts = 0 is valid: it leaves only the exact steps
         if self.restarts < 0 or self.steps < 0:
             raise ValueError(
                 f"search budget restarts and steps must be >= 0, got {self.restarts} and {self.steps}"
@@ -241,12 +235,12 @@ def gram_positive_definite(h: Matrix):
 
 
 def check_transverse(omega: ComplexForm, budget: SearchBudget | None = None) -> TransversalityVerdict:
-    """Decide transversality of a real (p,p)-form.
+    """Decide transversality of a real (p,p)-form, exactly.
 
-    Pipeline: exact Gram positivity (sufficient); exact witness extraction at
-    p = 1 or p = n-1 (where transversality and positive definiteness agree);
-    an exact scan over coframe monomials; then a budgeted numeric search over
-    decomposable directions whose findings are rationalized and re-verified.
+    Pipeline: Gram positivity (sufficient); the witness from the failed Gram
+    reduction at p = 1 or p = n-1 (where transversality and positive
+    definiteness agree); a scan over coframe monomials; then a scan over
+    coordinate pencils.  The budget is only recorded in INCONCLUSIVE stats.
     """
     budget = budget or SearchBudget()
     n = omega.n
@@ -263,26 +257,35 @@ def check_transverse(omega: ComplexForm, budget: SearchBudget | None = None) -> 
     ok, cert = gram_positive_definite(h)
     if ok:
         return TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert)
-    bad_vec, bad_val = cert
     if p in (1, n - 1):
-        psi = _vector_form(bad_vec, basis, n)
-        cols = simple_factors(psi)
-        if cols is None:
-            raise AssertionError("degree-1 or codegree-1 forms must be simple")
-        value = volume_coefficient(omega, psi)
-        witness = SimpleFormWitness(cols, value)
-        return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
+        return _not_transverse(omega, cert[0], basis)
     # exact monomial scan on the Gram diagonal
     for a, idx in enumerate(basis):
         if h[a][a].a <= 0:
             cols = [_unit_column(n, j) for j in idx]
             witness = SimpleFormWitness(cols, h[a][a])
             return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
-    found, stats = _numeric_negative_search(omega, basis, h, budget)
-    if found is not None:
-        return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=found, stats=stats)
-    stats.update(budget.config_json())
-    return TransversalityVerdict(TransStatus.INCONCLUSIVE, stats=stats)
+    # exact pencil scan: for a (k-1)-subset J, every sum of the monomials
+    # a^K with K containing J is a^J ^ phi for a 1-form phi, so simple, and
+    # the Gram block of those monomials is the pairing on such sums
+    masks = [index_mask(idx) for idx in basis]
+    for jdx in itertools.combinations(range(1, n + 1), k - 1):
+        j_mask = index_mask(jdx)
+        block = [a for a, mask in enumerate(masks) if mask & j_mask == j_mask]
+        ok, _pivots, _vectors, bad = hermitian_pivots([[h[a][b] for b in block] for a in block])
+        if not ok:
+            return _not_transverse(omega, bad[0], [basis[a] for a in block])
+    return TransversalityVerdict(TransStatus.INCONCLUSIVE, stats=budget.config_json())
+
+
+def _not_transverse(omega: ComplexForm, vec: Sequence, basis) -> TransversalityVerdict:
+    """NOT_TRANSVERSE with the witness sum_a vec_a a^{basis_a}, which must be simple."""
+    psi = _vector_form(vec, basis, omega.n)
+    cols = simple_factors(psi)
+    if cols is None:
+        raise AssertionError("witness form is not simple; internal error")
+    witness = SimpleFormWitness(cols, volume_coefficient(omega, psi))
+    return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
 
 
 def _unit_column(n: int, j: int) -> Vector:
@@ -293,123 +296,6 @@ def _unit_column(n: int, j: int) -> Vector:
 
 def _vector_form(vec: Sequence, basis, n: int) -> ComplexForm:
     return ComplexForm._wrap(n, {index_mask(idx): c for c, idx in zip(vec, basis) if c})
-
-
-# -- numeric search over decomposable directions -------------------------------------
-
-
-def _plucker(mat: np.ndarray, basis) -> np.ndarray:
-    import numpy as np
-
-    k = mat.shape[1]
-    out = np.empty(len(basis), dtype=complex)
-    for a, idx in enumerate(basis):
-        rows = [j - 1 for j in idx]
-        out[a] = np.linalg.det(mat[np.ix_(rows, range(k))]) if k else 1.0
-    return out
-
-
-def _plucker_jacobian(mat: np.ndarray, basis) -> np.ndarray:
-    import numpy as np
-
-    n, k = mat.shape
-    jac = np.zeros((len(basis), n * k), dtype=complex)
-    for a, idx in enumerate(basis):
-        rows = [j - 1 for j in idx]
-        for pos, r in enumerate(rows):
-            for c in range(k):
-                sub_rows = rows[:pos] + rows[pos + 1 :]
-                sub_cols = [cc for cc in range(k) if cc != c]
-                if sub_rows:
-                    minor = np.linalg.det(mat[np.ix_(sub_rows, sub_cols)])
-                else:
-                    minor = 1.0
-                jac[a, r * k + c] = (-1) ** (pos + c) * minor
-    return jac
-
-
-# a descent run stops once one step changes the pairing by less than this
-_STEP_TOL = 1e-12
-
-
-def _numeric_negative_search(omega, basis, h_exact, budget: SearchBudget):
-    """Minimize the volume pairing over decomposable directions (float), then
-    rationalize promising minima and re-verify exactly."""
-    import numpy as np
-
-    n = omega.n
-    k = len(basis[0]) if basis else 0
-    hf = np.array([[v.to_complex() for v in row] for row in h_exact])
-    rng = np.random.default_rng(budget.seed)
-    best = np.inf
-    stats = {"restarts": 0, "min_margin": None}
-    for _ in range(max(budget.restarts, 0)):
-        stats["restarts"] += 1
-        mat = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        lr = 0.1
-        prev = np.inf
-        for _step in range(budget.steps):
-            p = _plucker(mat, basis)
-            norm2 = float(np.real(np.vdot(p, p)))
-            if norm2 < 1e-30:
-                mat = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-                continue
-            hp = hf @ p
-            val = float(np.real(np.vdot(p, hp))) / norm2
-            jac = _plucker_jacobian(mat, basis)
-            grad = jac.conj().T @ (hp - val * p) / norm2
-            mat = mat - lr * grad.reshape(n, k)
-            scale = np.max(np.abs(mat))
-            if scale > 4.0:
-                mat = mat / scale
-            if abs(prev - val) < _STEP_TOL:
-                break
-            if val > prev:
-                lr *= 0.5
-            prev = val
-        p = _plucker(mat, basis)
-        norm2 = float(np.real(np.vdot(p, p)))
-        if norm2 < 1e-30:
-            continue
-        val = float(np.real(np.vdot(p, hf @ p))) / norm2
-        best = min(best, val)
-        if val < -1e-9:
-            witness = _rationalize_witness(omega, mat)
-            if witness is not None:
-                stats["min_margin"] = best
-                return witness, stats
-    stats["min_margin"] = best if best < np.inf else None
-    return None, stats
-
-
-def _rationalize_witness(omega: ComplexForm, mat: np.ndarray) -> SimpleFormWitness | None:
-    """Continued-fraction rounding of float columns, then exact re-evaluation."""
-    import numpy as np
-
-    n, k = mat.shape
-    scale = np.max(np.abs(mat))
-    if scale > 0:
-        mat = mat / scale
-    for denom in (10, 100, 10**4, 10**6):
-        cols = []
-        for c in range(k):
-            col = []
-            for r in range(n):
-                z = mat[r, c]
-                col.append(
-                    GaussianRational(
-                        Fraction(float(np.real(z))).limit_denominator(denom),
-                        Fraction(float(np.imag(z))).limit_denominator(denom),
-                    )
-                )
-            cols.append(col)
-        psi = _columns_form(cols, n)
-        if psi.is_zero():
-            continue
-        value = volume_coefficient(omega, psi)
-        if value.a <= 0:
-            return SimpleFormWitness(cols, value)
-    return None
 
 
 def witness_from_json(data: dict) -> SimpleFormWitness:

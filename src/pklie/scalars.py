@@ -1,7 +1,8 @@
 """Exact Gaussian-rational arithmetic: numbers a + b*i with rational a, b.
 
 This is the only coefficient domain used on certificate-producing paths.
-Floats appear solely inside numeric searches and never in verdicts.
+No verdict reads a float: `to_complex` serves only the residual that
+`positivity.metric_power_root` reports for an irrational root.
 
 A `GaussianRational` is three ints `a`, `b`, `d` meaning (a + b i)/d, kept
 canonical: d > 0 and gcd(a, b, d) = 1, so equal numbers have equal triples.

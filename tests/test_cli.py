@@ -281,8 +281,8 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported only inside the numeric searches: importing it would
-    # cost about as much as the rest of a cold `pkl` start
+    # no pklie module imports numpy, which would cost about as much as the
+    # rest of a cold `pkl` start
     code = (
         "import sys, pklie\n"
         "if 'numpy' in sys.modules: sys.exit('import pklie loaded numpy')\n"
@@ -294,21 +294,26 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_exact_decisions_leave_numpy_unloaded():
-    # numpy is imported only by the harvest's numeric search, at 1 < p < n-1:
-    # decisions by the projection, the LP rounds or exact p = 1 and p = n-1
-    # witnesses never load it, INCONCLUSIVE ones included
+    # every decision is exact: the projection, the LP rounds, p = 1 and
+    # p = n-1 witnesses and, at 1 < p < n-1, the monomial and pencil scans
+    # (draws 43 and 44 of the tower census reach the pencil scan) never load
+    # numpy, INCONCLUSIVE ones included
     code = """
 import random, sys
 from pklie.catalog import build_almost_abelian, named_example
 from pklie.pkahler import find_pkahler
 from pklie.positivity import SearchBudget
 from test_acceptance import _random_integrable_data
+from test_fuzz_pipeline import random_tower
 
 aab = build_almost_abelian(_random_integrable_data(3, random.Random(5), False))
 budget = SearchBudget(restarts=20, steps=100, witness_cap=6)
+rng = random.Random(5)
+towers = [random_tower(4, rng) for _ in range(45)]
 cases = [(named_example(name), p, None) for name, p in
          [("kt", 1), ("torus3", 2), ("iwasawa", 1), ("qn8b", 3)]]
-verdicts = [find_pkahler(s, p, b).verdict.value for s, p, b in cases + [(aab, 1, budget)]]
+cases += [(aab, 1, budget), (towers[43], 2, None), (towers[44], 2, None)]
+verdicts = [find_pkahler(s, p, b).verdict.value for s, p, b in cases]
 print(" ".join(verdicts))
 sys.exit('numpy' in sys.modules)
 """
@@ -320,7 +325,9 @@ sys.exit('numpy' in sys.modules)
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["REFUTED", "FOUND", "REFUTED", "REFUTED", "INCONCLUSIVE"]
+    assert proc.stdout.split() == [
+        "REFUTED", "FOUND", "REFUTED", "REFUTED", "INCONCLUSIVE", "REFUTED", "INCONCLUSIVE"
+    ]
 
 
 def test_verify_restrict_and_quotient(tmp_path, capsys):
@@ -986,7 +993,7 @@ def test_verify_rebuilds_every_report_field(tmp_path, capsys, argv, field, edit)
 @pytest.mark.parametrize(
     "argv, edit, field",
     [
-        (_KT_FIND, lambda d: d.update(seed=99, junk=[1]), "field 'junk'"),
+        (_KT_FIND, lambda d: d.update(junk=[1]), "field 'junk'"),
         (_KT_FIND, lambda d: d["report"].update(junk=1), "report field 'junk'"),
         (["obstruct", "--catalog", "kt", "--p", "1"], lambda d: d.update(junk=1), "field 'junk'"),
     ],
@@ -1017,6 +1024,7 @@ _T3_FIND = ["find", "--catalog", "torus3", "--p", "1"]
         (_KT_FIND, lambda d: d["report"]["stats"].update(witness_rounds=True),
          "stats value 'witness_rounds' is not an int"),
         (_KT_FIND, lambda d: d.update(seed=[1]), "seed is not an int"),
+        (_KT_FIND, lambda d: d.update(seed=99), "seed 99 is not the recorded pkl.search.seed 0"),
         (_KT_FIND, lambda d: d["report"]["refutation"].update(junk=1), "unexpected refutation field 'junk'"),
         (_T3_FIND, lambda d: d["report"]["found_certificate"].update(junk=1),
          "unexpected found certificate field 'junk'"),
@@ -1032,7 +1040,8 @@ _T3_FIND = ["find", "--catalog", "torus3", "--p", "1"]
     ],
     ids=[
         "find-closed_dim_999", "find-stats_seed_junk", "find-stats_rounds_bool", "find-seed_list",
-        "find-refutation_junk", "find-found_certificate_junk", "find-gram_junk", "find-gram_pivot_changed",
+        "find-seed_not_recorded", "find-refutation_junk", "find-found_certificate_junk", "find-gram_junk",
+        "find-gram_pivot_changed",
         "obstruct-certificate_junk", "obstruct-certificate_kind", "obstruct-term_junk",
     ],
 )

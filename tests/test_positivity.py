@@ -19,6 +19,7 @@ from pklie.linalg import gr, rank
 from pklie.positivity import (
     SearchBudget,
     TransStatus,
+    _gram_units,
     check_transverse,
     gram_matrix,
     gram_positive_definite,
@@ -286,8 +287,9 @@ def test_simplicity_detection():
 
 
 def test_numeric_search_finds_hidden_negative():
-    # negative direction not visible on coframe monomials: rotate the bad
-    # block so the monomial scan stays positive
+    # the rotated form still has a negative Gram diagonal entry (-8 at a^{34}),
+    # so the monomial scan decides it; the pencil scan test below is a case
+    # that no monomial shows
     n = 4
     omega = omega_power(n, 2) - 3 * wedge(
         monomial(n, (1,), (1,), I), monomial(n, (2,), (2,), I)
@@ -314,6 +316,31 @@ def test_numeric_search_finds_hidden_negative():
         assert w.value.re <= 0
     else:
         assert verdict.status == TransStatus.INCONCLUSIVE
+
+
+def test_pencil_scan_finds_a_negative_direction_no_monomial_shows():
+    # Gram matrix I - (3/4) v v* with v = e_12 + e_13 at n = 4, p = 2: every
+    # diagonal entry is 1/4 or 1, so the monomial scan passes, and the block
+    # of the pencil a^1 ^ phi gives psi = 3 a^12 + a^13, which pairs to -2
+    n = 4
+    units = _gram_units(n, 2)
+    gram = [[gr(int(a == b)) for b in range(6)] for a in range(6)]
+    for a, b in itertools.product((0, 1), repeat=2):
+        gram[a][b] -= gr(Fraction(3, 4))
+    omega = ComplexForm._wrap(
+        n, {key: gram[a][b] / unit for a, row in enumerate(units) for b, (key, unit) in enumerate(row)}
+    )
+    assert omega.is_real()
+    basis, h = gram_matrix(omega)
+    assert h == gram
+    assert all(h[a][a].re in (Fraction(1, 4), 1) for a in range(6))
+    verdict = check_transverse(omega, SearchBudget(restarts=0))
+    assert verdict.status == TransStatus.NOT_TRANSVERSE
+    w = verdict.witness
+    psi = w.to_form(n)
+    assert is_simple(psi)
+    assert volume_coefficient(omega, psi) == w.value == gr(-2)
+    assert psi == monomial(n, (1, 2), coeff=gr(3)) + monomial(n, (1, 3))
 
 
 def test_metric_power_root_round_trip_exact():

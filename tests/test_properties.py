@@ -1713,11 +1713,6 @@ def _project_first_reference(struct, p, budget):
             return decided(PKVerdict.FOUND, form=omega, cert=transverse)
     witnesses = [monomial(n, idx) for idx in gram_basis(n, n - p)]
     rows = _witness_rows(closed.forms, witnesses, n - p)
-    harvest = SearchBudget(
-        restarts=max(2, budget.restarts // 20),
-        steps=max(50, budget.steps // 5),
-        seed=budget.seed,
-    )
     for round_idx in range(budget.witness_cap):
         res = feasibility(rows, [Fraction(1)] * len(rows))
         if not res.feasible:
@@ -1726,7 +1721,7 @@ def _project_first_reference(struct, p, budget):
         if round_idx == 0 and (obstruction := obstruction_search(struct, p)) is not None:
             return decided(PKVerdict.REFUTED, 1, obstruction)
         omega = _combine(closed.forms, res.point)
-        verdict = check_transverse(omega, harvest)
+        verdict = check_transverse(omega, budget)
         if verdict.status == TransStatus.TRANSVERSE:
             return decided(PKVerdict.FOUND, form=omega, cert=verdict)
         if verdict.status == TransStatus.INCONCLUSIVE:
