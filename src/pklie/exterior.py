@@ -401,38 +401,6 @@ def is_simple(psi: ComplexForm) -> bool:
     return len(divisor_space(psi)) == k
 
 
-def simple_factors(psi: ComplexForm) -> list[Vector] | None:
-    """Columns mu_1..mu_k with mu_1 ^ ... ^ mu_k = psi exactly, or None."""
-    if psi.is_zero():
-        return None
-    bid = psi.bidegree()
-    if bid is None or bid[1] != 0:
-        return None
-    k = bid[0]
-    if k == 0:
-        return None
-    cols = divisor_space(psi)
-    if len(cols) != k:
-        return None
-    candidate = _columns_form(cols, psi.n)
-    if candidate.is_zero():
-        return None
-    key = next(iter(psi.terms))
-    cand_coeff = candidate.terms.get(key)
-    if cand_coeff is None:
-        return None
-    scale = psi.terms[key] / cand_coeff
-    if candidate * scale != psi:
-        return None
-    cols = [list(c) for c in cols]
-    cols[0] = [x * scale for x in cols[0]]
-    return cols
-
-
-def _columns_form(cols: Sequence[Vector], n: int) -> ComplexForm:
-    return wedge_all([one_form(n, col) for col in cols], n)
-
-
 # -- literal and JSON encodings -----------------------------------------------
 #
 # Compact literal: terms like "(3/2+1/2i) a12_b1" meaning (3/2+i/2) a^1^a^2^conj(a^1).

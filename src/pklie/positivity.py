@@ -2,7 +2,7 @@
 
 Verdicts are three-valued.  TRANSVERSE and NOT_TRANSVERSE always carry exact
 certificates (a positive-definite Gram reduction, or a simple test form with
-nonpositive volume coefficient); INCONCLUSIVE records the search budget.
+nonpositive volume coefficient); INCONCLUSIVE carries nothing.
 Every decision is made in exact arithmetic; floating point appears only in
 the irrational fallback of `metric_power_root`, which decides nothing.
 """
@@ -11,23 +11,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .exterior import (
     ComplexForm,
-    _columns_form,
     index_mask,
+    is_simple,
     monomial,
     one_form,
     reference_volume_coefficient,
-    simple_factors,
     substitute,
     wedge,
 )
-from .linalg import Matrix, Vector, gr, hermitian_pivots, leading_minors
+from .linalg import Matrix, gr, hermitian_pivots, leading_minors
 from .scalars import GaussianRational, I, ONE, ZERO, i_power, unexpected_fields
 
 
@@ -39,10 +38,10 @@ class TransStatus(str, Enum):
 
 @dataclass
 class SearchBudget:
-    """Search settings: `witness_cap` bounds the LP rounds of `find_pkahler`.
+    """Search settings of `find_pkahler`: `witness_cap` bounds its LP rounds.
 
-    `seed`, `restarts` and `steps` are validated and recorded (`config_json`)
-    but read by no search: every step of `check_transverse` is exact.
+    `seed`, `restarts` and `steps` are validated and recorded in the report
+    stats (`config_json`) but read by no search: every step is exact.
     """
 
     restarts: int = 200
@@ -82,19 +81,10 @@ class GramCertificate:
 
 @dataclass
 class SimpleFormWitness:
-    """Columns of (1,0)-forms whose wedge is the offending simple form."""
+    """The offending simple (n-p,0)-form psi and its volume coefficient."""
 
-    columns: list[list[GaussianRational]]
+    form: ComplexForm
     value: GaussianRational
-
-    def to_form(self, n: int) -> ComplexForm:
-        return _columns_form(self.columns, n)
-
-    def to_json(self) -> dict:
-        return {
-            "columns": [[str(c) for c in col] for col in self.columns],
-            "value": str(self.value),
-        }
 
 
 @dataclass
@@ -102,16 +92,11 @@ class TransversalityVerdict:
     status: TransStatus
     gram: GramCertificate | None = None
     witness: SimpleFormWitness | None = None
-    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         out: dict = {"status": self.status.value}
         if self.gram is not None:
             out["gram"] = self.gram.to_json()
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        if self.stats:
-            out["stats"] = self.stats
         return out
 
 
@@ -234,15 +219,14 @@ def gram_positive_definite(h: Matrix):
 # -- transversality decision --------------------------------------------------------
 
 
-def check_transverse(omega: ComplexForm, budget: SearchBudget | None = None) -> TransversalityVerdict:
+def check_transverse(omega: ComplexForm) -> TransversalityVerdict:
     """Decide transversality of a real (p,p)-form, exactly.
 
     Pipeline: Gram positivity (sufficient); the witness from the failed Gram
     reduction at p = 1 or p = n-1 (where transversality and positive
     definiteness agree); a scan over coframe monomials; then a scan over
-    coordinate pencils.  The budget is only recorded in INCONCLUSIVE stats.
+    coordinate pencils.
     """
-    budget = budget or SearchBudget()
     n = omega.n
     bid = omega.bidegree()
     if bid is None or bid[0] != bid[1]:
@@ -262,8 +246,7 @@ def check_transverse(omega: ComplexForm, budget: SearchBudget | None = None) -> 
     # exact monomial scan on the Gram diagonal
     for a, idx in enumerate(basis):
         if h[a][a].a <= 0:
-            cols = [_unit_column(n, j) for j in idx]
-            witness = SimpleFormWitness(cols, h[a][a])
+            witness = SimpleFormWitness(monomial(n, idx), h[a][a])
             return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
     # exact pencil scan: for a (k-1)-subset J, every sum of the monomials
     # a^K with K containing J is a^J ^ phi for a 1-form phi, so simple, and
@@ -275,67 +258,30 @@ def check_transverse(omega: ComplexForm, budget: SearchBudget | None = None) -> 
         ok, _pivots, _vectors, bad = hermitian_pivots([[h[a][b] for b in block] for a in block])
         if not ok:
             return _not_transverse(omega, bad[0], [basis[a] for a in block])
-    return TransversalityVerdict(TransStatus.INCONCLUSIVE, stats=budget.config_json())
+    return TransversalityVerdict(TransStatus.INCONCLUSIVE)
 
 
 def _not_transverse(omega: ComplexForm, vec: Sequence, basis) -> TransversalityVerdict:
     """NOT_TRANSVERSE with the witness sum_a vec_a a^{basis_a}, which must be simple."""
-    psi = _vector_form(vec, basis, omega.n)
-    cols = simple_factors(psi)
-    if cols is None:
+    psi = ComplexForm._wrap(omega.n, {index_mask(idx): c for c, idx in zip(vec, basis) if c})
+    if not is_simple(psi):
         raise AssertionError("witness form is not simple; internal error")
-    witness = SimpleFormWitness(cols, volume_coefficient(omega, psi))
+    witness = SimpleFormWitness(psi, volume_coefficient(omega, psi))
     return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
 
 
-def _unit_column(n: int, j: int) -> Vector:
-    col = [ZERO] * n
-    col[j - 1] = ONE
-    return col
-
-
-def _vector_form(vec: Sequence, basis, n: int) -> ComplexForm:
-    return ComplexForm._wrap(n, {index_mask(idx): c for c, idx in zip(vec, basis) if c})
-
-
-def witness_from_json(data: dict) -> SimpleFormWitness:
-    from .scalars import parse_scalar
-
-    if not isinstance(data, dict) or not isinstance(data["columns"], list):
-        raise ValueError("a witness must be an object with a list of columns")
-    if not all(isinstance(col, list) for col in data["columns"]):
-        raise ValueError("witness columns must be lists of scalars")
-    columns = [[parse_scalar(x) for x in col] for col in data["columns"]]
-    return SimpleFormWitness(columns, parse_scalar(data["value"]))
-
-
 def verify_verdict(omega: ComplexForm, data: dict) -> list[str]:
-    """Exact re-verification of a serialized TransversalityVerdict."""
-    failures: list[str] = []
+    """Exact re-verification of a serialized TRANSVERSE found certificate."""
     if not isinstance(data, dict):
         raise ValueError("a found certificate must be a JSON object")
-    status = data.get("status")
-    if status == TransStatus.TRANSVERSE.value:
-        failures += unexpected_fields(data, {"status", "gram"}, "found certificate")
-        ok, cert = gram_positive_definite(gram_matrix(omega)[1])
-        if not ok:
-            failures.append("Gram pairing is not positive definite")
-        elif cert.to_json() != data.get("gram"):
-            failures.append("stored Gram certificate does not match the recomputation")
-    elif status == TransStatus.NOT_TRANSVERSE.value:
-        failures += unexpected_fields(data, {"status", "witness"}, "found certificate")
-        witness = witness_from_json(data["witness"])
-        psi = witness.to_form(omega.n)
-        if psi.is_zero():
-            failures.append("witness form is zero")
-        else:
-            value = volume_coefficient(omega, psi)
-            if value != witness.value:
-                failures.append("stored witness value does not match")
-            if value.a > 0:
-                failures.append("witness pairing is positive; no refutation")
-    elif status != TransStatus.INCONCLUSIVE.value:
-        failures.append(f"unknown status {status!r}")
+    if data.get("status") != TransStatus.TRANSVERSE.value:
+        return ["found certificate is not TRANSVERSE"]
+    failures = unexpected_fields(data, {"status", "gram"}, "found certificate")
+    ok, cert = gram_positive_definite(gram_matrix(omega)[1])
+    if not ok:
+        failures.append("Gram pairing is not positive definite")
+    elif cert.to_json() != data.get("gram"):
+        failures.append("stored Gram certificate does not match the recomputation")
     return failures
 
 

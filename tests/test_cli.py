@@ -1026,6 +1026,10 @@ _T3_FIND = ["find", "--catalog", "torus3", "--p", "1"]
         (_KT_FIND, lambda d: d.update(seed=[1]), "seed is not an int"),
         (_KT_FIND, lambda d: d.update(seed=99), "seed 99 is not the recorded pkl.search.seed 0"),
         (_KT_FIND, lambda d: d["report"]["refutation"].update(junk=1), "unexpected refutation field 'junk'"),
+        (_KT_FIND, lambda d: d["report"]["refutation"].update(kind=["witness_family"]),
+         "unknown refutation kind ['witness_family']"),
+        (_KT_FIND, lambda d: d["report"]["refutation"].update(kind={"witness_family": 1}),
+         "unknown refutation kind {'witness_family': 1}"),
         (_T3_FIND, lambda d: d["report"]["found_certificate"].update(junk=1),
          "unexpected found certificate field 'junk'"),
         (_T3_FIND, lambda d: d["report"]["found_certificate"]["gram"].update(junk=1),
@@ -1040,7 +1044,8 @@ _T3_FIND = ["find", "--catalog", "torus3", "--p", "1"]
     ],
     ids=[
         "find-closed_dim_999", "find-stats_seed_junk", "find-stats_rounds_bool", "find-seed_list",
-        "find-seed_not_recorded", "find-refutation_junk", "find-found_certificate_junk", "find-gram_junk",
+        "find-seed_not_recorded", "find-refutation_junk", "find-refutation_kind_list",
+        "find-refutation_kind_object", "find-found_certificate_junk", "find-gram_junk",
         "find-gram_pivot_changed",
         "obstruct-certificate_junk", "obstruct-certificate_kind", "obstruct-term_junk",
     ],

@@ -71,7 +71,8 @@ def test_tower_census_n4_p2():
     default budget: every FOUND and REFUTED verifies after a JSON round
     trip.  The pencil scan of `check_transverse` refutes draw 43; draw 44
     still ends INCONCLUSIVE (ROADMAP item 5), and the bound pins that count
-    until it is decided."""
+    until it is decided.  An INCONCLUSIVE draw runs to the witness cap and
+    records its rounds."""
     rng = random.Random(5)
     inconclusive = []
     for draw in range(50):
@@ -79,6 +80,7 @@ def test_tower_census_n4_p2():
         rep = find_pkahler(struct, 2)
         if rep.verdict == PKVerdict.INCONCLUSIVE:
             inconclusive.append(draw)
+            assert rep.stats["witness_rounds"] == 24, draw
             continue
         assert verify_report(struct, json.loads(json.dumps(rep.to_json()))) == [], draw
     assert len(inconclusive) <= 1, inconclusive

@@ -541,19 +541,23 @@ def test_verify_rejects_found_form_that_is_not_real():
     assert verify_report(struct, data) == ["found form is not real"]
 
 
+_NOT_TRANSVERSE = ["found certificate is not TRANSVERSE"]
+_GRAM_MISMATCH = ["stored Gram certificate does not match the recomputation"]
+
+
 @pytest.mark.parametrize(
-    "certificate",
+    "certificate, expected",
     [
-        {"status": "INCONCLUSIVE"},
-        {"status": "NOT_TRANSVERSE", "witness": {}},
-        {},
-        {"status": "TRANSVERSE"},
-        {"status": "TRANSVERSE", "gram": ["1", "1", "1"]},
-        {"status": "TRANSVERSE", "gram": {"minors": ["1", "1", "2"], "pivots": ["1", "1", "2"]}},
+        ({"status": "INCONCLUSIVE"}, _NOT_TRANSVERSE),
+        ({"status": "NOT_TRANSVERSE", "witness": {}}, _NOT_TRANSVERSE),
+        ({}, _NOT_TRANSVERSE),
+        ({"status": "TRANSVERSE"}, _GRAM_MISMATCH),
+        ({"status": "TRANSVERSE", "gram": ["1", "1", "1"]}, _GRAM_MISMATCH),
+        ({"status": "TRANSVERSE", "gram": {"minors": ["1", "1", "2"], "pivots": ["1", "1", "2"]}}, _GRAM_MISMATCH),
     ],
     ids=["inconclusive", "not_transverse", "no_status", "no_gram", "gram_a_list", "minors"],
 )
-def test_verify_rejects_found_report_without_its_transverse_certificate(monkeypatch, certificate):
+def test_verify_rejects_found_report_without_its_transverse_certificate(monkeypatch, certificate, expected):
     # the golden torus3 p = 1 report is FOUND with minors 1, 1, 1; the form
     # passes the Gram test, which runs once, so only the certificate
     # comparison can fail it
@@ -574,4 +578,4 @@ def test_verify_rejects_found_report_without_its_transverse_certificate(monkeypa
     assert verify_report(struct, data) == []
     assert len(calls) == 1
     data["found_certificate"] = certificate
-    assert verify_report(struct, data) != []
+    assert verify_report(struct, data) == expected

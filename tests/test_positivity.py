@@ -6,18 +6,16 @@ import pytest
 
 from pklie.exterior import (
     ComplexForm,
-    _columns_form,
     conjugate,
     is_simple,
     monomial,
-    simple_factors,
+    one_form,
     substitute,
     wedge,
     wedge_all,
 )
 from pklie.linalg import gr, rank
 from pklie.positivity import (
-    SearchBudget,
     TransStatus,
     _gram_units,
     check_transverse,
@@ -36,7 +34,7 @@ def random_decomposable(n, k, rng):
         [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
         for _ in range(k)
     ]
-    return _columns_form(cols, n)
+    return wedge_all([one_form(n, col) for col in cols], n)
 
 
 def std_omega(n):
@@ -176,11 +174,11 @@ def test_check_transverse_sign_witness():
         monomial(n, (1,), (1,), I), monomial(n, (2,), (2,), I)
     )
     assert volume_coefficient(omega, monomial(n, (3, 4))) == GaussianRational(-1)
-    verdict = check_transverse(omega, SearchBudget(restarts=0))
+    verdict = check_transverse(omega)
     assert verdict.status == TransStatus.NOT_TRANSVERSE
     w = verdict.witness
     assert w is not None
-    psi = w.to_form(n)
+    psi = w.form
     assert volume_coefficient(omega, psi) == w.value
     assert w.value.re <= 0
 
@@ -196,10 +194,10 @@ def test_check_transverse_p1_never_inconclusive():
         omega = omega + term + conjugate(term)
         if not omega.is_real() or omega.bidegree() != (1, 1):
             continue
-        verdict = check_transverse(omega, SearchBudget(restarts=0))
+        verdict = check_transverse(omega)
         assert verdict.status in (TransStatus.TRANSVERSE, TransStatus.NOT_TRANSVERSE)
         if verdict.status == TransStatus.NOT_TRANSVERSE:
-            psi = verdict.witness.to_form(n)
+            psi = verdict.witness.form
             assert not psi.is_zero()
             assert volume_coefficient(omega, psi) == verdict.witness.value
 
@@ -270,20 +268,6 @@ def test_simplicity_detection():
     # a decomposable combination: (a1+a3)^(a2+a4)
     psi = wedge(monomial(n, (1,)) + monomial(n, (3,)), monomial(n, (2,)) + monomial(n, (4,)))
     assert is_simple(psi)
-    cols = simple_factors(psi)
-    assert cols is not None
-    rebuilt = wedge_all(
-        [
-            sum(
-                (monomial(n, (j,), coeff=c) for j, c in enumerate(col, start=1) if not c.is_zero()),
-                ComplexForm.zero(n),
-            )
-            for col in cols
-        ],
-        n,
-    )
-    assert rebuilt == psi
-    assert simple_factors(mixed) is None
 
 
 def test_numeric_search_finds_hidden_negative():
@@ -309,13 +293,11 @@ def test_numeric_search_finds_hidden_negative():
     ]
     omega2 = substitute(omega, images, n_target=n)
     assert omega2.is_real()
-    verdict = check_transverse(omega2, SearchBudget(restarts=12, steps=200, seed=3))
-    if verdict.status == TransStatus.NOT_TRANSVERSE:
-        w = verdict.witness
-        assert volume_coefficient(omega2, w.to_form(n)) == w.value
-        assert w.value.re <= 0
-    else:
-        assert verdict.status == TransStatus.INCONCLUSIVE
+    verdict = check_transverse(omega2)
+    assert verdict.status == TransStatus.NOT_TRANSVERSE
+    w = verdict.witness
+    assert w.form == monomial(n, (3, 4))
+    assert volume_coefficient(omega2, w.form) == w.value == gr(-8)
 
 
 def test_pencil_scan_finds_a_negative_direction_no_monomial_shows():
@@ -334,10 +316,10 @@ def test_pencil_scan_finds_a_negative_direction_no_monomial_shows():
     basis, h = gram_matrix(omega)
     assert h == gram
     assert all(h[a][a].re in (Fraction(1, 4), 1) for a in range(6))
-    verdict = check_transverse(omega, SearchBudget(restarts=0))
+    verdict = check_transverse(omega)
     assert verdict.status == TransStatus.NOT_TRANSVERSE
     w = verdict.witness
-    psi = w.to_form(n)
+    psi = w.form
     assert is_simple(psi)
     assert volume_coefficient(omega, psi) == w.value == gr(-2)
     assert psi == monomial(n, (1, 2), coeff=gr(3)) + monomial(n, (1, 3))
@@ -415,9 +397,10 @@ def test_verdict_json_round_trip_verification():
     bad = omega_power(4, 2) - 2 * wedge(
         monomial(4, (1,), (1,), I), monomial(4, (2,), (2,), I)
     )
-    verdict2 = check_transverse(bad, SearchBudget(restarts=0))
+    verdict2 = check_transverse(bad)
     assert verdict2.status == TransStatus.NOT_TRANSVERSE
-    assert verify_verdict(bad, verdict2.to_json()) == []
+    # only a TRANSVERSE verdict is a found certificate
+    assert verify_verdict(bad, verdict2.to_json()) == ["found certificate is not TRANSVERSE"]
     # swapping certificates across forms must fail
     assert verify_verdict(bad, verdict.to_json()) != []
     assert verify_verdict(omega, verdict2.to_json()) != []

@@ -1721,15 +1721,15 @@ def _project_first_reference(struct, p, budget):
         if round_idx == 0 and (obstruction := obstruction_search(struct, p)) is not None:
             return decided(PKVerdict.REFUTED, 1, obstruction)
         omega = _combine(closed.forms, res.point)
-        verdict = check_transverse(omega, budget)
+        verdict = check_transverse(omega)
         if verdict.status == TransStatus.TRANSVERSE:
             return decided(PKVerdict.FOUND, form=omega, cert=verdict)
         if verdict.status == TransStatus.INCONCLUSIVE:
-            return decided(PKVerdict.INCONCLUSIVE, round_idx + 1)
-        psi = verdict.witness.to_form(n)
+            break
+        psi = verdict.witness.form
         witnesses.append(psi)
         rows += _witness_rows(closed.forms, [psi], n - p)
-    return report
+    return decided(PKVerdict.INCONCLUSIVE, round_idx + 1)
 
 
 @settings(max_examples=40, deadline=None)
