@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -21,7 +20,6 @@ from .scalars import json_int
 if TYPE_CHECKING:
     from .cxstruct import ComplexStructureSpec
     from .exterior import ComplexForm
-    from .positivity import SearchBudget
 
     Body = tuple[dict, list[str]]  # a report body and its text lines
 
@@ -62,24 +60,6 @@ def load_structure(args) -> ComplexStructureSpec:
         return struct_from_payload(data)
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
-
-
-def budget_from(args) -> SearchBudget:
-    from .positivity import SearchBudget
-
-    seed = args.seed
-    env_seed = os.environ.get("PKL_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise InputError(f"PKL_SEED must be an integer, got {env_seed!r}") from None
-    return SearchBudget(
-        restarts=args.budget_restarts,
-        steps=args.budget_steps,
-        seed=seed,
-        witness_cap=args.witness_cap,
-    )
 
 
 def emit(
@@ -221,9 +201,10 @@ def cmd_classify(args) -> int:
 def cmd_find(args) -> int:
     from .exterior import form_to_literal
     from .pkahler import PKVerdict, find_pkahler
+    from .positivity import SearchBudget
 
     struct = load_structure(args)
-    budget = budget_from(args)
+    budget = SearchBudget(seed=args.seed, witness_cap=args.witness_cap)
     rep = find_pkahler(struct, args.p, budget)
     report = {"seed": budget.seed, "report": rep.to_json()}
     lines = [f"verdict: {rep.verdict.value} (p = {args.p})"]
@@ -415,9 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("validate", cmd_validate, "parse and validate an input")
     command("classify", cmd_classify, "structural invariants and class")
     p_find = command("find", cmd_find, "search or refute a p-Kahler structure", needs_p=True)
-    p_find.add_argument("--seed", type=int, default=0, help="overridden by PKL_SEED")
-    p_find.add_argument("--budget-restarts", type=int, default=200)
-    p_find.add_argument("--budget-steps", type=int, default=500)
+    p_find.add_argument("--seed", type=int, default=0, help="recorded in the report")
     p_find.add_argument("--witness-cap", type=int, default=24)
     p_obs = command("obstruct", cmd_obstruct, "check or search a same-sign obstruction", needs_p=True)
     p_obs.add_argument("--beta", help="candidate form in compact literal syntax")

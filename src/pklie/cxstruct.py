@@ -35,8 +35,6 @@ from .liealg import (
     algebra_from_json,
     coframe_differentials,
     ensure_valid,
-    int_bracket,
-    signed_brackets,
 )
 from .linalg import (
     Matrix,
@@ -55,11 +53,10 @@ from .scalars import I, ONE, ZERO, _reduced, json_literal, parse_fraction
 
 
 class NonIntegrableError(ValueError):
-    """The given almost complex structure is not integrable."""
+    """The given almost complex structure is not integrable: d a^j has a (0,2) part."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    def __init__(self, j: int):
+        super().__init__(f"d a^{j} has a (0,2) component; structure not integrable")
 
 
 def _has_02_part(eq: ComplexForm) -> bool:
@@ -68,13 +65,17 @@ def _has_02_part(eq: ComplexForm) -> bool:
 
 @dataclass
 class IntegrabilityResult:
-    ok: bool
-    witness: tuple[int, int] | None = None
-    nijenhuis_value: list[Fraction] | None = None
-    # the (1,0)-coframe whose structure equations `check_integrability`
-    # read for the bidegree test, and those equations
-    coframe: Matrix | None = None
-    equations: list[ComplexForm] | None = None
+    """The bidegree test's verdict: `witness` is the first j whose d a^j has
+    a (0,2) part, None when J is integrable; `coframe` is the (1,0)-coframe
+    whose structure equations `equations` the test read."""
+
+    witness: int | None
+    coframe: Matrix
+    equations: list[ComplexForm]
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
     def __bool__(self):
         return self.ok
@@ -103,37 +104,6 @@ def _check_j_square(J: Matrix, dim: int) -> None:
     for i, col in enumerate(cols, start=1):
         if apply_columns(cols, col) != {i: -den * den}:
             raise ValueError("J^2 != -Id")
-
-
-def nijenhuis_tensor(g: LieAlgebraSpec, J: Matrix) -> IntegrabilityResult:
-    """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
-
-    Formed from the nonzero terms of the signed bracket table and of the
-    columns J e_i, both as ints: with brackets over D and J over D_J every
-    term is an int over D_J^2 D.  The first pair (in lexicographic order)
-    with N != 0 is the witness, its value the dense residual in Fractions.
-    """
-    table, den = signed_brackets(g)
-    cols, jden = _j_int_columns(J)
-    jden2 = jden * jden
-
-    for i in range(1, g.dim + 1):
-        jx = cols[i - 1]
-        for j in range(i + 1, g.dim + 1):
-            jy = cols[j - 1]
-            term = int_bracket(table, jx, jy)
-            mixed = int_bracket(table, jx, {j: 1})
-            for k, c in int_bracket(table, {i: 1}, jy).items():
-                mixed[k] = mixed.get(k, 0) + c
-            for k, c in apply_columns(cols, mixed).items():
-                term[k] = term.get(k, 0) - c
-            for k, c in table.get((i, j), ()):
-                term[k] = term.get(k, 0) - c * jden2
-            if any(term.values()):
-                scale = jden2 * den
-                value = [Fraction(term.get(k, 0), scale) for k in range(1, g.dim + 1)]
-                return IntegrabilityResult(False, (i, j), value)
-    return IntegrabilityResult(True)
 
 
 def _eigen_coframe(g: LieAlgebraSpec, J: Matrix) -> Matrix:
@@ -292,7 +262,12 @@ class ComplexStructureSpec:
         g: LieAlgebraSpec, J: Sequence[Sequence], coframe: Sequence[Sequence] | None = None
     ) -> "ComplexStructureSpec":
         """Validate (g, J) and keep the given (1,0)-coframe of J, or J's
-        canonical one when none is given, with its structure equations."""
+        canonical one when none is given, with its structure equations.
+
+        J is integrable when no d a^j has a (0,2) part, the test that
+        `from_equations` applies; otherwise this raises the same
+        NonIntegrableError, naming the first such j.
+        """
         J = mat_from_rows(J)
         if g.dim % 2:
             raise ValueError("complex structures need even real dimension")
@@ -302,10 +277,7 @@ class ComplexStructureSpec:
             raise ValueError(f"coframe must have {g.dim // 2} rows of {g.dim} entries")
         integ = check_integrability(g, J, coframe)
         if not integ.ok:
-            raise NonIntegrableError(
-                f"Nijenhuis tensor nonzero on basis pair {integ.witness}",
-                witness=integ,
-            )
+            raise NonIntegrableError(integ.witness)
         return ComplexStructureSpec(g, J, integ.coframe, integ.equations)
 
     @staticmethod
@@ -324,9 +296,7 @@ class ComplexStructureSpec:
             if not eq.is_zero() and eq.degrees() != {2}:
                 raise ValueError(f"d a^{j} must be a 2-form")
             if _has_02_part(eq):
-                raise NonIntegrableError(
-                    f"d a^{j} has a (0,2) component; structure not integrable"
-                )
+                raise NonIntegrableError(j)
         g = _real_algebra(equations)
         ensure_valid(g)
         J = zeros(dim, dim)
@@ -485,16 +455,29 @@ def equations_from_literals(literals, n=None, params=None) -> list[ComplexForm]:
     return [parse_form(texts.get(j, "0"), n, values) for j in range(1, n + 1)]
 
 
+def _only_keys(data: dict, keys: tuple[str, ...]) -> None:
+    unknown = sorted(data.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; this input format reads only {', '.join(keys)}")
+
+
 def struct_from_payload(data: dict) -> ComplexStructureSpec:
     """A structure from an input payload, in the first format it matches:
     a `dalpha` object of literals (with optional `n` and `params`), a
-    serialized structure (`algebra`), or an algebra with a matrix `J`."""
+    serialized structure (`algebra`, `J`, `coframe`, `dalpha`), or a matrix
+    `J` with an algebra (`dim` and exactly one of `brackets` or `d`).  A key
+    its format does not read is a ValueError."""
     if isinstance(data.get("dalpha"), dict):
+        _only_keys(data, ("dalpha", "n", "params"))
         equations = equations_from_literals(data["dalpha"], data.get("n"), data.get("params"))
         return ComplexStructureSpec.from_equations(equations)
     if "algebra" in data:
+        _only_keys(data, ("algebra", "J", "coframe", "dalpha"))
         return struct_from_json(data)
     if "J" in data:
+        _only_keys(data, ("J", "dim", "brackets", "d"))
+        if ("brackets" in data) == ("d" in data):
+            raise ValueError("a matrix J needs its algebra as exactly one of brackets or d")
         g = algebra_from_json(data)
         return ComplexStructureSpec.from_coframe(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
     raise ValueError("unrecognized input format")
@@ -503,13 +486,13 @@ def struct_from_payload(data: dict) -> ComplexStructureSpec:
 def check_integrability(
     g: LieAlgebraSpec, J: Sequence[Sequence], coframe: Sequence[Sequence] | None = None
 ) -> IntegrabilityResult:
-    """Nijenhuis test cross-checked against the bidegree test on d(Lambda^{1,0}).
+    """J is integrable iff no d a^j has a (0,2) part (N_J = 0 on g exactly when
+    d maps Lambda^{1,0} into Lambda^{2,0} + Lambda^{1,1}).
 
-    The bidegree test reads the structure equations of `coframe`, whose rows
-    must be (1,0)-forms of J, or of J's canonical (1,0)-coframe when none is
-    given; the result carries that coframe and its equations for the
-    constructor to keep.  Disagreement between the two tests is an internal
-    error, not a verdict.
+    The test reads the structure equations of `coframe`, whose rows must be
+    (1,0)-forms of J, or of J's canonical (1,0)-coframe when none is given;
+    the result carries that coframe and its equations for the constructor
+    to keep.
     """
     J = mat_from_rows(J)
     _check_j_square(J, g.dim)
@@ -524,12 +507,6 @@ def check_integrability(
             for col, entry in zip(cols, row):
                 if sum((row[k - 1] * c for k, c in col.items()), ZERO) != I * entry * den:
                     raise ValueError("coframe row is not a (1,0)-form for J")
-    nij = nijenhuis_tensor(g, J)
     equations = structure_equations(g, coframe)
-    bidegree_ok = not any(_has_02_part(eq) for eq in equations)
-    if bidegree_ok != nij.ok:
-        raise AssertionError(
-            "integrability tests disagree (Nijenhuis vs bidegree); internal bug"
-        )
-    nij.coframe, nij.equations = coframe, equations
-    return nij
+    witness = next((j for j, eq in enumerate(equations, start=1) if _has_02_part(eq)), None)
+    return IntegrabilityResult(witness, coframe, equations)

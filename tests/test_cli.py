@@ -255,21 +255,33 @@ def test_aab_kahler_command(tmp_path, capsys):
     assert "kahler: True" in out
 
 
-def test_env_seed_override(tmp_path, capsys, monkeypatch):
+def test_find_reads_no_search_budget_and_no_environment_seed(capsys, monkeypatch):
+    # every step of find is exact: no search reads a restart or step budget,
+    # and the report's seed is the --seed given, whatever PKL_SEED holds
+    for flag in ("--budget-restarts", "--budget-steps"):
+        assert main(["find", "--catalog", "kt", "--p", "1", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and flag in err
     monkeypatch.setenv("PKL_SEED", "7")
     code, out = run_cli(
         ["find", "--catalog", "torus2", "--p", "1", "--format", "json", "--seed", "3"],
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["seed"] == 7
+    assert json.loads(out)["seed"] == 3
 
 
-def test_env_seed_that_is_not_an_integer_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("PKL_SEED", "abc")
-    code = main(["find", "--catalog", "torus2", "--p", "1"])
-    assert code == 1
-    assert capsys.readouterr().err == "input error: PKL_SEED must be an integer, got 'abc'\n"
+def test_find_options_are_the_ones_it_reads():
+    import argparse
+
+    from pklie.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt for action in sub.choices["find"]._actions if action.dest != "help"
+        for opt in action.option_strings
+    }
+    assert options == {"--catalog", "--in", "--format", "--p", "--seed", "--witness-cap"}
 
 
 def test_console_entry_point():
@@ -510,6 +522,29 @@ def _bracket_c(c):
     return {"dim": 4, "brackets": [{"i": 1, "j": 2, "k": 3, "c": c}], "J": _J4}
 
 
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({**_bracket_c("1"), "coframe": [["0", "0", "1", "i"], ["1", "i", "0", "0"]]}, "'coframe'"),
+        ({**_bracket_c("1"), "d": {"e3": "e1^e2"}}, "brackets or d"),
+        ({"dim": 4, "J": _J4}, "brackets or d"),
+        ({"n": 2, "dalpha": {"a2": "a1_b1"}, "J": _J4}, "'J'"),
+        (_kt_input(lambda d: d.update(brackets=[])), "'brackets'"),
+    ],
+    ids=["bracket_with_coframe", "brackets_and_d", "J_without_an_algebra", "dalpha_with_J", "serialized_with_brackets"],
+)
+def test_key_its_format_does_not_read_is_an_input_error(tmp_path, capsys, payload, named):
+    # reading past such a key would build a structure the payload does not
+    # describe: J's canonical coframe for the given one, the algebra of d for
+    # that of brackets (d a^2 of the opposite sign), the equations' J for the
+    # given one, an abelian algebra for a J given alone
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and named in err
+
+
 # JSON scalars that are neither a string nor an int, and the error naming the field
 _WRONG_SCALARS = {
     "bracket_c_a_bool": (_bracket_c(True), "bracket 'c' must be a string or an int, got True"),
@@ -676,18 +711,11 @@ def test_malformed_catalog_name_rejected(capsys, name, message):
     [
         ["--witness-cap", "-1"],
         ["--witness-cap", "0"],
-        ["--budget-steps", "-5"],
-        ["--budget-restarts", "-1"],
         ["--seed", "-1"],
     ],
 )
 def test_find_rejects_malformed_budget(capsys, budget):
     _assert_input_error(["find", "--catalog", "kt", "--p", "1", *budget], capsys)
-
-
-def test_find_accepts_zero_restarts(capsys):
-    code, out = run_cli(["find", "--catalog", "kt", "--p", "1", "--budget-restarts", "0"], capsys)
-    assert code == 0 and "REFUTED" in out
 
 
 @pytest.mark.parametrize("p", ["7", "0", "-1"])

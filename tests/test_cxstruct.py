@@ -96,26 +96,46 @@ def test_any_j_on_abelian_is_integrable():
         assert check_integrability(g, J).ok
 
 
-def test_non_integrable_witness():
+def _h3r_bad():
+    """h3 + R with a J (J e1 = e3, J e2 = e4) that mixes the center with the
+    derived algebra: J^2 = -Id, not integrable."""
     g = from_bracket_list(4, [(1, 2, 3, 1)])
-    # J e1 = e3, J e2 = e4 mixes the center with the derived algebra
-    J = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    return g, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def test_non_integrable_witness():
+    g, J = _h3r_bad()
     res = check_integrability(g, J)
-    assert not res.ok
-    assert res.witness == (1, 2)
-    assert any(res.nijenhuis_value)
-    with pytest.raises(NonIntegrableError):
+    # the witness is the first j whose d a^j has a (0,2) part
+    assert (res.ok, res.witness) == (False, 1)
+    assert cxstruct._has_02_part(res.equations[0])
+    with pytest.raises(NonIntegrableError, match=r"^d a\^1 has a \(0,2\) component"):
         ComplexStructureSpec.from_coframe(g, J)
-    # the bidegree test on a (1,0)-coframe other than the canonical one agrees
-    # with the Nijenhuis test, so the verdict is a NonIntegrableError
+    # on a (1,0)-coframe other than the canonical one the verdict is the same,
+    # its witness an index into that coframe's equations
     a, b = res.coframe
-    for coframe in ([b, a], [a, [x + 3 * y for x, y in zip(b, a)]]):
-        assert not check_integrability(g, J, coframe).ok
-        with pytest.raises(NonIntegrableError):
+    for coframe, j in (([b, a], 2), ([a, [x + 3 * y for x, y in zip(b, a)]], 1)):
+        assert check_integrability(g, J, coframe).witness == j
+        with pytest.raises(NonIntegrableError, match=rf"^d a\^{j} has a \(0,2\) component"):
             ComplexStructureSpec.from_coframe(g, J, coframe)
     # a coframe that is not (1,0) for J is reported before integrability
     with pytest.raises(ValueError, match="not a \\(1,0\\)-form"):
         ComplexStructureSpec.from_coframe(g, J, kodaira_thurston().coframe)
+
+
+def test_non_integrable_message_is_the_same_from_either_constructor():
+    g, J = _h3r_bad()
+    a, b = check_integrability(g, J).coframe
+    equations = check_integrability(g, J, [b, a]).equations
+    messages = []
+    for build in (
+        lambda: ComplexStructureSpec.from_coframe(g, J, [b, a]),
+        lambda: ComplexStructureSpec.from_equations(equations),
+    ):
+        with pytest.raises(NonIntegrableError) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert messages == ["d a^2 has a (0,2) component; structure not integrable"] * 2
 
 
 def _recombined(coframe, rng):
@@ -311,7 +331,7 @@ def test_b_extension_rejects_snn():
 
 
 def test_integrability_agreement_includes_non_integrable():
-    # the Nijenhuis and bidegree tests must agree (not just on integrable J)
+    # the bidegree verdict does not depend on the basis, on non-integrable J too
     rng = random.Random(31)
     g = from_bracket_list(4, [(1, 2, 3, 1)])
     j_good = mat_from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -323,7 +343,7 @@ def test_integrability_agreement_includes_non_integrable():
         base = j_good if rng.random() < 0.5 else j_bad
         j2 = matmul(matmul(sinv, base), s)
         g2 = change_basis(g, s)
-        res = check_integrability(g2, j2)  # raises on internal disagreement
+        res = check_integrability(g2, j2)
         assert res.ok == (base is j_good)
         agree += 1
     assert agree == 100
