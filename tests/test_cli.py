@@ -711,6 +711,8 @@ def test_malformed_catalog_name_rejected(capsys, name, message):
     [
         ["--witness-cap", "-1"],
         ["--witness-cap", "0"],
+        ["--witness-cap", "x"],
+        ["--seed", "abc"],
         ["--seed", "-1"],
     ],
 )
