@@ -404,12 +404,11 @@ def struct_to_json(struct: ComplexStructureSpec) -> dict:
 
 
 def struct_from_json(data) -> ComplexStructureSpec:
-    """Rebuild and revalidate a serialized structure; equations must agree."""
+    """Rebuild and revalidate a serialized structure that holds only keys it reads; equations must agree."""
     from .exterior import form_from_json
 
-    if not isinstance(data, dict):
-        raise ValueError("a structure must be a JSON object")
-    g = algebra_from_json(data["algebra"])
+    _only_keys(data, ("algebra", "J", "coframe", "dalpha"))
+    g = _algebra_from_keys(data["algebra"])
     J = mat_from_json(data["J"], g.dim, g.dim, "J")
     coframe = mat_from_json(data["coframe"], g.dim // 2, g.dim, "coframe")
     struct = ComplexStructureSpec.from_coframe(g, J, coframe)
@@ -455,10 +454,19 @@ def equations_from_literals(literals, n=None, params=None) -> list[ComplexForm]:
     return [parse_form(texts.get(j, "0"), n, values) for j in range(1, n + 1)]
 
 
-def _only_keys(data: dict, keys: tuple[str, ...]) -> None:
-    unknown = sorted(data.keys() - set(keys))
-    if unknown:
+def _only_keys(data, keys: tuple[str, ...]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object of {', '.join(keys)}")
+    if unknown := sorted(data.keys() - set(keys)):
         raise ValueError(f"unknown key {unknown[0]!r}; this input format reads only {', '.join(keys)}")
+
+
+def _algebra_from_keys(data, *other: str) -> LieAlgebraSpec:
+    """The algebra of an object that reads `other`, `dim` and exactly one of `brackets` or `d`."""
+    _only_keys(data, (*other, "dim", "brackets", "d"))
+    if ("brackets" in data) == ("d" in data):
+        raise ValueError("an algebra needs exactly one of brackets or d")
+    return algebra_from_json(data)
 
 
 def struct_from_payload(data: dict) -> ComplexStructureSpec:
@@ -472,13 +480,9 @@ def struct_from_payload(data: dict) -> ComplexStructureSpec:
         equations = equations_from_literals(data["dalpha"], data.get("n"), data.get("params"))
         return ComplexStructureSpec.from_equations(equations)
     if "algebra" in data:
-        _only_keys(data, ("algebra", "J", "coframe", "dalpha"))
         return struct_from_json(data)
     if "J" in data:
-        _only_keys(data, ("J", "dim", "brackets", "d"))
-        if ("brackets" in data) == ("d" in data):
-            raise ValueError("a matrix J needs its algebra as exactly one of brackets or d")
-        g = algebra_from_json(data)
+        g = _algebra_from_keys(data, "J")
         return ComplexStructureSpec.from_coframe(g, mat_from_json(data["J"], g.dim, g.dim, "J"))
     raise ValueError("unrecognized input format")
 

@@ -214,9 +214,6 @@ class ComplexForm:
     def conjugate(self) -> "ComplexForm":
         return conjugate(self)
 
-    def bidegree_component(self, p: int, q: int) -> "ComplexForm":
-        return bidegree_component(self, p, q)
-
     def __str__(self):
         return form_to_literal(self)
 

@@ -56,9 +56,6 @@ class LieAlgebraSpec:
                 clean[(i, j)] = entries
         object.__setattr__(self, "brackets", clean)
 
-    def abelian(self) -> bool:
-        return not self.brackets
-
 
 def from_bracket_list(dim: int, entries: Sequence[tuple[int, int, int, object]]) -> LieAlgebraSpec:
     """Build a spec from (i, j, k, c) tuples; i > j entries are folded in."""
@@ -251,6 +248,8 @@ def algebra_from_json(data: Mapping) -> LieAlgebraSpec:
         raise ValueError("brackets must be a list of {i, j, k, c} objects")
     entries = []
     for item in brackets:
+        if unknown := sorted(item.keys() - {"i", "j", "k", "c"}):
+            raise ValueError(f"unknown bracket key {unknown[0]!r}; a bracket item reads only i, j, k, c")
         i, j, k = (json_int(item[x], f"bracket {x!r}") for x in "ijk")
         entries.append((i, j, k, parse_fraction(json_literal(item["c"], "bracket 'c'"))))
     return from_bracket_list(dim, entries)

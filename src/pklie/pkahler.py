@@ -303,7 +303,7 @@ def _standard_power_coords(n: int, p: int) -> tuple[Fraction, ...]:
 def _witness_rows(forms: list[ComplexForm], witnesses: list[ComplexForm], k: int) -> list[list[int | Fraction]]:
     """One LP row per (k,0) witness psi: the real part of the volume pairing
     of psi with each form, from one pairing functional per witness."""
-    functionals = [pairing_functional(psi, psi, k) for psi in witnesses]
+    functionals = [pairing_functional(psi, k) for psi in witnesses]
     return [[_real_part(apply_functional(fn, f)) for f in forms] for fn in functionals]
 
 

@@ -104,43 +104,30 @@ class TransversalityVerdict:
 
 
 def volume_coefficient(omega: ComplexForm, psi: ComplexForm) -> GaussianRational:
-    """c with i^{(n-p)^2} omega ^ psi ^ conj(psi) = c * (i a^{1,1b} ^ ... ^ i a^{n,nb})."""
-    return pairing_coefficient(omega, psi, psi)
-
-
-def pairing_coefficient(
-    omega: ComplexForm, psi: ComplexForm, phi: ComplexForm
-) -> GaussianRational:
-    """Polarized volume pairing i^{(n-p)^2} omega ^ psi ^ conj(phi) over the volume:
-    `pairing_functional(psi, phi, n - p)` applied to omega."""
+    """i^{(n-p)^2} omega ^ psi ^ conj(psi) over i a^{1,1b} ^ ... ^ i a^{n,nb}, by `pairing_functional`."""
     bid = omega.bidegree()
     if bid is None or bid[0] != bid[1]:
         raise ValueError("omega must be a homogeneous (p,p)-form")
     if psi.n != omega.n:
         raise ValueError("coframe dimension mismatch")
-    return apply_functional(pairing_functional(psi, phi, omega.n - bid[0]), omega)
+    return apply_functional(pairing_functional(psi, omega.n - bid[0]), omega)
 
 
-def pairing_functional(psi: ComplexForm, phi: ComplexForm, k: int) -> dict[int, GaussianRational]:
-    """The pairing with (k,0)-forms psi and phi as {key: coefficient} on (n-k,n-k)-forms.
+def pairing_functional(psi: ComplexForm, k: int) -> dict[int, GaussianRational]:
+    """The volume pairing with the (k,0)-form psi as {key: coefficient} on (n-k,n-k)-forms.
 
-    Sesquilinear in (psi, phi): with psi = sum x_a a^{I_a} and phi = sum y_b a^{I_b}
-    it is sum x_a conj(y_b) times the pairing of the two monomials, which
-    `_gram_units` holds as one key of omega, distinct for each (a, b), and a
-    unit factor.
+    With psi = sum x_a a^{I_a} it is sum x_a conj(x_b) times the pairing of
+    a^{I_a} with a^{I_b}, which `_gram_units` holds as one key of omega,
+    distinct for each (a, b), and a unit factor.
     """
-    n = psi.n
-    for test in (psi,) if phi is psi else (psi, phi):
-        if test.n != n:
-            raise ValueError("coframe dimension mismatch")
-        if not test.is_zero() and test.bidegrees() != {(k, 0)}:
-            raise ValueError(f"test form must be a ({k},0)-form")
-    units = _gram_units(n, k)
-    position = _gram_position(n, k)
+    if not psi.is_zero() and psi.bidegrees() != {(k, 0)}:
+        raise ValueError(f"test form must be a ({k},0)-form")
+    units = _gram_units(psi.n, k)
+    position = _gram_position(psi.n, k)
     out = {}
     for holo_a, x in psi.terms.items():
         row = units[position[holo_a]]
-        for holo_b, y in phi.terms.items():
+        for holo_b, y in psi.terms.items():
             key, unit = row[position[holo_b]]
             out[key] = x * y.conjugate() * unit
     return out
@@ -224,8 +211,8 @@ def check_transverse(omega: ComplexForm) -> TransversalityVerdict:
 
     Pipeline: Gram positivity (sufficient); the witness from the failed Gram
     reduction at p = 1 or p = n-1 (where transversality and positive
-    definiteness agree); a scan over coframe monomials; then a scan over
-    coordinate pencils.
+    definiteness agree); then a scan over coordinate pencils, whose blocks
+    hold every coframe monomial.
     """
     n = omega.n
     bid = omega.bidegree()
@@ -243,11 +230,6 @@ def check_transverse(omega: ComplexForm) -> TransversalityVerdict:
         return TransversalityVerdict(TransStatus.TRANSVERSE, gram=cert)
     if p in (1, n - 1):
         return _not_transverse(omega, cert[0], basis)
-    # exact monomial scan on the Gram diagonal
-    for a, idx in enumerate(basis):
-        if h[a][a].a <= 0:
-            witness = SimpleFormWitness(monomial(n, idx), h[a][a])
-            return TransversalityVerdict(TransStatus.NOT_TRANSVERSE, witness=witness)
     # exact pencil scan: for a (k-1)-subset J, every sum of the monomials
     # a^K with K containing J is a^J ^ phi for a 1-form phi, so simple, and
     # the Gram block of those monomials is the pairing on such sums

@@ -140,7 +140,6 @@ class JClass(str, Enum):
 class AscendingSeries:
     chain: list[Matrix]
     dims: list[int]
-    stabilization: int
     classification: JClass
 
     @property
@@ -183,14 +182,13 @@ def ascending_series(struct: ComplexStructureSpec) -> AscendingSeries:
             break
         chain.append(nxt)
     dims = [len(step) for step in chain]
-    stab = len(chain) - 1
     if len(dims) == 1:
         classification = JClass.SNN
     elif dims[-1] == dim:
         classification = JClass.NILPOTENT
     else:
         classification = JClass.WEAKLY_NON_NILPOTENT
-    return AscendingSeries(chain, dims, stab, classification)
+    return AscendingSeries(chain, dims, classification)
 
 
 @dataclass

@@ -530,14 +530,29 @@ def _bracket_c(c):
         ({"dim": 4, "J": _J4}, "brackets or d"),
         ({"n": 2, "dalpha": {"a2": "a1_b1"}, "J": _J4}, "'J'"),
         (_kt_input(lambda d: d.update(brackets=[])), "'brackets'"),
+        (_kt_input(lambda d: d["algebra"].update(note="x")), "'note'"),
+        (_kt_input(lambda d: d["algebra"].update(d={"e3": "e1^e2"})), "brackets or d"),
+        (_kt_input(lambda d: d["algebra"]["brackets"][0].update(sign="-1")), "'sign'"),
+        ({**_bracket_c("1"), "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1", "sign": "-1"}]}, "'sign'"),
     ],
-    ids=["bracket_with_coframe", "brackets_and_d", "J_without_an_algebra", "dalpha_with_J", "serialized_with_brackets"],
+    ids=[
+        "bracket_with_coframe",
+        "brackets_and_d",
+        "J_without_an_algebra",
+        "dalpha_with_J",
+        "serialized_with_brackets",
+        "serialized_algebra_with_note",
+        "serialized_algebra_with_brackets_and_d",
+        "serialized_bracket_with_sign",
+        "bracket_with_sign",
+    ],
 )
 def test_key_its_format_does_not_read_is_an_input_error(tmp_path, capsys, payload, named):
     # reading past such a key would build a structure the payload does not
     # describe: J's canonical coframe for the given one, the algebra of d for
     # that of brackets (d a^2 of the opposite sign), the equations' J for the
-    # given one, an abelian algebra for a J given alone
+    # given one, an abelian algebra for a J given alone, [e_1, e_2] = e_3
+    # for a bracket whose sign key says otherwise
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
     assert main(["validate", "--in", str(path)]) == 1
@@ -751,6 +766,74 @@ def test_verify_report_missing_key_rejected(tmp_path, capsys, argv, key):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     _assert_input_error(["verify", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d["input"].update(note="x"), "'note'"),
+        (lambda d: d["input"]["algebra"].update(note="x"), "'note'"),
+        (lambda d: d["input"]["algebra"]["brackets"][0].update(sign="-1"), "'sign'"),
+    ],
+    ids=["input_note", "algebra_note", "bracket_sign"],
+)
+def test_verify_report_with_a_key_its_structure_does_not_read_rejected(tmp_path, capsys, edit, named):
+    # the embedded structure is read as `--in` reads a serialized one
+    path = _report_file(tmp_path, capsys, _KT_FIND, edit)
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and named in err
+
+
+# the complex-parallelizable structure of SL(2,C): unimodular, its closed
+# (1,1) space is 0, and its compact quotients are balanced
+_SL2C = {"dalpha": {"a1": "a23", "a2": "-a13", "a3": "a12"}}
+
+
+def _sl2c_find(tmp_path, capsys, p, *fmt):
+    path = tmp_path / "sl2c.json"
+    path.write_text(json.dumps(_SL2C))
+    code, out = run_cli(["find", "--in", str(path), "--p", str(p), *fmt], capsys)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, lines",
+    [
+        (1, ["verdict: REFUTED (p = 1)", "refutation: empty_cone"]),
+        (2, ["verdict: FOUND (p = 2)", "form: a12_b12 + a13_b13 + a23_b23"]),
+    ],
+)
+def test_sl2c_find_verdicts_verify(tmp_path, capsys, p, lines):
+    assert _sl2c_find(tmp_path, capsys, p).splitlines() == lines
+    path = tmp_path / "report.json"
+    path.write_text(_sl2c_find(tmp_path, capsys, p, "--format", "json"))
+    assert run_cli(["verify", str(path)], capsys) == (0, _CERTIFIED)
+
+
+_A1_B1 = [{"holo": [1], "anti": [1], "re": "0", "im": "1"}]
+
+
+@pytest.mark.parametrize(
+    "p, edit, failure",
+    [
+        (1, lambda r: r["stats"].update(closed_dim=1),
+         "stats closed_dim is not 0, the dimension of the closed space"),
+        (1, lambda r: r["closed_basis"].append(_A1_B1), "closed space mismatch"),
+        (1, lambda r: r["refutation"].update(farkas=[]), "unexpected refutation field 'farkas'"),
+        (2, lambda r: r["stats"].update(closed_dim=8),
+         "stats closed_dim is not 9, the dimension of the closed space"),
+        (2, lambda r: r["found_form"].pop(), "Gram pairing is not positive definite"),
+    ],
+    ids=["empty_cone_closed_dim", "empty_cone_closed_basis", "empty_cone_farkas", "found_closed_dim", "found_form"],
+)
+def test_sl2c_report_tamper_fails_verify(tmp_path, capsys, p, edit, failure):
+    data = json.loads(_sl2c_find(tmp_path, capsys, p, "--format", "json"))
+    edit(data["report"])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["verify", str(path)], capsys) == (1, f"FAIL: {failure}\n")
 
 
 def test_verify_report_with_malformed_term_rejected(tmp_path, capsys):

@@ -205,7 +205,9 @@ def _d_pp_block_reference(struct, p):
 def test_golden_report_passes_verification_on_wedge_references(name, p, monkeypatch):
     # find_pkahler and verify_report read the same pairing and d-system tables,
     # so a wrong table entry could pass both; here verify reads none of them
-    monkeypatch.setattr(positivity, "pairing_coefficient", _wedge_pairing_reference)
+    monkeypatch.setattr(
+        pkahler, "volume_coefficient", lambda omega, psi: _wedge_pairing_reference(omega, psi, psi)
+    )
     monkeypatch.setattr(positivity, "gram_matrix", _wedge_gram_reference)
     monkeypatch.setattr(pkahler, "gram_matrix", _wedge_gram_reference)
     monkeypatch.setattr(ComplexStructureSpec, "d", _d_reference)

@@ -22,7 +22,6 @@ from pklie.positivity import (
     gram_matrix,
     gram_positive_definite,
     metric_power_root,
-    pairing_coefficient,
     volume_coefficient,
 )
 from pklie.scalars import GaussianRational, I, ONE
@@ -270,10 +269,10 @@ def test_simplicity_detection():
     assert is_simple(psi)
 
 
-def test_numeric_search_finds_hidden_negative():
-    # the rotated form still has a negative Gram diagonal entry (-8 at a^{34}),
-    # so the monomial scan decides it; the pencil scan test below is a case
-    # that no monomial shows
+def test_pencil_scan_finds_a_negative_monomial_of_a_rotated_form():
+    # the rotated form still has a negative Gram diagonal entry (-8 at a^{34});
+    # the pencil scan decides it, with that monomial as its witness; the test
+    # below is a case that no monomial shows
     n = 4
     omega = omega_power(n, 2) - 3 * wedge(
         monomial(n, (1,), (1,), I), monomial(n, (2,), (2,), I)
@@ -302,7 +301,7 @@ def test_numeric_search_finds_hidden_negative():
 
 def test_pencil_scan_finds_a_negative_direction_no_monomial_shows():
     # Gram matrix I - (3/4) v v* with v = e_12 + e_13 at n = 4, p = 2: every
-    # diagonal entry is 1/4 or 1, so the monomial scan passes, and the block
+    # diagonal entry is 1/4 or 1, so no monomial pairs negatively, and the block
     # of the pencil a^1 ^ phi gives psi = 3 a^12 + a^13, which pairs to -2
     n = 4
     units = _gram_units(n, 2)

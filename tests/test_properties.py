@@ -100,7 +100,6 @@ from pklie.positivity import (
     gram_basis,
     gram_matrix,
     gram_positive_definite,
-    pairing_coefficient,
     volume_coefficient,
 )
 from pklie.polynomials import char_poly, divmod_poly, minimal_poly, trim
@@ -686,7 +685,7 @@ def real_pp_forms(draw):
 
 
 def _wedge_pairing_reference(omega, psi, phi):
-    """pairing_coefficient as first written: two wedges and a top-degree division."""
+    """The polarized volume pairing as first written: two wedges and a top-degree division."""
     n = omega.n
     bid = omega.bidegree()
     if bid is None or bid[0] != bid[1]:
@@ -743,8 +742,8 @@ def pairing_cases(draw):
 @given(pairing_cases())
 def test_table_pairing_matches_wedge_pairing(case):
     omega, psi, phi = case
-    assert pairing_coefficient(omega, psi, phi) == _wedge_pairing_reference(omega, psi, phi)
-    assert volume_coefficient(omega, psi) == _wedge_pairing_reference(omega, psi, psi)
+    for form in (psi, phi):
+        assert volume_coefficient(omega, form) == _wedge_pairing_reference(omega, form, form)
 
 
 @settings(max_examples=100, deadline=None)
@@ -764,10 +763,11 @@ def test_pairing_rejects_wrong_bidegree(case, where, data):
         key = data.draw(st.sampled_from([k for k in _keys(n) if (len(k.holo), len(k.anti)) != (n - p, 0)]))
         wrong = ComplexForm(n, {key: ONE})
         psi, phi = (psi + wrong, phi) if where == "psi" else (psi, phi + wrong)
-    with pytest.raises(ValueError):
-        _wedge_pairing_reference(omega, psi, phi)
-    with pytest.raises(ValueError):
-        pairing_coefficient(omega, psi, phi)
+    for form in {"psi": (psi,), "phi": (phi,)}.get(where, (psi, phi)):
+        with pytest.raises(ValueError):
+            _wedge_pairing_reference(omega, form, form)
+        with pytest.raises(ValueError):
+            volume_coefficient(omega, form)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1620,6 +1620,29 @@ def test_monomial_rows_are_witness_rows_on_the_registry():
 @given(structures())
 def test_monomial_rows_are_witness_rows(case):
     _assert_monomial_rows_are_witness_rows(case[0])
+
+
+def test_every_lp_point_has_gram_diagonal_at_least_1(monkeypatch):
+    """The LP of `find_pkahler` holds every coframe monomial's row >= 1, and
+    that row is the monomial's Gram diagonal entry, so no monomial is
+    negative at a point `check_transverse` is handed: its pencil scan needs
+    no monomial scan before it."""
+    calls = []
+
+    def checked(omega):
+        h = gram_matrix(omega)[1]
+        assert all(h[a][a].is_real() and h[a][a].re >= 1 for a in range(len(h)))
+        calls.append((omega.n, omega.bidegree()[0]))
+        return check_transverse(omega)
+
+    monkeypatch.setattr("pklie.pkahler.check_transverse", checked)
+    for struct in _aab_structures():
+        for p in {1, struct.n - 2}:
+            find_pkahler(struct, p)
+    rng = random.Random(5)
+    for _ in range(50):
+        find_pkahler(random_tower(4, rng), 2, SearchBudget(witness_cap=4))
+    assert any(1 < p < n - 1 for n, p in calls)
 
 
 @settings(max_examples=60, deadline=None)
